@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from configparser import ConfigParser
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -25,13 +26,9 @@ from .grids import TAU, DiskChart, Field, TorusChart, interpolate, bilinear_toru
 from .measures import FluxProfile, kelvin_transform, residue_profiled
 from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
 
-_GL_CACHE: dict = {}
-
-
+@lru_cache(maxsize=16)
 def _leggauss(m: int):
-    if m not in _GL_CACHE:
-        _GL_CACHE[m] = np.polynomial.legendre.leggauss(m)
-    return _GL_CACHE[m]
+    return np.polynomial.legendre.leggauss(m)
 
 
 # -- quadrature over disks and annuli for callable profiles ------------------

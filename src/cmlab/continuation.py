@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InfeasibleTopology, StageFailure
 from .green import singular_part
-from .grids import Field, TAU, TorusChart, fft2, ifft2, laplacian_multiplier, torus_distance
+from .grids import (Field, TAU, TorusChart, half_laplacian_multiplier, irfft2, rfft2,
+                    torus_distance)
 from .measures import Divisor, euler_characteristic
 from .solver import CurvatureSpec, Solution, newton_solve
 
@@ -186,8 +187,9 @@ def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
     if Ktarget.values.min() < lo - 1e-12 or Ktarget.values.max() > hi + 1e-12:
         raise ValueError("curvature target exits [-lam, -1/lam]")
     t = 4.0 ** (-k)
-    mult = np.exp(-laplacian_multiplier(Ktarget.n) * t)
-    smoothed = ifft2(mult * fft2(Ktarget.values)).real
+    n = Ktarget.n
+    mult = np.exp(-half_laplacian_multiplier(n) * t)
+    smoothed = irfft2(mult * rfft2(Ktarget.values), n)
     return Field(np.clip(smoothed, lo, hi), TorusChart())
 
 
@@ -226,8 +228,8 @@ def no_bubble_scan(sol, radii, threshold: float = 1.0,
         K = curvature.values if isinstance(curvature, Field) else float(curvature)
         atoms = ()
     e2u = np.exp(2.0 * u)
-    dens_mass = np.abs(K) * e2u / (n * n)
-    dens_area = e2u / (n * n)
+    mass_hat = rfft2(np.abs(K) * e2u / (n * n))
+    area_hat = rfft2(e2u / (n * n))
     X, Y = TorusChart().mesh(n)
     d0 = torus_distance(X, Y, 0.0, 0.0)
     stride = max(1, n // lattice)
@@ -238,9 +240,9 @@ def no_bubble_scan(sol, radii, threshold: float = 1.0,
     scanned = 0
     for r in radii:
         disk = (d0 <= r).astype(float)
-        dhat = fft2(disk)
-        masses = ifft2(fft2(dens_mass) * dhat).real
-        areas = ifft2(fft2(dens_area) * dhat).real
+        dhat = rfft2(disk)
+        masses = irfft2(mass_hat * dhat, n)
+        areas = irfft2(area_hat * dhat, n)
         cx, cy = np.meshgrid(idx, idx, indexing="ij")
         keep = np.ones(cx.shape, dtype=bool)
         for (ax, ay) in atoms:

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import (TAU, Field, TorusChart, bilinear_torus, fft2, ifft2,
-                    laplacian_multiplier, torus_distance)
+from .grids import (TAU, Field, TorusChart, bilinear_torus, poisson_mean_zero,
+                    torus_distance)
 from .measures import Divisor
 
 _R1 = 0.125
@@ -108,16 +108,9 @@ def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     chart = TorusChart()
     X, Y = chart.mesh(n)
     d = torus_distance(X, Y, px, py)
-    rhs = -1.0 - _psi(d)
-    rhat = fft2(rhs)
-    rhat[0, 0] = 0.0
-    k2 = laplacian_multiplier(n)
-    what = np.zeros_like(rhat)
-    mask = k2 > 0
-    what[mask] = rhat[mask] / k2[mask]
+    remainder = poisson_mean_zero(-1.0 - _psi(d))
     # pin the continuum mean of G to zero: mean(R) = (1/2pi) int chi log d
-    what[0, 0] = n * n * _cutoff_log_mean()
-    remainder = ifft2(what).real
+    remainder += _cutoff_log_mean()
     # a node coinciding with the atom gets a clamped stand-in sample
     d_eff = np.maximum(d, 1.0 / (1024.0 * n))
     samples = remainder - cutoff(d) * np.log(d_eff) / TAU

@@ -38,12 +38,14 @@ def get_workers() -> int:
     return max(1, workers)
 
 
-def fft2(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.fft2(a, workers=get_workers())
+def rfft2(a: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real n-by-n array: shape (n, n//2 + 1)."""
+    return scipy.fft.rfft2(a, workers=get_workers())
 
 
-def ifft2(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifft2(a, workers=get_workers())
+def irfft2(a: np.ndarray, n: int) -> np.ndarray:
+    """Real n-by-n array from its half spectrum (inverse of ``rfft2``)."""
+    return scipy.fft.irfft2(a, s=(n, n), workers=get_workers())
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,9 @@ def constant(value: float, chart: Chart, n: int) -> Field:
 
 
 # -- spectral helpers on the torus -----------------------------------------
+#
+# Every torus field is real, so all spectral work uses the half spectrum
+# returned by ``rfft2``.
 
 @lru_cache(maxsize=32)
 def laplacian_multiplier(n: int) -> np.ndarray:
@@ -169,10 +174,18 @@ def laplacian_multiplier(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def half_laplacian_multiplier(n: int) -> np.ndarray:
+    """``laplacian_multiplier(n)`` on the half spectrum of ``rfft2``."""
+    out = np.ascontiguousarray(laplacian_multiplier(n)[:, :n // 2 + 1])
+    out.setflags(write=False)
+    return out
+
+
 def neg_laplacian(values: np.ndarray) -> np.ndarray:
     """-Delta u for periodic samples, spectrally exact in the trig basis."""
     n = values.shape[0]
-    return ifft2(laplacian_multiplier(n) * fft2(values)).real
+    return irfft2(half_laplacian_multiplier(n) * rfft2(values), n)
 
 
 def poisson_mean_zero(rhs):
@@ -182,12 +195,12 @@ def poisson_mean_zero(rhs):
     """
     values = rhs.values if isinstance(rhs, Field) else np.asarray(rhs, dtype=float)
     n = values.shape[0]
-    k2 = laplacian_multiplier(n)
-    rhat = fft2(values)
+    k2 = half_laplacian_multiplier(n)
+    rhat = rfft2(values)
     what = np.zeros_like(rhat)
     mask = k2 > 0
     what[mask] = rhat[mask] / k2[mask]
-    out = ifft2(what).real
+    out = irfft2(what, n)
     return Field(out, TorusChart()) if isinstance(rhs, Field) else out
 
 

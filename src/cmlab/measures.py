@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import CmlabError, NonStabilizingFlux
 from .grids import (TAU, Chart, DiskChart, Field, LogPolarChart, TorusChart,
-                    bilinear_torus, fft2, ifft2, integral, interpolate,
-                    neg_laplacian)
+                    bilinear_torus, integral, interpolate, irfft2,
+                    neg_laplacian, rfft2)
 
 # integral of ln|y| over the unit-spacing grid cell centered at the origin,
 # divided by the cell area: closed form -(ln 2)/2 - 3/2 + pi/4
@@ -373,6 +373,6 @@ def newtonian_potential(mu: SignedMeasureSample, chart: DiskChart, n: int) -> Fi
         kernel[0, 0] = math.log(h) + CELL_LOG_MEAN
         rho = np.zeros((pad, pad))
         rho[:n, :n] = dens.values
-        conv = ifft2(fft2(kernel) * fft2(rho)).real[:n, :n]
+        conv = irfft2(rfft2(kernel) * rfft2(rho), pad)[:n, :n]
         out -= (h * h / TAU) * conv
     return Field(out, chart)

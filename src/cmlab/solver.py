@@ -10,7 +10,15 @@ The Newton state is kept as the Fourier coefficient array of v: applying
 -Delta to stored coefficients is diagonal-exact, which avoids the
 round-off floor eps * (pi n)^2 ||v|| that a real-space state hits when the
 residual is re-transformed each step (at n = 256 that floor already
-exceeds the default tolerance).
+exceeds the default tolerance). v is real, so the state is its half
+spectrum (``rfft2``), and every transform is a real one of half size.
+
+One operator evaluates the residual and applies its Jacobian; the public
+``residual`` and ``jacobian_apply``, the default guess and the solver all
+use it. The inner CG carries each search direction twice, as samples p and
+as half spectrum p^, and accumulates the Newton step spectrally, so one CG
+iteration costs exactly three transforms: irfft2(k2 p^) for -Delta p,
+rfft2(r) for the preconditioner and irfft2(z^) for z.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ import numpy as np
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
 from .green import SingularSplit, _s4, singular_part
-from .grids import (TAU, Field, TorusChart, bilinear_torus, fft2, ifft2,
-                    laplacian_multiplier, torus_distance)
+from .grids import (TAU, Field, TorusChart, bilinear_torus,
+                    half_laplacian_multiplier, irfft2, rfft2, torus_distance)
 from .measures import Divisor, euler_characteristic
 
 _EXP_LIMIT = 350.0
@@ -79,6 +87,7 @@ class Solution:
     gb_defect: float
     newton_iters: int
     cg_iters: int
+    cg_capped: int  # inner solves stopped by cg_maxiter before cg_rtol
     area_parts: "AreaBreakdown"
 
     @property
@@ -93,43 +102,92 @@ def _exp2u(S: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(arg)
 
 
-def residual(v: Field | np.ndarray, spec: CurvatureSpec, split: SingularSplit) -> Field:
-    """F(v) = -Delta v - K e^{2(S+v)} + 2 pi sum(beta) - forcing."""
-    vv = v.values if isinstance(v, Field) else np.asarray(v, dtype=float)
-    if vv.shape != split.S.values.shape:
-        raise ValueError("v grid does not match the singular part")
-    n = vv.shape[0]
-    K = spec.values(n)
-    out = ifft2(laplacian_multiplier(n) * fft2(vv)).real
-    out -= K * _exp2u(split.S.values, vv)
-    out += TAU * split.beta_sum
+@dataclass(frozen=True)
+class _Operator:
+    """F(v) = -Delta v - K e^{2(S+v)} + const - rho and its Jacobian
+    (-Delta + W) w, W = -2K e^{2(S+v)}, with -Delta applied on the half
+    spectrum through the symbol k2."""
+
+    S: np.ndarray
+    K: float | np.ndarray
+    const: float
+    rho: float | np.ndarray
+    k2: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.S.shape[0]
+
+    def residual(self, vhat: np.ndarray, e2u: np.ndarray) -> np.ndarray:
+        """F from the half spectrum of v and the samples of e^{2(S+v)}."""
+        return irfft2(self.k2 * vhat, self.n) - self.K * e2u + self.const - self.rho
+
+    def evaluate(self, vhat: np.ndarray) -> tuple:
+        """(v, e^{2(S+v)}, F) at the half spectrum vhat."""
+        v = irfft2(vhat, self.n)
+        e2u = _exp2u(self.S, v)
+        return v, e2u, self.residual(vhat, e2u)
+
+    def weight(self, e2u: np.ndarray) -> np.ndarray:
+        return -2.0 * self.K * e2u
+
+    def jacobian(self, W: np.ndarray, w: np.ndarray, what: np.ndarray) -> np.ndarray:
+        """(-Delta + W) w from the samples w and their half spectrum."""
+        return irfft2(self.k2 * what, self.n) + W * w
+
+
+def _operator(spec: CurvatureSpec, split: SingularSplit) -> _Operator:
+    n = split.n
+    rho = 0.0
     if spec.forcing is not None:
         if spec.forcing.n != n:
             raise ValueError("forcing grid does not match the solve grid")
-        out -= spec.forcing.values
-    return Field(out, TorusChart())
+        rho = spec.forcing.values
+    return _Operator(split.S.values, spec.values(n), TAU * split.beta_sum, rho,
+                     half_laplacian_multiplier(n))
+
+
+def _samples(v: Field | np.ndarray, split: SingularSplit) -> np.ndarray:
+    vv = v.values if isinstance(v, Field) else np.asarray(v, dtype=float)
+    if vv.shape != split.S.values.shape:
+        raise ValueError("v grid does not match the singular part")
+    return vv
+
+
+def residual(v: Field | np.ndarray, spec: CurvatureSpec, split: SingularSplit) -> Field:
+    """F(v) = -Delta v - K e^{2(S+v)} + 2 pi sum(beta) - forcing."""
+    vv = _samples(v, split)
+    op = _operator(spec, split)
+    return Field(op.residual(rfft2(vv), _exp2u(op.S, vv)), TorusChart())
 
 
 def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
                    v: Field | np.ndarray, w: np.ndarray) -> np.ndarray:
     """Directional derivative of the residual: (-Delta + W) w, W = -2K e^{2u}."""
-    vv = v.values if isinstance(v, Field) else np.asarray(v, dtype=float)
-    n = vv.shape[0]
-    W = -2.0 * spec.values(n) * _exp2u(split.S.values, vv)
-    return ifft2(laplacian_multiplier(n) * fft2(w)).real + W * w
+    vv = _samples(v, split)
+    op = _operator(spec, split)
+    w = np.asarray(w, dtype=float)
+    return op.jacobian(op.weight(_exp2u(op.S, vv)), w, rfft2(w))
 
 
-def _cg(apply_op, apply_pre, b: np.ndarray, rtol: float, maxiter: int):
+def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
+        rtol: float, maxiter: int) -> tuple:
+    """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1.
+
+    Returns (half spectrum of x, iterations, whether maxiter cut it short).
+    """
     global _positivity_failures
-    x = np.zeros_like(b)
+    n = op.n
+    denom = op.k2 + shift
     r = b.copy()
-    z = apply_pre(r)
-    p = z.copy()
+    zhat = rfft2(r) / denom
+    z = irfft2(zhat, n)
+    p, phat = z, zhat
+    xhat = np.zeros_like(zhat)
     rz = float((r * z).sum())
     bnorm = math.sqrt(float((b * b).sum()))
-    iters = 0
     for iters in range(1, maxiter + 1):
-        Ap = apply_op(p)
+        Ap = op.jacobian(W, p, phat)
         pAp = float((p * Ap).sum())
         if pAp <= 0.0:
             _positivity_failures += 1
@@ -137,27 +195,28 @@ def _cg(apply_op, apply_pre, b: np.ndarray, rtol: float, maxiter: int):
                 "CG met a non-positive curvature direction; the linearized "
                 "operator is not definite")
         alpha = rz / pAp
-        x += alpha * p
+        xhat += alpha * phat
         r -= alpha * Ap
         if math.sqrt(float((r * r).sum())) <= rtol * bnorm:
-            break
-        z = apply_pre(r)
+            return xhat, iters, False
+        zhat = rfft2(r) / denom
+        z = irfft2(zhat, n)
         rz_next = float((r * z).sum())
-        p = z + (rz_next / rz) * p
+        beta = rz_next / rz
+        p = z + beta * p
+        phat = zhat + beta * phat
         rz = rz_next
-    return x, iters
+    return xhat, maxiter, True
 
 
 def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
     """Constant v balancing mean curvature: e^{2v} mean(|K| e^{2S}) = 2 pi |sum beta|."""
-    n = split.n
+    op = _operator(spec, split)
     if split.beta_sum == 0.0:
-        return Field(np.zeros((n, n)), TorusChart())
-    K = spec.values(n)
-    kabs = np.abs(K) if isinstance(K, np.ndarray) else abs(K)
-    mean = float((kabs * np.exp(2.0 * split.S.values)).mean())
+        return Field(np.zeros((op.n, op.n)), TorusChart())
+    mean = float((np.abs(op.K) * np.exp(2.0 * op.S)).mean())
     c = 0.5 * math.log(TAU * abs(split.beta_sum) / mean)
-    return Field(np.full((n, n), c), TorusChart())
+    return Field(np.full((op.n, op.n), c), TorusChart())
 
 
 def newton_solve(spec: CurvatureSpec, split: SingularSplit,
@@ -171,7 +230,8 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     (beta > -1; cusps are reached through continuation), and sup K < 0.
     Newton steps solve (-Delta - 2K e^{2u}) delta = -F by preconditioned
     CG; step lengths come from Armijo backtracking on ||F||_2^2 with
-    factor 1/2, slope 1e-4 and floor 2^-30.
+    factor 1/2, slope 1e-4 and floor 2^-30. An inner solve that reaches
+    `cg_maxiter` keeps its last iterate and is counted in `cg_capped`.
     """
     div = split.divisor
     chi = euler_characteristic("torus", div)
@@ -189,52 +249,33 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
 
-    n = split.n
-    S = split.S.values
-    K = spec.values(n)
-    rho = spec.forcing.values if spec.forcing is not None else 0.0
-    const = TAU * split.beta_sum
-    k2 = laplacian_multiplier(n)
-
+    op = _operator(spec, split)
     if v0 is None:
         v0 = default_initial_guess(spec, split)
-    if v0.n != n:
+    if v0.n != op.n:
         raise ValueError("v0 grid does not match the singular part")
 
-    def resid_from(vhat):
-        v = ifft2(vhat).real
-        arg = 2.0 * (S + v)
-        if arg.max() > _EXP_LIMIT:
-            raise ResidualOverflow("e^{2u} overflows double precision")
-        return ifft2(k2 * vhat).real - K * np.exp(arg) + const - rho, v
-
-    vhat = fft2(v0.values)
-    F, v = resid_from(vhat)
+    vhat = rfft2(v0.values)
+    v, e2u, F = op.evaluate(vhat)
     cg_total = 0
+    cg_capped = 0
     for it in range(max_iter):
         norm = float(np.abs(F).max())
         if norm <= tol:
             break
-        W = -2.0 * K * np.exp(2.0 * (S + v))
+        W = op.weight(e2u)
         cpre = max(1.0, math.sqrt(float(W.min()) * float(W.max())))
-
-        def apply_op(w):
-            return ifft2(k2 * fft2(w)).real + W * w
-
-        def apply_pre(w):
-            return ifft2(fft2(w) / (k2 + cpre)).real
-
-        delta, inner = _cg(apply_op, apply_pre, -F, cg_rtol, cg_maxiter)
+        dhat, inner, capped = _cg(op, W, cpre, -F, cg_rtol, cg_maxiter)
         cg_total += inner
-        dhat = fft2(delta)
+        cg_capped += capped
         phi0 = float((F * F).sum())
         step = 1.0
         while True:
             try:
-                F_try, v_try = resid_from(vhat + step * dhat)
+                vhat_try = vhat + step * dhat
+                v_try, e2u_try, F_try = op.evaluate(vhat_try)
                 if float((F_try * F_try).sum()) <= (1.0 - 2e-4 * step) * phi0:
-                    vhat = vhat + step * dhat
-                    F, v = F_try, v_try
+                    vhat, v, e2u, F = vhat_try, v_try, e2u_try, F_try
                     break
             except ResidualOverflow:
                 pass
@@ -250,12 +291,11 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
 
     v_field = Field(v, TorusChart())
     parts = metric_area(split, v_field)
-    u2 = _exp2u(S, v)
-    gb = abs(float((K * u2 + rho).mean()) - TAU * chi)
+    gb = abs(float((op.K * e2u + op.rho).mean()) - TAU * chi)
     return Solution(split=split, spec=spec, v=v_field,
                     residual_norm=float(np.abs(F).max()), area=parts.area,
                     gb_defect=gb, newton_iters=it, cg_iters=cg_total,
-                    area_parts=parts)
+                    cg_capped=cg_capped, area_parts=parts)
 
 
 # -- area quadrature ---------------------------------------------------------
@@ -355,10 +395,12 @@ def uniqueness_probe(spec: CurvatureSpec, split: SingularSplit, trials: int,
                      seed: int = 0, tol: float = 1e-10,
                      amplitude: float = 2.0) -> UniquenessReport:
     """Solve from `trials` random starts; report max pairwise sup distance."""
+    if trials < 1:
+        raise ValueError(f"uniqueness probe needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     sols = []
     norms = []
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         v0 = random_smooth_field(split.n, rng, amplitude=amplitude)
         sol = newton_solve(spec, split, v0=v0, tol=tol)
         sols.append(sol.v.values)

@@ -15,6 +15,7 @@ from cmlab.grids import (
     bilinear_torus,
     conformal_area,
     constant,
+    half_laplacian_multiplier,
     integral,
     interpolate,
     laplacian_multiplier,
@@ -92,6 +93,17 @@ def test_laplacian_multiplier_cached_readonly():
     assert m[0, 1] == pytest.approx(TAU ** 2, rel=1e-14)
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
+
+
+def test_half_laplacian_multiplier_is_rfft_width():
+    n = 32
+    h = half_laplacian_multiplier(n)
+    assert h.shape == (n, n // 2 + 1)
+    assert half_laplacian_multiplier(n) is h
+    # column n/2 is the Nyquist mode, whose symbol is even in k
+    np.testing.assert_array_equal(h, laplacian_multiplier(n)[:, :n // 2 + 1])
+    with pytest.raises(ValueError):
+        h[0, 0] = 1.0
 
 
 def test_bilinear_torus_wraps():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import cmlab.solver
 from cmlab.errors import InfeasibleTopology, ResidualOverflow
-from cmlab.grids import TAU, Field, TorusChart, constant, sample
+from cmlab.grids import TAU, Field, TorusChart, constant, neg_laplacian, sample
 from cmlab.green import singular_part
 from cmlab.measures import Divisor
 from cmlab.models import cone_radial_length, cusp_profile, cusp_radial_length
@@ -197,3 +198,68 @@ def test_metric_area_ring_correction_gate():
     c = s_cusp.area_parts.corrections[0]
     assert not c.applied
     assert s_cusp.area_parts.area == s_cusp.area_parts.grid_area
+
+
+def _complex_neg_laplacian(values):
+    """-Delta by full complex numpy.fft transforms (independent of the package)."""
+    n = values.shape[0]
+    k = TAU * np.fft.fftfreq(n, d=1.0 / n)
+    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    return np.fft.ifft2(k2 * np.fft.fft2(values)).real
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_operator_matches_complex_fft_reference(n):
+    rng = np.random.default_rng(n)
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
+    K = Field(-1.0 - 0.5 * rng.random((n, n)), TorusChart())
+    forcing = Field(rng.normal(size=(n, n)), TorusChart())
+    spec = CurvatureSpec(K, forcing=forcing)
+    v = rng.normal(scale=0.5, size=(n, n))
+    w = rng.normal(size=(n, n))
+    e2u = np.exp(2.0 * (split.S.values + v))
+
+    assert _rel_err(neg_laplacian(w), _complex_neg_laplacian(w)) < 1e-12
+    want_F = (_complex_neg_laplacian(v) - K.values * e2u
+              + TAU * split.beta_sum - forcing.values)
+    assert _rel_err(residual(v, spec, split).values, want_F) < 1e-12
+    want_J = _complex_neg_laplacian(w) - 2.0 * K.values * e2u * w
+    assert _rel_err(jacobian_apply(spec, split, v, w), want_J) < 1e-12
+
+
+def test_newton_cg_transform_count(monkeypatch):
+    # three half-size transforms per CG iteration, two per residual evaluation
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
+    calls = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["n"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cmlab.solver, "rfft2", counted(cmlab.solver.rfft2))
+    monkeypatch.setattr(cmlab.solver, "irfft2", counted(cmlab.solver.irfft2))
+    sol = newton_solve(CurvatureSpec(-1.0), split)
+    assert sol.residual_norm < 1e-10
+    assert sol.cg_iters > 0
+    assert 3 * sol.cg_iters <= calls["n"] <= 3 * sol.cg_iters + 4 * sol.newton_iters + 3
+
+
+def test_cg_capped_is_counted():
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 32)
+    capped = newton_solve(CurvatureSpec(-1.0), split, cg_maxiter=2)
+    assert capped.residual_norm < 1e-10
+    assert capped.cg_capped > 0
+    assert newton_solve(CurvatureSpec(-1.0), split).cg_capped == 0
+
+
+def test_uniqueness_probe_rejects_no_trials():
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 32)
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            uniqueness_probe(CurvatureSpec(-1.0), split, trials=trials)
