@@ -140,6 +140,7 @@ def _cmd_solve(cfg: RunConfig):
         "area": sol.area, "gbDefect": sol.gb_defect,
         "residualNorm": sol.residual_norm,
         "newtonIters": sol.newton_iters, "cgIters": sol.cg_iters,
+        "cgCapped": sol.cg_capped,
     }
     if trials > 0:
         probe = uniqueness_probe(spec, split, trials, seed=cfg.seed, tol=cfg.tol)
@@ -159,15 +160,17 @@ def _cmd_continue(cfg: RunConfig):
     k_max = _opt(opt, "k_max", int, 10)
     curvature = _opt(opt, "curvature", float, -1.0)
     scan_radius = _opt(opt, "scan_radius", float, 1.0 / 16.0)
-    sched = cusp_schedule(Divisor(atoms, betas), k_max=k_max, curvature=curvature)
+    div = Divisor(atoms, betas)
+    sched = cusp_schedule(div, k_max=k_max, curvature=curvature)
     result = run_continuation(sched, n=cfg.n, tol=cfg.tol, scan_radius=scan_radius)
     stages = [{"k": s.k, "betas": list(s.betas), "chi": s.chi, "area": s.area,
                "gbDefect": s.gb_defect, "maxLocalMass": s.max_local_mass,
-               "solveIters": s.solve_iters, "residualNorm": s.residual_norm}
+               "solveIters": s.solve_iters, "cgIters": s.cg_iters,
+               "residualNorm": s.residual_norm}
               for s in result.stages]
     report = {
         "command": "continue-cusp", "grid": cfg.n, "tol": cfg.tol,
-        "atoms": [list(p) for p in atoms], "targetBetas": list(betas),
+        "atoms": [list(p) for p in div.points], "targetBetas": list(div.betas),
         "kMax": k_max, "curvature": curvature,
         "stages": stages, "extrapolatedArea": result.extrapolated_area,
     }

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CmlabError, NonStabilizingFlux
 from .grids import (TAU, Chart, DiskChart, Field, LogPolarChart, TorusChart,
                     bilinear_torus, integral, interpolate, irfft2,
-                    neg_laplacian, rfft2)
+                    neg_laplacian, rfft2, torus_distance)
 
 # integral of ln|y| over the unit-spacing grid cell centered at the origin,
 # divided by the cell area: closed form -(ln 2)/2 - 3/2 + pi/4
@@ -31,13 +31,19 @@ CELL_LOG_MEAN = -0.5 * math.log(2.0) - 1.5 + math.pi / 4.0
 
 @dataclass(frozen=True)
 class Divisor:
-    """Marked points with weights beta >= -1 (angle 2 pi (beta+1))."""
+    """Marked points on the unit torus with weights beta >= -1 (angle
+    2 pi (beta+1)).
+
+    Points are stored reduced mod 1 to [0, 1)^2, so lattice translates name
+    the same point; two atoms closer than 1e-9 on the torus are rejected,
+    since the solver would merge them into one atom of the summed weight.
+    """
 
     points: tuple
     betas: tuple
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
+        pts = tuple((_mod1(x), _mod1(y)) for x, y in self.points)
         bts = tuple(float(b) for b in self.betas)
         if len(pts) != len(bts):
             raise ValueError("points and betas must have equal length")
@@ -46,8 +52,10 @@ class Divisor:
                 raise ValueError(f"weights must satisfy beta >= -1, got {b}")
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise ValueError(f"divisor points must be distinct: {pts[i]}")
+                if float(torus_distance(*pts[i], *pts[j])) < 1e-9:
+                    raise ValueError(
+                        f"divisor points must be distinct on the torus: "
+                        f"{pts[i]} and {pts[j]}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "betas", bts)
 
@@ -57,6 +65,11 @@ class Divisor:
     @property
     def beta_sum(self) -> float:
         return float(sum(self.betas))
+
+
+def _mod1(x) -> float:
+    r = float(x) % 1.0
+    return 0.0 if r == 1.0 else r  # a tiny negative x rounds up to 1.0
 
 
 def euler_characteristic(surface: str, div: Divisor) -> float:

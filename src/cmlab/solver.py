@@ -19,6 +19,15 @@ use it. The inner CG carries each search direction twice, as samples p and
 as half spectrum p^, and accumulates the Newton step spectrally, so one CG
 iteration costs exactly three transforms: irfft2(k2 p^) for -Delta p,
 rfft2(r) for the preconditioner and irfft2(z^) for z.
+
+The preconditioner is the spectral inverse (-Delta + c)^-1 with the shift
+c = mean(W). -Delta does not see the constant mode, and mean(W) is the
+Rayleigh quotient of the Jacobian on that mode, so the preconditioner is
+exact there; at a solution without forcing, Gauss-Bonnet makes it the
+topological constant 4 pi |chi|. W = -2K e^{2u} spikes at the atoms (up to
+~6e4 near a cusp stage at n = 256) while it stays near its mean elsewhere,
+so a shift that follows the spike, such as sqrt(min W max W), mismatches
+the low modes where CG spends its iterations.
 """
 
 from __future__ import annotations
@@ -44,6 +53,14 @@ def positivity_failure_count() -> int:
     return _positivity_failures
 
 
+def check_curvature_bounds(curvature: float | Field, lo: float, hi: float) -> None:
+    """Raise ValueError unless the constant or Field `curvature` lies in
+    [lo, hi], up to 1e-12."""
+    k = curvature.values if isinstance(curvature, Field) else curvature
+    if np.min(k) < lo - 1e-12 or np.max(k) > hi + 1e-12:
+        raise ValueError(f"curvature exits its bounds [{lo:g}, {hi:g}]")
+
+
 @dataclass(frozen=True)
 class CurvatureSpec:
     """Prescribed curvature: a constant or a torus Field, with optional
@@ -59,11 +76,7 @@ class CurvatureSpec:
             lo, hi = self.bounds
             if not (lo <= hi < 0.0):
                 raise ValueError("curvature bounds must satisfy lower <= upper < 0")
-            k = self.curvature
-            kmin = k.values.min() if isinstance(k, Field) else k
-            kmax = k.values.max() if isinstance(k, Field) else k
-            if kmin < lo - 1e-12 or kmax > hi + 1e-12:
-                raise ValueError("curvature exits its declared bounds")
+            check_curvature_bounds(self.curvature, lo, hi)
 
     def values(self, n: int):
         if isinstance(self.curvature, Field):
@@ -228,10 +241,12 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     Requires a negative Euler characteristic of the pair unless a
     manufactured forcing is supplied, strictly conical weights
     (beta > -1; cusps are reached through continuation), and sup K < 0.
-    Newton steps solve (-Delta - 2K e^{2u}) delta = -F by preconditioned
-    CG; step lengths come from Armijo backtracking on ||F||_2^2 with
-    factor 1/2, slope 1e-4 and floor 2^-30. An inner solve that reaches
-    `cg_maxiter` keeps its last iterate and is counted in `cg_capped`.
+    Newton steps solve (-Delta + W) delta = -F, W = -2K e^{2u}, by CG
+    preconditioned with (-Delta + mean(W))^-1, which is exact on the
+    constant mode (sup K < 0 makes W and its mean positive); step lengths
+    come from Armijo backtracking on ||F||_2^2 with factor 1/2, slope 1e-4
+    and floor 2^-30. An inner solve that reaches `cg_maxiter` keeps its
+    last iterate and is counted in `cg_capped`.
     """
     div = split.divisor
     chi = euler_characteristic("torus", div)
@@ -264,8 +279,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
         if norm <= tol:
             break
         W = op.weight(e2u)
-        cpre = max(1.0, math.sqrt(float(W.min()) * float(W.max())))
-        dhat, inner, capped = _cg(op, W, cpre, -F, cg_rtol, cg_maxiter)
+        dhat, inner, capped = _cg(op, W, float(W.mean()), -F, cg_rtol, cg_maxiter)
         cg_total += inner
         cg_capped += capped
         phi0 = float((F * F).sum())
@@ -441,7 +455,7 @@ def radial_length(u, p, delta: float, r0: float, direction=(1.0, 0.0)) -> float:
         vv = v.values if isinstance(v, Field) else np.asarray(v, dtype=float)
         atom = None
         for i, (qx, qy) in enumerate(split.divisor.points):
-            if math.hypot(px - qx, py - qy) < 1e-12:
+            if float(torus_distance(px, py, qx, qy)) < 1e-12:
                 atom = i
                 break
         if atom is None:

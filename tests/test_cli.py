@@ -98,6 +98,24 @@ def test_continue_cusp_run(tmp_path):
     assert u.n == 64
 
 
+def test_reports_carry_inner_cost_and_canonical_atoms(tmp_path):
+    solve_cfg, cont_cfg = tmp_path / "solve.ini", tmp_path / "cont.ini"
+    solve_cfg.write_text("[solve]\natoms = 1.3,-0.3\n")
+    cont_cfg.write_text("[continue-cusp]\natoms = 1.3,-0.3\nk_max = 2\n")
+    solve_out, cont_out = tmp_path / "solve", tmp_path / "cont"
+    assert run_cli(["solve", "--config", str(solve_cfg), "--out", str(solve_out),
+                    "--grid", "32"]) == 0
+    rep = read_report(solve_out / "report.json")
+    assert rep["atoms"][0] == pytest.approx([0.3, 0.7], abs=1e-15)
+    assert rep["cgCapped"] == 0 and rep["cgIters"] > 0
+    assert run_cli(["continue-cusp", "--config", str(cont_cfg), "--out", str(cont_out),
+                    "--grid", "32"]) == 0
+    rep = read_report(cont_out / "report.json")
+    assert rep["atoms"][0] == pytest.approx([0.3, 0.7], abs=1e-15)
+    assert all(isinstance(s["cgIters"], int) and s["cgIters"] > 0
+               for s in rep["stages"])
+
+
 def test_scan_clean_solution(tmp_path):
     out = tmp_path / "out"
     code = run_cli(["scan", "--out", str(out), "--grid", "64"])

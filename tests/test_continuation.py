@@ -82,6 +82,30 @@ def test_warm_and_cold_starts_agree():
         target, cusp_schedule(target, k_max=3).steps, warm_start=False, lam=1.0)
     cold = run_continuation(cold_sched, n=64)
     assert float(np.abs(warm.final.v.values - cold.final.v.values).max()) < 1e-8
+    # stage 3 starts from the secant prediction through stages 1 and 2
+    np.testing.assert_allclose(warm.areas, cold.areas, rtol=1e-8)
+
+
+def test_secant_start_when_weights_stand_still():
+    # stage 3 follows two stages with equal weights, so its secant has no
+    # slope in chi and it starts from stage 2 alone
+    target = Divisor(((0.3, 0.7),), (-0.75,))
+    steps = (ScheduleStep((-0.5,), -1.0), ScheduleStep((-0.5,), -1.5),
+             ScheduleStep((-0.75,), -1.5))
+    warm = run_continuation(ContinuationSchedule(target, steps, lam=2.0), n=32)
+    cold = run_continuation(ContinuationSchedule(target, steps, warm_start=False,
+                                                 lam=2.0), n=32)
+    np.testing.assert_allclose(warm.areas, cold.areas, rtol=1e-8)
+
+
+def test_ladder_cg_budget():
+    # 299 CG iterations with a sqrt(min W max W) shift, 136 with the mean(W)
+    # shift and 121 with the secant start as well: the budget fails if the
+    # preconditioner stops matching the Jacobian on the constant mode
+    res = run_continuation(cusp_schedule(Divisor(((0.3, 0.7),), (-1.0,)), k_max=6),
+                           n=64)
+    assert all(st.cg_iters > 0 for st in res.stages)
+    assert sum(st.cg_iters for st in res.stages) <= 180
 
 
 def test_continuation_infeasible_target():

@@ -123,3 +123,16 @@ def test_divisor_validation():
     assert len(d) == 2 and d.beta_sum == pytest.approx(1.5)
     cusp = Divisor(((0.4, 0.6),), (-1.0,))  # cusp weight itself is legal
     assert cusp.beta_sum == pytest.approx(-1.0)
+
+
+def test_divisor_points_are_torus_points():
+    with pytest.raises(ValueError):
+        Divisor(((0.31, 0.47), (1.31, 0.47)), (-0.3, -0.3))  # lattice translate
+    with pytest.raises(ValueError):
+        Divisor(((0.31, 0.47), (0.31 + 1e-12, 0.47)), (-0.3, -0.3))
+    with pytest.raises(ValueError):
+        Divisor(((0.0, 0.5), (1.0 - 1e-12, 0.5)), (-0.3, -0.3))  # across the seam
+    d = Divisor(((1.25, -0.5), (-1e-17, 0.75)), (-0.3, -0.3))
+    assert d.points == ((0.25, 0.5), (0.0, 0.75))
+    assert Divisor(((0.31, 0.47), (0.31 + 1e-6, 0.47)), (-0.3, -0.3)).points[1] \
+        == (0.31 + 1e-6, 0.47)

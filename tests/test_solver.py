@@ -72,6 +72,15 @@ def test_curvature_spec_bounds():
         CurvatureSpec(k).values(128)  # grid mismatch
 
 
+def test_preconditioner_shift_is_exact_on_constants():
+    # the CG preconditioner shift is mean(W), W = -2K e^{2u}; at a solution
+    # the mean of the residual vanishes, so by Gauss-Bonnet the shift equals
+    # 4 pi |chi| and the preconditioner matches the Jacobian on constants
+    sol = solve_divisor(((0.3, 0.7),), (-0.99,), n=64)
+    mean_w = float((2.0 * np.exp(2.0 * sol.u_values)).mean())
+    assert mean_w == pytest.approx(2.0 * TAU * 0.99, rel=1e-9)
+
+
 def test_residual_overflow():
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
     with pytest.raises(ResidualOverflow):
