@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import TAU, DiskChart, Field, TorusChart, interpolate, bilinear_torus
+from .grids import TAU, DiskChart, Field, TorusChart, interpolate
 from .measures import FluxProfile, kelvin_transform, residue_profiled
 from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
 
@@ -128,17 +128,15 @@ def rescale(u: Field, x, r: float, window: float = 1.0,
     if isinstance(u.chart, TorusChart):
         if r * window > 0.5:
             raise ValueError("rescale window exceeds the torus chart")
-        vals = bilinear_torus(u.values, px, py)
     elif isinstance(u.chart, DiskChart):
         # the chart domain is the square [-R, R]^2, so the reach check is
         # per axis, not through the circumscribed radius
         reach = max(abs(x[0]), abs(x[1])) + r * window
         if reach > u.chart.radius * (1 + 1e-12):
             raise ValueError("rescale window exceeds the disk chart")
-        vals = interpolate(u, px, py)
     else:
         raise ValueError("rescale works on torus or disk charts")
-    return Field(vals + math.log(r), chart_out)
+    return Field(interpolate(u, px, py) + math.log(r), chart_out)
 
 
 def _trend(vals) -> tuple:
@@ -468,16 +466,15 @@ def _cylinder_segment_area(u, t0: float, t1: float,
     return float(total)
 
 
-def three_circle_check(model, kappa: float, L: float,
-                       flux_samples: int = 65) -> ThreeCircleReport:
+def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
     """Geometric decay of segment areas Q_i = S^1 x [(i-1)L, iL].
 
     Verifies the flux hypothesis (circle flux of the t-derivative beyond
-    +-2 pi kappa with a fixed sign on [0, 2L]), computes Area(Q_1) and
-    Area(Q_2), and checks Area(Q_2) < e^{-kappa L / 2} Area(Q_1) (mirrored
-    for the positive side). For the exact linear model the closed-form
-    segment areas are attached. A failed hypothesis is reported, never
-    silently passed.
+    +-2 pi kappa with a fixed sign at 65 evenly spaced t in [0, 2L]),
+    computes Area(Q_1) and Area(Q_2), and checks
+    Area(Q_2) < e^{-kappa L / 2} Area(Q_1) (mirrored for the positive side).
+    For the exact linear model the closed-form segment areas are attached.
+    A failed hypothesis is reported, never silently passed.
     """
     if isinstance(model, SyntheticFamily):
         model = model.cylinder()
@@ -487,7 +484,7 @@ def three_circle_check(model, kappa: float, L: float,
         u = model.u
     else:
         u = model
-    ts = np.linspace(0.0, 2.0 * L, flux_samples)
+    ts = np.linspace(0.0, 2.0 * L, 65)
     fluxes = np.array([_cylinder_flux(u, float(t)) for t in ts])
     fmin, fmax = float(fluxes.min()), float(fluxes.max())
     if fmax < -TAU * kappa:

@@ -145,9 +145,6 @@ class Field:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def sample_points(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.chart.mesh(self.n)
-
 
 def sample(func, chart: Chart, n: int) -> Field:
     """Rasterize a callable u(x, y) on a chart."""
@@ -236,48 +233,38 @@ def bilinear_torus(grid: np.ndarray, x, y) -> np.ndarray:
 
 
 def interpolate(field: Field, x, y) -> np.ndarray:
-    """Bilinear interpolation in the chart's natural coordinates."""
+    """Bilinear interpolation in the chart's natural coordinates.
+
+    Each chart maps the points to fractional grid indices and all three
+    share the periodic kernel. A non-periodic index (both disk axes, the
+    log-polar s axis) is clipped to [0, n-1-1e-12], so its lower node is at
+    most n-2 and the kernel's wrap to node 0 never fires there: the result
+    is the plain bilinear value. Points within a relative 1e-12 of the
+    chart's edge are accepted, so every node can be read back.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     c = field.chart
+    n = field.n
     if isinstance(c, TorusChart):
         return bilinear_torus(field.values, x, y)
+    top = n - 1 - 1e-12
     if isinstance(c, DiskChart):
-        h = c.spacing(field.n)
-        fi = (x + c.radius) / h
-        fj = (y + c.radius) / h
-        if np.any(fi < 0) or np.any(fj < 0) or np.any(fi > field.n - 1) or np.any(fj > field.n - 1):
+        reach = c.radius * (1 + 1e-12)
+        if np.any(np.abs(x) > reach) or np.any(np.abs(y) > reach):
             raise ValueError("interpolation point outside the disk chart window")
-        fi = np.clip(fi, 0, field.n - 1 - 1e-12)
-        fj = np.clip(fj, 0, field.n - 1 - 1e-12)
-        n = field.n
-        i0 = np.floor(fi).astype(int)
-        j0 = np.floor(fj).astype(int)
-        ti = fi - i0
-        tj = fj - j0
-        i1 = np.minimum(i0 + 1, n - 1)
-        j1 = np.minimum(j0 + 1, n - 1)
-        g = field.values
-        return (g[i0, j0] * (1 - ti) * (1 - tj) + g[i1, j0] * ti * (1 - tj)
-                + g[i0, j1] * (1 - ti) * tj + g[i1, j1] * ti * tj)
-    # log-polar: bilinear in (s, theta), periodic in theta only
-    r = np.hypot(x, y)
-    if np.any(r < c.r_inner * (1 - 1e-12)) or np.any(r > c.r_outer * (1 + 1e-12)):
-        raise ValueError("interpolation point outside the log-polar annulus")
-    s0 = math.log(c.r_inner)
-    ds = (math.log(c.r_outer) - s0) / (field.n - 1)
-    fi = (np.log(r) - s0) / ds
-    fi = np.clip(fi, 0, field.n - 1 - 1e-12)
-    fj = (np.arctan2(y, x) % TAU) / (TAU / field.n)
-    i0 = np.floor(fi).astype(int)
-    ti = fi - i0
-    i1 = np.minimum(i0 + 1, field.n - 1)
-    j0 = np.floor(fj).astype(int) % field.n
-    tj = fj - np.floor(fj)
-    j1 = (j0 + 1) % field.n
-    g = field.values
-    return (g[i0, j0] * (1 - ti) * (1 - tj) + g[i1, j0] * ti * (1 - tj)
-            + g[i0, j1] * (1 - ti) * tj + g[i1, j1] * ti * tj)
+        h = c.spacing(n)
+        fi = np.clip((x + c.radius) / h, 0, top)
+        fj = np.clip((y + c.radius) / h, 0, top)
+    else:
+        r = np.hypot(x, y)
+        if np.any(r < c.r_inner * (1 - 1e-12)) or np.any(r > c.r_outer * (1 + 1e-12)):
+            raise ValueError("interpolation point outside the log-polar annulus")
+        s0 = math.log(c.r_inner)
+        ds = (math.log(c.r_outer) - s0) / (n - 1)
+        fi = np.clip((np.log(r) - s0) / ds, 0, top)
+        fj = (np.arctan2(y, x) % TAU) / (TAU / n)
+    return _bilinear_periodic(field.values, fi, fj)
 
 
 # -- quadrature -------------------------------------------------------------

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import CmlabError, NonStabilizingFlux
 from .grids import (TAU, Chart, DiskChart, Field, LogPolarChart, TorusChart,
-                    bilinear_torus, integral, interpolate, irfft2,
-                    neg_laplacian, rfft2, torus_distance)
+                    integral, interpolate, irfft2, neg_laplacian, rfft2, torus_distance)
 
 # integral of ln|y| over the unit-spacing grid cell centered at the origin,
 # divided by the cell area: closed form -(ln 2)/2 - 3/2 + pi/4
@@ -86,7 +85,6 @@ class SignedMeasureSample:
 
     atoms: tuple = ()
     density: Field | None = None
-    concentration_threshold: float = 1.0
 
     def __post_init__(self):
         atoms = tuple(((float(p[0]), float(p[1])), float(m)) for p, m in self.atoms)
@@ -96,8 +94,6 @@ class SignedMeasureSample:
         for _, m in atoms:
             if not math.isfinite(m):
                 raise ValueError("atom masses must be finite")
-        if not self.concentration_threshold > 0:
-            raise ValueError("concentration threshold must be positive")
         object.__setattr__(self, "atoms", atoms)
 
     def total_variation(self) -> float:
@@ -165,7 +161,9 @@ def _flux_once(u, center, r: float) -> float:
     """Flux of grad(u) through the circle of radius r (callable or Field).
 
     Grid-backed fields use a 5-point 4th-order radial stencil so the
-    log-singular part is differenced accurately down to r = 8 cells.
+    log-singular part is differenced accurately down to r = 8 cells. It
+    steps in s = log r on log-polar charts and in r elsewhere, where the
+    derivative is scaled by r (d/ds = r d/dr).
     """
     if callable(u):
         m = 256
@@ -180,34 +178,27 @@ def _flux_once(u, center, r: float) -> float:
         if center != (0.0, 0.0):
             raise ValueError("log-polar flux circles must be centered at the origin")
         s = chart.s_nodes(u.n)
-        ds = s[1] - s[0]
+        h = s[1] - s[0]
         sr = math.log(r)
-        if sr - 2 * ds < s[0] or sr + 2 * ds > s[-1]:
+        if sr - 2 * h < s[0] or sr + 2 * h > s[-1]:
             raise ValueError("flux radius too close to the annulus boundary")
-        vals = []
-        for step in (-2, -1, 1, 2):
-            xs, ys, _ = _circle_points(center, r * math.exp(step * ds), u.n)
-            vals.append(interpolate(u, xs, ys))
-        dds = (8.0 * (vals[2] - vals[1]) - (vals[3] - vals[0])) / (12.0 * ds)
-        return float(dds.mean() * TAU)
-    if isinstance(chart, TorusChart):
-        cell = 1.0 / u.n
-        if r + 2 * cell >= 0.5:
-            raise ValueError("flux radius exceeds the torus chart")
-        lookup = lambda xs, ys: bilinear_torus(u.values, xs, ys)
+        m, scale = u.n, 1.0
+        radii = [r * math.exp(step * h) for step in (-2, -1, 1, 2)]
     else:
-        cell = chart.spacing(u.n)
-        reach = max(abs(center[0]), abs(center[1])) + r + 2 * cell
-        if reach > chart.radius:
-            raise ValueError("flux radius exceeds the disk chart")
-        lookup = lambda xs, ys: interpolate(u, xs, ys)
-    m = max(64, int(math.ceil(TAU * r / cell)))
-    vals = []
-    for step in (-2, -1, 1, 2):
-        xs, ys, _ = _circle_points(center, r + step * cell, m)
-        vals.append(lookup(xs, ys))
-    dudr = (8.0 * (vals[2] - vals[1]) - (vals[3] - vals[0])) / (12.0 * cell)
-    return float(dudr.mean() * TAU * r)
+        if isinstance(chart, TorusChart):
+            h = 1.0 / u.n
+            if r + 2 * h >= 0.5:
+                raise ValueError("flux radius exceeds the torus chart")
+        else:
+            h = chart.spacing(u.n)
+            reach = max(abs(center[0]), abs(center[1])) + r + 2 * h
+            if reach > chart.radius:
+                raise ValueError("flux radius exceeds the disk chart")
+        m, scale = max(64, int(math.ceil(TAU * r / h))), r
+        radii = [r + step * h for step in (-2, -1, 1, 2)]
+    vals = [interpolate(u, *_circle_points(center, rho, m)[:2]) for rho in radii]
+    d = (8.0 * (vals[2] - vals[1]) - (vals[3] - vals[0])) / (12.0 * h)
+    return float(d.mean() * TAU * scale)
 
 
 def flux_profile(u, center, radii) -> FluxProfile:

@@ -40,11 +40,13 @@ import numpy as np
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
 from .green import SingularSplit, _s4, singular_part
-from .grids import (TAU, Field, TorusChart, bilinear_torus,
+from .grids import (TAU, Field, TorusChart, bilinear_torus, interpolate,
                     half_laplacian_multiplier, irfft2, rfft2, torus_distance)
 from .measures import Divisor, euler_characteristic
 
 _EXP_LIMIT = 350.0
+_MAX_NEWTON = 60
+_CG_RTOL = 1e-6
 _positivity_failures = 0
 
 
@@ -100,7 +102,7 @@ class Solution:
     gb_defect: float
     newton_iters: int
     cg_iters: int
-    cg_capped: int  # inner solves stopped by cg_maxiter before cg_rtol
+    cg_capped: int  # inner solves stopped by cg_maxiter before _CG_RTOL
     area_parts: "AreaBreakdown"
 
     @property
@@ -184,7 +186,7 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
 
 
 def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
-        rtol: float, maxiter: int) -> tuple:
+        maxiter: int) -> tuple:
     """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1.
 
     Returns (half spectrum of x, iterations, whether maxiter cut it short).
@@ -210,7 +212,7 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
         alpha = rz / pAp
         xhat += alpha * phat
         r -= alpha * Ap
-        if math.sqrt(float((r * r).sum())) <= rtol * bnorm:
+        if math.sqrt(float((r * r).sum())) <= _CG_RTOL * bnorm:
             return xhat, iters, False
         zhat = rfft2(r) / denom
         z = irfft2(zhat, n)
@@ -234,19 +236,19 @@ def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
 
 def newton_solve(spec: CurvatureSpec, split: SingularSplit,
                  v0: Field | None = None, tol: float = 1e-10,
-                 max_iter: int = 60, cg_rtol: float = 1e-6,
                  cg_maxiter: int = 2000) -> Solution:
     """Solve the prescribed-curvature equation on the torus.
 
     Requires a negative Euler characteristic of the pair unless a
     manufactured forcing is supplied, strictly conical weights
     (beta > -1; cusps are reached through continuation), and sup K < 0.
-    Newton steps solve (-Delta + W) delta = -F, W = -2K e^{2u}, by CG
-    preconditioned with (-Delta + mean(W))^-1, which is exact on the
-    constant mode (sup K < 0 makes W and its mean positive); step lengths
-    come from Armijo backtracking on ||F||_2^2 with factor 1/2, slope 1e-4
-    and floor 2^-30. An inner solve that reaches `cg_maxiter` keeps its
-    last iterate and is counted in `cg_capped`.
+    At most 60 Newton steps solve (-Delta + W) delta = -F, W = -2K e^{2u},
+    by CG to relative residual 1e-6, preconditioned with
+    (-Delta + mean(W))^-1, which is exact on the constant mode (sup K < 0
+    makes W and its mean positive); step lengths come from Armijo
+    backtracking on ||F||_2^2 with factor 1/2, slope 1e-4 and floor 2^-30.
+    An inner solve that reaches `cg_maxiter` keeps its last iterate and is
+    counted in `cg_capped`.
     """
     div = split.divisor
     chi = euler_characteristic("torus", div)
@@ -274,12 +276,12 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     v, e2u, F = op.evaluate(vhat)
     cg_total = 0
     cg_capped = 0
-    for it in range(max_iter):
+    for it in range(_MAX_NEWTON):
         norm = float(np.abs(F).max())
         if norm <= tol:
             break
         W = op.weight(e2u)
-        dhat, inner, capped = _cg(op, W, float(W.mean()), -F, cg_rtol, cg_maxiter)
+        dhat, inner, capped = _cg(op, W, float(W.mean()), -F, cg_maxiter)
         cg_total += inner
         cg_capped += capped
         phi0 = float((F * F).sum())
@@ -300,7 +302,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
                     f"(residual {norm:.3e})")
     else:
         raise NonConvergence(
-            f"Newton did not reach tol={tol:g} within {max_iter} iterations "
+            f"Newton did not reach tol={tol:g} within {_MAX_NEWTON} iterations "
             f"(residual {float(np.abs(F).max()):.3e})")
 
     v_field = Field(v, TorusChart())
@@ -329,15 +331,14 @@ class AreaBreakdown:
     corrections: tuple
 
 
-def metric_area(split: SingularSplit, v: Field,
-                gl_radial: int = 32, n_theta: int = 64) -> AreaBreakdown:
+def metric_area(split: SingularSplit, v: Field) -> AreaBreakdown:
     """Area of e^{2(S+v)} with analytic polar rings near the atoms.
 
     Within 8/n of each atom the grid quadrature is blended out and replaced
     by radial integration of r^{2 beta} e^{2(H_i + v)} (H_i the stable
-    smooth rest), using Gauss-Legendre nodes after the substitution
-    t = r^{2 beta + 2} that flattens the power law. The correction is
-    applied only when it is credible on this grid: exponent
+    smooth rest) on 64 angles, using 32 Gauss-Legendre nodes after the
+    substitution t = r^{2 beta + 2} that flattens the power law. The
+    correction is applied only when it is credible on this grid: exponent
     a = 2 beta + 2 >= 3/4 and |ring - grid| <= ring/4. Near-cusp atoms
     concentrate below grid scale, where the ring quadrature amplifies
     interpolation error; those fall back to the plain grid total, which the
@@ -351,8 +352,8 @@ def metric_area(split: SingularSplit, v: Field,
     r_na = 4.0 / n
     r_bl = 8.0 / n
     X, Y = TorusChart().mesh(n)
-    t_gl, w_gl = np.polynomial.legendre.leggauss(gl_radial)
-    theta = TAU * np.arange(n_theta) / n_theta
+    t_gl, w_gl = np.polynomial.legendre.leggauss(32)
+    theta = TAU * np.arange(64) / 64
     corrections = []
     for i, ((px, py), beta) in enumerate(zip(split.divisor.points, split.divisor.betas)):
         a = 2.0 * beta + 2.0
@@ -369,7 +370,7 @@ def metric_area(split: SingularSplit, v: Field,
         r_nodes = t_nodes ** (1.0 / a)
         xs = (px + r_nodes[:, None] * np.cos(theta)[None, :]) % 1.0
         ys = (py + r_nodes[:, None] * np.sin(theta)[None, :]) % 1.0
-        smooth = split.smooth_rest(i, xs, ys) + bilinear_torus(v.values, xs, ys)
+        smooth = split.smooth_rest(i, xs, ys) + interpolate(v, xs, ys)
         vals = np.exp(2.0 * smooth).mean(axis=1) * TAU
         vals *= 1.0 - _s4((r_nodes - r_na) / (r_bl - r_na))
         ring = 0.5 * t_max / a * float((w_gl * vals).sum())
@@ -391,12 +392,12 @@ class UniquenessReport:
 
 
 def random_smooth_field(n: int, rng: np.random.Generator,
-                        amplitude: float = 2.0, max_mode: int = 3) -> Field:
-    """Random low-frequency periodic field with sup-norm <= amplitude."""
+                        amplitude: float = 2.0) -> Field:
+    """Random periodic field of modes |kx|, |ky| <= 3 with sup-norm <= amplitude."""
     X, Y = TorusChart().mesh(n)
     out = np.zeros((n, n))
     for _ in range(6):
-        kx, ky = (int(q) for q in rng.integers(-max_mode, max_mode + 1, size=2))
+        kx, ky = (int(q) for q in rng.integers(-3, 4, size=2))
         out += (rng.normal() * np.cos(TAU * (kx * X + ky * Y))
                 + rng.normal() * np.sin(TAU * (kx * X + ky * Y)))
     sup = float(np.abs(out).max())
@@ -406,16 +407,15 @@ def random_smooth_field(n: int, rng: np.random.Generator,
 
 
 def uniqueness_probe(spec: CurvatureSpec, split: SingularSplit, trials: int,
-                     seed: int = 0, tol: float = 1e-10,
-                     amplitude: float = 2.0) -> UniquenessReport:
-    """Solve from `trials` random starts; report max pairwise sup distance."""
+                     seed: int = 0, tol: float = 1e-10) -> UniquenessReport:
+    """Solve from `trials` random starts (sup <= 2); report max pairwise sup distance."""
     if trials < 1:
         raise ValueError(f"uniqueness probe needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     sols = []
     norms = []
     for _ in range(trials):
-        v0 = random_smooth_field(split.n, rng, amplitude=amplitude)
+        v0 = random_smooth_field(split.n, rng)
         sol = newton_solve(spec, split, v0=v0, tol=tol)
         sols.append(sol.v.values)
         norms.append(sol.residual_norm)

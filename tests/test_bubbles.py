@@ -86,10 +86,12 @@ def test_classify_pair_inconclusive_on_short_data():
     assert classify_pair(a, b) == "inconclusive"
 
 
-def test_rescale_identity():
-    chart = DiskChart(1.0)
-    u = sample(lambda x, y: 0.3 * x - 0.1 * y * y, chart, 64)
-    out = rescale(u, (0.0, 0.0), 1.0)
+@pytest.mark.parametrize("radius, n", [(1.0, 64), (0.7, 256)])
+def test_rescale_identity(radius, n):
+    # at radius 0.7 and n = 256 the last node's grid index rounds above n - 1
+    chart = DiskChart(radius)
+    u = sample(lambda x, y: 0.3 * x - 0.1 * y * y, chart, n)
+    out = rescale(u, (0.0, 0.0), 1.0, window=radius)
     assert out.chart == chart
     np.testing.assert_allclose(out.values, u.values, atol=1e-12)
 

@@ -116,6 +116,15 @@ def test_bilinear_torus_wraps():
     assert left == pytest.approx(right, abs=1e-14)
 
 
+def _cell_means(v, wrap_i, wrap_j):
+    """Mean of the 4 corners of every cell; a wrapped axis adds the cell n-1 -> 0."""
+    if wrap_i:
+        v = np.vstack([v, v[:1]])
+    if wrap_j:
+        v = np.hstack([v, v[:, :1]])
+    return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+
+
 def test_interpolate_charts():
     disk = DiskChart(1.0)
     f = sample(lambda x, y: x ** 2 + 0.5 * y, disk, 128)
@@ -125,6 +134,46 @@ def test_interpolate_charts():
     lp = LogPolarChart(0.1, 1.0)
     g = sample(lambda x, y: np.log(np.hypot(x, y)), lp, 64)
     assert interpolate(g, 0.5, 0.0) == pytest.approx(math.log(0.5), abs=1e-6)
+
+    # random samples: nodes read back, cell midpoints give the corner mean
+    # (the last torus row and column and the last theta column straddle a
+    # seam), and the far edge of a bounded axis reads the edge samples; the
+    # clip to n-1-1e-12 on a bounded axis leaves the last node a 1e-12
+    # weight on its neighbour
+    for n in (8, 64):
+        rng = np.random.default_rng(n)
+        t = Field(rng.random((n, n)), TorusChart())
+        X, Y = t.chart.mesh(n)
+        np.testing.assert_array_equal(interpolate(t, X, Y), t.values)
+        Xm, Ym = X + 0.5 / n, Y + 0.5 / n
+        mid = interpolate(t, Xm, Ym)
+        np.testing.assert_allclose(mid, _cell_means(t.values, True, True), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(interpolate(t, Xm - 1.0, Ym + 1.0), mid)
+        np.testing.assert_array_equal(mid, bilinear_torus(t.values, Xm, Ym))
+
+        disk = DiskChart(0.7)
+        d = Field(rng.random((n, n)), disk)
+        x = disk.nodes(n)
+        X, Y = disk.mesh(n)
+        np.testing.assert_allclose(interpolate(d, X, Y), d.values, rtol=0, atol=2e-12)
+        xm = 0.5 * (x[:-1] + x[1:])
+        Xm, Ym = np.meshgrid(xm, xm, indexing="ij")
+        np.testing.assert_allclose(interpolate(d, Xm, Ym), _cell_means(d.values, False, False),
+                                   rtol=0, atol=1e-12)
+        edge = np.full(n, 0.7)
+        np.testing.assert_allclose(interpolate(d, edge, x), d.values[-1], rtol=0, atol=2e-12)
+        np.testing.assert_allclose(interpolate(d, x, edge), d.values[:, -1], rtol=0, atol=2e-12)
+
+        lp = LogPolarChart(0.1, 2.0)
+        g = Field(rng.random((n, n)), lp)
+        X, Y = lp.mesh(n)
+        np.testing.assert_allclose(interpolate(g, X, Y), g.values, rtol=0, atol=2e-12)
+        s, th = lp.s_nodes(n), lp.theta_nodes(n)
+        R, TH = np.meshgrid(np.exp(0.5 * (s[:-1] + s[1:])), th + math.pi / n, indexing="ij")
+        np.testing.assert_allclose(interpolate(g, R * np.cos(TH), R * np.sin(TH)),
+                                   _cell_means(g.values, False, True), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(interpolate(g, 2.0 * np.cos(th), 2.0 * np.sin(th)),
+                                   g.values[-1], rtol=0, atol=2e-12)
 
 
 def test_integral_torus_vs_quadrature():

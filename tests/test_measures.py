@@ -59,8 +59,6 @@ def test_signed_measure_total_variation():
         SignedMeasureSample(atoms=(((0.1, 0.2), 1.0), ((0.1, 0.2), 2.0)))
     with pytest.raises(ValueError):
         SignedMeasureSample(atoms=(((0.1, 0.2), math.inf),))
-    with pytest.raises(ValueError):
-        SignedMeasureSample(concentration_threshold=0.0)
 
 
 def test_flux_profile_validation():
