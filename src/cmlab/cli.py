@@ -140,7 +140,7 @@ def _cmd_solve(cfg: RunConfig):
         "area": sol.area, "gbDefect": sol.gb_defect,
         "residualNorm": sol.residual_norm,
         "newtonIters": sol.newton_iters, "cgIters": sol.cg_iters,
-        "cgCapped": sol.cg_capped,
+        "cgCapped": sol.cg_capped, "ringsRejected": sol.area_parts.rings_rejected,
     }
     if trials > 0:
         probe = uniqueness_probe(spec, split, trials, seed=cfg.seed, tol=cfg.tol)
@@ -166,6 +166,7 @@ def _cmd_continue(cfg: RunConfig):
     stages = [{"k": s.k, "betas": list(s.betas), "chi": s.chi, "area": s.area,
                "gbDefect": s.gb_defect, "maxLocalMass": s.max_local_mass,
                "solveIters": s.solve_iters, "cgIters": s.cg_iters,
+               "cgCapped": s.cg_capped, "ringsRejected": s.rings_rejected,
                "residualNorm": s.residual_norm}
               for s in result.stages]
     report = {

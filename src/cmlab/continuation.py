@@ -103,6 +103,8 @@ class StageReport:
     max_local_mass: float
     solve_iters: int
     cg_iters: int
+    cg_capped: int
+    rings_rejected: int
     residual_norm: float
 
 
@@ -166,6 +168,7 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
             k=k, betas=step.betas, chi=chi_k, area=sol.area,
             gb_defect=sol.gb_defect, max_local_mass=scan.max_mass,
             solve_iters=sol.newton_iters, cg_iters=sol.cg_iters,
+            cg_capped=sol.cg_capped, rings_rejected=sol.area_parts.rings_rejected,
             residual_norm=sol.residual_norm))
     if len(reports) >= 2:
         extrap = 2.0 * reports[-1].area - reports[-2].area

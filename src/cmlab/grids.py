@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 TAU = 2.0 * math.pi
 
@@ -39,12 +38,21 @@ def get_workers() -> int:
 
 
 def rfft2(a: np.ndarray) -> np.ndarray:
-    """Half spectrum of a real n-by-n array: shape (n, n//2 + 1)."""
+    """Half spectrum of a real n-by-n array: shape (n, n//2 + 1).
+
+    ``scipy.fft`` is imported here, not at module level, so that commands
+    which never transform (the bubble and measure diagnostics) start
+    without loading it.
+    """
+    import scipy.fft
+
     return scipy.fft.rfft2(a, workers=get_workers())
 
 
 def irfft2(a: np.ndarray, n: int) -> np.ndarray:
     """Real n-by-n array from its half spectrum (inverse of ``rfft2``)."""
+    import scipy.fft
+
     return scipy.fft.irfft2(a, s=(n, n), workers=get_workers())
 
 

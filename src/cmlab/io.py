@@ -33,17 +33,30 @@ def write_field(path, field: Field) -> None:
 
 
 def read_field(path) -> Field:
+    """Read a CMLGRID1 file; every malformed file raises ``CmlabError``.
+
+    The descriptor line must be exactly what ``write_field`` writes for the
+    chart it names, newline included, so a cut or shifted tail is rejected
+    rather than read as a nearby chart.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:8] != MAGIC:
         raise CmlabError(f"{path}: not a CMLGRID1 file")
+    if len(raw) < 12:
+        raise CmlabError(f"{path}: truncated CMLGRID1 payload")
     (n,) = struct.unpack("<I", raw[8:12])
     body = 12 + 8 * n * n
-    if len(raw) < body + 1:
+    if len(raw) < body + 1 or raw[-1:] != b"\n":
         raise CmlabError(f"{path}: truncated CMLGRID1 payload")
-    values = np.frombuffer(raw[12:body], dtype="<f8").reshape(n, n).copy()
-    chart = parse_descriptor(raw[body:].decode("utf-8"))
-    return Field(values, chart)
+    try:
+        chart = parse_descriptor(raw[body:].decode("utf-8"))
+        if raw[body:] != (chart.descriptor() + "\n").encode("utf-8"):
+            raise ValueError(f"non-canonical chart descriptor: {raw[body:]!r}")
+        values = np.frombuffer(raw[12:body], dtype="<f8").reshape(n, n).copy()
+        return Field(values, chart)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise CmlabError(f"{path}: bad CMLGRID1 file: {exc}") from exc
 
 
 # -- canonical JSON ----------------------------------------------------------

@@ -192,7 +192,7 @@ def _flux_once(u, center, r: float) -> float:
         else:
             h = chart.spacing(u.n)
             reach = max(abs(center[0]), abs(center[1])) + r + 2 * h
-            if reach > chart.radius:
+            if reach > chart.radius * (1 + 1e-12):
                 raise ValueError("flux radius exceeds the disk chart")
         m, scale = max(64, int(math.ceil(TAU * r / h))), r
         radii = [r + step * h for step in (-2, -1, 1, 2)]

@@ -330,6 +330,11 @@ class AreaBreakdown:
     grid_area: float
     corrections: tuple
 
+    @property
+    def rings_rejected(self) -> int:
+        """Atoms whose ring correction was not credible, so not applied."""
+        return sum(not c.applied for c in self.corrections)
+
 
 def metric_area(split: SingularSplit, v: Field) -> AreaBreakdown:
     """Area of e^{2(S+v)} with analytic polar rings near the atoms.

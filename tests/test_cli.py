@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmlab
 from cmlab.cli import main
 from cmlab.grids import TAU, TorusChart
 from cmlab.io import read_field, read_report
@@ -108,12 +113,20 @@ def test_reports_carry_inner_cost_and_canonical_atoms(tmp_path):
     rep = read_report(solve_out / "report.json")
     assert rep["atoms"][0] == pytest.approx([0.3, 0.7], abs=1e-15)
     assert rep["cgCapped"] == 0 and rep["cgIters"] > 0
+    assert rep["ringsRejected"] == 0
     assert run_cli(["continue-cusp", "--config", str(cont_cfg), "--out", str(cont_out),
                     "--grid", "32"]) == 0
     rep = read_report(cont_out / "report.json")
     assert rep["atoms"][0] == pytest.approx([0.3, 0.7], abs=1e-15)
     assert all(isinstance(s["cgIters"], int) and s["cgIters"] > 0
                for s in rep["stages"])
+    assert [s["cgCapped"] for s in rep["stages"]] == [0, 0]
+    # at beta = -0.75 the ring exponent 2 beta + 2 = 1/2 is below 3/4, so
+    # metric_area keeps the grid total and the stage says so
+    assert [s["ringsRejected"] for s in rep["stages"]] == [0, 1]
+    again = tmp_path / "again"
+    assert run_cli(["report", str(cont_out / "report.json"), "--out", str(again)]) == 0
+    assert (again / "report.json").read_bytes() == (cont_out / "report.json").read_bytes()
 
 
 def test_scan_clean_solution(tmp_path):
@@ -213,3 +226,40 @@ def test_report_reemission_is_byte_identical(tmp_path):
 
     assert run_cli(["report", str(tmp_path / "nope.json"),
                     "--out", str(second)]) == 1
+
+
+# Runs CLI commands (a JSON list of argv lists) in a fresh interpreter and
+# prints their exit codes and the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+import cmlab, cmlab.cli
+codes = [cmlab.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _fresh_cli_run(tmp_path, *argvs):
+    argvs = [argv + ["--out", str(tmp_path / argv[0])] for argv in argvs]
+    env = dict(os.environ, PYTHONPATH=str(Path(cmlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_diagnostics_commands_never_load_scipy(tmp_path):
+    # scipy.fft is imported on the first transform; commands that make none
+    # must start and finish without it (it is most of the import time)
+    rep = tmp_path / "r.json"
+    rep.write_text('{"stages": [{"k": 1, "area": 3.0, "gbDefect": 0.0}]}\n')
+    got = _fresh_cli_run(tmp_path, ["three-circle"], ["neck"], ["area-identity"],
+                         ["report", str(rep)])
+    assert got["codes"] == [0, 2, 0, 0]
+    assert got["scipy"] == []
+    assert (tmp_path / "report" / "stages.csv").exists()
+
+
+def test_solve_loads_scipy_fft(tmp_path):
+    got = _fresh_cli_run(tmp_path, ["solve", "--grid", "16"])
+    assert got["codes"] == [0]
+    assert "scipy.fft" in got["scipy"]

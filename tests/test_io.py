@@ -1,13 +1,17 @@
 """CMLGRID1 grids, canonical JSON reports, CSV plot series."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmlab.errors import CmlabError
 from cmlab.grids import DiskChart, Field, LogPolarChart, TorusChart
 from cmlab.io import (
+    MAGIC,
     canonical_json,
     emit_plot_data,
     read_field,
@@ -47,6 +51,118 @@ def test_field_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(CmlabError):
+        read_field(path)
+
+
+# Fixed seeds, a small budget and no example database; each example rewrites
+# the same file, so sharing tmp_path across examples is safe.
+_PROPS = settings(derandomize=True, database=None, max_examples=25, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_charts = st.one_of(
+    st.just(TorusChart()),
+    st.floats(1e-3, 1e3).map(DiskChart),
+    st.tuples(st.floats(1e-4, 1.0), st.floats(1.001, 1e3)).map(
+        lambda t: LogPolarChart(t[0], t[0] * t[1])),
+)
+
+
+@st.composite
+def _fields(draw, sizes=(8, 16, 32)):
+    n = draw(st.sampled_from(sizes))
+    values = draw(arrays(np.float64, (n, n),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return Field(values, draw(_charts))
+
+
+def _file_bytes(path, field):
+    write_field(path, field)
+    return path.read_bytes()
+
+
+def _rejects(path, raw):
+    path.write_bytes(raw)
+    with pytest.raises(CmlabError):
+        read_field(path)
+
+
+@_PROPS
+@given(f=_fields())
+def test_field_round_trip_property(tmp_path, f):
+    path = tmp_path / "f.cmlgrid"
+    write_field(path, f)
+    g = read_field(path)
+    assert g.chart == f.chart
+    assert g.values.tobytes() == f.values.tobytes()
+
+
+# n = 8 only: every cut is a file write, and larger n add only payload cuts
+@settings(_PROPS, max_examples=5)
+@given(f=_fields(sizes=(8,)))
+def test_field_every_proper_prefix_is_rejected(tmp_path, f):
+    path = tmp_path / "f.cmlgrid"
+    raw = _file_bytes(path, f)
+    for cut in range(len(raw)):
+        _rejects(path, raw[:cut])
+
+
+@_PROPS
+@given(f=_fields(), n=st.integers(0, 2 ** 32 - 1))
+def test_field_corrupt_resolution_is_rejected(tmp_path, f, n):
+    assume(n != f.n)
+    path = tmp_path / "f.cmlgrid"
+    raw = _file_bytes(path, f)
+    _rejects(path, raw[:8] + struct.pack("<I", n) + raw[12:])
+
+
+# bytes that no canonical descriptor line contains (its closing newline aside)
+_FOREIGN = [b for b in range(256) if chr(b) not in "abcdefghijklmnopqrstuvwxyz0123456789.+- \n"]
+
+
+@_PROPS
+@given(f=_fields(), data=st.data())
+def test_field_corrupt_descriptor_is_rejected(tmp_path, f, data):
+    path = tmp_path / "f.cmlgrid"
+    raw = _file_bytes(path, f)
+    body = 12 + 8 * f.n * f.n
+    at = data.draw(st.integers(body, len(raw) - 1))
+    byte = data.draw(st.sampled_from(_FOREIGN))
+    _rejects(path, raw[:at] + bytes([byte]) + raw[at + 1:])
+    kind = data.draw(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=9))
+    assume(kind not in ("torus", "disk", "logpolar"))
+    rest = f.chart.descriptor().partition(" ")[2]
+    _rejects(path, raw[:body] + f"{kind} {rest}".strip().encode() + b"\n")
+
+
+@_PROPS
+@given(f=_fields(), data=st.data())
+def test_field_non_finite_samples_are_rejected(tmp_path, f, data):
+    path = tmp_path / "f.cmlgrid"
+    raw = bytearray(_file_bytes(path, f))
+    at = 12 + 8 * data.draw(st.integers(0, f.n * f.n - 1))
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    raw[at:at + 8] = struct.pack("<d", bad)
+    _rejects(path, bytes(raw))
+
+
+def test_field_bad_descriptor_messages(tmp_path):
+    # the path is named whatever the fault, and the old messages stay
+    f = _random_field(DiskChart(1.5), n=8)
+    path = tmp_path / "d.cmlgrid"
+    raw = _file_bytes(path, f)
+    body = 12 + 8 * 64
+    for tail in (b"\xff\xfe\n", b"sphere 1\n", b"disk -1\n", b"disk 1.50\n"):
+        path.write_bytes(raw[:body] + tail)
+        with pytest.raises(CmlabError, match="d.cmlgrid: bad CMLGRID1 file"):
+            read_field(path)
+    path.write_bytes(MAGIC + b"\x08")
+    with pytest.raises(CmlabError, match="d.cmlgrid: truncated"):
+        read_field(path)
+    path.write_bytes(raw[:8].lower() + raw[8:])
+    with pytest.raises(CmlabError, match="d.cmlgrid: not a CMLGRID1 file"):
+        read_field(path)
+    path.write_bytes(MAGIC + struct.pack("<I", 12) + bytes(8 * 144) + b"torus\n")
+    with pytest.raises(CmlabError, match="grid resolution must be a power of two"):
         read_field(path)
 
 

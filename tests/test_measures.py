@@ -218,3 +218,17 @@ def test_newtonian_potential_density_matches_direct_sum():
 
 def test_cell_log_mean_constant():
     assert CELL_LOG_MEAN == pytest.approx(cell_log_mean_quad(), abs=1e-9)
+
+
+@pytest.mark.parametrize("radius,n", [(0.3, 128), (0.7, 64), (1.3, 256)])
+def test_flux_circle_reaching_the_disk_edge(radius, n):
+    # the outermost stencil circle of r = R - 2h touches the window edge;
+    # r + 2h may round above R, which must not count as leaving the chart.
+    # Bilinear reads of x, y and xy are exact, and all three are harmonic.
+    chart = DiskChart(radius)
+    h = chart.spacing(n)
+    u = sample(lambda x, y: 0.3 + 0.5 * x - 0.2 * y + x * y, chart, n)
+    prof = flux_profile(u, (0.0, 0.0), [radius - 2 * h])
+    assert abs(prof.flux[0]) < 1e-9
+    with pytest.raises(ValueError, match="exceeds the disk chart"):
+        flux_profile(u, (0.0, 0.0), [radius - 1.5 * h])
