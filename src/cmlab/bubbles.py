@@ -15,72 +15,60 @@ from __future__ import annotations
 import math
 from configparser import ConfigParser
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .grids import TAU, DiskChart, Field, TorusChart, interpolate
+from .grids import TAU, DiskChart, Field, TorusChart, gauss_legendre, interpolate
 from .measures import FluxProfile, kelvin_transform, residue_profiled
 from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
 
-@lru_cache(maxsize=16)
-def _leggauss(m: int):
-    return np.polynomial.legendre.leggauss(m)
-
-
 # -- quadrature over disks and annuli for callable profiles ------------------
 
-def _annulus_area(u, x0, ra: float, rb: float,
-                  n_theta: int = 128, gl: int = 32) -> float:
-    """Area of ra < |x - x0| < rb under e^{2u}, log-radial Gauss-Legendre."""
+_THETA = TAU * np.arange(128) / 128  # angles of every circle mean below
+
+
+def _circle_areas(u, x0, r, s):
+    """2 pi times the mean of e^{2(u + s)} over each circle |x - x0| = r_i;
+    `s` is added to u row by row (log r for the log-radial measure)."""
+    x = x0[0] + r[:, None] * np.cos(_THETA)[None, :]
+    y = x0[1] + r[:, None] * np.sin(_THETA)[None, :]
+    return np.exp(2.0 * (np.asarray(u(x, y)) + s)).mean(axis=1) * TAU
+
+
+def _annulus_area(u, x0, ra: float, rb: float) -> float:
+    """Area of ra < |x - x0| < rb under e^{2u}: 32 Gauss-Legendre nodes in
+    log r on each octave."""
     sa, sb = math.log(ra), math.log(rb)
     panels = max(1, math.ceil((sb - sa) / math.log(2.0)))
-    edges = np.linspace(sa, sb, panels + 1)
-    t, w = _leggauss(gl)
-    theta = TAU * np.arange(n_theta) / n_theta
-    cs, sn = np.cos(theta), np.sin(theta)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        s = 0.5 * (a + b) + 0.5 * (b - a) * t
-        r = np.exp(s)
-        x = x0[0] + r[:, None] * cs[None, :]
-        y = x0[1] + r[:, None] * sn[None, :]
-        vals = np.exp(2.0 * (np.asarray(u(x, y)) + s[:, None])).mean(axis=1) * TAU
-        total += 0.5 * (b - a) * float((w * vals).sum())
-    return total
+    return gauss_legendre(lambda s: _circle_areas(u, x0, np.exp(s), s[:, None]),
+                          sa, sb, 32, panels)
 
 
-def _disk_area(u, x0, R: float, inner: float | None = None,
-               n_theta: int = 128) -> float:
-    """Area of D_R(x0) under e^{2u}; `inner` hints the concentration scale."""
+def _disk_area(u, x0, R: float, inner: float | None = None) -> float:
+    """Area of D_R(x0) under e^{2u}: 64 Gauss-Legendre nodes in r on D_rc,
+    rc = min(inner, R) the concentration scale, the annulus rule beyond."""
     rc = min(inner if inner else R, R)
-    t, w = _leggauss(64)
-    tt = 0.5 * (t + 1.0)
-    theta = TAU * np.arange(n_theta) / n_theta
-    r = rc * tt
-    x = x0[0] + r[:, None] * np.cos(theta)[None, :]
-    y = x0[1] + r[:, None] * np.sin(theta)[None, :]
-    vals = np.exp(2.0 * np.asarray(u(x, y))).mean(axis=1) * TAU * r
-    core = 0.5 * rc * float((w * vals).sum())
+    core = rc * gauss_legendre(
+        lambda t: _circle_areas(u, x0, rc * t, 0.0) * (rc * t), 0.0, 1.0, 64)
     if rc < R:
-        core += _annulus_area(u, x0, rc, R, n_theta=n_theta)
+        core += _annulus_area(u, x0, rc, R)
     return core
 
 
-def plane_area(u, x0=(0.0, 0.0), tol: float = 1e-6, r0: float = 1.0,
-               max_doublings: int = 40) -> float:
-    """Total area of e^{2u} over the plane: quadrature over D_R with R
-    doubling until the annulus increment drops below tol."""
-    total = _disk_area(u, x0, r0)
-    r = r0
-    for _ in range(max_doublings):
-        inc = _annulus_area(u, x0, r, 2.0 * r)
+def plane_area(u) -> float:
+    """Total area of e^{2u} over the plane: quadrature over the unit disk
+    at the origin, then annuli R < |x| < 2R with R doubling until an
+    increment drops below 1e-6; raises ValueError after 40 doublings."""
+    total = _disk_area(u, (0.0, 0.0), 1.0)
+    r = 1.0
+    for _ in range(40):
+        inc = _annulus_area(u, (0.0, 0.0), r, 2.0 * r)
         total += inc
         r *= 2.0
-        if inc < tol:
+        if inc < 1e-6:
             return total
     raise ValueError(f"plane area did not converge within R = {r:g}")
 
@@ -444,26 +432,19 @@ class ThreeCircleReport:
     decay_ok: bool
 
 
-def _cylinder_flux(u, t: float, n_theta: int = 128) -> float:
-    theta = TAU * np.arange(n_theta) / n_theta
+def _cylinder_flux(u, t: float) -> float:
     eps = 1e-6
-    up = np.asarray(u(t + eps, theta), dtype=float)
-    um = np.asarray(u(t - eps, theta), dtype=float)
+    up = np.asarray(u(t + eps, _THETA), dtype=float)
+    um = np.asarray(u(t - eps, _THETA), dtype=float)
     return float((up - um).mean() / (2 * eps) * TAU)
 
 
-def _cylinder_segment_area(u, t0: float, t1: float,
-                           gl: int = 20, n_theta: int = 128) -> float:
-    panels = max(1, math.ceil((t1 - t0) / 0.5))
-    edges = np.linspace(t0, t1, panels + 1)
-    t, w = _leggauss(gl)
-    theta = TAU * np.arange(n_theta) / n_theta
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        tt = 0.5 * (a + b) + 0.5 * (b - a) * t
-        vals = np.exp(2.0 * np.asarray(u(tt[:, None], theta[None, :]))).mean(axis=1) * TAU
-        total += 0.5 * (b - a) * float((w * vals).sum())
-    return float(total)
+def _cylinder_segment_area(u, t0: float, t1: float) -> float:
+    """Area of [t0, t1] x S^1 under e^{2u}: 20 Gauss-Legendre nodes on
+    each panel of length at most 1/2."""
+    return gauss_legendre(
+        lambda t: np.exp(2.0 * np.asarray(u(t[:, None], _THETA))).mean(axis=1) * TAU,
+        t0, t1, 20, max(1, math.ceil((t1 - t0) / 0.5)))
 
 
 def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
@@ -474,8 +455,11 @@ def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
     computes Area(Q_1) and Area(Q_2), and checks
     Area(Q_2) < e^{-kappa L / 2} Area(Q_1) (mirrored for the positive side).
     For the exact linear model the closed-form segment areas are attached.
-    A failed hypothesis is reported, never silently passed.
+    A failed hypothesis is reported, never silently passed; kappa and L
+    must be positive and finite.
     """
+    if not (0.0 < kappa < math.inf and 0.0 < L < math.inf):
+        raise ValueError(f"need finite kappa > 0 and L > 0, got {kappa:g}, {L:g}")
     if isinstance(model, SyntheticFamily):
         model = model.cylinder()
     closed = None

@@ -119,10 +119,12 @@ def load_config(command: str, args) -> RunConfig:
 
 # -- command handlers (report dict, fields dict, exit code) -------------------
 
-def _problem(cfg: RunConfig):
+def _problem(cfg: RunConfig, cusp: bool = False):
+    """Divisor, spec, curvature; betas default to -1 per atom if `cusp`, else -0.5."""
     opt = cfg.options
     atoms = _opt(opt, "atoms", _parse_pairs, _DEFAULT_ATOMS)
-    betas = _opt(opt, "betas", _parse_floats, _DEFAULT_BETAS)
+    betas = _opt(opt, "betas", _parse_floats,
+                 (-1.0,) * len(atoms) if cusp else _DEFAULT_BETAS)
     curvature = _opt(opt, "curvature", float, -1.0)
     return Divisor(atoms, betas), CurvatureSpec(curvature), curvature
 
@@ -154,13 +156,9 @@ def _cmd_solve(cfg: RunConfig):
 
 
 def _cmd_continue(cfg: RunConfig):
-    opt = cfg.options
-    atoms = _opt(opt, "atoms", _parse_pairs, _DEFAULT_ATOMS)
-    betas = _opt(opt, "betas", _parse_floats, (-1.0,) * len(atoms))
-    k_max = _opt(opt, "k_max", int, 10)
-    curvature = _opt(opt, "curvature", float, -1.0)
-    scan_radius = _opt(opt, "scan_radius", float, 1.0 / 16.0)
-    div = Divisor(atoms, betas)
+    div, _, curvature = _problem(cfg, cusp=True)
+    k_max = _opt(cfg.options, "k_max", int, 10)
+    scan_radius = _opt(cfg.options, "scan_radius", float, 1.0 / 16.0)
     sched = cusp_schedule(div, k_max=k_max, curvature=curvature)
     result = run_continuation(sched, n=cfg.n, tol=cfg.tol, scan_radius=scan_radius)
     stages = [{"k": s.k, "betas": list(s.betas), "chi": s.chi, "area": s.area,

@@ -14,7 +14,6 @@ final-stage field plus a Richardson extrapolation of the areas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +126,7 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
     Each stage records its area, Gauss-Bonnet defect, iteration counts and
     the largest curvature mass over scanned disks away from the atoms.
     The defect must stay below 10 * tol and, when curvature bounds are
-    declared, the area must respect -2 pi chi / lam <= area <= -2 pi chi lam.
+    declared, the grid area must respect -2 pi chi / lam <= area <= -2 pi chi lam.
     The extrapolated area removes the leading 2^{-k} term from the tail.
     """
     chi_target = euler_characteristic("torus", sched.target)
@@ -154,14 +153,14 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
                 f"stage {k}: conservation defect {sol.gb_defect:.3e} > 10 tol",
                 stage=k)
         if sched.lam is not None:
+            # the grid mean, unlike the ring corrections, is fixed by Gauss-Bonnet
             lo = -TAU * chi_k / sched.lam
             hi = -TAU * chi_k * sched.lam
-            # envelope padded by the grid quadrature allowance: constant-K
-            # areas carry O(1/n) error from the cone-tip cells
             slack = (1e-6 + 0.5 / n) * abs(TAU * chi_k) + 1e-12
-            if not (lo - slack <= sol.area <= hi + slack):
+            area = sol.area_parts.grid_area
+            if not (lo - slack <= area <= hi + slack):
                 raise StageFailure(
-                    f"stage {k}: area {sol.area:.6g} violates [{lo:.6g}, {hi:.6g}]",
+                    f"stage {k}: grid area {area:.6g} violates [{lo:.6g}, {hi:.6g}]",
                     stage=k)
         scan = no_bubble_scan(sol, radii=(scan_radius,))
         reports.append(StageReport(
@@ -222,15 +221,14 @@ class ScanReport:
 
 
 def no_bubble_scan(sol, radii, threshold: float = 1.0,
-                   curvature: float | Field | None = None,
-                   lattice: int = 16) -> ScanReport:
+                   curvature: float | Field | None = None) -> ScanReport:
     """Largest curvature mass and area over scanned disks away from atoms.
 
     Disk masses of |K| e^{2u} are computed for every grid center at once by
-    periodic convolution with the disk indicator, then read off on a coarse
-    `lattice` x `lattice` sublattice, skipping centers within
-    radius + 8/n of a divisor atom. A center is flagged when its mass
-    reaches `threshold` (the concentration proxy).
+    periodic convolution with the disk indicator, then read off on the
+    coarse sublattice of stride n/16 (16 x 16 centers; every node at n = 8),
+    skipping centers within radius + 8/n of a divisor atom. A center is
+    flagged when its mass reaches `threshold` (the concentration proxy).
     """
     if isinstance(sol, Solution):
         u = sol.u_values
@@ -251,7 +249,7 @@ def no_bubble_scan(sol, radii, threshold: float = 1.0,
     area_hat = rfft2(e2u / (n * n))
     X, Y = TorusChart().mesh(n)
     d0 = torus_distance(X, Y, 0.0, 0.0)
-    stride = max(1, n // lattice)
+    stride = max(1, n // 16)
     idx = np.arange(0, n, stride)
     max_mass = 0.0
     max_area = 0.0

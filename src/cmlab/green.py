@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import (TAU, Field, TorusChart, bilinear_torus, poisson_mean_zero,
-                    torus_distance)
+from .grids import (TAU, Field, TorusChart, bilinear_torus, gauss_legendre,
+                    poisson_mean_zero, torus_distance)
 from .measures import Divisor
 
 _R1 = 0.125
@@ -78,10 +78,7 @@ def _cutoff_log_mean() -> float:
     Inner disk d <= 1/8 analytic; the cutoff band by 64-node Gauss-Legendre.
     """
     inner = 0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
-    t, w = np.polynomial.legendre.leggauss(64)
-    r = 0.5 * (_R2 + _R1) + 0.5 * _W * t
-    band = 0.5 * _W * float(np.sum(w * cutoff(r) * r * np.log(r)))
-    return inner + band
+    return inner + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), _R1, _R2, 64)
 
 
 @dataclass(frozen=True)
@@ -150,8 +147,8 @@ class SingularSplit:
     def n(self) -> int:
         return self.S.n
 
-    def smooth_rest(self, i: int, x, y) -> np.ndarray:
-        """S - beta_i log|x - p_i| evaluated stably near atom i.
+    def smooth_rest(self, i: int | None, x, y) -> np.ndarray:
+        """S - beta_i log|x - p_i|, evaluated stably near atom i; S if i is None.
 
         Assembled from the tabulated remainders so that no large logs
         cancel: the i-th atom contributes beta_i (chi(d) - 1) log d, which
@@ -162,17 +159,7 @@ class SingularSplit:
         for j, g in enumerate(self.greens):
             out -= TAU * betas[j] * g.remainder_at(x, y)
             d = np.maximum(torus_distance(x, y, *g.p), 1e-300)
-            if j == i:
-                out += betas[j] * (cutoff(d) - 1.0) * np.log(d)
-            else:
-                out += betas[j] * cutoff(d) * np.log(d)
-        return out
-
-    def eval_S(self, x, y) -> np.ndarray:
-        """S off the grid (analytic logs + bilinear remainders)."""
-        out = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        for j, g in enumerate(self.greens):
-            out -= TAU * self.divisor.betas[j] * g.eval(x, y)
+            out += betas[j] * (cutoff(d) - (j == i)) * np.log(d)
         return out
 
 

@@ -277,6 +277,23 @@ def interpolate(field: Field, x, y) -> np.ndarray:
 
 # -- quadrature -------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _leggauss(m: int):
+    return np.polynomial.legendre.leggauss(m)
+
+
+def gauss_legendre(f, a: float, b: float, m: int, panels: int = 1) -> float:
+    """Integral of f (array of nodes -> array of values) over [a, b] by the
+    m-node Gauss-Legendre rule on `panels` equal panels; exact to degree 2m - 1."""
+    t, w = _leggauss(m)
+    edges = np.linspace(a, b, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        vals = f(0.5 * (lo + hi) + 0.5 * (hi - lo) * t)
+        total += 0.5 * (hi - lo) * float((w * vals).sum())
+    return total
+
+
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CmlabError, NonStabilizingFlux
-from .grids import (TAU, Chart, DiskChart, Field, LogPolarChart, TorusChart,
-                    integral, interpolate, irfft2, neg_laplacian, rfft2, torus_distance)
+from .errors import NonStabilizingFlux
+from .grids import (TAU, DiskChart, Field, LogPolarChart, TorusChart, integral,
+                    interpolate, irfft2, neg_laplacian, rfft2, torus_distance)
 
 # integral of ln|y| over the unit-spacing grid cell centered at the origin,
 # divided by the cell area: closed form -(ln 2)/2 - 3/2 + pi/4
@@ -33,9 +33,9 @@ class Divisor:
     """Marked points on the unit torus with weights beta >= -1 (angle
     2 pi (beta+1)).
 
-    Points are stored reduced mod 1 to [0, 1)^2, so lattice translates name
-    the same point; two atoms closer than 1e-9 on the torus are rejected,
-    since the solver would merge them into one atom of the summed weight.
+    Points are finite and stored reduced mod 1 to [0, 1)^2, so lattice
+    translates name the same point; atoms closer than 1e-9 on the torus are
+    rejected, since the solver would merge them into one of summed weight.
     """
 
     points: tuple
@@ -44,6 +44,8 @@ class Divisor:
     def __post_init__(self):
         pts = tuple((_mod1(x), _mod1(y)) for x, y in self.points)
         bts = tuple(float(b) for b in self.betas)
+        if not all(math.isfinite(c) for pt in pts for c in pt):
+            raise ValueError(f"divisor points must be finite, got {self.points}")
         if len(pts) != len(bts):
             raise ValueError("points and betas must have equal length")
         for b in bts:
@@ -240,7 +242,7 @@ def _default_r_start(u, center) -> float:
     return 0.5 * chart.r_outer
 
 
-def _geometric_tail(values, tol_flux: float):
+def _geometric_tail(values):
     """Aitken limit of a dyadic flux sequence with geometric drift.
 
     The enclosed smooth curvature mass scales like r^a down dyadic radii,
@@ -269,23 +271,21 @@ def _geometric_tail(values, tol_flux: float):
     return c - (c - b) ** 2 / den
 
 
-def residue_profiled(u, center, *, r_start: float | None = None,
-                     tol_flux: float = 1e-3, max_depth: int = 48):
+def residue_profiled(u, center):
     """Like :func:`residue`, returning (value, measured FluxProfile)."""
     center = (float(center[0]), float(center[1]))
-    r0 = float(r_start) if r_start is not None else _default_r_start(u, center)
     floor = _min_radius(u, center)
     radii, values = [], []
-    r = r0
+    r = _default_r_start(u, center)
     value = None
-    for _ in range(max_depth):
+    for _ in range(48):
         if r < floor:
             break
         radii.append(r)
         values.append(_flux_once(u, center, r))
         if len(values) >= 3:
             a, b, c = values[-3], values[-2], values[-1]
-            tol = tol_flux * (1.0 + abs(c))
+            tol = 1e-3 * (1.0 + abs(c))
             if max(abs(a - b), abs(b - c), abs(a - c)) < tol:
                 if callable(u):
                     value = (4.0 * c - b) / 3.0 / TAU
@@ -295,7 +295,7 @@ def residue_profiled(u, center, *, r_start: float | None = None,
         r *= 0.5
     profile = FluxProfile(tuple(reversed(radii)), tuple(reversed(values)))
     if value is None:
-        tail = _geometric_tail(values, tol_flux)
+        tail = _geometric_tail(values)
         if tail is not None:
             value = tail / TAU
     if value is None:
@@ -305,19 +305,18 @@ def residue_profiled(u, center, *, r_start: float | None = None,
     return value, profile
 
 
-def residue(u, center, *, r_start: float | None = None,
-            tol_flux: float = 1e-3, max_depth: int = 48) -> float:
+def residue(u, center) -> float:
     """Atom mass of the curvature measure at ``center``, via flux limits.
 
-    Descends dyadic radii until three consecutive flux values agree within
-    tol_flux * (1 + |flux|); grid-backed fields stop at a 4-cell floor.
-    For callables the limit is Richardson-extrapolated in r^2 from the two
+    Descends at most 48 dyadic radii from `_default_r_start` (1/8 for a
+    callable) until three consecutive flux values agree within
+    1e-3 * (1 + |flux|); grid-backed fields stop at `_min_radius`. For
+    callables the limit is Richardson-extrapolated in r^2 from the two
     smallest stabilized radii (the smooth part of the flux is even in r).
-    Raises NonStabilizingFlux (with the measured profile) otherwise.
+    Failing that, the Aitken limit of a geometric tail is taken, else
+    NonStabilizingFlux is raised (with the measured profile).
     """
-    value, _ = residue_profiled(u, center, r_start=r_start,
-                                tol_flux=tol_flux, max_depth=max_depth)
-    return value
+    return residue_profiled(u, center)[0]
 
 
 # -- Kelvin transform --------------------------------------------------------

@@ -40,8 +40,8 @@ import numpy as np
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
 from .green import SingularSplit, _s4, singular_part
-from .grids import (TAU, Field, TorusChart, bilinear_torus, interpolate,
-                    half_laplacian_multiplier, irfft2, rfft2, torus_distance)
+from .grids import (TAU, Field, TorusChart, gauss_legendre, half_laplacian_multiplier,
+                    interpolate, irfft2, rfft2, torus_distance)
 from .measures import Divisor, euler_characteristic
 
 _EXP_LIMIT = 350.0
@@ -357,7 +357,6 @@ def metric_area(split: SingularSplit, v: Field) -> AreaBreakdown:
     r_na = 4.0 / n
     r_bl = 8.0 / n
     X, Y = TorusChart().mesh(n)
-    t_gl, w_gl = np.polynomial.legendre.leggauss(32)
     theta = TAU * np.arange(64) / 64
     corrections = []
     for i, ((px, py), beta) in enumerate(zip(split.divisor.points, split.divisor.betas)):
@@ -371,14 +370,16 @@ def metric_area(split: SingularSplit, v: Field) -> AreaBreakdown:
         grid_inner = float(((1.0 - blend) * u2[near]).sum()) / (n * n)
         # ring: (1/a) \int_0^{r_bl^a} dt \int dtheta (1-m) e^{2(H_i+v)}
         t_max = r_bl ** a
-        t_nodes = 0.5 * t_max * (t_gl + 1.0)
-        r_nodes = t_nodes ** (1.0 / a)
-        xs = (px + r_nodes[:, None] * np.cos(theta)[None, :]) % 1.0
-        ys = (py + r_nodes[:, None] * np.sin(theta)[None, :]) % 1.0
-        smooth = split.smooth_rest(i, xs, ys) + interpolate(v, xs, ys)
-        vals = np.exp(2.0 * smooth).mean(axis=1) * TAU
-        vals *= 1.0 - _s4((r_nodes - r_na) / (r_bl - r_na))
-        ring = 0.5 * t_max / a * float((w_gl * vals).sum())
+
+        def ring_vals(tau):
+            r_nodes = (t_max * tau) ** (1.0 / a)
+            xs = (px + r_nodes[:, None] * np.cos(theta)[None, :]) % 1.0
+            ys = (py + r_nodes[:, None] * np.sin(theta)[None, :]) % 1.0
+            smooth = split.smooth_rest(i, xs, ys) + interpolate(v, xs, ys)
+            vals = np.exp(2.0 * smooth).mean(axis=1) * TAU
+            return vals * (1.0 - _s4((r_nodes - r_na) / (r_bl - r_na)))
+
+        ring = t_max / a * gauss_legendre(ring_vals, 0.0, 1.0, 32)
         corr = ring - grid_inner
         applied = abs(corr) <= 0.25 * ring
         if applied:
@@ -432,49 +433,36 @@ def uniqueness_probe(spec: CurvatureSpec, split: SingularSplit, trials: int,
                             residual_norms=tuple(norms))
 
 
-def radial_length(u, p, delta: float, r0: float, direction=(1.0, 0.0)) -> float:
-    """Length of the ray segment s in [delta, r0] from p in the metric e^{2u}.
+def radial_length(u, p, delta: float, r0: float) -> float:
+    """Length of the ray segment s in [delta, r0] from p along +x in the
+    metric e^{2u}, by adaptive quadrature.
 
-    ``u`` is a callable u(x, y), a Solution, or a (split, v) pair. Grid-backed
-    solutions integrate s^{beta} e^{H_i + v} with the analytic power split
-    when p is an atom of the divisor. Adaptive quadrature throughout.
+    ``u`` is a callable u(x, y) or a Solution. A Solution integrates
+    s^beta e^{H + v} with H = smooth_rest(i) when p is its atom i of weight
+    beta, and with H = S, beta = 0 off the atoms.
     """
     from scipy.integrate import quad
 
     if not 0.0 < delta < r0:
         raise ValueError("need 0 < delta < r0")
-    dx, dy = direction
-    scale = math.hypot(dx, dy)
-    dx, dy = dx / scale, dy / scale
     px, py = float(p[0]), float(p[1])
-
-    eps = 1e-13
     if callable(u):
+        eps = 1e-13
+
         def integrand(s):
-            return math.exp(float(u(px + s * dx, py + s * dy)))
+            return math.exp(float(u(px + s, py)))
     else:
         # bilinear integrands are only piecewise smooth; tighter tolerances
         # just trip quad's roundoff detector
         eps = 1e-7
-        split, v = (u.split, u.v) if isinstance(u, Solution) else u
-        vv = v.values if isinstance(v, Field) else np.asarray(v, dtype=float)
-        atom = None
-        for i, (qx, qy) in enumerate(split.divisor.points):
-            if float(torus_distance(px, py, qx, qy)) < 1e-12:
-                atom = i
-                break
-        if atom is None:
-            def integrand(s):
-                x, y = px + s * dx, py + s * dy
-                val = split.eval_S(x, y) + bilinear_torus(vv, x, y)
-                return math.exp(float(val))
-        else:
-            beta = split.divisor.betas[atom]
+        div = u.split.divisor
+        atom = next((i for i, q in enumerate(div.points)
+                     if float(torus_distance(px, py, *q)) < 1e-12), None)
+        beta = 0.0 if atom is None else div.betas[atom]
 
-            def integrand(s):
-                x, y = px + s * dx, py + s * dy
-                rest = split.smooth_rest(atom, x, y) + bilinear_torus(vv, x, y)
-                return s ** beta * math.exp(float(rest))
+        def integrand(s):
+            rest = u.split.smooth_rest(atom, px + s, py) + interpolate(u.v, px + s, py)
+            return s ** beta * math.exp(float(rest))
 
     value, _ = quad(integrand, delta, r0, limit=400, epsabs=eps, epsrel=10 * eps)
     return float(value)

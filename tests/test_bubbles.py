@@ -236,6 +236,15 @@ def test_three_circle_accepts_family_and_callable():
     assert rc.side == "negative" and rc.decay_ok
 
 
+@pytest.mark.parametrize("kappa, L", [(0.5, -5.0), (0.5, 0.0), (-0.5, 10.0),
+                                      (0.0, 10.0), (math.nan, 10.0), (0.5, math.inf)])
+def test_three_circle_rejects_degenerate_inputs(kappa, L):
+    # L < 0 used to report negative segment areas with decay "ok", and
+    # kappa <= 0 a decay bound e^{-kappa L/2} >= 1 that any profile passes
+    with pytest.raises(ValueError):
+        three_circle_check(LinearCylinder(A=0.0, B=-1.0), kappa=kappa, L=L)
+
+
 def test_neck_area_profile_flat_neck():
     k = 3
     u = lambda x, y: -np.log(k * np.hypot(x, y))
@@ -284,7 +293,7 @@ def test_neck_curvature_limit():
 def test_plane_area_of_bubble():
     assert plane_area(standard_bubble()) == pytest.approx(4.0 * math.pi, rel=1e-6)
     with pytest.raises(ValueError):
-        plane_area(lambda x, y: 0.0 * np.asarray(x), max_doublings=12)
+        plane_area(lambda x, y: 0.0 * np.asarray(x))  # flat: never converges
 
 
 def test_area_identity_spherical_cap():

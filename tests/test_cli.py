@@ -82,6 +82,22 @@ def test_config_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, section", [
+    ("three-circle", "length = -5"),
+    ("three-circle", "kappa = -0.5"),
+    ("three-circle", "kappa = 0"),
+    ("solve", "atoms = nan,0.7"),
+    ("solve", "atoms = 0.3,0.7 0.6,0.2\nbetas = -0.5"),  # more atoms than betas
+])
+def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\n{section}\n")
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                    "--grid", "64"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_continue_cusp_run(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[continue-cusp]\nk_max = 3\n")

@@ -108,6 +108,19 @@ def test_ladder_cg_budget():
     assert sum(st.cg_iters for st in res.stages) <= 180
 
 
+def test_stage_envelope_holds_off_node_at_fine_grid():
+    # the atom is 0.1 cell from node (154, 359) at n=512, where the ring
+    # correction moves the stage-1 area by -1.2e-3 relative, more than the
+    # envelope slack; the envelope is tested on the grid mean, which the
+    # discrete Gauss-Bonnet identity fixes
+    target = Divisor(((0.3009765625, 0.7009765625),), (-1.0,))
+    res = run_continuation(cusp_schedule(target, k_max=2), n=512)
+    assert [s.k for s in res.stages] == [1, 2]
+    for s in res.stages:
+        assert s.area == pytest.approx(TAU * (1.0 - 2.0 ** -s.k), rel=1e-2)
+    assert res.final.area_parts.grid_area == pytest.approx(TAU * 0.75, rel=1e-9)
+
+
 def test_continuation_infeasible_target():
     target = Divisor(((0.3, 0.7),), (0.5,))
     with pytest.raises(InfeasibleTopology):

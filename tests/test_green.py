@@ -98,7 +98,7 @@ def test_singular_part_behaves_like_beta_log():
     div = Divisor(((0.3, 0.7),), (-0.5,))
     split = singular_part(div, 256)
     for r in (1.0 / 16, 1.0 / 32, 1.0 / 64):
-        val = split.eval_S(0.3 + r, 0.7)
+        val = split.smooth_rest(None, 0.3 + r, 0.7)  # S itself
         assert abs(val - (-0.5) * math.log(r)) < 1.0
     # smooth_rest is the atom's own regular part: S - beta log d, finite and
     # continuous through the atom
@@ -119,6 +119,11 @@ def test_divisor_validation():
         Divisor(((0.1, 0.1),), (-1.5,))  # beta below the cusp value -1
     with pytest.raises(ValueError):
         Divisor(((0.1, 0.1),), (-0.5, 0.5))  # length mismatch
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Divisor(((bad, 0.7),), (-0.5,))
+        with pytest.raises(ValueError, match="finite"):
+            Divisor(((0.3, 0.7), (0.2, bad)), (-0.5, -0.5))
     d = Divisor(((0.1, 0.1), (0.2, 0.3)), (-0.5, 2.0))
     assert len(d) == 2 and d.beta_sum == pytest.approx(1.5)
     cusp = Divisor(((0.4, 0.6),), (-1.0,))  # cusp weight itself is legal

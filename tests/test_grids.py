@@ -15,6 +15,7 @@ from cmlab.grids import (
     bilinear_torus,
     conformal_area,
     constant,
+    gauss_legendre,
     half_laplacian_multiplier,
     integral,
     interpolate,
@@ -209,3 +210,21 @@ def test_sample_points_match_mesh():
     X, Y = chart.mesh(n)
     assert np.allclose(f.values, X + 10 * Y)
     assert X.min() == -2.0 and X.max() == 2.0
+
+
+@pytest.mark.parametrize("m", [1, 5, 20, 32, 64])
+def test_gauss_legendre_exact_on_polynomials(m):
+    # Legendre series on [a, b] stay O(1) there, so 1e-14 is a round-off
+    # bound even at degree 127
+    a, b = -0.7, 1.3
+    rng = np.random.default_rng(m)
+    for panels in (1, 3):
+        for deg in (0, m, 2 * m - 1):
+            poly = np.polynomial.Legendre(rng.normal(size=deg + 1) / (deg + 1),
+                                          domain=[a, b])
+            prim = poly.integ()
+            want = prim(b) - prim(a)
+            assert abs(gauss_legendre(poly, a, b, m, panels) - want) <= 1e-14
+    # one degree more is not integrated exactly: the rule has m nodes, no more
+    p2m = np.polynomial.Legendre.basis(2 * m, domain=[a, b])
+    assert abs(gauss_legendre(p2m, a, b, m)) > 1e-3

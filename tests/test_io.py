@@ -197,6 +197,20 @@ def test_canonical_json_sorted_and_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+_reports = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(_PROPS, max_examples=200)
+@given(x=_reports)
+def test_canonical_json_reemit_property(x):
+    s = canonical_json(x)
+    assert canonical_json(json.loads(s)) == s
+
+
 def test_write_csv(tmp_path):
     path = tmp_path / "series.csv"
     write_csv(path, ["k", "area"], [(1, 2.0), (2, 6.5)])

@@ -167,13 +167,15 @@ def test_radial_length_grid_paths_agree():
 
     def u_interp(x, y):
         from cmlab.grids import bilinear_torus
-        return split.eval_S(x, y) + bilinear_torus(v.values, x, y)
+        return split.smooth_rest(None, x, y) + bilinear_torus(v.values, x, y)
 
     got_atom = radial_length(sol, (0.3, 0.7), 0.02, 0.2)
     got_call = radial_length(u_interp, (0.3, 0.7), 0.02, 0.2)
     assert got_atom == pytest.approx(got_call, rel=1e-6)
-    got_pair = radial_length((split, v), (0.3, 0.7), 0.02, 0.2)
-    assert got_pair == pytest.approx(got_atom, rel=1e-12)
+    # off the atoms the Solution path integrates e^{S + v} with no power split
+    got_off = radial_length(sol, (0.55, 0.2), 0.02, 0.2)
+    assert got_off == pytest.approx(radial_length(u_interp, (0.55, 0.2), 0.02, 0.2),
+                                    rel=1e-6)
 
 
 def test_uniqueness_probe_quick():
