@@ -109,7 +109,6 @@ from .solver import (
     UniquenessReport,
     metric_area,
     newton_solve,
-    positivity_failure_count,
     radial_length,
     random_smooth_field,
     residual,

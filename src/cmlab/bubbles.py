@@ -32,10 +32,16 @@ _THETA = TAU * np.arange(128) / 128  # angles of every circle mean below
 
 def _circle_areas(u, x0, r, s):
     """2 pi times the mean of e^{2(u + s)} over each circle |x - x0| = r_i;
-    `s` is added to u row by row (log r for the log-radial measure)."""
+    `s` is added to u row by row (log r for the log-radial measure).
+    Raises ValueError when u is not finite on a circle."""
     x = x0[0] + r[:, None] * np.cos(_THETA)[None, :]
     y = x0[1] + r[:, None] * np.sin(_THETA)[None, :]
-    return np.exp(2.0 * (np.asarray(u(x, y)) + s)).mean(axis=1) * TAU
+    vals = np.asarray(u(x, y))
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise ValueError(f"profile is not finite on the circle of radius "
+                         f"{float(r[bad][0]):.6g} about {tuple(map(float, x0))}")
+    return np.exp(2.0 * (vals + s)).mean(axis=1) * TAU
 
 
 def _annulus_area(u, x0, ra: float, rb: float) -> float:

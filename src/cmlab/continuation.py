@@ -23,7 +23,18 @@ from .green import singular_part
 from .grids import (Field, TAU, TorusChart, half_laplacian_multiplier, irfft2, rfft2,
                     torus_distance)
 from .measures import Divisor, euler_characteristic
-from .solver import CurvatureSpec, Solution, check_curvature_bounds, newton_solve
+from .solver import CurvatureSpec, Solution, newton_solve
+
+
+def check_curvature_bounds(curvature: float | Field, lam: float) -> None:
+    """Raise ValueError unless 1 <= lam < inf and the constant or Field
+    `curvature` lies in [-lam, -1/lam], up to 1e-12."""
+    if not 1.0 <= lam < np.inf:
+        raise ValueError(f"lam must satisfy 1 <= lam < inf, got {lam}")
+    lo, hi = -lam, -1.0 / lam
+    k = curvature.values if isinstance(curvature, Field) else curvature
+    if np.min(k) < lo - 1e-12 or np.max(k) > hi + 1e-12:
+        raise ValueError(f"curvature exits its bounds [{lo:g}, {hi:g}]")
 
 
 @dataclass(frozen=True)
@@ -37,13 +48,12 @@ class ContinuationSchedule:
     """Stages (beta^k, phi_k) descending to a target divisor.
 
     Weights must stay strictly above -1, be non-increasing in k, and
-    never undershoot the target; when `lam` is given, every stage
-    curvature must lie in [-lam, -1/lam].
+    never undershoot the target; when `lam` is given, it must satisfy
+    1 <= lam < inf and every stage curvature must lie in [-lam, -1/lam].
     """
 
     target: Divisor
     steps: tuple
-    warm_start: bool = True
     lam: float | None = None
 
     def __post_init__(self):
@@ -64,7 +74,7 @@ class ContinuationSchedule:
                 raise ValueError("stage weights must be non-increasing")
             prev = step.betas
             if self.lam is not None:
-                check_curvature_bounds(step.curvature, -self.lam, -1.0 / self.lam)
+                check_curvature_bounds(step.curvature, self.lam)
         object.__setattr__(self, "steps", steps)
 
 
@@ -120,8 +130,8 @@ class ContinuationResult:
 
 def run_continuation(sched: ContinuationSchedule, n: int = 256,
                      tol: float = 1e-10, scan_radius: float = 1.0 / 16.0) -> ContinuationResult:
-    """Solve every stage (warm-started from the secant prediction, unless
-    the schedule turns warm starts off), with conservation checks per stage.
+    """Solve every stage (warm-started from the secant prediction), with
+    conservation checks per stage.
 
     Each stage records its area, Gauss-Bonnet defect, iteration counts and
     the largest curvature mass over scanned disks away from the atoms.
@@ -140,14 +150,12 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
         div_k = Divisor(sched.target.points, step.betas)
         chi_k = euler_characteristic("torus", div_k)
         split = singular_part(div_k, n)
-        spec = CurvatureSpec(step.curvature,
-                             bounds=(-sched.lam, -1.0 / sched.lam) if sched.lam else None)
         try:
-            sol = newton_solve(spec, split, v0=_secant_start(solved, chi_k), tol=tol)
+            sol = newton_solve(CurvatureSpec(step.curvature), split,
+                               v0=_secant_start(solved, chi_k), tol=tol)
         except Exception as exc:
             raise StageFailure(f"stage {k} failed: {exc}", stage=k) from exc
-        if sched.warm_start:
-            solved = solved[-1:] + [(chi_k, sol.v)]
+        solved = solved[-1:] + [(chi_k, sol.v)]
         if sol.gb_defect > 10.0 * tol:
             raise StageFailure(
                 f"stage {k}: conservation defect {sol.gb_defect:.3e} > 10 tol",
@@ -202,13 +210,12 @@ def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
     """
     if not isinstance(Ktarget.chart, TorusChart):
         raise ValueError("mollification is defined on the torus chart")
-    lo, hi = -lam, -1.0 / lam
-    check_curvature_bounds(Ktarget, lo, hi)
+    check_curvature_bounds(Ktarget, lam)
     t = 4.0 ** (-k)
     n = Ktarget.n
     mult = np.exp(-half_laplacian_multiplier(n) * t)
     smoothed = irfft2(mult * rfft2(Ktarget.values), n)
-    return Field(np.clip(smoothed, lo, hi), TorusChart())
+    return Field(np.clip(smoothed, -lam, -1.0 / lam), TorusChart())
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ class TorusGreen:
         return self.remainder_at(x, y) - cutoff(d) * np.log(d) / TAU
 
 
-@lru_cache(maxsize=64)
+# 8 kernels hold 128 MB at n = 1024; a fine solve uses 1 key and a two-cusp ladder 2
+@lru_cache(maxsize=8)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     chart = TorusChart()
     X, Y = chart.mesh(n)

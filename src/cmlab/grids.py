@@ -170,19 +170,12 @@ def constant(value: float, chart: Chart, n: int) -> Field:
 # returned by ``rfft2``.
 
 @lru_cache(maxsize=32)
-def laplacian_multiplier(n: int) -> np.ndarray:
-    """Symbol of -Delta on the unit torus: (2 pi k)^2 per Fourier mode."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    out = (TAU * kx) ** 2 + (TAU * ky) ** 2
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=32)
 def half_laplacian_multiplier(n: int) -> np.ndarray:
-    """``laplacian_multiplier(n)`` on the half spectrum of ``rfft2``."""
-    out = np.ascontiguousarray(laplacian_multiplier(n)[:, :n // 2 + 1])
+    """Symbol of -Delta on the unit torus, (2 pi k)^2 per Fourier mode, on
+    the (n, n//2 + 1) half spectrum of ``rfft2``."""
+    kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
+    out = (TAU * kx) ** 2 + (TAU * ky) ** 2
     out.setflags(write=False)
     return out
 

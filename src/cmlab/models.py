@@ -97,6 +97,10 @@ class LinearCylinder:
     A: float
     B: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.A) and math.isfinite(self.B)):
+            raise ValueError(f"linear cylinder needs finite A and B: {self.A}, {self.B}")
+
     def u(self, t, theta):
         return self.A + self.B * np.asarray(t, dtype=float) + 0.0 * np.asarray(theta)
 

@@ -47,38 +47,16 @@ from .measures import Divisor, euler_characteristic
 _EXP_LIMIT = 350.0
 _MAX_NEWTON = 60
 _CG_RTOL = 1e-6
-_positivity_failures = 0
-
-
-def positivity_failure_count() -> int:
-    """How many times CG met a non-positive curvature direction (ever)."""
-    return _positivity_failures
-
-
-def check_curvature_bounds(curvature: float | Field, lo: float, hi: float) -> None:
-    """Raise ValueError unless the constant or Field `curvature` lies in
-    [lo, hi], up to 1e-12."""
-    k = curvature.values if isinstance(curvature, Field) else curvature
-    if np.min(k) < lo - 1e-12 or np.max(k) > hi + 1e-12:
-        raise ValueError(f"curvature exits its bounds [{lo:g}, {hi:g}]")
+_CG_MAXITER = 2000
 
 
 @dataclass(frozen=True)
 class CurvatureSpec:
     """Prescribed curvature: a constant or a torus Field, with optional
-    certified bounds (lower, upper), upper < 0, and optional manufactured
-    forcing added to the right-hand side."""
+    manufactured forcing added to the right-hand side."""
 
     curvature: float | Field
-    bounds: tuple | None = None
     forcing: Field | None = None
-
-    def __post_init__(self):
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            if not (lo <= hi < 0.0):
-                raise ValueError("curvature bounds must satisfy lower <= upper < 0")
-            check_curvature_bounds(self.curvature, lo, hi)
 
     def values(self, n: int):
         if isinstance(self.curvature, Field):
@@ -102,7 +80,7 @@ class Solution:
     gb_defect: float
     newton_iters: int
     cg_iters: int
-    cg_capped: int  # inner solves stopped by cg_maxiter before _CG_RTOL
+    cg_capped: int  # inner solves stopped by _CG_MAXITER before _CG_RTOL
     area_parts: "AreaBreakdown"
 
     @property
@@ -185,13 +163,11 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
     return op.jacobian(op.weight(_exp2u(op.S, vv)), w, rfft2(w))
 
 
-def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
-        maxiter: int) -> tuple:
+def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
     """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1.
 
-    Returns (half spectrum of x, iterations, whether maxiter cut it short).
+    Returns (half spectrum of x, iterations, whether _CG_MAXITER cut it short).
     """
-    global _positivity_failures
     n = op.n
     denom = op.k2 + shift
     r = b.copy()
@@ -201,11 +177,10 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
     xhat = np.zeros_like(zhat)
     rz = float((r * z).sum())
     bnorm = math.sqrt(float((b * b).sum()))
-    for iters in range(1, maxiter + 1):
+    for iters in range(1, _CG_MAXITER + 1):
         Ap = op.jacobian(W, p, phat)
         pAp = float((p * Ap).sum())
         if pAp <= 0.0:
-            _positivity_failures += 1
             raise CurvatureSignError(
                 "CG met a non-positive curvature direction; the linearized "
                 "operator is not definite")
@@ -221,7 +196,7 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
         p = z + beta * p
         phat = zhat + beta * phat
         rz = rz_next
-    return xhat, maxiter, True
+    return xhat, _CG_MAXITER, True
 
 
 def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
@@ -235,8 +210,7 @@ def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
 
 
 def newton_solve(spec: CurvatureSpec, split: SingularSplit,
-                 v0: Field | None = None, tol: float = 1e-10,
-                 cg_maxiter: int = 2000) -> Solution:
+                 v0: Field | None = None, tol: float = 1e-10) -> Solution:
     """Solve the prescribed-curvature equation on the torus.
 
     Requires a negative Euler characteristic of the pair unless a
@@ -247,8 +221,8 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     (-Delta + mean(W))^-1, which is exact on the constant mode (sup K < 0
     makes W and its mean positive); step lengths come from Armijo
     backtracking on ||F||_2^2 with factor 1/2, slope 1e-4 and floor 2^-30.
-    An inner solve that reaches `cg_maxiter` keeps its last iterate and is
-    counted in `cg_capped`.
+    An inner solve that reaches 2000 iterations keeps its last iterate and
+    is counted in `cg_capped`.
     """
     div = split.divisor
     chi = euler_characteristic("torus", div)
@@ -281,7 +255,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
         if norm <= tol:
             break
         W = op.weight(e2u)
-        dhat, inner, capped = _cg(op, W, float(W.mean()), -F, cg_maxiter)
+        dhat, inner, capped = _cg(op, W, float(W.mean()), -F)
         cg_total += inner
         cg_capped += capped
         phi0 = float((F * F).sum())
@@ -469,7 +443,7 @@ def radial_length(u, p, delta: float, r0: float) -> float:
 
 
 def solve_divisor(points, betas, curvature=-1.0, n: int = 256,
-                  tol: float = 1e-10, v0: Field | None = None) -> Solution:
+                  tol: float = 1e-10) -> Solution:
     """Convenience wrapper: build the divisor, split, spec, and solve."""
     split = singular_part(Divisor(tuple(points), tuple(betas)), n)
-    return newton_solve(CurvatureSpec(curvature), split, v0=v0, tol=tol)
+    return newton_solve(CurvatureSpec(curvature), split, tol=tol)

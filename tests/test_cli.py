@@ -98,6 +98,22 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, section, message", [
+    # cusp_profile is -log(r log(1/r)), NaN beyond r = 1
+    ("neck", "fixture = hyperbolic-cusp\nr_out = 2.0", "profile is not finite on the circle"),
+    ("area-identity", "fixture = hyperbolic-cusp\nwindow = 2.0",
+     "profile is not finite on the circle"),
+    ("three-circle", "b = nan", "linear cylinder needs finite A and B"),
+])
+def test_non_finite_quadrature_inputs_exit_1(tmp_path, capsys, command, section, message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\n{section}\n")
+    with np.errstate(invalid="ignore"):
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_continue_cusp_run(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[continue-cusp]\nk_max = 3\n")

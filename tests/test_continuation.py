@@ -14,10 +14,11 @@ from cmlab.continuation import (
     run_continuation,
 )
 from cmlab.errors import InfeasibleTopology, StageFailure
+from cmlab.green import singular_part
 from cmlab.grids import TAU, DiskChart, Field, TorusChart, constant, sample
 from cmlab.measures import Divisor
 from cmlab.models import cap_disk_area, cap_profile
-from cmlab.solver import solve_divisor
+from cmlab.solver import CurvatureSpec, newton_solve, solve_divisor
 
 
 def test_cusp_schedule_weights():
@@ -49,6 +50,10 @@ def test_schedule_validation():
                                       ScheduleStep((-0.1,), -1.0)))  # increasing
     with pytest.raises(ValueError):
         ContinuationSchedule(target, (ScheduleStep((-0.5,), -2.0),), lam=1.0)
+    # lam describes the bounds [-lam, -1/lam] only when 1 <= lam < inf
+    for lam in (0.0, 0.5, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            ContinuationSchedule(target, (ScheduleStep((-0.5,), -1.0),), lam=lam)
 
 
 def test_single_stage_matches_direct_solve():
@@ -75,15 +80,21 @@ def test_continuation_stage_ladder():
     assert res.extrapolated_area == pytest.approx(TAU, rel=1e-3)
 
 
+def _cold_solves(sched, n):
+    """Each stage solved alone by newton_solve from the default guess."""
+    return [newton_solve(CurvatureSpec(step.curvature),
+                         singular_part(Divisor(sched.target.points, step.betas), n))
+            for step in sched.steps]
+
+
 def test_warm_and_cold_starts_agree():
     target = Divisor(((0.3, 0.7),), (-1.0,))
-    warm = run_continuation(cusp_schedule(target, k_max=3), n=64)
-    cold_sched = ContinuationSchedule(
-        target, cusp_schedule(target, k_max=3).steps, warm_start=False, lam=1.0)
-    cold = run_continuation(cold_sched, n=64)
-    assert float(np.abs(warm.final.v.values - cold.final.v.values).max()) < 1e-8
+    sched = cusp_schedule(target, k_max=3)
+    warm = run_continuation(sched, n=64)
+    cold = _cold_solves(sched, 64)
+    assert float(np.abs(warm.final.v.values - cold[-1].v.values).max()) < 1e-8
     # stage 3 starts from the secant prediction through stages 1 and 2
-    np.testing.assert_allclose(warm.areas, cold.areas, rtol=1e-8)
+    np.testing.assert_allclose(warm.areas, [s.area for s in cold], rtol=1e-8)
 
 
 def test_secant_start_when_weights_stand_still():
@@ -92,10 +103,10 @@ def test_secant_start_when_weights_stand_still():
     target = Divisor(((0.3, 0.7),), (-0.75,))
     steps = (ScheduleStep((-0.5,), -1.0), ScheduleStep((-0.5,), -1.5),
              ScheduleStep((-0.75,), -1.5))
-    warm = run_continuation(ContinuationSchedule(target, steps, lam=2.0), n=32)
-    cold = run_continuation(ContinuationSchedule(target, steps, warm_start=False,
-                                                 lam=2.0), n=32)
-    np.testing.assert_allclose(warm.areas, cold.areas, rtol=1e-8)
+    sched = ContinuationSchedule(target, steps, lam=2.0)
+    warm = run_continuation(sched, n=32)
+    cold = _cold_solves(sched, 32)
+    np.testing.assert_allclose(warm.areas, [s.area for s in cold], rtol=1e-8)
 
 
 def test_ladder_cg_budget():
@@ -156,6 +167,9 @@ def test_mollify_curvature():
         mollify_curvature(bad, 3, 2.0)
     with pytest.raises(ValueError):
         mollify_curvature(constant(-1.0, DiskChart(1.0), 32), 3, 2.0)
+    for lam in (0.0, 0.5, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            mollify_curvature(const, 3, lam)
 
 
 def test_no_bubble_scan_flags_concentration():

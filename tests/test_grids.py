@@ -19,7 +19,6 @@ from cmlab.grids import (
     half_laplacian_multiplier,
     integral,
     interpolate,
-    laplacian_multiplier,
     neg_laplacian,
     parse_descriptor,
     poisson_mean_zero,
@@ -88,21 +87,18 @@ def test_poisson_mean_zero_manufactured():
     assert abs(sol.values.mean()) < 1e-14
 
 
-def test_laplacian_multiplier_cached_readonly():
-    m = laplacian_multiplier(32)
-    assert m[0, 0] == 0.0
-    assert m[0, 1] == pytest.approx(TAU ** 2, rel=1e-14)
-    with pytest.raises(ValueError):
-        m[0, 0] = 1.0
-
-
 def test_half_laplacian_multiplier_is_rfft_width():
     n = 32
     h = half_laplacian_multiplier(n)
     assert h.shape == (n, n // 2 + 1)
     assert half_laplacian_multiplier(n) is h
-    # column n/2 is the Nyquist mode, whose symbol is even in k
-    np.testing.assert_array_equal(h, laplacian_multiplier(n)[:, :n // 2 + 1])
+    assert h[0, 0] == 0.0
+    assert h[0, 1] == pytest.approx(TAU ** 2, rel=1e-14)
+    # the full symbol's first n/2 + 1 columns; column n/2 is the Nyquist
+    # mode, whose symbol is even in k
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    full = (TAU * k[:, None]) ** 2 + (TAU * k[None, :]) ** 2
+    np.testing.assert_array_equal(h, full[:, :n // 2 + 1])
     with pytest.raises(ValueError):
         h[0, 0] = 1.0
 

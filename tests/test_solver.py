@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cmlab.solver
+from cmlab.continuation import check_curvature_bounds
 from cmlab.errors import InfeasibleTopology, ResidualOverflow
 from cmlab.grids import TAU, Field, TorusChart, constant, neg_laplacian, sample
 from cmlab.green import singular_part
@@ -60,13 +61,11 @@ def test_solver_validation():
 
 
 def test_curvature_spec_bounds():
-    CurvatureSpec(-1.0, bounds=(-2.0, -0.5))
+    check_curvature_bounds(-1.0, 2.0)
     with pytest.raises(ValueError):
-        CurvatureSpec(-1.0, bounds=(-2.0, 0.0))  # upper bound must be < 0
+        check_curvature_bounds(-3.0, 2.0)  # curvature exits [-2, -1/2]
     with pytest.raises(ValueError):
-        CurvatureSpec(-1.0, bounds=(-0.5, -2.0))  # lower <= upper
-    with pytest.raises(ValueError):
-        CurvatureSpec(-3.0, bounds=(-2.0, -0.5))  # curvature exits bounds
+        check_curvature_bounds(constant(-0.5, TorusChart(), 64), 1.5)  # exits [-1.5, -2/3]
     k = constant(-1.0, TorusChart(), 64)
     with pytest.raises(ValueError):
         CurvatureSpec(k).values(128)  # grid mismatch
@@ -111,7 +110,7 @@ def test_variable_curvature_solve():
     n = 64
     k = sample(lambda x, y: -1.0 - 0.5 * np.cos(TAU * x) * np.sin(TAU * y),
                TorusChart(), n)
-    spec = CurvatureSpec(k, bounds=(-1.5, -0.5))
+    spec = CurvatureSpec(k)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
     sol = newton_solve(spec, split)
     assert sol.residual_norm < 1e-10
@@ -261,12 +260,13 @@ def test_newton_cg_transform_count(monkeypatch):
     assert 3 * sol.cg_iters <= calls["n"] <= 3 * sol.cg_iters + 4 * sol.newton_iters + 3
 
 
-def test_cg_capped_is_counted():
+def test_cg_capped_is_counted(monkeypatch):
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 32)
-    capped = newton_solve(CurvatureSpec(-1.0), split, cg_maxiter=2)
+    assert newton_solve(CurvatureSpec(-1.0), split).cg_capped == 0
+    monkeypatch.setattr(cmlab.solver, "_CG_MAXITER", 2)
+    capped = newton_solve(CurvatureSpec(-1.0), split)
     assert capped.residual_norm < 1e-10
     assert capped.cg_capped > 0
-    assert newton_solve(CurvatureSpec(-1.0), split).cg_capped == 0
 
 
 def test_uniqueness_probe_rejects_no_trials():
