@@ -33,10 +33,11 @@ _THETA = TAU * np.arange(128) / 128  # angles of every circle mean below
 def _circle_areas(u, x0, r, s):
     """2 pi times the mean of e^{2(u + s)} over each circle |x - x0| = r_i;
     `s` is added to u row by row (log r for the log-radial measure).
-    Raises ValueError when u is not finite on a circle."""
+    Raises ValueError (numpy's warnings silenced) when u is not finite on a circle."""
     x = x0[0] + r[:, None] * np.cos(_THETA)[None, :]
     y = x0[1] + r[:, None] * np.sin(_THETA)[None, :]
-    vals = np.asarray(u(x, y))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vals = np.asarray(u(x, y))
     bad = ~np.isfinite(vals).all(axis=1)
     if bad.any():
         raise ValueError(f"profile is not finite on the circle of radius "

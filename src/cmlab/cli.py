@@ -11,9 +11,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from configparser import ConfigParser, Error as IniError
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bubbles import area_identity_check, load_fixture, neck_area_profile, three_circle_check
@@ -26,32 +26,22 @@ from .models import LinearCylinder
 from .green import singular_part
 from .solver import CurvatureSpec, newton_solve, uniqueness_probe
 
-_SCHEMA = {
-    "run": {"grid", "tol", "seed"},
-    "solve": {"atoms", "betas", "curvature", "uniqueness_trials"},
-    "continue-cusp": {"atoms", "betas", "k_max", "curvature", "scan_radius"},
-    "scan": {"atoms", "betas", "curvature", "radius", "threshold"},
-    "three-circle": {"fixture", "kappa", "length", "a", "b"},
-    "neck": {"fixture", "k", "r_in", "r_out"},
-    "area-identity": {"fixture", "window"},
-    "report": set(),
-}
-
+_RUN_KEYS = {"grid", "tol", "seed"}
 _DEFAULT_ATOMS = ((0.3, 0.7),)
 _DEFAULT_BETAS = (-0.5,)
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Validated run parameters: command, grid, tolerances, output dir."""
 
     command: str
     out_dir: Path
-    n: int = 256
-    tol: float = 1e-10
-    seed: int = 0
-    options: dict = field(default_factory=dict)
-    report_path: Path | None = None
+    n: int
+    tol: float
+    seed: int
+    options: dict
+    report_path: Path | None
 
     def __post_init__(self):
         if self.n < 8 or self.n & (self.n - 1):
@@ -98,7 +88,8 @@ def load_config(command: str, args) -> RunConfig:
             if sec not in ("run", command):
                 raise ConfigError(
                     f"section [{sec}] is not recognized for command {command!r}")
-            unknown = set(parser[sec].keys()) - _SCHEMA[sec]
+            keys = _RUN_KEYS if sec == "run" else _COMMANDS[command][2]
+            unknown = set(parser[sec].keys()) - keys
             if unknown:
                 raise ConfigError(
                     f"unknown keys {sorted(unknown)} in section [{sec}]")
@@ -117,6 +108,24 @@ def load_config(command: str, args) -> RunConfig:
                      report_path=report_path)
 
 
+def _report_fields(result, *omit) -> dict:
+    """Each field of a result dataclass but `omit`, under its camelCase name
+    (gb_defect -> gbDefect, area_q1 -> areaQ1); nested dataclasses, alone or
+    in tuples, become dicts the same way. Reports key results by this rule;
+    only keys that are not a field's camelCase name are written by hand."""
+    def value(v):
+        if dataclasses.is_dataclass(v):
+            return _report_fields(v)
+        return [value(x) for x in v] if isinstance(v, tuple) else v
+
+    def camel(name):
+        head, *rest = name.split("_")
+        return head + "".join(w[0].upper() + w[1:] for w in rest)
+
+    return {camel(f.name): value(getattr(result, f.name))
+            for f in dataclasses.fields(result) if f.name not in omit}
+
+
 # -- command handlers (report dict, fields dict, exit code) -------------------
 
 def _problem(cfg: RunConfig, cusp: bool = False):
@@ -129,28 +138,26 @@ def _problem(cfg: RunConfig, cusp: bool = False):
     return Divisor(atoms, betas), CurvatureSpec(curvature), curvature
 
 
-def _cmd_solve(cfg: RunConfig):
+def _solved(cfg: RunConfig):
+    """Solve the configured problem: the Solution and the report fields
+    that name the problem."""
     div, spec, curvature = _problem(cfg)
+    sol = newton_solve(spec, singular_part(div, cfg.n), tol=cfg.tol)
+    return sol, {"command": cfg.command, "grid": cfg.n, "tol": cfg.tol,
+                 "atoms": [list(p) for p in div.points], "betas": list(div.betas),
+                 "curvature": curvature}
+
+
+def _cmd_solve(cfg: RunConfig):
     trials = _opt(cfg.options, "uniqueness_trials", int, 0)
-    split = singular_part(div, cfg.n)
-    sol = newton_solve(spec, split, tol=cfg.tol)
-    report = {
-        "command": "solve", "grid": cfg.n, "tol": cfg.tol,
-        "atoms": [list(p) for p in div.points], "betas": list(div.betas),
-        "curvature": curvature,
-        "chi": euler_characteristic("torus", div),
-        "area": sol.area, "gbDefect": sol.gb_defect,
-        "residualNorm": sol.residual_norm,
-        "newtonIters": sol.newton_iters, "cgIters": sol.cg_iters,
-        "cgCapped": sol.cg_capped, "ringsRejected": sol.area_parts.rings_rejected,
-    }
+    sol, report = _solved(cfg)
+    report.update(_report_fields(sol, "split", "spec", "v", "area_parts"),
+                  chi=euler_characteristic("torus", sol.split.divisor),
+                  ringsRejected=sol.area_parts.rings_rejected)
     if trials > 0:
-        probe = uniqueness_probe(spec, split, trials, seed=cfg.seed, tol=cfg.tol)
-        report["uniqueness"] = {
-            "trials": probe.trials,
-            "maxPairwiseSup": probe.max_pairwise,
-            "residualNorms": list(probe.residual_norms),
-        }
+        probe = uniqueness_probe(sol.spec, sol.split, trials, seed=cfg.seed, tol=cfg.tol)
+        report["uniqueness"] = dict(_report_fields(probe, "max_pairwise"),
+                                    maxPairwiseSup=probe.max_pairwise)
     fields = {"u.cmlgrid": Field(sol.u_values, TorusChart()), "v.cmlgrid": sol.v}
     return report, fields, 0
 
@@ -161,17 +168,10 @@ def _cmd_continue(cfg: RunConfig):
     scan_radius = _opt(cfg.options, "scan_radius", float, 1.0 / 16.0)
     sched = cusp_schedule(div, k_max=k_max, curvature=curvature)
     result = run_continuation(sched, n=cfg.n, tol=cfg.tol, scan_radius=scan_radius)
-    stages = [{"k": s.k, "betas": list(s.betas), "chi": s.chi, "area": s.area,
-               "gbDefect": s.gb_defect, "maxLocalMass": s.max_local_mass,
-               "solveIters": s.solve_iters, "cgIters": s.cg_iters,
-               "cgCapped": s.cg_capped, "ringsRejected": s.rings_rejected,
-               "residualNorm": s.residual_norm}
-              for s in result.stages]
     report = {
         "command": "continue-cusp", "grid": cfg.n, "tol": cfg.tol,
         "atoms": [list(p) for p in div.points], "targetBetas": list(div.betas),
-        "kMax": k_max, "curvature": curvature,
-        "stages": stages, "extrapolatedArea": result.extrapolated_area,
+        "kMax": k_max, "curvature": curvature, **_report_fields(result, "final"),
     }
     fields = {
         "u_final.cmlgrid": Field(result.final.u_values, TorusChart()),
@@ -181,21 +181,15 @@ def _cmd_continue(cfg: RunConfig):
 
 
 def _cmd_scan(cfg: RunConfig):
-    div, spec, curvature = _problem(cfg)
     radius = _opt(cfg.options, "radius", float, 1.0 / 16.0)
     threshold = _opt(cfg.options, "threshold", float, 1.0)
-    split = singular_part(div, cfg.n)
-    sol = newton_solve(spec, split, tol=cfg.tol)
+    sol, report = _solved(cfg)
     scan = no_bubble_scan(sol, (radius, radius / 2.0), threshold=threshold)
-    report = {
-        "command": "scan", "grid": cfg.n, "tol": cfg.tol,
-        "atoms": [list(p) for p in div.points], "betas": list(div.betas),
-        "curvature": curvature, "radii": list(scan.radii),
-        "threshold": threshold, "maxLocalMass": scan.max_mass,
-        "maxLocalArea": scan.max_area, "centersScanned": scan.centers_scanned,
-        "flags": [{"center": list(c), "r": r, "mass": m}
-                  for c, r, m in scan.flags],
-    }
+    report.update(_report_fields(scan, "max_mass", "max_area", "flags"),
+                  threshold=threshold, maxLocalMass=scan.max_mass,
+                  maxLocalArea=scan.max_area,
+                  flags=[{"center": list(c), "r": r, "mass": m}
+                         for c, r, m in scan.flags])
     fields = {"u.cmlgrid": Field(sol.u_values, TorusChart())}
     return report, fields, 2 if scan.flags else 0
 
@@ -211,17 +205,9 @@ def _cmd_three_circle(cfg: RunConfig):
         model = LinearCylinder(_opt(opt, "a", float, 0.0), _opt(opt, "b", float, -1.0))
         label = None
     rep = three_circle_check(model, kappa, length)
-    report = {
-        "command": "three-circle", "fixture": label,
-        "A": model.A, "B": model.B, "kappa": kappa, "length": length,
-        "hypothesisOk": rep.hypothesis_ok, "side": rep.side,
-        "fluxMin": rep.flux_min, "fluxMax": rep.flux_max,
-        "areaQ1": rep.area_q1, "areaQ2": rep.area_q2,
-        "closedForm": list(rep.closed_form) if rep.closed_form else None,
-        "decayBound": rep.decay_bound, "decayOk": rep.decay_ok,
-    }
-    code = 0 if (rep.hypothesis_ok and rep.decay_ok) else 2
-    return report, {}, code
+    report = {"command": "three-circle", "fixture": label, "A": model.A,
+              "B": model.B, "kappa": kappa, "length": length, **_report_fields(rep)}
+    return report, {}, 0 if (rep.hypothesis_ok and rep.decay_ok) else 2
 
 
 def _cmd_neck(cfg: RunConfig):
@@ -241,12 +227,10 @@ def _cmd_neck(cfg: RunConfig):
     report = {
         "command": "neck", "fixture": name, "k": k,
         "rIn": r_in, "rOut": r_out,
-        "supEfold": rep.sup_efold, "total": rep.total,
         "hypothesisViolation": violation,
         "efold_annuli": {"radii": list(rep.efold_radii),
                          "areas": list(rep.efold_areas)},
-        "dyadicRadii": list(rep.dyadic_radii),
-        "dyadicAreas": list(rep.dyadic_areas),
+        **_report_fields(rep, "efold_radii", "efold_areas"),
     }
     return report, {}, 2 if violation else 0
 
@@ -261,43 +245,33 @@ def _cmd_area_identity(cfg: RunConfig):
     hypothesis_fail = rep.violation or not (val.sign_ok and val.mass_ok
                                             and val.gradient_ok)
     report = {
-        "command": "area-identity", "fixture": name, "window": window,
+        "command": "area-identity", "fixture": name,
         "window_areas": [{"k": k, "area": a}
                          for k, a in zip(rep.ks, rep.window_areas)],
-        "defectsPerK": list(rep.defects_per_k),
-        "extrapolatedArea": rep.extrapolated_area, "errorBar": rep.error_bar,
-        "limitArea": rep.limit_area, "bubbleArea": rep.bubble_area,
-        "defect": rep.defect, "violation": rep.violation, "ghost": rep.ghost,
-        "validation": {"signOk": val.sign_ok, "massOk": val.mass_ok,
-                       "gradientOk": val.gradient_ok, "maxMass": val.max_mass,
-                       "maxGradient": val.max_gradient},
+        **_report_fields(rep, "ks", "window_areas"),
     }
     return report, {}, 2 if hypothesis_fail else 0
 
 
 def _cmd_report(cfg: RunConfig):
-    report = read_report(cfg.report_path)
-    return report, {}, 0
+    return read_report(cfg.report_path), {}, 0
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "continue-cusp": _cmd_continue,
-    "scan": _cmd_scan,
-    "three-circle": _cmd_three_circle,
-    "neck": _cmd_neck,
-    "area-identity": _cmd_area_identity,
-    "report": _cmd_report,
-}
-
-_HELP = {
-    "solve": "solve the prescribed-curvature problem for one divisor",
-    "continue-cusp": "run the cone-to-cusp continuation schedule",
-    "scan": "solve, then scan for concentrating curvature mass",
-    "three-circle": "segment-area decay check on a cylinder model",
-    "neck": "annulus-area profile of a neck region",
-    "area-identity": "bubble-tree area identity defect for a fixture",
-    "report": "re-emit plot CSVs from an existing report.json",
+# name -> (handler, help, keys of the command's config section)
+_COMMANDS = {
+    "solve": (_cmd_solve, "solve the prescribed-curvature problem for one divisor",
+              {"atoms", "betas", "curvature", "uniqueness_trials"}),
+    "continue-cusp": (_cmd_continue, "run the cone-to-cusp continuation schedule",
+                      {"atoms", "betas", "k_max", "curvature", "scan_radius"}),
+    "scan": (_cmd_scan, "solve, then scan for concentrating curvature mass",
+             {"atoms", "betas", "curvature", "radius", "threshold"}),
+    "three-circle": (_cmd_three_circle, "segment-area decay check on a cylinder model",
+                     {"fixture", "kappa", "length", "a", "b"}),
+    "neck": (_cmd_neck, "annulus-area profile of a neck region",
+             {"fixture", "k", "r_in", "r_out"}),
+    "area-identity": (_cmd_area_identity, "bubble-tree area identity defect for a fixture",
+                      {"fixture", "window"}),
+    "report": (_cmd_report, "re-emit plot CSVs from an existing report.json", set()),
 }
 
 
@@ -307,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conformal metrics with prescribed negative curvature: "
                     "solves, continuation, and concentration diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_text, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         if name == "report":
             sp.add_argument("report_path", help="path to an existing report.json")
         sp.add_argument("--config", help="INI config file")
@@ -323,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.command, args)
-        report, fields, code = _HANDLERS[args.command](cfg)
+        report, fields, code = _COMMANDS[args.command][0](cfg)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         write_report(cfg.out_dir / "report.json", report)
         emit_plot_data(report, cfg.out_dir)

@@ -108,8 +108,7 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
 def test_non_finite_quadrature_inputs_exit_1(tmp_path, capsys, command, section, message):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[{command}]\n{section}\n")
-    with np.errstate(invalid="ignore"):
-        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
 
@@ -260,13 +259,62 @@ def test_report_reemission_is_byte_identical(tmp_path):
                     "--out", str(second)]) == 1
 
 
+@pytest.mark.parametrize("command, section, keys, nested", [
+    ("solve", "uniqueness_trials = 1",
+     "area atoms betas cgCapped cgIters chi command curvature gbDefect grid "
+     "newtonIters residualNorm ringsRejected tol uniqueness",
+     {"uniqueness": "maxPairwiseSup residualNorms trials"}),
+    ("continue-cusp", "k_max = 2",
+     "atoms command curvature extrapolatedArea grid kMax stages targetBetas tol",
+     {"stages": "area betas cgCapped cgIters chi gbDefect k maxLocalMass "
+                "residualNorm ringsRejected solveIters"}),
+    ("scan", "",
+     "atoms betas centersScanned command curvature flags grid maxLocalArea "
+     "maxLocalMass radii threshold tol", {}),
+    ("three-circle", "",
+     "A B areaQ1 areaQ2 closedForm command decayBound decayOk fixture fluxMax "
+     "fluxMin hypothesisOk kappa length side", {}),
+    ("neck", "",
+     "command dyadicAreas dyadicRadii efold_annuli fixture hypothesisViolation "
+     "k rIn rOut supEfold total", {"efold_annuli": "areas radii"}),
+    ("area-identity", "",
+     "bubbleArea command defect defectsPerK errorBar extrapolatedArea fixture "
+     "ghost limitArea validation violation window window_areas",
+     {"validation": "gradientOk massOk maxGradient maxMass signOk",
+      "window_areas": "area k"}),
+])
+def test_report_key_sets(tmp_path, command, section, keys, nested):
+    # keys derived from result-dataclass field names must not move when a
+    # field is renamed; a nested list is checked through its first entry
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\n{section}\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out),
+                    "--grid", "32"]) in (0, 2)
+    rep = read_report(out / "report.json")
+    assert sorted(rep) == keys.split()
+    for key, sub in nested.items():
+        entry = rep[key][0] if isinstance(rep[key], list) else rep[key]
+        assert sorted(entry) == sub.split()
+
+
 # Runs CLI commands (a JSON list of argv lists) in a fresh interpreter and
-# prints their exit codes and the scipy modules loaded.
+# prints their exit codes, the scipy modules loaded and the messages of any
+# CurvatureSignError raised by CG (the guard tests/conftest.py keeps in process).
 _SCIPY_PROBE = """
 import json, sys
-import cmlab, cmlab.cli
+import cmlab, cmlab.cli, cmlab.solver
+from cmlab.errors import CurvatureSignError
+sign_errors, cg = [], cmlab.solver._cg
+def guarded(*args, **kwargs):
+    try:
+        return cg(*args, **kwargs)
+    except CurvatureSignError as exc:
+        sign_errors.append(str(exc))
+        raise
+cmlab.solver._cg = guarded
 codes = [cmlab.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes,
+print(json.dumps({"codes": codes, "sign_errors": sign_errors,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
@@ -287,6 +335,7 @@ def test_diagnostics_commands_never_load_scipy(tmp_path):
     got = _fresh_cli_run(tmp_path, ["three-circle"], ["neck"], ["area-identity"],
                          ["report", str(rep)])
     assert got["codes"] == [0, 2, 0, 0]
+    assert got["sign_errors"] == []
     assert got["scipy"] == []
     assert (tmp_path / "report" / "stages.csv").exists()
 
@@ -294,4 +343,5 @@ def test_diagnostics_commands_never_load_scipy(tmp_path):
 def test_solve_loads_scipy_fft(tmp_path):
     got = _fresh_cli_run(tmp_path, ["solve", "--grid", "16"])
     assert got["codes"] == [0]
+    assert got["sign_errors"] == []
     assert "scipy.fft" in got["scipy"]
