@@ -150,6 +150,8 @@ def _solved(cfg: RunConfig):
 
 def _cmd_solve(cfg: RunConfig):
     trials = _opt(cfg.options, "uniqueness_trials", int, 0)
+    if trials < 0:
+        raise ConfigError(f"uniqueness_trials = {trials} is negative; 0 means no probe")
     sol, report = _solved(cfg)
     report.update(_report_fields(sol, "split", "spec", "v", "area_parts"),
                   chi=euler_characteristic("torus", sol.split.divisor),
@@ -199,6 +201,10 @@ def _cmd_three_circle(cfg: RunConfig):
     kappa = _opt(opt, "kappa", float, 0.5)
     length = _opt(opt, "length", float, 10.0)
     if "fixture" in opt:
+        clash = sorted({"a", "b"} & opt.keys())
+        if clash:
+            raise ConfigError(f"fixture conflicts with {clash}: a fixture "
+                              "fixes its own cylinder parameters")
         model = load_fixture(opt["fixture"]).cylinder()
         label = opt["fixture"]
     else:

@@ -100,7 +100,8 @@ class TorusGreen:
         return self.remainder_at(x, y) - cutoff(d) * np.log(d) / TAU
 
 
-# 8 kernels hold 128 MB at n = 1024; a fine solve uses 1 key and a two-cusp ladder 2
+# 8 kernels hold 128 MB at n = 1024; a one-atom fine solve uses 2 keys (n and
+# its n/4 start) and a two-cusp ladder 2
 @lru_cache(maxsize=8)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     chart = TorusChart()

@@ -104,6 +104,12 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     ("area-identity", "fixture = hyperbolic-cusp\nwindow = 2.0",
      "profile is not finite on the circle"),
     ("three-circle", "b = nan", "linear cylinder needs finite A and B"),
+    # a fixture fixes A and B; a or b beside it named a different cylinder
+    ("three-circle", "fixture = linear-cylinder\nb = 0.2", "fixture conflicts with ['b']"),
+    ("three-circle", "fixture = linear-cylinder\na = 0.1\nb = 0.2",
+     "fixture conflicts with ['a', 'b']"),
+    # 0 means no probe; a negative count used to skip it silently
+    ("solve", "uniqueness_trials = -3", "uniqueness_trials = -3 is negative"),
 ])
 def test_non_finite_quadrature_inputs_exit_1(tmp_path, capsys, command, section, message):
     cfg = tmp_path / "cfg.ini"

@@ -14,6 +14,7 @@ from cmlab.measures import Divisor
 from cmlab.models import cone_radial_length, cusp_profile, cusp_radial_length
 from cmlab.solver import (
     CurvatureSpec,
+    default_initial_guess,
     jacobian_apply,
     metric_area,
     newton_solve,
@@ -274,3 +275,75 @@ def test_uniqueness_probe_rejects_no_trials():
     for trials in (0, -1):
         with pytest.raises(ValueError):
             uniqueness_probe(CurvatureSpec(-1.0), split, trials=trials)
+
+
+def _solver_splits(monkeypatch):
+    """Grid sizes of the singular_part calls the solver makes from now on."""
+    calls = []
+    real = cmlab.solver.singular_part
+
+    def counted(div, n):
+        calls.append(n)
+        return real(div, n)
+
+    monkeypatch.setattr(cmlab.solver, "singular_part", counted)
+    return calls
+
+
+def test_coarse_start_gives_the_default_start_answer(monkeypatch):
+    calls = _solver_splits(monkeypatch)
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
+    spec = CurvatureSpec(-1.0)
+    nested = newton_solve(spec, split)
+    plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
+    assert calls == [128]  # only the default start solves on the n/4 grid
+    assert float(np.abs(nested.v.values - plain.v.values).max()) <= 1e-12
+    assert nested.area == pytest.approx(plain.area, rel=1e-14)
+    assert nested.newton_iters <= plain.newton_iters
+
+
+def test_coarse_start_falls_back_when_the_coarse_grid_rejects_an_atom(monkeypatch):
+    # 2e-8 of a fine cell off a node passes the n = 512 on-node test (1e-8),
+    # but it is 5e-9 of a cell at n = 128, where singular_part refuses it
+    n = 512
+    div = Divisor(((128 / n + 2e-8 / n, 0.75),), (-0.5,))
+    split = singular_part(div, n)
+    with pytest.raises(ValueError):
+        singular_part(div, n // 4)
+    calls = _solver_splits(monkeypatch)
+    spec = CurvatureSpec(-1.0)
+    sol = newton_solve(spec, split)
+    plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
+    assert calls == [128]
+    assert (sol.newton_iters, sol.cg_iters) == (plain.newton_iters, plain.cg_iters)
+    np.testing.assert_array_equal(sol.v.values, plain.v.values)
+
+
+def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
+    # Field curvature and forcing reach the n/4 grid by injection
+    n = 512
+    k = sample(lambda x, y: -1.0 - 0.5 * np.cos(TAU * x) * np.sin(TAU * y),
+               TorusChart(), n)
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
+    v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y),
+                     TorusChart(), n)
+    spec = CurvatureSpec(k, forcing=residual(v_exact, CurvatureSpec(k), split))
+    calls = _solver_splits(monkeypatch)
+    sol = newton_solve(spec, split)
+    assert calls == [128]
+    assert sol.residual_norm <= 1e-10
+    # the coarse solve of the injected problem starts inside the fine
+    # quadratic basin (1 step measured); a transposed or shifted injection
+    # measured 5 and 3 steps, the default guess 6
+    assert sol.newton_iters <= 2
+    plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
+    assert sol.area == pytest.approx(plain.area, rel=1e-12)
+
+
+def test_uniqueness_probe_keeps_fine_starts(monkeypatch):
+    # random starts must begin on the fine grid, or the probe tests less
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
+    calls = _solver_splits(monkeypatch)
+    rep = uniqueness_probe(CurvatureSpec(-1.0), split, trials=2, seed=3)
+    assert calls == []
+    assert rep.max_pairwise < 1e-8
