@@ -28,13 +28,18 @@ TAU = 2.0 * math.pi
 
 
 def get_workers() -> int:
-    """Worker count for FFT calls, capped by the CML_THREADS env var."""
+    """Worker count for FFT calls: the CML_THREADS env var, 1 when unset.
+
+    A value that is not an integer of at least 1 raises ValueError.
+    """
     raw = os.environ.get("CML_THREADS", "1")
     try:
         workers = int(raw)
     except ValueError as exc:
         raise ValueError(f"CML_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, workers)
+    if workers < 1:
+        raise ValueError(f"CML_THREADS must be at least 1, got {raw!r}")
+    return workers
 
 
 def rfft2(a: np.ndarray) -> np.ndarray:

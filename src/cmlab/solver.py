@@ -14,11 +14,14 @@ exceeds the default tolerance). v is real, so the state is its half
 spectrum (``rfft2``), and every transform is a real one of half size.
 
 One operator evaluates the residual and applies its Jacobian; the public
-``residual`` and ``jacobian_apply``, the default guess and the solver all
-use it. The inner CG carries each search direction twice, as samples p and
-as half spectrum p^, and accumulates the Newton step spectrally, so one CG
-iteration costs exactly three transforms: irfft2(k2 p^) for -Delta p,
-rfft2(r) for the preconditioner and irfft2(z^) for z.
+``residual`` and ``jacobian_apply``, the default guess and the Newton loop
+all use it. The inner CG carries each search direction twice, as samples p
+and as half spectrum p^, and accumulates the Newton step spectrally. It
+applies the same Jacobian -Delta + W but gets -Delta p without a transform:
+the preconditioner solve (k2 + c) z^ = r^, with the shift c below, gives
+-Delta z = r - c z exactly, and p is a linear recurrence in z, so -Delta p
+follows the same recurrence. One CG iteration therefore costs exactly two
+transforms: rfft2(r) for the preconditioner and irfft2(z^) for z.
 
 The preconditioner is the spectral inverse (-Delta + c)^-1 with the shift
 c = mean(W). -Delta does not see the constant mode, and mean(W) is the
@@ -177,19 +180,29 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
 def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
     """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1.
 
+    The preconditioner solve (k2 + shift) z^ = r^ fixes -Delta z = r - shift z
+    with no transform, and p = z + beta p is linear in z, so lp = -Delta p
+    follows as lp = (r - shift z) + beta lp. The identity only multiplies r^
+    by k2 / (k2 + shift) <= 1, so round-off is not amplified by (pi n)^2 as
+    a transform of k2 p^ would be. One iteration costs one rfft2(r) and one
+    irfft2(z^).
+
     Returns (half spectrum of x, iterations, whether _CG_MAXITER cut it short).
     """
     n = op.n
     denom = op.k2 + shift
     r = b.copy()
-    zhat = rfft2(r) / denom
+    zhat = rfft2(r)
+    zhat /= denom
     z = irfft2(zhat, n)
-    p, phat = z, zhat
+    p, phat, lp = z, zhat, r - shift * z
+    Ap = np.empty_like(r)
     xhat = np.zeros_like(zhat)
     rz = float((r * z).sum())
     bnorm = math.sqrt(float((b * b).sum()))
     for iters in range(1, _CG_MAXITER + 1):
-        Ap = op.jacobian(W, p, phat)
+        np.multiply(W, p, out=Ap)
+        Ap += lp
         pAp = float((p * Ap).sum())
         if pAp <= 0.0:
             raise CurvatureSignError(
@@ -197,15 +210,25 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
                 "operator is not definite")
         alpha = rz / pAp
         xhat += alpha * phat
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
         if math.sqrt(float((r * r).sum())) <= _CG_RTOL * bnorm:
             return xhat, iters, False
-        zhat = rfft2(r) / denom
+        del z, zhat  # free the previous pair before the transforms allocate
+        zhat = rfft2(r)
+        zhat /= denom
         z = irfft2(zhat, n)
         rz_next = float((r * z).sum())
         beta = rz_next / rz
-        p = z + beta * p
-        phat = zhat + beta * phat
+        # Ap is free until the next product: it takes -Delta z = r - shift z
+        np.multiply(z, shift, out=Ap)
+        np.subtract(r, Ap, out=Ap)
+        p *= beta
+        p += z
+        phat *= beta
+        phat += zhat
+        lp *= beta
+        lp += Ap
         rz = rz_next
     return xhat, _CG_MAXITER, True
 

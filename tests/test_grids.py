@@ -16,6 +16,7 @@ from cmlab.grids import (
     conformal_area,
     constant,
     gauss_legendre,
+    get_workers,
     half_laplacian_multiplier,
     integral,
     interpolate,
@@ -27,6 +28,20 @@ from cmlab.grids import (
     wrap_half,
 )
 from oracles import fd_neg_laplacian_periodic
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "x"])
+def test_get_workers_rejects_non_positive_and_non_integer(monkeypatch, raw):
+    monkeypatch.setenv("CML_THREADS", raw)
+    with pytest.raises(ValueError, match=repr(raw)):
+        get_workers()
+
+
+def test_get_workers_reads_cml_threads(monkeypatch):
+    monkeypatch.delenv("CML_THREADS", raising=False)
+    assert get_workers() == 1
+    monkeypatch.setenv("CML_THREADS", "2")
+    assert get_workers() == 2
 
 
 def test_field_validation():
