@@ -461,14 +461,13 @@ def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
     +-2 pi kappa with a fixed sign at 65 evenly spaced t in [0, 2L]),
     computes Area(Q_1) and Area(Q_2), and checks
     Area(Q_2) < e^{-kappa L / 2} Area(Q_1) (mirrored for the positive side).
-    For the exact linear model the closed-form segment areas are attached.
+    `model` is a callable u(t, theta) or a LinearCylinder, whose closed-form
+    segment areas are attached.
     A failed hypothesis is reported, never silently passed; kappa and L
     must be positive and finite.
     """
     if not (0.0 < kappa < math.inf and 0.0 < L < math.inf):
         raise ValueError(f"need finite kappa > 0 and L > 0, got {kappa:g}, {L:g}")
-    if isinstance(model, SyntheticFamily):
-        model = model.cylinder()
     closed = None
     if isinstance(model, LinearCylinder):
         closed = (model.segment_area(1, L), model.segment_area(2, L))
@@ -588,8 +587,10 @@ def area_identity_check(fam: SyntheticFamily, window: float = 0.5) -> AreaIdenti
     limit is a least-squares fit of the last four points against the
     family's declared rate sequence, reported with an extrapolation error
     bar. Families outside both curvature sign classes keep their defect
-    and are flagged as hypothesis violations.
+    and are flagged as hypothesis violations. `window` must be in (0, inf).
     """
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {window}")
     ks = list(fam.k_values())
     areas = [fam.window_area(k, window) for k in ks]
     limit_area = fam.limit_window_area(window)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from configparser import ConfigParser, Error as IniError
 from pathlib import Path
@@ -46,8 +47,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 8 or self.n & (self.n - 1):
             raise ConfigError(f"grid resolution {self.n} is not a power of two >= 8")
-        if not self.tol > 0:
-            raise ConfigError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
 
 
 def _parse_pairs(text: str):

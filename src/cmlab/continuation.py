@@ -227,30 +227,20 @@ class ScanReport:
     centers_scanned: int
 
 
-def no_bubble_scan(sol, radii, threshold: float = 1.0,
-                   curvature: float | Field | None = None) -> ScanReport:
+def no_bubble_scan(sol: Solution, radii, threshold: float = 1.0) -> ScanReport:
     """Largest curvature mass and area over scanned disks away from atoms.
 
     Disk masses of |K| e^{2u} are computed for every grid center at once by
     periodic convolution with the disk indicator, then read off on the
     coarse sublattice of stride n/16 (16 x 16 centers; every node at n = 8),
-    skipping centers within radius + 8/n of a divisor atom. A center is
-    flagged when its mass reaches `threshold` (the concentration proxy).
+    skipping centers within radius + 8/n of a divisor atom; radii lie in
+    (0, 1/2). A center is flagged when its mass reaches `threshold` (the
+    concentration proxy).
     """
-    if isinstance(sol, Solution):
-        u = sol.u_values
-        n = u.shape[0]
-        K = sol.spec.values(n)
-        atoms = sol.split.divisor.points
-    else:
-        if curvature is None:
-            raise ValueError("a bare field needs an explicit curvature")
-        if not isinstance(sol.chart, TorusChart):
-            raise ValueError("the scan is defined on the torus chart")
-        u = sol.values
-        n = u.shape[0]
-        K = curvature.values if isinstance(curvature, Field) else float(curvature)
-        atoms = ()
+    u = sol.u_values
+    n = u.shape[0]
+    K = sol.spec.values(n)
+    atoms = sol.split.divisor.points
     e2u = np.exp(2.0 * u)
     mass_hat = rfft2(np.abs(K) * e2u / (n * n))
     area_hat = rfft2(e2u / (n * n))
@@ -263,6 +253,8 @@ def no_bubble_scan(sol, radii, threshold: float = 1.0,
     flags = []
     scanned = 0
     for r in radii:
+        if not 0.0 < r < 0.5:
+            raise ValueError(f"scan radius {r} is outside (0, 1/2)")
         disk = (d0 <= r).astype(float)
         dhat = rfft2(disk)
         masses = irfft2(mass_hat * dhat, n)
@@ -272,6 +264,8 @@ def no_bubble_scan(sol, radii, threshold: float = 1.0,
         for (ax, ay) in atoms:
             dist = torus_distance(cx / n, cy / n, ax, ay)
             keep &= dist > r + 8.0 / n
+        if not keep.any():
+            raise ValueError(f"atoms exclude every scan center at radius {r}")
         scanned += int(keep.sum())
         m_here = masses[cx, cy]
         a_here = areas[cx, cy]

@@ -191,20 +191,15 @@ def neg_laplacian(values: np.ndarray) -> np.ndarray:
     return irfft2(half_laplacian_multiplier(n) * rfft2(values), n)
 
 
-def poisson_mean_zero(rhs):
-    """Solve -Delta w = rhs - mean(rhs) on the torus; returns the mean-zero w.
-
-    Accepts a Field or a raw array and returns the matching type.
-    """
-    values = rhs.values if isinstance(rhs, Field) else np.asarray(rhs, dtype=float)
-    n = values.shape[0]
+def poisson_mean_zero(rhs: np.ndarray) -> np.ndarray:
+    """Samples of the mean-zero w with -Delta w = rhs - mean(rhs) on the torus."""
+    n = rhs.shape[0]
     k2 = half_laplacian_multiplier(n)
-    rhat = rfft2(values)
+    rhat = rfft2(rhs)
     what = np.zeros_like(rhat)
     mask = k2 > 0
     what[mask] = rhat[mask] / k2[mask]
-    out = irfft2(what, n)
-    return Field(out, TorusChart()) if isinstance(rhs, Field) else out
+    return irfft2(what, n)
 
 
 def wrap_half(a: np.ndarray) -> np.ndarray:

@@ -135,8 +135,8 @@ def write_csv(path, header: list, rows) -> None:
 def emit_plot_data(report: dict, out_dir) -> list:
     """Write plottable CSV series for every series-like key in a report.
 
-    Returns the list of paths written. Known series: continuation stages
-    (stage,area,gbDefect), flux profiles (r,flux), annulus areas
+    Returns the list of paths written. Known series, one per command that
+    emits one: continuation stages (stage,area,gbDefect), annulus areas
     (index,r,area), per-index family areas (k,area).
     """
     out_dir = Path(out_dir)
@@ -147,13 +147,6 @@ def emit_plot_data(report: dict, out_dir) -> list:
         path = out_dir / "stages.csv"
         write_csv(path, ["stage", "area", "gbDefect"], rows)
         written.append(path)
-    for key in ("flux_profile", "outer_flux", "inner_flux"):
-        if key in report:
-            prof = report[key]
-            rows = list(zip(prof["radii"], prof["flux"]))
-            path = out_dir / f"{key}.csv"
-            write_csv(path, ["r", "flux"], rows)
-            written.append(path)
     if "efold_annuli" in report:
         rows = [(i, r, a) for i, (r, a) in
                 enumerate(zip(report["efold_annuli"]["radii"],

@@ -15,13 +15,13 @@ spectrum (``rfft2``), and every transform is a real one of half size.
 
 One operator evaluates the residual and applies its Jacobian; the public
 ``residual`` and ``jacobian_apply``, the default guess and the Newton loop
-all use it. The inner CG carries each search direction twice, as samples p
-and as half spectrum p^, and accumulates the Newton step spectrally. It
-applies the same Jacobian -Delta + W but gets -Delta p without a transform:
-the preconditioner solve (k2 + c) z^ = r^, with the shift c below, gives
--Delta z = r - c z exactly, and p is a linear recurrence in z, so -Delta p
-follows the same recurrence. One CG iteration therefore costs exactly two
-transforms: rfft2(r) for the preconditioner and irfft2(z^) for z.
+all use it. The inner CG works on samples and applies the same Jacobian
+-Delta + W, but gets -Delta p without a transform: the preconditioner
+solve (k2 + c) z^ = r^, with the shift c below, gives -Delta z = r - c z
+exactly, and p is a linear recurrence in z, so -Delta p follows the same
+recurrence. One CG iteration therefore costs exactly two transforms,
+rfft2(r) for the preconditioner and irfft2(z^) for z, and each inner
+solve ends with one rfft2 of its step for the Newton state.
 
 The preconditioner is the spectral inverse (-Delta + c)^-1 with the shift
 c = mean(W). -Delta does not see the constant mode, and mean(W) is the
@@ -180,12 +180,13 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
 def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
     """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1.
 
-    The preconditioner solve (k2 + shift) z^ = r^ fixes -Delta z = r - shift z
-    with no transform, and p = z + beta p is linear in z, so lp = -Delta p
-    follows as lp = (r - shift z) + beta lp. The identity only multiplies r^
-    by k2 / (k2 + shift) <= 1, so round-off is not amplified by (pi n)^2 as
-    a transform of k2 p^ would be. One iteration costs one rfft2(r) and one
-    irfft2(z^).
+    CG works on samples. The preconditioner solve (k2 + shift) z^ = r^ fixes
+    -Delta z = r - shift z with no transform, and p = z + beta p is linear
+    in z, so lp = -Delta p follows as lp = (r - shift z) + beta lp. The
+    identity only multiplies r^ by k2 / (k2 + shift) <= 1, so round-off is
+    not amplified by (pi n)^2 as a transform of k2 p^ would be. One
+    iteration costs one rfft2(r) and one irfft2(z^), and the solve ends with
+    one rfft2(x).
 
     Returns (half spectrum of x, iterations, whether _CG_MAXITER cut it short).
     """
@@ -195,9 +196,9 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
     zhat = rfft2(r)
     zhat /= denom
     z = irfft2(zhat, n)
-    p, phat, lp = z, zhat, r - shift * z
+    p, lp = z, r - shift * z
     Ap = np.empty_like(r)
-    xhat = np.zeros_like(zhat)
+    x = np.zeros_like(r)
     rz = float((r * z).sum())
     bnorm = math.sqrt(float((b * b).sum()))
     for iters in range(1, _CG_MAXITER + 1):
@@ -209,11 +210,11 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
                 "CG met a non-positive curvature direction; the linearized "
                 "operator is not definite")
         alpha = rz / pAp
-        xhat += alpha * phat
+        x += alpha * p
         Ap *= alpha
         r -= Ap
         if math.sqrt(float((r * r).sum())) <= _CG_RTOL * bnorm:
-            return xhat, iters, False
+            return rfft2(x), iters, False
         del z, zhat  # free the previous pair before the transforms allocate
         zhat = rfft2(r)
         zhat /= denom
@@ -225,12 +226,10 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
         np.subtract(r, Ap, out=Ap)
         p *= beta
         p += z
-        phat *= beta
-        phat += zhat
         lp *= beta
         lp += Ap
         rz = rz_next
-    return xhat, _CG_MAXITER, True
+    return rfft2(x), _CG_MAXITER, True
 
 
 def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
@@ -349,8 +348,8 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
                 "approach it through a continuation schedule")
     if not spec.sup() < 0.0:
         raise ValueError("curvature must have a negative upper bound")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
     op = _operator(spec, split)
     vhat = None

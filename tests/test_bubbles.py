@@ -223,9 +223,8 @@ def test_three_circle_flat_cylinder_fails_hypothesis():
     assert rep.flux_min == pytest.approx(0.0, abs=1e-9)
 
 
-def test_three_circle_accepts_family_and_callable():
-    fam = load_fixture("linear-cylinder")
-    rep = three_circle_check(fam, kappa=0.5, L=10.0)
+def test_three_circle_accepts_cylinder_and_callable():
+    rep = three_circle_check(load_fixture("linear-cylinder").cylinder(), kappa=0.5, L=10.0)
     assert rep.closed_form is not None and rep.decay_ok
 
     def u(t, theta):

@@ -3,15 +3,18 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cmlab
-from cmlab.cli import main
+from cmlab.cli import _COMMANDS, _RUN_KEYS, build_parser, load_config, main
+from cmlab.errors import ConfigError
 from cmlab.grids import TAU, TorusChart
 from cmlab.io import read_field, read_report
 
@@ -80,6 +83,31 @@ def test_config_errors_exit_1(tmp_path, capsys):
                     "--out", str(tmp_path / "o")]) == 1
     assert run_cli(["solve", "--grid", "100", "--out", str(tmp_path / "o")]) == 1
     capsys.readouterr()
+    # an infinite tolerance used to skip the solve and fail only on writing
+    assert run_cli(["solve", "--tol", "inf", "--out", str(tmp_path / "o")]) == 1
+    assert "tolerance must be positive and finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_COMMANDS)),
+       name=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
+       where=st.sampled_from(["section", "run", "command"]))
+def test_unknown_ini_section_or_key_is_named(tmp_path, command, name, where):
+    if where == "section":
+        assume(name not in ("run", command))
+        text, named = f"[{name}]\nx = 1\n", f"section [{name}]"
+    else:
+        sec = "run" if where == "run" else command
+        assume(name not in (_RUN_KEYS if where == "run" else _COMMANDS[command][2]))
+        text, named = f"[{sec}]\n{name} = 1\n", f"unknown keys ['{name}']"
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    report = ["report.json"] if command == "report" else []
+    args = build_parser().parse_args([command, *report, "--config", str(cfg)])
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(command, args)
 
 
 @pytest.mark.parametrize("command, section", [
@@ -110,6 +138,13 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
      "fixture conflicts with ['a', 'b']"),
     # 0 means no probe; a negative count used to skip it silently
     ("solve", "uniqueness_trials = -3", "uniqueness_trials = -3 is negative"),
+    # a negative radius scans empty disks and can never flag; one of 1/2 or
+    # more wraps the torus, and at 0.7 atoms exclude every center
+    ("scan", "radius = -0.1", "scan radius -0.1 is outside (0, 1/2)"),
+    ("scan", "radius = 0.7", "scan radius 0.7 is outside (0, 1/2)"),
+    ("continue-cusp", "scan_radius = 0.7", "scan radius 0.7 is outside (0, 1/2)"),
+    ("area-identity", "window = 0", "window must be positive and finite, got 0.0"),
+    ("area-identity", "window = -1", "window must be positive and finite, got -1.0"),
 ])
 def test_non_finite_quadrature_inputs_exit_1(tmp_path, capsys, command, section, message):
     cfg = tmp_path / "cfg.ini"

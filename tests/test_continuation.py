@@ -18,7 +18,7 @@ from cmlab.green import singular_part
 from cmlab.grids import TAU, DiskChart, Field, TorusChart, constant, sample
 from cmlab.measures import Divisor
 from cmlab.models import cap_disk_area, cap_profile
-from cmlab.solver import CurvatureSpec, newton_solve, solve_divisor
+from cmlab.solver import CurvatureSpec, Solution, newton_solve, solve_divisor
 
 
 def test_cusp_schedule_weights():
@@ -172,12 +172,19 @@ def test_mollify_curvature():
             mollify_curvature(const, 3, lam)
 
 
+def _unsolved(div: Divisor, curvature: float, v: Field) -> Solution:
+    """A Solution holding `v` as given, for scans of a chosen field."""
+    return Solution(split=singular_part(div, v.n), spec=CurvatureSpec(curvature), v=v,
+                    residual_norm=0.0, area=0.0, gb_defect=0.0, newton_iters=0,
+                    cg_iters=0, cg_capped=0, area_parts=None)
+
+
 def test_no_bubble_scan_flags_concentration():
     # a lam = 0.05 spherical bump inside a 1/8 disk carries curvature mass
     # 4 pi r^2 / (lam^2 + r^2), far above the threshold
     lam = 0.05
-    u = sample(cap_profile(lam, center=(0.5, 0.5)), TorusChart(), 256)
-    rep = no_bubble_scan(u, radii=(0.125,), curvature=1.0)
+    cap = sample(cap_profile(lam, center=(0.5, 0.5)), TorusChart(), 256)
+    rep = no_bubble_scan(_unsolved(Divisor((), ()), 1.0, cap), radii=(0.125,))
     want = cap_disk_area(lam, 0.125)
     assert rep.max_mass == pytest.approx(want, rel=2e-2)
     assert rep.flags
@@ -191,8 +198,14 @@ def test_no_bubble_scan_clean_solution():
     assert rep.flags == ()
     assert rep.max_mass < 1.0
     assert rep.max_area < rep.max_mass + 1e-12  # |K| = 1 makes them equal
-    with pytest.raises(ValueError):
-        no_bubble_scan(sol.v, radii=(0.1,))  # bare field needs a curvature
-    with pytest.raises(ValueError):
-        no_bubble_scan(constant(0.0, DiskChart(1.0), 32), radii=(0.1,),
-                       curvature=-1.0)
+    for r in (0.0, -0.1, 0.5, math.nan):
+        with pytest.raises(ValueError, match=r"outside \(0, 1/2\)"):
+            no_bubble_scan(sol, radii=(1.0 / 16.0, r))
+
+
+def test_no_bubble_scan_needs_a_center():
+    # at r = 0.3 every center lies within r + 8/n of one of the four atoms
+    pts = ((0.01, 0.01), (0.51, 0.01), (0.01, 0.51), (0.51, 0.51))
+    sol = _unsolved(Divisor(pts, (-0.5,) * 4), -1.0, constant(0.0, TorusChart(), 64))
+    with pytest.raises(ValueError, match="atoms exclude every scan center at radius 0.3"):
+        no_bubble_scan(sol, radii=(0.3,))

@@ -97,9 +97,9 @@ def test_poisson_mean_zero_manufactured():
     n = 64
     g = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), TorusChart(), n)
     f = Field((TAU ** 2 * 5.0) * g.values, TorusChart())
-    sol = poisson_mean_zero(f)
-    assert np.abs(sol.values - g.values).max() < 1e-12
-    assert abs(sol.values.mean()) < 1e-14
+    sol = poisson_mean_zero(f.values)
+    assert np.abs(sol - g.values).max() < 1e-12
+    assert abs(sol.mean()) < 1e-14
 
 
 def test_half_laplacian_multiplier_is_rfft_width():

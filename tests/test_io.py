@@ -223,13 +223,12 @@ def test_emit_plot_data_series(tmp_path):
             {"k": 1, "area": 3.0, "gbDefect": 1e-12},
             {"k": 2, "area": 4.5, "gbDefect": 2e-12},
         ],
-        "flux_profile": {"radii": [0.1, 0.2], "flux": [-3.1, -3.0]},
         "efold_annuli": {"radii": [0.5, 0.25], "areas": [1.0, 0.5]},
         "window_areas": [{"k": 1, "area": 2.0}],
     }
     written = emit_plot_data(report, tmp_path)
     names = sorted(p.name for p in written)
-    assert names == ["annuli.csv", "flux_profile.csv", "stages.csv", "window_areas.csv"]
+    assert names == ["annuli.csv", "stages.csv", "window_areas.csv"]
     assert (tmp_path / "stages.csv").read_text().splitlines()[0] == "stage,area,gbDefect"
     assert len((tmp_path / "annuli.csv").read_text().splitlines()) == 3
 

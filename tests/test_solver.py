@@ -57,6 +57,10 @@ def test_solver_validation():
         newton_solve(CurvatureSpec(0.0), split)  # sup K must be negative
     with pytest.raises(ValueError):
         newton_solve(CurvatureSpec(-1.0), split, tol=0.0)
+    # an infinite tolerance used to return the unsolved default guess
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            solve_divisor(((0.3, 0.7),), (-0.5,), n=64, tol=tol)
     with pytest.raises(ValueError):
         newton_solve(CurvatureSpec(-1.0), split,
                      v0=constant(0.0, TorusChart(), 32))
