@@ -18,7 +18,7 @@ from configparser import ConfigParser, Error as IniError
 from pathlib import Path
 
 from .bubbles import area_identity_check, load_fixture, neck_area_profile, three_circle_check
-from .continuation import cusp_schedule, no_bubble_scan, run_continuation
+from .continuation import check_scan, cusp_schedule, no_bubble_scan, run_continuation
 from .errors import CmlabError, ConfigError
 from .grids import Field, TorusChart
 from .io import emit_plot_data, read_report, write_field, write_report
@@ -186,8 +186,10 @@ def _cmd_continue(cfg: RunConfig):
 def _cmd_scan(cfg: RunConfig):
     radius = _opt(cfg.options, "radius", float, 1.0 / 16.0)
     threshold = _opt(cfg.options, "threshold", float, 1.0)
+    radii = (radius, radius / 2.0)
+    check_scan(radii, threshold)
     sol, report = _solved(cfg)
-    scan = no_bubble_scan(sol, (radius, radius / 2.0), threshold=threshold)
+    scan = no_bubble_scan(sol, radii, threshold=threshold)
     report.update(_report_fields(scan, "max_mass", "max_area", "flags"),
                   threshold=threshold, maxLocalMass=scan.max_mass,
                   maxLocalArea=scan.max_area,

@@ -139,6 +139,7 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
     declared, the grid area must respect -2 pi chi / lam <= area <= -2 pi chi lam.
     The extrapolated area removes the leading 2^{-k} term from the tail.
     """
+    check_scan((scan_radius,))
     chi_target = euler_characteristic("torus", sched.target)
     if chi_target >= 0.0:
         raise InfeasibleTopology(
@@ -218,6 +219,16 @@ def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
     return Field(np.clip(smoothed, -lam, -1.0 / lam), TorusChart())
 
 
+def check_scan(radii, threshold: float = 1.0) -> None:
+    """Raise ValueError unless every scan radius lies in (0, 1/2) and
+    0 < threshold < inf. Scanning callers check before their first solve."""
+    for r in radii:
+        if not 0.0 < r < 0.5:
+            raise ValueError(f"scan radius {r} is outside (0, 1/2)")
+    if not 0.0 < threshold < np.inf:
+        raise ValueError(f"threshold must satisfy 0 < threshold < inf, got {threshold}")
+
+
 @dataclass(frozen=True)
 class ScanReport:
     radii: tuple
@@ -233,10 +244,11 @@ def no_bubble_scan(sol: Solution, radii, threshold: float = 1.0) -> ScanReport:
     Disk masses of |K| e^{2u} are computed for every grid center at once by
     periodic convolution with the disk indicator, then read off on the
     coarse sublattice of stride n/16 (16 x 16 centers; every node at n = 8),
-    skipping centers within radius + 8/n of a divisor atom; radii lie in
-    (0, 1/2). A center is flagged when its mass reaches `threshold` (the
-    concentration proxy).
+    skipping centers within radius + 8/n of a divisor atom; `check_scan`
+    bounds the radii and `threshold`. A center is flagged when its mass
+    reaches `threshold` (the concentration proxy).
     """
+    check_scan(radii, threshold)
     u = sol.u_values
     n = u.shape[0]
     K = sol.spec.values(n)
@@ -253,8 +265,6 @@ def no_bubble_scan(sol: Solution, radii, threshold: float = 1.0) -> ScanReport:
     flags = []
     scanned = 0
     for r in radii:
-        if not 0.0 < r < 0.5:
-            raise ValueError(f"scan radius {r} is outside (0, 1/2)")
         disk = (d0 <= r).astype(float)
         dhat = rfft2(disk)
         masses = irfft2(mass_hat * dhat, n)

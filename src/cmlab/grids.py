@@ -18,7 +18,6 @@ All operations treat Field values as immutable.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,38 +26,21 @@ import numpy as np
 TAU = 2.0 * math.pi
 
 
-def get_workers() -> int:
-    """Worker count for FFT calls: the CML_THREADS env var, 1 when unset.
-
-    A value that is not an integer of at least 1 raises ValueError.
-    """
-    raw = os.environ.get("CML_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CML_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ValueError(f"CML_THREADS must be at least 1, got {raw!r}")
-    return workers
-
-
 def rfft2(a: np.ndarray) -> np.ndarray:
     """Half spectrum of a real n-by-n array: shape (n, n//2 + 1).
 
-    ``scipy.fft`` is imported here, not at module level, so that commands
-    which never transform (the bubble and measure diagnostics) start
-    without loading it.
+    Two passes of numpy's pocketfft, real along the rows and then complex
+    in place down the columns, single-threaded. At the power-of-two sizes
+    a Field allows, this pair equals ``scipy.fft.rfft2``/``irfft2`` bit for
+    bit, and no solve needs to import scipy.
     """
-    import scipy.fft
-
-    return scipy.fft.rfft2(a, workers=get_workers())
+    out = np.fft.rfft(a, axis=1)
+    return np.fft.fft(out, axis=0, out=out)
 
 
 def irfft2(a: np.ndarray, n: int) -> np.ndarray:
     """Real n-by-n array from its half spectrum (inverse of ``rfft2``)."""
-    import scipy.fft
-
-    return scipy.fft.irfft2(a, s=(n, n), workers=get_workers())
+    return np.fft.irfft(np.fft.ifft(a, axis=0), n, axis=1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-import cmlab
+import cmlab.cli
+import cmlab.continuation
 from cmlab.cli import _COMMANDS, _RUN_KEYS, build_parser, load_config, main
 from cmlab.errors import ConfigError
 from cmlab.grids import TAU, TorusChart
@@ -143,15 +144,26 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     ("scan", "radius = -0.1", "scan radius -0.1 is outside (0, 1/2)"),
     ("scan", "radius = 0.7", "scan radius 0.7 is outside (0, 1/2)"),
     ("continue-cusp", "scan_radius = 0.7", "scan radius 0.7 is outside (0, 1/2)"),
+    # a non-finite threshold used to fail only on writing the report, and a
+    # negative one flagged every center
+    ("scan", "threshold = nan", "threshold must satisfy 0 < threshold < inf, got nan"),
+    ("scan", "threshold = inf", "threshold must satisfy 0 < threshold < inf, got inf"),
+    ("scan", "threshold = -1", "threshold must satisfy 0 < threshold < inf, got -1.0"),
     ("area-identity", "window = 0", "window must be positive and finite, got 0.0"),
     ("area-identity", "window = -1", "window must be positive and finite, got -1.0"),
 ])
-def test_non_finite_quadrature_inputs_exit_1(tmp_path, capsys, command, section, message):
+def test_non_finite_quadrature_inputs_exit_1(tmp_path, capsys, monkeypatch,
+                                             command, section, message):
+    # each input is rejected before any Newton solve runs
+    solves = []
+    for module in (cmlab.cli, cmlab.continuation):
+        monkeypatch.setattr(module, "newton_solve", lambda *a, **kw: solves.append(a))
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[{command}]\n{section}\n")
     assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
+    assert solves == []
 
 
 def test_continue_cusp_run(tmp_path):
@@ -369,8 +381,6 @@ def _fresh_cli_run(tmp_path, *argvs):
 
 
 def test_diagnostics_commands_never_load_scipy(tmp_path):
-    # scipy.fft is imported on the first transform; commands that make none
-    # must start and finish without it (it is most of the import time)
     rep = tmp_path / "r.json"
     rep.write_text('{"stages": [{"k": 1, "area": 3.0, "gbDefect": 0.0}]}\n')
     got = _fresh_cli_run(tmp_path, ["three-circle"], ["neck"], ["area-identity"],
@@ -381,8 +391,12 @@ def test_diagnostics_commands_never_load_scipy(tmp_path):
     assert (tmp_path / "report" / "stages.csv").exists()
 
 
-def test_solve_loads_scipy_fft(tmp_path):
-    got = _fresh_cli_run(tmp_path, ["solve", "--grid", "16"])
-    assert got["codes"] == [0]
+def test_solving_commands_never_load_scipy(tmp_path):
+    # transforms are numpy.fft; only solver.radial_length imports scipy
+    cfg = tmp_path / "cusp.ini"
+    cfg.write_text("[continue-cusp]\nk_max = 2\n")
+    got = _fresh_cli_run(tmp_path, ["solve", "--grid", "16"], ["scan", "--grid", "16"],
+                         ["continue-cusp", "--grid", "16", "--config", str(cfg)])
+    assert got["codes"] == [0, 0, 0]
     assert got["sign_errors"] == []
-    assert "scipy.fft" in got["scipy"]
+    assert got["scipy"] == []

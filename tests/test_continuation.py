@@ -201,6 +201,9 @@ def test_no_bubble_scan_clean_solution():
     for r in (0.0, -0.1, 0.5, math.nan):
         with pytest.raises(ValueError, match=r"outside \(0, 1/2\)"):
             no_bubble_scan(sol, radii=(1.0 / 16.0, r))
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="threshold must satisfy"):
+            no_bubble_scan(sol, radii=(1.0 / 16.0,), threshold=t)
 
 
 def test_no_bubble_scan_needs_a_center():

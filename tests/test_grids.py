@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cmlab.grids import (
@@ -16,32 +18,19 @@ from cmlab.grids import (
     conformal_area,
     constant,
     gauss_legendre,
-    get_workers,
     half_laplacian_multiplier,
     integral,
     interpolate,
+    irfft2,
     neg_laplacian,
     parse_descriptor,
     poisson_mean_zero,
+    rfft2,
     sample,
     torus_distance,
     wrap_half,
 )
 from oracles import fd_neg_laplacian_periodic
-
-
-@pytest.mark.parametrize("raw", ["0", "-1", "x"])
-def test_get_workers_rejects_non_positive_and_non_integer(monkeypatch, raw):
-    monkeypatch.setenv("CML_THREADS", raw)
-    with pytest.raises(ValueError, match=repr(raw)):
-        get_workers()
-
-
-def test_get_workers_reads_cml_threads(monkeypatch):
-    monkeypatch.delenv("CML_THREADS", raising=False)
-    assert get_workers() == 1
-    monkeypatch.setenv("CML_THREADS", "2")
-    assert get_workers() == 2
 
 
 def test_field_validation():
@@ -116,6 +105,45 @@ def test_half_laplacian_multiplier_is_rfft_width():
     np.testing.assert_array_equal(h, full[:, :n // 2 + 1])
     with pytest.raises(ValueError):
         h[0, 0] = 1.0
+
+
+@st.composite
+def _real_squares(draw):
+    """A real n-by-n array, n a power of two in [8, 256]: contiguous, a
+    transpose, or every other node of a 2n-by-2n array."""
+    n = draw(st.sampled_from([8, 16, 32, 64, 128, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    layout = draw(st.sampled_from(["contiguous", "transpose", "stride"]))
+    if layout == "stride":
+        return scale * rng.standard_normal((2 * n, 2 * n))[::2, ::2]
+    a = scale * rng.standard_normal((n, n))
+    return a.T if layout == "transpose" else a
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(a=_real_squares(), strided_spectrum=st.booleans())
+def test_transform_pair_equals_scipy_bit_for_bit(a, strided_spectrum):
+    n = a.shape[0]
+    a_before = a.copy()
+    ahat = rfft2(a)
+    np.testing.assert_array_equal(a, a_before)  # CG reuses its arrays
+    want = sfft.rfft2(a)
+    assert (ahat.shape, ahat.dtype) == (want.shape, want.dtype)
+    assert ahat.tobytes() == want.tobytes()
+    # an arbitrary half spectrum, not only one of a real array
+    rng = np.random.default_rng(n)
+    spec = ahat * (1.0 + 1j * rng.standard_normal(ahat.shape))
+    if strided_spectrum:
+        buf = np.zeros((2 * n, 2 * spec.shape[1]), complex)
+        buf[::2, ::2] = spec
+        spec = buf[::2, ::2]
+    spec_before = spec.copy()
+    back = irfft2(spec, n)
+    np.testing.assert_array_equal(spec, spec_before)
+    want = sfft.irfft2(spec, s=(n, n))
+    assert (back.shape, back.dtype) == (want.shape, want.dtype)
+    assert back.tobytes() == want.tobytes()
 
 
 def test_bilinear_torus_wraps():
