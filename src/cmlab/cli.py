@@ -136,6 +136,8 @@ def _problem(cfg: RunConfig, cusp: bool = False):
     betas = _opt(opt, "betas", _parse_floats,
                  (-1.0,) * len(atoms) if cusp else _DEFAULT_BETAS)
     curvature = _opt(opt, "curvature", float, -1.0)
+    if not -math.inf < curvature < 0.0:
+        raise ConfigError(f"curvature must be finite and negative, got {curvature}")
     return Divisor(atoms, betas), CurvatureSpec(curvature), curvature
 
 

@@ -98,8 +98,10 @@ def cusp_schedule(target: Divisor, k_max: int = 10,
 def _const_lam(curvature) -> float | None:
     if isinstance(curvature, Field):
         return None
-    c = abs(float(curvature))
-    return max(c, 1.0 / c)
+    c = float(curvature)
+    if not -np.inf < c < 0.0:
+        raise ValueError(f"curvature must be finite and negative, got {c}")
+    return max(-c, -1.0 / c)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from cmlab.grids import bilinear_torus
+
 TAU = 2.0 * math.pi
 
 
@@ -59,6 +61,24 @@ def quad_radial_length(profile, a: float, b: float) -> float:
     val, _ = quad(lambda r: math.exp(profile(r)), a, b,
                   limit=400, epsabs=1e-14, epsrel=1e-13)
     return val
+
+
+def quad_ray_length_cells(sol, p, a: float, b: float) -> float:
+    """Length of the ray s in [a, b] from p along +x under e^{S + v} for a
+    Solution, one adaptive quadrature per grid cell the ray crosses, so no
+    piece holds a kink of the bilinear reads."""
+    px, py = float(p[0]), float(p[1])
+    n = sol.v.n
+    cuts = [k / n - px for k in range(math.floor((px + a) * n) + 1,
+                                      math.ceil((px + b) * n))]
+    edges = [a] + [s for s in cuts if a < s < b] + [b]
+
+    def f(s):
+        x = px + s
+        return math.exp(float(sol.split.smooth_rest(None, x, py)
+                              + bilinear_torus(sol.v.values, x, py)))
+    return sum(quad(f, lo, hi, limit=200, epsabs=1e-15, epsrel=1e-14)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def fd_gauss_curvature(u, x: float, y: float, h: float = 1e-4) -> float:

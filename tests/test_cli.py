@@ -149,6 +149,13 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     ("scan", "threshold = nan", "threshold must satisfy 0 < threshold < inf, got nan"),
     ("scan", "threshold = inf", "threshold must satisfy 0 < threshold < inf, got inf"),
     ("scan", "threshold = -1", "threshold must satisfy 0 < threshold < inf, got -1.0"),
+    # a zero constant curvature used to raise ZeroDivisionError, nan and inf
+    # a complaint about lam, and -inf a bare math domain error
+    ("continue-cusp", "curvature = 0", "curvature must be finite and negative, got 0.0"),
+    ("continue-cusp", "curvature = nan", "curvature must be finite and negative, got nan"),
+    ("continue-cusp", "curvature = inf", "curvature must be finite and negative, got inf"),
+    ("solve", "curvature = -inf", "curvature must be finite and negative, got -inf"),
+    ("scan", "curvature = -inf", "curvature must be finite and negative, got -inf"),
     ("area-identity", "window = 0", "window must be positive and finite, got 0.0"),
     ("area-identity", "window = -1", "window must be positive and finite, got -1.0"),
 ])
@@ -351,11 +358,13 @@ def test_report_key_sets(tmp_path, command, section, keys, nested):
         assert sorted(entry) == sub.split()
 
 
-# Runs CLI commands (a JSON list of argv lists) in a fresh interpreter and
-# prints their exit codes, the scipy modules loaded and the messages of any
+# Runs CLI commands (a JSON list of argv lists) in a fresh interpreter, then
+# radial_length on a callable and on a Solution, and prints the exit codes,
+# the two lengths, the scipy modules loaded and the messages of any
 # CurvatureSignError raised by CG (the guard tests/conftest.py keeps in process).
 _SCIPY_PROBE = """
 import json, sys
+import numpy as np
 import cmlab, cmlab.cli, cmlab.solver
 from cmlab.errors import CurvatureSignError
 sign_errors, cg = [], cmlab.solver._cg
@@ -367,7 +376,10 @@ def guarded(*args, **kwargs):
         raise
 cmlab.solver._cg = guarded
 codes = [cmlab.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "sign_errors": sign_errors,
+sol = cmlab.solver.solve_divisor(((0.3, 0.7),), (-0.5,), n=16)
+lengths = [cmlab.solver.radial_length(u, (0.3, 0.7), 0.02, 0.2)
+           for u in (lambda x, y: -0.5 * np.log(np.abs(x - 0.3)), sol)]
+print(json.dumps({"codes": codes, "lengths": lengths, "sign_errors": sign_errors,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
@@ -386,13 +398,15 @@ def test_diagnostics_commands_never_load_scipy(tmp_path):
     got = _fresh_cli_run(tmp_path, ["three-circle"], ["neck"], ["area-identity"],
                          ["report", str(rep)])
     assert got["codes"] == [0, 2, 0, 0]
+    assert got["lengths"][0] == pytest.approx(2.0 * (0.2 ** 0.5 - 0.02 ** 0.5), rel=1e-12)
     assert got["sign_errors"] == []
     assert got["scipy"] == []
     assert (tmp_path / "report" / "stages.csv").exists()
 
 
 def test_solving_commands_never_load_scipy(tmp_path):
-    # transforms are numpy.fft; only solver.radial_length imports scipy
+    # transforms are numpy.fft and radial_length is Gauss-Legendre, so no
+    # command and neither radial_length path needs scipy
     cfg = tmp_path / "cusp.ini"
     cfg.write_text("[continue-cusp]\nk_max = 2\n")
     got = _fresh_cli_run(tmp_path, ["solve", "--grid", "16"], ["scan", "--grid", "16"],

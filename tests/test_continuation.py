@@ -33,6 +33,10 @@ def test_cusp_schedule_weights():
         assert step.betas[1] == -0.5  # conical atoms keep their weight
     conical = Divisor(((0.3, 0.7),), (-0.5,))
     assert len(cusp_schedule(conical).steps) == 1
+    # 0 used to raise ZeroDivisionError, nan and inf a complaint about lam
+    for c in (0.0, 1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="curvature must be finite and negative"):
+            cusp_schedule(target, curvature=c)
 
 
 def test_schedule_validation():

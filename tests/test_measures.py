@@ -230,5 +230,39 @@ def test_flux_circle_reaching_the_disk_edge(radius, n):
     u = sample(lambda x, y: 0.3 + 0.5 * x - 0.2 * y + x * y, chart, n)
     prof = flux_profile(u, (0.0, 0.0), [radius - 2 * h])
     assert abs(prof.flux[0]) < 1e-9
-    with pytest.raises(ValueError, match="exceeds the disk chart"):
+    with pytest.raises(ValueError, match="outside the disk chart"):
         flux_profile(u, (0.0, 0.0), [radius - 1.5 * h])
+
+
+@pytest.mark.parametrize("r_inner, r_outer", [
+    (0.05, 0.8), (1e-3, 1.0), (0.1, 1.0), (0.2, 3.0), (0.5, 2.0), (1.0, 10.0)])
+def test_flux_circle_reaching_the_annulus_edge(r_inner, r_outer):
+    # the outermost stencil circles of r = exp(s[0] + 2h) and exp(s[-1] - 2h)
+    # touch the annulus; their log may round beyond it, which must not count
+    # as leaving the chart. Bilinear reads of log r are exact.
+    chart = LogPolarChart(r_inner, r_outer)
+    for n in (16, 32, 64, 128, 256):
+        s = chart.s_nodes(n)
+        h = s[1] - s[0]
+        u = sample(lambda x, y: -0.5 * np.log(np.hypot(x, y)), chart, n)
+        radii = [math.exp(s[0] + 2 * h), math.exp(s[-1] - 2 * h),
+                 r_inner * math.exp(2 * h), r_outer * math.exp(-2 * h)]
+        for r in radii:
+            assert flux_profile(u, (0.0, 0.0), [r]).flux[0] == pytest.approx(
+                -math.pi, abs=1e-9)
+        for r in (math.exp(s[0] + 1.5 * h), math.exp(s[-1] - 1.5 * h)):
+            with pytest.raises(ValueError, match="outside the log-polar annulus"):
+                flux_profile(u, (0.0, 0.0), [r])
+
+
+def test_residue_on_planar_charts():
+    # a cone of weight -1/2 plus a harmonic term, read back by flux limits
+    u = lambda x, y: -0.5 * np.log(np.hypot(x, y)) + 0.1 * x
+    got = residue(sample(u, LogPolarChart(1e-3, 1.0), 64), (0.0, 0.0))
+    assert got == pytest.approx(-0.5, abs=1e-12)
+    assert residue(sample(u, DiskChart(1.0), 1024), (0.0, 0.0)) == pytest.approx(
+        -0.5, abs=2e-5)
+    # at n = 256 only two dyadic radii fit above the 8-cell floor
+    with pytest.raises(NonStabilizingFlux) as exc:
+        residue(sample(u, DiskChart(1.0), 256), (0.0, 0.0))
+    assert len(exc.value.profile.radii) == 2

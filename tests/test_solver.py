@@ -25,6 +25,7 @@ from cmlab.solver import (
     solve_divisor,
     uniqueness_probe,
 )
+from oracles import quad_ray_length_cells
 
 
 def test_manufactured_forcing_recovers_exact_solution():
@@ -55,6 +56,9 @@ def test_solver_validation():
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
     with pytest.raises(ValueError):
         newton_solve(CurvatureSpec(0.0), split)  # sup K must be negative
+    # an infinite constant used to die on a math domain error in the guess
+    with pytest.raises(ValueError, match="curvature must be finite"):
+        newton_solve(CurvatureSpec(-math.inf), split)
     with pytest.raises(ValueError):
         newton_solve(CurvatureSpec(-1.0), split, tol=0.0)
     # an infinite tolerance used to return the unsolved default guess
@@ -162,11 +166,10 @@ def test_radial_length_cusp_divergence():
     assert lengths[0] < lengths[1] < lengths[2]
 
 
-@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
 def test_radial_length_grid_paths_agree():
     # the atom-split integrand and the direct interpolation integrand are
-    # two factorizations of the same metric; the callable path sees the
-    # bilinear kinks, which trips quad's roundoff detector harmlessly
+    # two factorizations of the same metric; the callable carries no grid,
+    # so its panels cannot break at the bilinear kinks
     sol = solve_divisor(((0.3, 0.7),), (-0.5,), n=128)
     split, v = sol.split, sol.v
 
@@ -181,6 +184,16 @@ def test_radial_length_grid_paths_agree():
     got_off = radial_length(sol, (0.55, 0.2), 0.02, 0.2)
     assert got_off == pytest.approx(radial_length(u_interp, (0.55, 0.2), 0.02, 0.2),
                                     rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_radial_length_grid_path_matches_cellwise_quad(n):
+    # on the atom the package splits off s^beta; the oracle integrates
+    # e^{S + v} directly, one adaptive quadrature per grid cell
+    sol = solve_divisor(((0.3, 0.7),), (-0.5,), n=n)
+    for p in ((0.3, 0.7), (0.55, 0.2)):
+        assert radial_length(sol, p, 0.02, 0.2) == pytest.approx(
+            quad_ray_length_cells(sol, p, 0.02, 0.2), rel=0, abs=1e-12)
 
 
 def test_uniqueness_probe_quick():
