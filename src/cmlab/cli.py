@@ -25,7 +25,7 @@ from .io import emit_plot_data, read_report, write_field, write_report
 from .measures import Divisor, euler_characteristic
 from .models import LinearCylinder
 from .green import singular_part
-from .solver import CurvatureSpec, newton_solve, uniqueness_probe
+from .solver import CurvatureSpec, check_curvature_bounds, newton_solve, uniqueness_probe
 
 _RUN_KEYS = {"grid", "tol", "seed"}
 _DEFAULT_ATOMS = ((0.3, 0.7),)
@@ -136,8 +136,7 @@ def _problem(cfg: RunConfig, cusp: bool = False):
     betas = _opt(opt, "betas", _parse_floats,
                  (-1.0,) * len(atoms) if cusp else _DEFAULT_BETAS)
     curvature = _opt(opt, "curvature", float, -1.0)
-    if not -math.inf < curvature < 0.0:
-        raise ConfigError(f"curvature must be finite and negative, got {curvature}")
+    check_curvature_bounds(curvature, None)
     return Divisor(atoms, betas), CurvatureSpec(curvature), curvature
 
 

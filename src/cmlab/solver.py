@@ -32,13 +32,13 @@ topological constant 4 pi |chi|. W = -2K e^{2u} spikes at the atoms (up to
 so a shift that follows the spike, such as sqrt(min W max W), mismatches
 the low modes where CG spends its iterations.
 
-A solve given no start on a grid n >= 512 with n % 8 == 0 begins from the
-same problem solved at n/4 (nested iteration). The solution is unique, so
-the start changes the cost, not the answer: at n = 1024 one cone takes 3
-fine Newton steps and 14 CG iterations instead of 4 and 19. The coarse
-half spectrum is zero-padded into the fine one, its Nyquist row and column
-dropped and its coefficients scaled by 16, and handed to the fine Newton
-loop without a trip through real space. When the coarse grid rejects an
+A solve given no start on a grid n >= 512 begins from the same problem
+solved at n/4 (nested iteration) by a newton_solve call of its own, which
+nests in turn from n >= 2048. The solution is unique, so the start changes
+the cost, not the answer: at n = 1024 one cone takes 3 fine Newton steps
+and 14 CG iterations instead of 4 and 19. The half spectrum of the coarse
+solution is zero-padded into the fine one, its Nyquist row and column
+dropped and its coefficients scaled by 16. When the coarse grid rejects an
 atom or the coarse Newton does not converge, the constant default guess
 is used instead.
 """
@@ -79,9 +79,23 @@ class CurvatureSpec:
             return self.curvature.values
         return float(self.curvature)
 
-    def sup(self) -> float:
-        k = self.curvature
-        return float(k.values.max()) if isinstance(k, Field) else float(k)
+
+def check_curvature_bounds(curvature: float | Field, lam: float | None) -> None:
+    """Raise ValueError unless the constant or Field `curvature` is finite
+    and negative (sup K < 0, under which a solution exists and is unique).
+    When `lam` is not None, also unless 1 <= lam < inf and the curvature
+    lies in [-lam, -1/lam], up to 1e-12."""
+    k = curvature.values if isinstance(curvature, Field) else curvature
+    hi = float(np.max(k))
+    if not -math.inf < hi < 0.0:
+        got = f"max {hi}" if isinstance(curvature, Field) else hi
+        raise ValueError(f"curvature must be finite and negative, got {got}")
+    if lam is None:
+        return
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"lam must satisfy 1 <= lam < inf, got {lam}")
+    if np.min(k) < -lam - 1e-12 or hi > -1.0 / lam + 1e-12:
+        raise ValueError(f"curvature exits its bounds [{-lam:g}, {-1.0 / lam:g}]")
 
 
 @dataclass
@@ -233,12 +247,19 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
 
 
 def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
-    """Constant v balancing mean curvature: e^{2v} mean(|K| e^{2S}) = 2 pi |sum beta|."""
+    """Constant v balancing mean curvature: e^{2v} mean(|K| e^{2S}) = 2 pi |sum beta|;
+    ValueError when |K| puts the mean or v out of double precision."""
     op = _operator(spec, split)
     if split.beta_sum == 0.0:
         return Field(np.zeros((op.n, op.n)), TorusChart())
-    mean = float((np.abs(op.K) * np.exp(2.0 * op.S)).mean())
-    c = 0.5 * math.log(TAU * abs(split.beta_sum) / mean)
+    with np.errstate(over="ignore"):
+        mean = float((np.abs(op.K) * np.exp(2.0 * op.S)).mean())
+    c = (0.5 * math.log(TAU * abs(split.beta_sum) / mean)
+         if 0.0 < mean < math.inf else math.nan)
+    if not math.isfinite(c):
+        what = "field" if isinstance(op.K, np.ndarray) else f"{op.K:g}"
+        raise ValueError(f"curvature {what} is out of range for the default guess: "
+                         f"mean(|K| e^(2S)) = {mean:g}")
     return Field(np.full((op.n, op.n), c), TorusChart())
 
 
@@ -283,8 +304,8 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
 
 
 def _coarse_start(spec: CurvatureSpec, split: SingularSplit, tol: float):
-    """Half spectrum of v solved at n/4 and zero-padded to n, or None when
-    newton_solve falls back to the default guess. The factor 16 = (n/m)^2
+    """Half spectrum of the n/4 newton_solve of v, zero-padded to n, or None
+    when newton_solve falls back to the default guess. The factor 16 = (n/m)^2
     carries the unnormalized forward transform across grid sizes."""
     n, m = split.n, split.n // 4
     try:
@@ -297,11 +318,9 @@ def _coarse_start(spec: CurvatureSpec, split: SingularSplit, tol: float):
 
     cspec = CurvatureSpec(inject(spec.curvature), inject(spec.forcing))
     try:
-        chat = _newton_loop(_operator(cspec, coarse),
-                            rfft2(default_initial_guess(cspec, coarse).values), tol)[0]
+        chat = 16.0 * rfft2(newton_solve(cspec, coarse, tol=tol).v.values)
     except NonConvergence:
         return None
-    chat = 16.0 * chat
     h = m // 2
     vhat = np.zeros((n, n // 2 + 1), dtype=chat.dtype)
     vhat[:h, :h] = chat[:h, :h]
@@ -324,16 +343,16 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     An inner solve that reaches 2000 iterations keeps its last iterate and
     is counted in `cg_capped`.
 
-    With `v0` None, a grid n >= 512 with n % 8 == 0 starts from the solve at
-    n/4: Field curvature and forcing are restricted by injection, and the
-    coarse half spectrum is zero-padded to n (Nyquist row and column
+    With `v0` None, a grid n >= 512 starts from a newton_solve call at n/4:
+    Field curvature and forcing are restricted by injection, and the half
+    spectrum of the coarse v is zero-padded to n (Nyquist row and column
     dropped, scaled by 16). If `singular_part` rejects an atom at n/4 (an
     atom 1e-8 to 4e-8 of a fine cell from a coarse node passes the fine
-    test but not the coarse one) or the coarse Newton raises
+    test but not the coarse one) or the coarse solve raises
     NonConvergence, the start is `default_initial_guess`, which every other
     grid uses too; any other coarse error propagates. `newton_iters`,
-    `cg_iters` and `cg_capped` count the fine solve only, so report keys do
-    not change; the coarse cost belongs in a per-solve trace.
+    `cg_iters` and `cg_capped` count this grid's Newton loop only; the
+    coarse call keeps its counts in its own Solution.
     """
     div = split.divisor
     chi = euler_characteristic("torus", div)
@@ -346,8 +365,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
             raise ValueError(
                 "cusp weight beta = -1 cannot be solved directly; "
                 "approach it through a continuation schedule")
-    if not -math.inf < spec.sup() < 0.0:
-        raise ValueError("curvature must be finite with a negative upper bound")
+    check_curvature_bounds(spec.curvature, None)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
@@ -357,7 +375,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
         if v0.n != op.n:
             raise ValueError("v0 grid does not match the singular part")
         vhat = rfft2(v0.values)
-    elif op.n >= _NESTED_MIN_N and op.n % 8 == 0:
+    elif op.n >= _NESTED_MIN_N:
         vhat = _coarse_start(spec, split, tol)
     if vhat is None:
         vhat = rfft2(default_initial_guess(spec, split).values)

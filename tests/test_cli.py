@@ -173,6 +173,35 @@ def test_non_finite_quadrature_inputs_exit_1(tmp_path, capsys, monkeypatch,
     assert solves == []
 
 
+@pytest.mark.parametrize("curvature, code", [
+    ("-1e308", 1), ("-1e307", 1), ("-1e-320", 1), ("-1e300", 0)])
+def test_extreme_curvature_and_the_default_guess(tmp_path, capsys, curvature, code):
+    # the guess solves e^{2c} mean(|K| e^{2S}) = 2 pi |sum beta|: the mean
+    # overflows at |K| = 1e307 and c at 1e-320, which exited 1 on overflow
+    # warnings and a bare "math domain error", or on a non-finite Field
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[solve]\ncurvature = {curvature}\n")
+    assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                    "--grid", "16"]) == code
+    message = f"curvature {float(curvature):g} is out of range for the default guess"
+    assert (message in capsys.readouterr().err) == bool(code)
+
+
+def test_reruns_write_identical_reports(tmp_path):
+    # a fresh interpreter per run: caches and import order start empty
+    cfg = tmp_path / "cusp.ini"
+    cfg.write_text("[continue-cusp]\nk_max = 3\n")
+    argvs = (["solve", "--grid", "32"],
+             ["continue-cusp", "--grid", "32", "--config", str(cfg)])
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        assert _fresh_cli_run(tmp_path / run, *argvs)["codes"] == [0, 0]
+    for command in ("solve", "continue-cusp"):
+        first, second = (tmp_path / run / command / "report.json"
+                         for run in ("first", "second"))
+        assert first.read_bytes() == second.read_bytes()
+
+
 def test_continue_cusp_run(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[continue-cusp]\nk_max = 3\n")

@@ -60,6 +60,19 @@ def test_schedule_validation():
             ContinuationSchedule(target, (ScheduleStep((-0.5,), -1.0),), lam=lam)
 
 
+def test_schedules_without_lam_still_check_the_sign():
+    # cusp_schedule declares no envelope: for constant K the Gauss-Bonnet
+    # defect check pins each stage's grid area more tightly than any lam
+    target = Divisor(((0.3, 0.7),), (-1.0,))
+    assert cusp_schedule(target, k_max=2).lam is None
+    assert cusp_schedule(Divisor(((0.3, 0.7),), (-0.5,)), curvature=-2.0).lam is None
+    # with no lam a Field stage is still held to sup K < 0 when it is built
+    k = sample(lambda x, y: -0.5 + np.cos(TAU * x), TorusChart(), 32)
+    for field in (k, constant(0.0, TorusChart(), 32)):
+        with pytest.raises(ValueError, match="curvature must be finite and negative"):
+            ContinuationSchedule(target, (ScheduleStep((-0.5,), field),))
+
+
 def test_single_stage_matches_direct_solve():
     res = run_continuation(cusp_schedule(Divisor(((0.3, 0.7),), (-0.5,))), n=64)
     direct = solve_divisor(((0.3, 0.7),), (-0.5,), n=64)
@@ -128,8 +141,10 @@ def test_stage_envelope_holds_off_node_at_fine_grid():
     # correction moves the stage-1 area by -1.2e-3 relative, more than the
     # envelope slack; the envelope is tested on the grid mean, which the
     # discrete Gauss-Bonnet identity fixes
+    # lam = 1 declares K = -1 exactly, the tightest envelope there is
     target = Divisor(((0.3009765625, 0.7009765625),), (-1.0,))
-    res = run_continuation(cusp_schedule(target, k_max=2), n=512)
+    sched = ContinuationSchedule(target, cusp_schedule(target, k_max=2).steps, lam=1.0)
+    res = run_continuation(sched, n=512)
     assert [s.k for s in res.stages] == [1, 2]
     for s in res.stages:
         assert s.area == pytest.approx(TAU * (1.0 - 2.0 ** -s.k), rel=1e-2)

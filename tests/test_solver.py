@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import cmlab.solver
 from cmlab.continuation import check_curvature_bounds
-from cmlab.errors import InfeasibleTopology, ResidualOverflow
+from cmlab.errors import InfeasibleTopology, NonConvergence, ResidualOverflow
 from cmlab.grids import TAU, Field, TorusChart, constant, irfft2, neg_laplacian, sample
 from cmlab.green import singular_part
 from cmlab.measures import Divisor
@@ -344,13 +344,31 @@ def _solver_splits(monkeypatch):
     return calls
 
 
+def _inner_solves(monkeypatch, fail_at=None):
+    """Grid sizes of the newton_solve calls the solver makes from now on;
+    a call on grid `fail_at` raises NonConvergence."""
+    calls = []
+    real = cmlab.solver.newton_solve
+
+    def counted(spec, split, *args, **kwargs):
+        calls.append(split.n)
+        if split.n == fail_at:
+            raise NonConvergence("injected")
+        return real(spec, split, *args, **kwargs)
+
+    monkeypatch.setattr(cmlab.solver, "newton_solve", counted)
+    return calls
+
+
 def test_coarse_start_gives_the_default_start_answer(monkeypatch):
     calls = _solver_splits(monkeypatch)
+    solves = _inner_solves(monkeypatch)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
     spec = CurvatureSpec(-1.0)
     nested = newton_solve(spec, split)
     plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
     assert calls == [128]  # only the default start solves on the n/4 grid
+    assert solves == [128]  # by one newton_solve call of its own
     assert float(np.abs(nested.v.values - plain.v.values).max()) <= 1e-12
     assert nested.area == pytest.approx(plain.area, rel=1e-14)
     assert nested.newton_iters <= plain.newton_iters
@@ -369,6 +387,17 @@ def test_coarse_start_falls_back_when_the_coarse_grid_rejects_an_atom(monkeypatc
     sol = newton_solve(spec, split)
     plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
     assert calls == [128]
+    assert (sol.newton_iters, sol.cg_iters) == (plain.newton_iters, plain.cg_iters)
+    np.testing.assert_array_equal(sol.v.values, plain.v.values)
+
+
+def test_coarse_start_falls_back_when_the_coarse_newton_does_not_converge(monkeypatch):
+    solves = _inner_solves(monkeypatch, fail_at=128)
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
+    spec = CurvatureSpec(-1.0)
+    sol = newton_solve(spec, split)
+    plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
+    assert solves == [128]
     assert (sol.newton_iters, sol.cg_iters) == (plain.newton_iters, plain.cg_iters)
     np.testing.assert_array_equal(sol.v.values, plain.v.values)
 
