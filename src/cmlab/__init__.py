@@ -103,7 +103,6 @@ from .models import (
     standard_bubble,
 )
 from .solver import (
-    AreaBreakdown,
     CurvatureSpec,
     Solution,
     UniquenessReport,

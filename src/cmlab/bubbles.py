@@ -13,7 +13,6 @@ extrapolations and carry an error bar.
 from __future__ import annotations
 
 import math
-from configparser import ConfigParser
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import TAU, DiskChart, Field, TorusChart, gauss_legendre, interpolate
+from .io import read_ini
 from .measures import FluxProfile, kelvin_transform, residue_profiled
 from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
 
@@ -36,7 +36,7 @@ def _circle_areas(u, x0, r, s):
     Raises ValueError (numpy's warnings silenced) when u is not finite on a circle."""
     x = x0[0] + r[:, None] * np.cos(_THETA)[None, :]
     y = x0[1] + r[:, None] * np.sin(_THETA)[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         vals = np.asarray(u(x, y))
     bad = ~np.isfinite(vals).all(axis=1)
     if bad.any():
@@ -185,7 +185,7 @@ _KIND_PARAMS = {
     "smooth-perturbation": {"amp_u", "amp_w"},
     "flat-neck": set(),
     "hyperbolic-cusp": set(),
-    "linear-cylinder": {"A", "B"},
+    "linear-cylinder": {"a", "b"},
 }
 
 _SIGN_CLASSES = ("positive", "negative", "violating")
@@ -251,14 +251,6 @@ class SyntheticFamily:
             return cusp_profile()
         raise ValueError(f"kind {self.kind!r} has no planar profile")
 
-    def u_limit(self):
-        if self.kind == "smooth-perturbation":
-            au = self.params.get("amp_u", 0.2)
-            return lambda x, y: _smooth_base(x, y, au)
-        if self.kind == "hyperbolic-cusp":
-            return cusp_profile()
-        return None
-
     def curvature(self, k: int) -> float:
         return {"spherical-cap": 1.0, "smooth-perturbation": -1.0,
                 "flat-neck": 0.0, "hyperbolic-cusp": -1.0,
@@ -267,7 +259,7 @@ class SyntheticFamily:
     def cylinder(self) -> LinearCylinder:
         if self.kind != "linear-cylinder":
             raise ValueError("not a cylinder family")
-        return LinearCylinder(self.params.get("A", 0.0), self.params.get("B", -1.0))
+        return LinearCylinder(self.params.get("a", 0.0), self.params.get("b", -1.0))
 
     # tail extrapolation metadata ----------------------------------------
 
@@ -302,10 +294,10 @@ class SyntheticFamily:
         if self.kind == "hyperbolic-cusp":
             # closed form: the quadrature limit is logarithmic in the cutoff
             return TAU / math.log(1.0 / window)
-        ul = self.u_limit()
-        if ul is None:
-            return 0.0
-        return _disk_area(ul, self.center(), window)
+        if self.kind == "smooth-perturbation":
+            au = self.params.get("amp_u", 0.2)
+            return _disk_area(lambda x, y: _smooth_base(x, y, au), self.center(), window)
+        return 0.0
 
     def bubble_areas(self) -> tuple:
         if self.kind == "spherical-cap":
@@ -343,13 +335,15 @@ def list_fixtures() -> list:
 
 
 def load_fixture(name: str) -> SyntheticFamily:
-    """Load a named packaged fixture, or an explicit .ini path."""
+    """Load a named packaged fixture, or an explicit .ini path. Its one
+    [family] section is read like a run config (`read_ini`); the keys
+    beyond _FIXTURE_KEYS are the kind's parameters."""
     if name.endswith(".ini") or "/" in name:
         path = Path(name)
         if not path.exists():
             raise ConfigError(f"fixture file {name!r} does not exist")
         text = path.read_text(encoding="utf-8")
-        name = path.stem
+        stem = path.stem
     else:
         res = _fixture_dir() / f"{name}.ini"
         try:
@@ -357,24 +351,17 @@ def load_fixture(name: str) -> SyntheticFamily:
         except FileNotFoundError:
             raise ConfigError(
                 f"unknown fixture {name!r}; available: {list_fixtures()}") from None
-    parser = ConfigParser()
-    parser.optionxform = str  # cylinder parameters A and B are case-sensitive
-    parser.read_string(text)
-    if parser.sections() != ["family"]:
-        raise ConfigError(f"fixture {name!r} must have exactly one [family] section")
-    sec = parser["family"]
-    kind = sec.get("kind", "")
-    allowed = _FIXTURE_KEYS | _KIND_PARAMS.get(kind, set())
-    unknown = set(sec.keys()) - allowed
-    if unknown:
-        raise ConfigError(f"fixture {name!r}: unknown keys {sorted(unknown)}")
-    params = {key: sec.getfloat(key) for key in _KIND_PARAMS.get(kind, set())
-              if key in sec}
+        stem = name
+    sec = read_ini(text, name,
+                   {"family": _FIXTURE_KEYS.union(*_KIND_PARAMS.values())}).get("family")
+    if sec is None:
+        raise ConfigError(f"fixture {name!r} has no [family] section")
     return SyntheticFamily(
-        name=name, kind=kind, sign_class=sec.get("sign", ""),
-        k_min=sec.getint("k_min", 1), k_max=sec.getint("k_max", 8),
-        params=params, mass_bound=sec.getfloat("mass_bound", 100.0),
-        gradient_bound=sec.getfloat("gradient_bound", 8.0))
+        name=stem, kind=sec.get("kind", ""), sign_class=sec.get("sign", ""),
+        k_min=int(sec.get("k_min", 1)), k_max=int(sec.get("k_max", 8)),
+        params={k: float(v) for k, v in sec.items() if k not in _FIXTURE_KEYS},
+        mass_bound=float(sec.get("mass_bound", 100.0)),
+        gradient_bound=float(sec.get("gradient_bound", 8.0)))
 
 
 # -- hypothesis validators ----------------------------------------------------
@@ -458,16 +445,23 @@ def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
     `model` is a callable u(t, theta) or a LinearCylinder, whose closed-form
     segment areas are attached.
     A failed hypothesis is reported, never silently passed; kappa and L
-    must be positive and finite.
+    must be positive and finite, and a segment area that overflows double
+    precision raises ValueError.
     """
     if not (0.0 < kappa < math.inf and 0.0 < L < math.inf):
         raise ValueError(f"need finite kappa > 0 and L > 0, got {kappa:g}, {L:g}")
-    closed = None
-    if isinstance(model, LinearCylinder):
-        closed = (model.segment_area(1, L), model.segment_area(2, L))
-        u = model.u
-    else:
-        u = model
+    cylinder = isinstance(model, LinearCylinder)
+    u = model.u if cylinder else model
+    with np.errstate(over="ignore"):
+        a1 = _cylinder_segment_area(u, 0.0, L)
+        a2 = _cylinder_segment_area(u, L, 2.0 * L)
+    try:
+        closed = (model.segment_area(1, L), model.segment_area(2, L)) if cylinder else None
+        finite = all(math.isfinite(a) for a in (a1, a2, *(closed or ())))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"a segment area overflows double precision at L = {L:g}")
     ts = np.linspace(0.0, 2.0 * L, 65)
     fluxes = np.array([_cylinder_flux(u, float(t)) for t in ts])
     fmin, fmax = float(fluxes.min()), float(fluxes.max())
@@ -477,8 +471,6 @@ def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
         side = "positive"
     else:
         side = None
-    a1 = _cylinder_segment_area(u, 0.0, L)
-    a2 = _cylinder_segment_area(u, L, 2.0 * L)
     bound = math.exp(-kappa * L / 2.0)
     if side == "negative":
         decay_ok = a2 < bound * a1

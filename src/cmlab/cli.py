@@ -14,14 +14,13 @@ import argparse
 import dataclasses
 import math
 import sys
-from configparser import ConfigParser, Error as IniError
 from pathlib import Path
 
 from .bubbles import area_identity_check, load_fixture, neck_area_profile, three_circle_check
 from .continuation import check_scan, cusp_schedule, no_bubble_scan, run_continuation
 from .errors import CmlabError, ConfigError
 from .grids import Field, TorusChart
-from .io import emit_plot_data, read_report, write_field, write_report
+from .io import emit_plot_data, read_ini, read_report, write_field, write_report
 from .measures import Divisor, euler_characteristic
 from .models import LinearCylinder
 from .green import singular_part
@@ -80,21 +79,8 @@ def load_config(command: str, args) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file {args.config!r} does not exist")
-        parser = ConfigParser()
-        try:
-            parser.read(path)
-        except IniError as exc:
-            raise ConfigError(f"cannot parse {args.config!r}: {exc}") from exc
-        for sec in parser.sections():
-            if sec not in ("run", command):
-                raise ConfigError(
-                    f"section [{sec}] is not recognized for command {command!r}")
-            keys = _RUN_KEYS if sec == "run" else _COMMANDS[command][2]
-            unknown = set(parser[sec].keys()) - keys
-            if unknown:
-                raise ConfigError(
-                    f"unknown keys {sorted(unknown)} in section [{sec}]")
-            sections[sec] = dict(parser[sec])
+        sections = read_ini(path.read_text(encoding="utf-8"), args.config,
+                            {"run": _RUN_KEYS, command: _COMMANDS[command][2]})
     run = sections.get("run", {})
     n = args.grid if args.grid is not None else _opt(run, "grid", int, 256)
     tol = args.tol if args.tol is not None else _opt(run, "tol", float, 1e-10)
@@ -155,9 +141,8 @@ def _cmd_solve(cfg: RunConfig):
     if trials < 0:
         raise ConfigError(f"uniqueness_trials = {trials} is negative; 0 means no probe")
     sol, report = _solved(cfg)
-    report.update(_report_fields(sol, "split", "spec", "v", "area_parts"),
-                  chi=euler_characteristic("torus", sol.split.divisor),
-                  ringsRejected=sol.area_parts.rings_rejected)
+    report.update(_report_fields(sol, "split", "spec", "v", "grid_area"),
+                  chi=euler_characteristic("torus", sol.split.divisor))
     if trials > 0:
         probe = uniqueness_probe(sol.spec, sol.split, trials, seed=cfg.seed, tol=cfg.tol)
         report["uniqueness"] = dict(_report_fields(probe, "max_pairwise"),

@@ -149,7 +149,7 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
             lo = -TAU * chi_k / sched.lam
             hi = -TAU * chi_k * sched.lam
             slack = (1e-6 + 0.5 / n) * abs(TAU * chi_k) + 1e-12
-            area = sol.area_parts.grid_area
+            area = sol.grid_area
             if not (lo - slack <= area <= hi + slack):
                 raise StageFailure(
                     f"stage {k}: grid area {area:.6g} violates [{lo:.6g}, {hi:.6g}]",
@@ -159,7 +159,7 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
             k=k, betas=step.betas, chi=chi_k, area=sol.area,
             gb_defect=sol.gb_defect, max_local_mass=scan.max_mass,
             solve_iters=sol.newton_iters, cg_iters=sol.cg_iters,
-            cg_capped=sol.cg_capped, rings_rejected=sol.area_parts.rings_rejected,
+            cg_capped=sol.cg_capped, rings_rejected=sol.rings_rejected,
             residual_norm=sol.residual_norm))
     if len(reports) >= 2:
         extrap = 2.0 * reports[-1].area - reports[-2].area

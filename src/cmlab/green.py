@@ -90,14 +90,11 @@ class TorusGreen:
     remainder: np.ndarray
     samples: np.ndarray
 
-    def remainder_at(self, x, y) -> np.ndarray:
-        return bilinear_torus(self.remainder, x, y)
-
     def eval(self, x, y) -> np.ndarray:
         """G_p off the grid: bilinear remainder + analytic cutoff log."""
         d = torus_distance(x, y, *self.p)
         d = np.maximum(d, 1e-300)
-        return self.remainder_at(x, y) - cutoff(d) * np.log(d) / TAU
+        return bilinear_torus(self.remainder, x, y) - cutoff(d) * np.log(d) / TAU
 
 
 # 8 kernels hold 128 MB at n = 1024; a one-atom fine solve uses 2 keys (n and
@@ -159,7 +156,7 @@ class SingularSplit:
         betas = self.divisor.betas
         out = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
         for j, g in enumerate(self.greens):
-            out -= TAU * betas[j] * g.remainder_at(x, y)
+            out -= TAU * betas[j] * bilinear_torus(g.remainder, x, y)
             d = np.maximum(torus_distance(x, y, *g.p), 1e-300)
             out += betas[j] * (cutoff(d) - (j == i)) * np.log(d)
         return out

@@ -1,4 +1,4 @@
-"""File formats: CMLGRID1 grids, canonical JSON reports, CSV plot series.
+"""File formats: INI inputs, CMLGRID1 grids, canonical JSON reports, CSV series.
 
 CMLGRID1 layout: 8-byte magic ``CMLGRID1``, u32 little-endian resolution n,
 n*n float64 little-endian row-major samples, then one UTF-8 chart
@@ -13,14 +13,38 @@ from __future__ import annotations
 import json
 import math
 import struct
+from configparser import ConfigParser, Error as IniError
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CmlabError
+from .errors import CmlabError, ConfigError
 from .grids import Field, parse_descriptor
 
 MAGIC = b"CMLGRID1"
+
+
+def read_ini(text: str, source, keys: dict) -> dict:
+    """Sections of the INI `text` as {section: {key: value}}, keys lower-cased.
+
+    `keys` maps each allowed section to its allowed keys. Any other section
+    or key, and any text configparser cannot parse, raises ConfigError
+    naming `source`.
+    """
+    parser = ConfigParser()
+    try:
+        parser.read_string(text, source=str(source))
+        sections = {sec: dict(parser[sec]) for sec in parser.sections()}
+    except IniError as exc:
+        raise ConfigError(f"cannot parse {source!r}: {exc}") from exc
+    for sec, items in sections.items():
+        if sec not in keys:
+            raise ConfigError(f"section [{sec}] of {source!r} is not recognized")
+        unknown = set(items) - keys[sec]
+        if unknown:
+            raise ConfigError(
+                f"unknown keys {sorted(unknown)} in section [{sec}] of {source!r}")
+    return sections
 
 
 def write_field(path, field: Field) -> None:

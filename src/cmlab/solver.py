@@ -109,7 +109,8 @@ class Solution:
     newton_iters: int
     cg_iters: int
     cg_capped: int  # inner solves stopped by _CG_MAXITER before _CG_RTOL
-    area_parts: "AreaBreakdown"
+    grid_area: float  # mean(e^{2u}), which the discrete Gauss-Bonnet identity fixes
+    rings_rejected: int  # atoms whose ring correction was not credible, so not applied
 
     @property
     def u_values(self) -> np.ndarray:
@@ -383,38 +384,19 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     vhat, v, e2u, F, it, cg_total, cg_capped = _newton_loop(op, vhat, tol)
 
     v_field = Field(v, TorusChart())
-    parts = metric_area(split, v_field)
+    area, grid_area, rejected = metric_area(split, v_field)
     gb = abs(float((op.K * e2u + op.rho).mean()) - TAU * chi)
     return Solution(split=split, spec=spec, v=v_field,
-                    residual_norm=float(np.abs(F).max()), area=parts.area,
+                    residual_norm=float(np.abs(F).max()), area=area,
                     gb_defect=gb, newton_iters=it, cg_iters=cg_total,
-                    cg_capped=cg_capped, area_parts=parts)
+                    cg_capped=cg_capped, grid_area=grid_area, rings_rejected=rejected)
 
 
 # -- area quadrature ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomCorrection:
-    index: int
-    ring: float
-    grid_inner: float
-    applied: bool
-
-
-@dataclass(frozen=True)
-class AreaBreakdown:
-    area: float
-    grid_area: float
-    corrections: tuple
-
-    @property
-    def rings_rejected(self) -> int:
-        """Atoms whose ring correction was not credible, so not applied."""
-        return sum(not c.applied for c in self.corrections)
-
-
-def metric_area(split: SingularSplit, v: Field) -> AreaBreakdown:
-    """Area of e^{2(S+v)} with analytic polar rings near the atoms.
+def metric_area(split: SingularSplit, v: Field) -> tuple:
+    """(area, grid area, rings rejected) of e^{2(S+v)}: the grid mean, with
+    analytic polar rings near the atoms.
 
     Within 8/n of each atom the grid quadrature is blended out and replaced
     by radial integration of r^{2 beta} e^{2(H_i + v)} (H_i the stable
@@ -424,7 +406,8 @@ def metric_area(split: SingularSplit, v: Field) -> AreaBreakdown:
     a = 2 beta + 2 >= 3/4 and |ring - grid| <= ring/4. Near-cusp atoms
     concentrate below grid scale, where the ring quadrature amplifies
     interpolation error; those fall back to the plain grid total, which the
-    residual's exact spectral mean pins to the correct value for constant K.
+    residual's exact spectral mean pins to the correct value for constant K;
+    the count of those atoms is the third entry.
     """
     n = split.n
     S = split.S.values
@@ -435,11 +418,11 @@ def metric_area(split: SingularSplit, v: Field) -> AreaBreakdown:
     r_bl = 8.0 / n
     X, Y = TorusChart().mesh(n)
     theta = TAU * np.arange(64) / 64
-    corrections = []
+    rejected = 0
     for i, ((px, py), beta) in enumerate(zip(split.divisor.points, split.divisor.betas)):
         a = 2.0 * beta + 2.0
         if a < 0.75:
-            corrections.append(AtomCorrection(i, 0.0, 0.0, False))
+            rejected += 1
             continue
         d = torus_distance(X, Y, px, py)
         near = d < r_bl
@@ -458,11 +441,11 @@ def metric_area(split: SingularSplit, v: Field) -> AreaBreakdown:
 
         ring = t_max / a * gauss_legendre(ring_vals, 0.0, 1.0, 32)
         corr = ring - grid_inner
-        applied = abs(corr) <= 0.25 * ring
-        if applied:
+        if abs(corr) <= 0.25 * ring:
             area += corr
-        corrections.append(AtomCorrection(i, ring, grid_inner, applied))
-    return AreaBreakdown(area, grid_area, tuple(corrections))
+        else:
+            rejected += 1
+    return area, grid_area, rejected
 
 
 # -- probes -------------------------------------------------------------------

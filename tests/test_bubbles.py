@@ -1,6 +1,7 @@
 """Blowup sequences, rescaling, fixtures, necks, and the area identity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,18 @@ def test_fixture_loading_errors(tmp_path):
         load_fixture(str(two))
     with pytest.raises(ConfigError):
         load_fixture(str(tmp_path / "missing.ini"))
+    for text in ("kind = flat-neck\n",  # no section header
+                 "[family]\nkind = flat-neck\nkind = flat-neck\n"):  # a repeated key
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_fixture(str(bad))
+    bad.write_text("; no sections at all\n")
+    with pytest.raises(ConfigError, match=re.escape("has no [family] section")):
+        load_fixture(str(bad))
+    # a parameter of another kind is named by the family
+    bad.write_text("[family]\nkind = flat-neck\nsign = violating\nlam_scale = 2\n")
+    with pytest.raises(ConfigError, match=re.escape("parameters ['lam_scale'] not valid")):
+        load_fixture(str(bad))
 
 
 def test_fixture_load_by_path(tmp_path):
@@ -161,6 +174,10 @@ def test_fixture_load_by_path(tmp_path):
     fam = load_fixture(str(p))
     assert fam.name == "my-cap"
     assert fam.scale(2) == pytest.approx(0.5 * 0.25)
+    # keys are case-insensitive, as in run configs: a and b name the cylinder
+    # as in [three-circle]
+    p.write_text("[family]\nkind = linear-cylinder\nsign = violating\nA = 0.5\nb = -2\n")
+    assert load_fixture(str(p)).cylinder() == LinearCylinder(0.5, -2.0)
 
 
 def test_family_validation_errors():

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cmlab.cli
 import cmlab.continuation
+from cmlab.bubbles import _FIXTURE_KEYS, _KIND_PARAMS, load_fixture
 from cmlab.cli import _COMMANDS, _RUN_KEYS, build_parser, load_config, main
 from cmlab.errors import ConfigError
 from cmlab.grids import TAU, TorusChart
@@ -88,27 +89,51 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert run_cli(["solve", "--tol", "inf", "--out", str(tmp_path / "o")]) == 1
     assert "tolerance must be positive and finite, got inf" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
+    # a stray % and a fixture file configparser cannot read used to exit on
+    # its traceback
+    pct = tmp_path / "pct.ini"
+    pct.write_text("[solve]\natoms = 50%\n")
+    assert run_cli(["solve", "--config", str(pct), "--out", str(tmp_path / "o")]) == 1
+    assert f"cannot parse {str(pct)!r}" in capsys.readouterr().err
+    fixture = tmp_path / "fam.ini"
+    neck = tmp_path / "neck.ini"
+    neck.write_text(f"[neck]\nfixture = {fixture}\n")
+    for text in ("kind = flat-neck\n",  # no section header
+                 "[family]\nkind = flat-neck\nkind = flat-neck\n"):  # a repeated key
+        fixture.write_text(text)
+        assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
+        assert f"cannot parse {str(fixture)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(sorted(_COMMANDS)),
+@given(target=st.sampled_from([*sorted(_COMMANDS), "fixture"]),
        name=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
-       where=st.sampled_from(["section", "run", "command"]))
-def test_unknown_ini_section_or_key_is_named(tmp_path, command, name, where):
+       where=st.sampled_from(["section", "run", "own"]))
+def test_unknown_ini_section_or_key_is_named(tmp_path, target, name, where):
+    # run configs and fixture files go through one reader; a fixture file's
+    # only section is [family], which takes every kind's parameters
+    if target == "fixture":
+        own, keys = "family", {"family": _FIXTURE_KEYS.union(*_KIND_PARAMS.values())}
+    else:
+        own, keys = target, {"run": _RUN_KEYS, target: _COMMANDS[target][2]}
     if where == "section":
-        assume(name not in ("run", command))
+        assume(name not in keys)
         text, named = f"[{name}]\nx = 1\n", f"section [{name}]"
     else:
-        sec = "run" if where == "run" else command
-        assume(name not in (_RUN_KEYS if where == "run" else _COMMANDS[command][2]))
+        sec = "run" if where == "run" and "run" in keys else own
+        assume(name not in keys[sec])
         text, named = f"[{sec}]\n{name} = 1\n", f"unknown keys ['{name}']"
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(text)
-    report = ["report.json"] if command == "report" else []
-    args = build_parser().parse_args([command, *report, "--config", str(cfg)])
     with pytest.raises(ConfigError, match=re.escape(named)):
-        load_config(command, args)
+        if target == "fixture":
+            load_fixture(str(cfg))
+        else:
+            report = ["report.json"] if target == "report" else []
+            load_config(target, build_parser().parse_args([target, *report,
+                                                           "--config", str(cfg)]))
 
 
 @pytest.mark.parametrize("command, section", [
@@ -132,7 +157,15 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     ("neck", "fixture = hyperbolic-cusp\nr_out = 2.0", "profile is not finite on the circle"),
     ("area-identity", "fixture = hyperbolic-cusp\nwindow = 2.0",
      "profile is not finite on the circle"),
+    # a profile that overflows on a circle used to print numpy's warning first
+    ("neck", "fixture = spherical-cap\nr_out = 1e300", "profile is not finite on the circle"),
+    ("area-identity", "window = 1e300", "profile is not finite on the circle"),
     ("three-circle", "b = nan", "linear cylinder needs finite A and B"),
+    # segment areas beyond double precision: the closed form used to raise a
+    # bare OverflowError, and at b = 20 the report failed on writing
+    ("three-circle", "b = 40", "a segment area overflows double precision"),
+    ("three-circle", "a = 400", "a segment area overflows double precision"),
+    ("three-circle", "b = 20", "a segment area overflows double precision"),
     # a fixture fixes A and B; a or b beside it named a different cylinder
     ("three-circle", "fixture = linear-cylinder\nb = 0.2", "fixture conflicts with ['b']"),
     ("three-circle", "fixture = linear-cylinder\na = 0.1\nb = 0.2",

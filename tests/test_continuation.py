@@ -1,10 +1,12 @@
 """Weight continuation toward cusps, mollification, concentration scans."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import cmlab.continuation
 from cmlab.continuation import (
     ContinuationSchedule,
     ScheduleStep,
@@ -148,7 +150,7 @@ def test_stage_envelope_holds_off_node_at_fine_grid():
     assert [s.k for s in res.stages] == [1, 2]
     for s in res.stages:
         assert s.area == pytest.approx(TAU * (1.0 - 2.0 ** -s.k), rel=1e-2)
-    assert res.final.area_parts.grid_area == pytest.approx(TAU * 0.75, rel=1e-9)
+    assert res.final.grid_area == pytest.approx(TAU * 0.75, rel=1e-9)
 
 
 def test_continuation_infeasible_target():
@@ -162,6 +164,28 @@ def test_stage_failure_carries_stage_index():
     with pytest.raises(StageFailure) as exc:
         run_continuation(sched, n=64, tol=1e-16)  # unreachable tolerance
     assert exc.value.stage == 1
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("gb_defect", 1.0, "conservation defect"),
+    ("grid_area", 2.0 * TAU, "grid area"),  # outside the lam = 1 envelope
+])
+def test_stage_checks_raise_at_their_stage(monkeypatch, field, value, message):
+    # a stage Solution that breaks Gauss-Bonnet or leaves the area envelope
+    # stops the run at that stage
+    solves = []
+
+    def tampered(*args, **kwargs):
+        solves.append(newton_solve(*args, **kwargs))
+        sol = solves[-1]
+        return dataclasses.replace(sol, **{field: value}) if len(solves) == 2 else sol
+
+    monkeypatch.setattr(cmlab.continuation, "newton_solve", tampered)
+    target = Divisor(((0.3, 0.7),), (-1.0,))
+    sched = ContinuationSchedule(target, cusp_schedule(target, k_max=3).steps, lam=1.0)
+    with pytest.raises(StageFailure, match=message) as exc:
+        run_continuation(sched, n=32)
+    assert exc.value.stage == 2
 
 
 def test_mollify_curvature():
@@ -195,7 +219,7 @@ def _unsolved(div: Divisor, curvature: float, v: Field) -> Solution:
     """A Solution holding `v` as given, for scans of a chosen field."""
     return Solution(split=singular_part(div, v.n), spec=CurvatureSpec(curvature), v=v,
                     residual_norm=0.0, area=0.0, gb_defect=0.0, newton_iters=0,
-                    cg_iters=0, cg_capped=0, area_parts=None)
+                    cg_iters=0, cg_capped=0, grid_area=0.0, rings_rejected=0)
 
 
 def test_no_bubble_scan_flags_concentration():

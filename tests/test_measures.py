@@ -92,6 +92,17 @@ def test_pairing_weak_identity_torus():
         pairing(u, sample(lambda x, y: x, chart, 32))
 
 
+def test_pairing_field_background_curvature():
+    # a Field K0 pairs like the constant it samples; its grid must match u's
+    n = 32
+    chart = TorusChart()
+    u = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), chart, n)
+    phi = sample(lambda x, y: np.cos(TAU * x) * np.cos(TAU * y) + 0.3, chart, n)
+    assert pairing(u, phi, constant(3.0, chart, n)) == pairing(u, phi, 3.0)
+    with pytest.raises(ValueError, match="background curvature grid mismatch"):
+        pairing(u, phi, constant(3.0, chart, 16))
+
+
 def test_pairing_disk_compact_support():
     # for a test function vanishing at the window edge the FD Laplacian
     # integrates to zero, so pairing a constant against it is just K0 * phi

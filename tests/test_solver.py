@@ -68,6 +68,10 @@ def test_solver_validation():
     with pytest.raises(ValueError):
         newton_solve(CurvatureSpec(-1.0), split,
                      v0=constant(0.0, TorusChart(), 32))
+    with pytest.raises(ValueError, match="forcing grid"):
+        newton_solve(CurvatureSpec(-1.0, forcing=constant(0.0, TorusChart(), 32)), split)
+    with pytest.raises(ValueError, match="v grid"):
+        residual(np.zeros((32, 32)), CurvatureSpec(-1.0), split)
 
 
 def test_curvature_spec_bounds():
@@ -216,17 +220,15 @@ def test_metric_area_ring_correction_gate():
     # beta = -0.5 gives power exponent 1 >= 3/4: ring quadrature applies;
     # beta = -0.9 concentrates below grid scale and must fall back
     s_cone = solve_divisor(((0.3, 0.7),), (-0.5,), n=128)
-    parts = s_cone.area_parts
-    assert len(parts.corrections) == 1
-    corr = parts.corrections[0]
-    assert corr.applied
-    assert parts.area == pytest.approx(
-        parts.grid_area + corr.ring - corr.grid_inner, rel=1e-12)
+    assert s_cone.rings_rejected == 0
+    assert s_cone.area != s_cone.grid_area
+    assert metric_area(s_cone.split, s_cone.v) == (
+        s_cone.area, s_cone.grid_area, s_cone.rings_rejected)
 
     s_cusp = solve_divisor(((0.3, 0.7),), (-0.9,), n=128)
-    c = s_cusp.area_parts.corrections[0]
-    assert not c.applied
-    assert s_cusp.area_parts.area == s_cusp.area_parts.grid_area
+    assert s_cusp.rings_rejected == 1
+    assert s_cusp.area == s_cusp.grid_area
+    assert metric_area(s_cusp.split, s_cusp.v) == (s_cusp.area, s_cusp.grid_area, 1)
 
 
 def _complex_neg_laplacian(values):
@@ -322,6 +324,48 @@ def test_cg_capped_is_counted(monkeypatch):
     capped = newton_solve(CurvatureSpec(-1.0), split)
     assert capped.residual_norm < 1e-10
     assert capped.cg_capped > 0
+
+
+def test_newton_cap_raises_nonconvergence(monkeypatch):
+    # the default guess needs more than one Newton step here
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 32)
+    monkeypatch.setattr(cmlab.solver, "_MAX_NEWTON", 1)
+    with pytest.raises(NonConvergence, match="within 1 iterations"):
+        newton_solve(CurvatureSpec(-1.0), split)
+
+
+def test_overflowing_line_search_trial_halves_the_step(monkeypatch):
+    # a trial whose e^{2u} overflows fails the Armijo test like any other:
+    # the step halves and the solve still reaches tol
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 32)
+    plain = newton_solve(CurvatureSpec(-1.0), split)
+    calls = []
+    exp2u = cmlab.solver._exp2u
+
+    def first_trial_overflows(S, v):
+        calls.append(None)
+        if len(calls) == 2:  # call 1 evaluates the start, call 2 the first trial
+            raise ResidualOverflow("e^{2u} overflows double precision")
+        return exp2u(S, v)
+
+    monkeypatch.setattr(cmlab.solver, "_exp2u", first_trial_overflows)
+    sol = newton_solve(CurvatureSpec(-1.0), split)
+    assert len(calls) > 2
+    assert sol.residual_norm <= 1e-10
+    assert float(np.abs(sol.v.values - plain.v.values).max()) < 1e-9
+
+
+def test_atom_free_forced_solve_starts_from_zero():
+    # sum(beta) = 0 makes the default guess v = 0; the manufactured forcing
+    # makes the chi = 0 equation solvable
+    n = 32
+    split = singular_part(Divisor((), ()), n)
+    v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y),
+                     TorusChart(), n)
+    spec = CurvatureSpec(-1.0, forcing=residual(v_exact, CurvatureSpec(-1.0), split))
+    assert not default_initial_guess(spec, split).values.any()
+    sol = newton_solve(spec, split, tol=1e-12)
+    assert float(np.abs(sol.v.values - v_exact.values).max()) < 1e-8
 
 
 def test_uniqueness_probe_rejects_no_trials():
