@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import TAU, DiskChart, Field, TorusChart, gauss_legendre, interpolate
-from .io import read_ini
+from .io import ini_value, read_ini
 from .measures import FluxProfile, kelvin_transform, residue_profiled
 from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
 
@@ -358,10 +358,12 @@ def load_fixture(name: str) -> SyntheticFamily:
         raise ConfigError(f"fixture {name!r} has no [family] section")
     return SyntheticFamily(
         name=stem, kind=sec.get("kind", ""), sign_class=sec.get("sign", ""),
-        k_min=int(sec.get("k_min", 1)), k_max=int(sec.get("k_max", 8)),
-        params={k: float(v) for k, v in sec.items() if k not in _FIXTURE_KEYS},
-        mass_bound=float(sec.get("mass_bound", 100.0)),
-        gradient_bound=float(sec.get("gradient_bound", 8.0)))
+        k_min=ini_value(sec, "k_min", int, 1, name),
+        k_max=ini_value(sec, "k_max", int, 8, name),
+        params={k: ini_value(sec, k, float, None, name)
+                for k in sec if k not in _FIXTURE_KEYS},
+        mass_bound=ini_value(sec, "mass_bound", float, 100.0, name),
+        gradient_bound=ini_value(sec, "gradient_bound", float, 8.0, name))
 
 
 # -- hypothesis validators ----------------------------------------------------

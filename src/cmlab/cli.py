@@ -1,9 +1,10 @@
 """Command-line front end: solves, continuation runs, concentration scans,
 and bubble diagnostics, with reproducible artifacts.
 
-Every run writes report.json (canonical form: sorted keys, 17 significant
-digits) plus CSV plot series into the output directory; grid fields are
-written as CMLGRID1. Exit status: 0 success, 2 hypothesis violation or
+Every run writes report.json (canonical form: sorted keys, floats in
+Python's shortest round-trip repr, which is exact, so a re-emit is
+byte-identical) plus CSV plot series into the output directory; grid fields
+are written as CMLGRID1. Exit status: 0 success, 2 hypothesis violation or
 concentration flag (artifacts still written), 1 configuration or solver
 error.
 """
@@ -20,7 +21,7 @@ from .bubbles import area_identity_check, load_fixture, neck_area_profile, three
 from .continuation import check_scan, cusp_schedule, no_bubble_scan, run_continuation
 from .errors import CmlabError, ConfigError
 from .grids import Field, TorusChart
-from .io import emit_plot_data, read_ini, read_report, write_field, write_report
+from .io import emit_plot_data, ini_value, read_ini, read_report, write_field, write_report
 from .measures import Divisor, euler_characteristic
 from .models import LinearCylinder
 from .green import singular_part
@@ -64,15 +65,6 @@ def _parse_floats(text: str):
     return tuple(float(t) for t in text.split())
 
 
-def _opt(options, key, conv, default):
-    if key not in options:
-        return default
-    try:
-        return conv(options[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-
-
 def load_config(command: str, args) -> RunConfig:
     sections: dict = {}
     if args.config:
@@ -82,9 +74,9 @@ def load_config(command: str, args) -> RunConfig:
         sections = read_ini(path.read_text(encoding="utf-8"), args.config,
                             {"run": _RUN_KEYS, command: _COMMANDS[command][2]})
     run = sections.get("run", {})
-    n = args.grid if args.grid is not None else _opt(run, "grid", int, 256)
-    tol = args.tol if args.tol is not None else _opt(run, "tol", float, 1e-10)
-    seed = args.seed if args.seed is not None else _opt(run, "seed", int, 0)
+    n = args.grid if args.grid is not None else ini_value(run, "grid", int, 256)
+    tol = args.tol if args.tol is not None else ini_value(run, "tol", float, 1e-10)
+    seed = args.seed if args.seed is not None else ini_value(run, "seed", int, 0)
     report_path = None
     if command == "report":
         report_path = Path(args.report_path)
@@ -118,10 +110,10 @@ def _report_fields(result, *omit) -> dict:
 def _problem(cfg: RunConfig, cusp: bool = False):
     """Divisor, spec, curvature; betas default to -1 per atom if `cusp`, else -0.5."""
     opt = cfg.options
-    atoms = _opt(opt, "atoms", _parse_pairs, _DEFAULT_ATOMS)
-    betas = _opt(opt, "betas", _parse_floats,
-                 (-1.0,) * len(atoms) if cusp else _DEFAULT_BETAS)
-    curvature = _opt(opt, "curvature", float, -1.0)
+    atoms = ini_value(opt, "atoms", _parse_pairs, _DEFAULT_ATOMS)
+    betas = ini_value(opt, "betas", _parse_floats,
+                      (-1.0,) * len(atoms) if cusp else _DEFAULT_BETAS)
+    curvature = ini_value(opt, "curvature", float, -1.0)
     check_curvature_bounds(curvature, None)
     return Divisor(atoms, betas), CurvatureSpec(curvature), curvature
 
@@ -137,7 +129,7 @@ def _solved(cfg: RunConfig):
 
 
 def _cmd_solve(cfg: RunConfig):
-    trials = _opt(cfg.options, "uniqueness_trials", int, 0)
+    trials = ini_value(cfg.options, "uniqueness_trials", int, 0)
     if trials < 0:
         raise ConfigError(f"uniqueness_trials = {trials} is negative; 0 means no probe")
     sol, report = _solved(cfg)
@@ -153,8 +145,8 @@ def _cmd_solve(cfg: RunConfig):
 
 def _cmd_continue(cfg: RunConfig):
     div, _, curvature = _problem(cfg, cusp=True)
-    k_max = _opt(cfg.options, "k_max", int, 10)
-    scan_radius = _opt(cfg.options, "scan_radius", float, 1.0 / 16.0)
+    k_max = ini_value(cfg.options, "k_max", int, 10)
+    scan_radius = ini_value(cfg.options, "scan_radius", float, 1.0 / 16.0)
     sched = cusp_schedule(div, k_max=k_max, curvature=curvature)
     result = run_continuation(sched, n=cfg.n, tol=cfg.tol, scan_radius=scan_radius)
     report = {
@@ -170,8 +162,8 @@ def _cmd_continue(cfg: RunConfig):
 
 
 def _cmd_scan(cfg: RunConfig):
-    radius = _opt(cfg.options, "radius", float, 1.0 / 16.0)
-    threshold = _opt(cfg.options, "threshold", float, 1.0)
+    radius = ini_value(cfg.options, "radius", float, 1.0 / 16.0)
+    threshold = ini_value(cfg.options, "threshold", float, 1.0)
     radii = (radius, radius / 2.0)
     check_scan(radii, threshold)
     sol, report = _solved(cfg)
@@ -187,8 +179,8 @@ def _cmd_scan(cfg: RunConfig):
 
 def _cmd_three_circle(cfg: RunConfig):
     opt = cfg.options
-    kappa = _opt(opt, "kappa", float, 0.5)
-    length = _opt(opt, "length", float, 10.0)
+    kappa = ini_value(opt, "kappa", float, 0.5)
+    length = ini_value(opt, "length", float, 10.0)
     if "fixture" in opt:
         clash = sorted({"a", "b"} & opt.keys())
         if clash:
@@ -197,7 +189,8 @@ def _cmd_three_circle(cfg: RunConfig):
         model = load_fixture(opt["fixture"]).cylinder()
         label = opt["fixture"]
     else:
-        model = LinearCylinder(_opt(opt, "a", float, 0.0), _opt(opt, "b", float, -1.0))
+        model = LinearCylinder(ini_value(opt, "a", float, 0.0),
+                               ini_value(opt, "b", float, -1.0))
         label = None
     rep = three_circle_check(model, kappa, length)
     report = {"command": "three-circle", "fixture": label, "A": model.A,
@@ -209,14 +202,14 @@ def _cmd_neck(cfg: RunConfig):
     opt = cfg.options
     name = opt.get("fixture", "flat-neck")
     fam = load_fixture(name)
-    k = _opt(opt, "k", int, fam.k_max)
+    k = ini_value(opt, "k", int, fam.k_max)
     if not fam.k_min <= k <= fam.k_max:
         raise ConfigError(f"k = {k} outside the fixture range "
                           f"[{fam.k_min}, {fam.k_max}]")
     default_out = 1.0 if fam.kind == "flat-neck" else 0.5
-    r_out = _opt(opt, "r_out", float, default_out)
+    r_out = ini_value(opt, "r_out", float, default_out)
     scale = fam.scale(k)
-    r_in = _opt(opt, "r_in", float, scale if scale > 0 else r_out / 256.0)
+    r_in = ini_value(opt, "r_in", float, scale if scale > 0 else r_out / 256.0)
     rep = neck_area_profile(fam.u(k), fam.center(), r_in, r_out)
     violation = fam.sign_class == "violating"
     report = {
@@ -233,7 +226,7 @@ def _cmd_neck(cfg: RunConfig):
 def _cmd_area_identity(cfg: RunConfig):
     opt = cfg.options
     name = opt.get("fixture", "spherical-cap")
-    window = _opt(opt, "window", float, 0.5)
+    window = ini_value(opt, "window", float, 0.5)
     fam = load_fixture(name)
     rep = area_identity_check(fam, window=window)
     val = rep.validation

@@ -4,14 +4,15 @@ CMLGRID1 layout: 8-byte magic ``CMLGRID1``, u32 little-endian resolution n,
 n*n float64 little-endian row-major samples, then one UTF-8 chart
 descriptor line.
 
-JSON reports are emitted canonically (sorted keys, floats with 17
-significant digits) so that read -> re-emit round trips are byte-identical.
+JSON reports are emitted canonically by the json module: sorted keys, no
+spaces, and floats in Python's shortest round-trip repr, which is exact, so
+read -> re-emit round trips are byte-identical. CSV cells spell floats the
+same way.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from configparser import ConfigParser, Error as IniError
 from pathlib import Path
@@ -45,6 +46,18 @@ def read_ini(text: str, source, keys: dict) -> dict:
             raise ConfigError(
                 f"unknown keys {sorted(unknown)} in section [{sec}] of {source!r}")
     return sections
+
+
+def ini_value(section: dict, key: str, conv, default, source=None):
+    """`conv` of `section[key]`, or `default` when the key is absent. A value
+    `conv` rejects raises ConfigError naming the key, and `source` if given."""
+    if key not in section:
+        return default
+    try:
+        return conv(section[key])
+    except (ValueError, ConfigError) as exc:
+        where = f" in {source!r}" if source is not None else ""
+        raise ConfigError(f"bad value for {key!r}{where}: {exc}") from exc
 
 
 def write_field(path, field: Field) -> None:
@@ -85,52 +98,24 @@ def read_field(path) -> Field:
 
 # -- canonical JSON ----------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise CmlabError("cannot serialize non-finite float in a report")
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s and "n" not in s:
-        s += ".0"
-    return s
-
-
-def _emit(obj, out: list) -> None:
-    if obj is None or isinstance(obj, (bool, np.bool_)):
-        out.append("null" if obj is None else ("true" if obj else "false"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for idx, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise CmlabError("report keys must be strings")
-            if idx:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for idx, item in enumerate(seq):
-            if idx:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise CmlabError(f"cannot serialize {type(obj).__name__} in a report")
+def _plain(obj):
+    """The JSON-native value of a numpy array or scalar; nothing else."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise CmlabError(f"cannot serialize {type(obj).__name__} in a report")
 
 
 def canonical_json(obj) -> str:
-    out: list = []
-    _emit(obj, out)
-    out.append("\n")
-    return "".join(out)
+    """`obj` as one line of JSON: sorted keys, no spaces, text as-is, and
+    floats in Python's shortest round-trip repr, plus a newline. nan and
+    ±inf, in numpy arrays too, raise CmlabError."""
+    try:
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False,
+                          separators=(",", ":"), default=_plain) + "\n"
+    except ValueError as exc:
+        raise CmlabError(f"cannot serialize report: {exc}") from exc
 
 
 def write_report(path, obj) -> None:
@@ -145,7 +130,7 @@ def read_report(path):
 
 def _csv_cell(x) -> str:
     if isinstance(x, (float, np.floating)):
-        return _format_float(float(x))
+        return canonical_json(float(x))[:-1]
     return str(x)
 
 

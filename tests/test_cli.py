@@ -106,6 +106,35 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, section, family, message", [
+    # fixture values used to print a bare int() or float() complaint
+    ("neck", "fixture = {fixture}", "kind = flat-neck\nsign = positive\nk_min = two",
+     "bad value for 'k_min' in '{fixture}': invalid literal for int()"),
+    ("neck", "fixture = {fixture}", "kind = flat-neck\nsign = positive\nmass_bound = lots",
+     "bad value for 'mass_bound' in '{fixture}': could not convert string to float"),
+    ("area-identity", "fixture = {fixture}",
+     "kind = spherical-cap\nsign = positive\nlam_scale = big",
+     "bad value for 'lam_scale' in '{fixture}': could not convert string to float"),
+    ("continue-cusp", "k_max = ten", None,
+     "bad value for 'k_max': invalid literal for int()"),
+    # a malformed pair list used to name neither its key nor its value
+    ("solve", "atoms = 0.3;0.7", None,
+     "bad value for 'atoms': expected x,y pairs, got '0.3;0.7'"),
+])
+def test_a_value_that_does_not_convert_names_its_key(tmp_path, capsys, command,
+                                                     section, family, message):
+    fixture = tmp_path / "fam.ini"
+    if family is not None:
+        fixture.write_text(f"[family]\n{family}\n")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\n{section.format(fixture=fixture)}\n")
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert message.format(fixture=fixture) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(target=st.sampled_from([*sorted(_COMMANDS), "fixture"]),

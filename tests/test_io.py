@@ -167,13 +167,28 @@ def test_field_bad_descriptor_messages(tmp_path):
 
 
 def test_canonical_float_format():
-    # whole floats keep a trailing .0; 17 significant digits round-trip
+    # whole floats keep a trailing .0; the shortest round-trip repr is exact
     assert canonical_json(1.0) == "1.0\n"
     assert canonical_json(-3.0) == "-3.0\n"
     for x in (0.1 + 0.2, 1e300, -7.25e-12, 2.0 ** 53 + 2.0):
         assert float(canonical_json(x)) == x
     with pytest.raises(CmlabError):
         canonical_json(float("nan"))
+
+
+def test_canonical_floats_are_the_shortest_repr():
+    assert canonical_json(0.1) == "0.1\n"
+    assert canonical_json(1e-12) == "1e-12\n"
+    assert canonical_json(1e16) == "1e+16\n"
+    # a float32 is written as the float64 it widens to
+    assert canonical_json(np.float32(0.1)) == "0.10000000149011612\n"
+
+
+def test_canonical_json_rejects_non_finite_arrays_and_unknown_types():
+    with pytest.raises(CmlabError):
+        canonical_json({"arr": np.array([1.0, np.nan])})
+    with pytest.raises(CmlabError, match="cannot serialize object in a report"):
+        canonical_json({"x": object()})
 
 
 def test_canonical_json_sorted_and_round_trip(tmp_path):
@@ -192,7 +207,7 @@ def test_canonical_json_sorted_and_round_trip(tmp_path):
     back = read_report(path)
     assert back["alpha"]["a"] == [0.1, -0.25]
     # re-emission of the parsed report is byte-identical
-    assert canonical_json(back) == s.replace('"arr":[1.5,2.5]', '"arr":[1.5,2.5]')
+    assert canonical_json(back) == s
     write_report(tmp_path / "again.json", back)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -215,6 +230,12 @@ def test_write_csv(tmp_path):
     path = tmp_path / "series.csv"
     write_csv(path, ["k", "area"], [(1, 2.0), (2, 6.5)])
     assert path.read_text() == "k,area\n1,2.0\n2,6.5\n"
+
+
+def test_write_csv_spells_floats_as_reports_do(tmp_path):
+    path = tmp_path / "series.csv"
+    write_csv(path, ["x"], [(0.1,), (np.float64(1e-12),)])
+    assert path.read_text() == "x\n0.1\n1e-12\n"
 
 
 def test_emit_plot_data_series(tmp_path):

@@ -11,7 +11,7 @@ from cmlab.continuation import check_curvature_bounds
 from cmlab.errors import InfeasibleTopology, NonConvergence, ResidualOverflow
 from cmlab.grids import TAU, Field, TorusChart, constant, irfft2, neg_laplacian, sample
 from cmlab.green import singular_part
-from cmlab.measures import Divisor
+from cmlab.measures import Divisor, residue
 from cmlab.models import cone_radial_length, cusp_profile, cusp_radial_length
 from cmlab.solver import (
     CurvatureSpec,
@@ -110,6 +110,19 @@ def test_curvature_scaling_law():
     np.testing.assert_allclose(diff, -math.log(2.0), atol=1e-9)
     assert s4.area == pytest.approx(s1.area / 4.0, rel=1e-6)
     assert s1.gb_defect < 1e-9 and s4.gb_defect < 1e-9
+
+
+@pytest.mark.parametrize("points, betas", [
+    (((0.3, 0.7),), (-0.5,)),
+    (((0.3, 0.7), (0.7, 0.3)), (-0.5, -0.25)),
+])
+def test_solved_cone_weight_is_measured_at_each_atom(points, betas):
+    # with constant K the area is pinned whatever weight S carries, so only
+    # the measured residue sees a cone built with the wrong weight
+    sol = solve_divisor(points, betas, n=256)
+    u = Field(sol.u_values, TorusChart())
+    for p, beta in zip(points, betas):
+        assert abs(residue(u, p) - beta) < 1e-2
 
 
 def test_solution_area_and_gauss_bonnet():
