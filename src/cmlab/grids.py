@@ -26,21 +26,29 @@ import numpy as np
 TAU = 2.0 * math.pi
 
 
-def rfft2(a: np.ndarray) -> np.ndarray:
+def rfft2(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of a real n-by-n array: shape (n, n//2 + 1).
 
     Two passes of numpy's pocketfft, real along the rows and then complex
     in place down the columns, single-threaded. At the power-of-two sizes
     a Field allows, this pair equals ``scipy.fft.rfft2``/``irfft2`` bit for
-    bit, and no solve needs to import scipy.
+    bit, and no solve needs to import scipy. A complex `out` of that shape
+    receives the result, and the call allocates no n-by-n array.
     """
-    out = np.fft.rfft(a, axis=1)
+    out = np.fft.rfft(a, axis=1, out=out)
     return np.fft.fft(out, axis=0, out=out)
 
 
-def irfft2(a: np.ndarray, n: int) -> np.ndarray:
-    """Real n-by-n array from its half spectrum (inverse of ``rfft2``)."""
-    return np.fft.irfft(np.fft.ifft(a, axis=0), n, axis=1)
+def irfft2(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Real n-by-n array from its half spectrum (inverse of ``rfft2``).
+
+    A real n-by-n `out` receives the result; then the column pass runs in
+    place on `a`, which is overwritten, and the call allocates no n-by-n
+    array. The result is the same bit for bit either way.
+    """
+    if out is None:
+        return np.fft.irfft(np.fft.ifft(a, axis=0), n, axis=1)
+    return np.fft.irfft(np.fft.ifft(a, axis=0, out=a), n, axis=1, out=out)
 
 
 @dataclass(frozen=True)

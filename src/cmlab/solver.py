@@ -6,12 +6,17 @@ which makes the Newton linearization -Delta + (-2K e^{2u}) positive
 definite, so every inner solve is a preconditioned conjugate-gradient
 iteration on a definite operator.
 
-The Newton state is kept as the Fourier coefficient array of v: applying
--Delta to stored coefficients is diagonal-exact, which avoids the
-round-off floor eps * (pi n)^2 ||v|| that a real-space state hits when the
-residual is re-transformed each step (at n = 256 that floor already
-exceeds the default tolerance). v is real, so the state is its half
-spectrum (``rfft2``), and every transform is a real one of half size.
+The Newton state is kept as samples: v, and beside it the samples lv of
+-Delta v. The loop starts from a half spectrum v^ (the padded n/4
+solution, or the transform of v0 or of the default guess) with
+v = irfft2(v^) and lv = irfft2(k2 v^); after that -Delta v is never
+recomputed from samples, so the round-off floor eps * (pi n)^2 ||v|| of a
+re-transformed real-space state does not arise (at n = 256 it would
+already exceed the default tolerance). A step d comes out of CG with its
+-Delta, ld, read off quantities CG already holds (below), whose round-off
+is about eps max(W) |d| rather than eps (pi n)^2 |d|; lv only accumulates
+t ld, so an Armijo trial is v + t d, lv + t ld, e^{2u} and F, with no
+transform.
 
 One operator evaluates the residual and applies its Jacobian; the public
 ``residual`` and ``jacobian_apply``, the default guess and the Newton loop
@@ -19,9 +24,11 @@ all use it. The inner CG works on samples and applies the same Jacobian
 -Delta + W, but gets -Delta p without a transform: the preconditioner
 solve (k2 + c) z^ = r^, with the shift c below, gives -Delta z = r - c z
 exactly, and p is a linear recurrence in z, so -Delta p follows the same
-recurrence. One CG iteration therefore costs exactly two transforms,
-rfft2(r) for the preconditioner and irfft2(z^) for z, and each inner
-solve ends with one rfft2 of its step for the Newton state.
+recurrence. At its exit CG reads -Delta x = b - r - W x off its own
+recurrence residual r. One CG iteration therefore costs exactly two
+transforms, rfft2(r) for the preconditioner and irfft2(z^) for z, and a
+solve from a given start spectrum costs 2 more, for v and lv. The loop
+holds only what the next step reads: entering CG, v, lv, W and F.
 
 The preconditioner is the spectral inverse (-Delta + c)^-1 with the shift
 c = mean(W). -Delta does not see the constant mode, and mean(W) is the
@@ -33,10 +40,12 @@ so a shift that follows the spike, such as sqrt(min W max W), mismatches
 the low modes where CG spends its iterations.
 
 A solve given no start on a grid n >= 512 begins from the same problem
-solved at n/4 (nested iteration) by a newton_solve call of its own, which
-nests in turn from n >= 2048. The solution is unique, so the start changes
-the cost, not the answer: at n = 1024 one cone takes 3 fine Newton steps
-and 14 CG iterations instead of 4 and 19. The half spectrum of the coarse
+solved at n/4 (nested iteration), which nests in turn from n >= 2048. The
+n/4 level runs the same start and Newton loop as the fine one, but no
+area quadrature and no Solution: only its final v is read. The solution
+is unique, so the start changes the cost, not the answer: at n = 1024 one
+cone takes 3 fine Newton steps and 14 CG iterations instead of 4 and 19.
+The half spectrum of the coarse
 solution is zero-padded into the fine one, its Nyquist row and column
 dropped and its coefficients scaled by 16. When the coarse grid rejects an
 atom or the coarse Newton does not converge, the constant default guess
@@ -118,10 +127,11 @@ class Solution:
 
 
 def _exp2u(S: np.ndarray, v: np.ndarray) -> np.ndarray:
-    arg = 2.0 * (S + v)
-    if arg.max() > _EXP_LIMIT:
+    out = np.add(S, v)
+    out *= 2.0
+    if out.max() > _EXP_LIMIT:
         raise ResidualOverflow("e^{2u} overflows double precision")
-    return np.exp(arg)
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -140,18 +150,17 @@ class _Operator:
     def n(self) -> int:
         return self.S.shape[0]
 
-    def residual(self, vhat: np.ndarray, e2u: np.ndarray) -> np.ndarray:
-        """F from the half spectrum of v and the samples of e^{2(S+v)}."""
-        return irfft2(self.k2 * vhat, self.n) - self.K * e2u + self.const - self.rho
-
-    def evaluate(self, vhat: np.ndarray) -> tuple:
-        """(v, e^{2(S+v)}, F) at the half spectrum vhat."""
-        v = irfft2(vhat, self.n)
-        e2u = _exp2u(self.S, v)
-        return v, e2u, self.residual(vhat, e2u)
+    def residual(self, lv: np.ndarray, e2u: np.ndarray) -> np.ndarray:
+        """F from the samples lv of -Delta v and of e^{2(S+v)}."""
+        F = np.multiply(self.K, e2u)
+        np.subtract(lv, F, out=F)
+        F += self.const
+        F -= self.rho
+        return F
 
     def weight(self, e2u: np.ndarray) -> np.ndarray:
-        return -2.0 * self.K * e2u
+        """W = -2K e^{2(S+v)}, written over the samples e2u."""
+        return np.multiply(-2.0 * self.K, e2u, out=e2u)
 
     def jacobian(self, W: np.ndarray, w: np.ndarray, what: np.ndarray) -> np.ndarray:
         """(-Delta + W) w from the samples w and their half spectrum."""
@@ -180,7 +189,8 @@ def residual(v: Field | np.ndarray, spec: CurvatureSpec, split: SingularSplit) -
     """F(v) = -Delta v - K e^{2(S+v)} + 2 pi sum(beta) - forcing."""
     vv = _samples(v, split)
     op = _operator(spec, split)
-    return Field(op.residual(rfft2(vv), _exp2u(op.S, vv)), TorusChart())
+    lv = irfft2(op.k2 * rfft2(vv), op.n)
+    return Field(op.residual(lv, _exp2u(op.S, vv)), TorusChart())
 
 
 def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
@@ -200,51 +210,62 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
     in z, so lp = -Delta p follows as lp = (r - shift z) + beta lp. The
     identity only multiplies r^ by k2 / (k2 + shift) <= 1, so round-off is
     not amplified by (pi n)^2 as a transform of k2 p^ would be. One
-    iteration costs one rfft2(r) and one irfft2(z^), and the solve ends with
-    one rfft2(x).
+    iteration costs one rfft2(r) and one irfft2(z^). The recurrence residual
+    is r = b - (W x - Delta x), so the exit reads -Delta x = b - r - W x
+    from it, again with no transform.
 
-    Returns (half spectrum of x, iterations, whether _CG_MAXITER cut it short).
+    The iteration allocates no array: the transforms write into z^ and into
+    w, which holds A p and then z and -Delta z in turn, and every product
+    goes through tmp. Arrays freed and reallocated every iteration are
+    page-faulted in again whenever the allocator hands them back to the
+    system; measured that way, the n = 256 ladder ran about 7% slower.
+
+    Returns (x, -Delta x, iterations, whether _CG_MAXITER cut it short).
     """
     n = op.n
     denom = op.k2 + shift
     r = b.copy()
     zhat = rfft2(r)
     zhat /= denom
-    z = irfft2(zhat, n)
-    p, lp = z, r - shift * z
-    Ap = np.empty_like(r)
+    p = irfft2(zhat, n)
+    lp = np.multiply(p, shift)
+    np.subtract(r, lp, out=lp)
     x = np.zeros_like(r)
-    rz = float((r * z).sum())
-    bnorm = math.sqrt(float((b * b).sum()))
+    w = np.empty_like(r)
+    tmp = np.empty_like(r)
+    rz = float(np.multiply(r, p, out=tmp).sum())
+    bnorm = math.sqrt(float(np.multiply(b, b, out=tmp).sum()))
+    capped = True
     for iters in range(1, _CG_MAXITER + 1):
-        np.multiply(W, p, out=Ap)
+        Ap = np.multiply(W, p, out=w)
         Ap += lp
-        pAp = float((p * Ap).sum())
+        pAp = float(np.multiply(p, Ap, out=tmp).sum())
         if pAp <= 0.0:
             raise CurvatureSignError(
                 "CG met a non-positive curvature direction; the linearized "
                 "operator is not definite")
         alpha = rz / pAp
-        x += alpha * p
+        x += np.multiply(p, alpha, out=tmp)
         Ap *= alpha
         r -= Ap
-        if math.sqrt(float((r * r).sum())) <= _CG_RTOL * bnorm:
-            return rfft2(x), iters, False
-        del z, zhat  # free the previous pair before the transforms allocate
-        zhat = rfft2(r)
+        if math.sqrt(float(np.multiply(r, r, out=tmp).sum())) <= _CG_RTOL * bnorm:
+            capped = False
+            break
+        rfft2(r, out=zhat)
         zhat /= denom
-        z = irfft2(zhat, n)
-        rz_next = float((r * z).sum())
+        z = irfft2(zhat, n, out=w)
+        rz_next = float(np.multiply(r, z, out=tmp).sum())
         beta = rz_next / rz
-        # Ap is free until the next product: it takes -Delta z = r - shift z
-        np.multiply(z, shift, out=Ap)
-        np.subtract(r, Ap, out=Ap)
         p *= beta
         p += z
+        z *= shift  # z is read for the last time: it becomes r - shift z
+        np.subtract(r, z, out=z)
         lp *= beta
-        lp += Ap
+        lp += z
         rz = rz_next
-    return rfft2(x), _CG_MAXITER, True
+    lx = np.subtract(b, r, out=w)
+    lx -= np.multiply(W, x, out=tmp)
+    return x, lx, iters, capped
 
 
 def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
@@ -267,28 +288,38 @@ def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
 def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
     """Damped Newton-CG on `op` from the half spectrum `vhat` to sup |F| <= tol.
 
-    Returns (vhat, v, e^{2(S+v)}, F, Newton steps, CG iterations, capped
-    inner solves) at the final iterate.
+    The caller passes `vhat` without keeping it, so the start spectrum is
+    freed once v and lv exist. Returns (v, e^{2(S+v)}, sup |F|, Newton steps,
+    CG iterations, capped inner solves) at the final iterate.
     """
-    v, e2u, F = op.evaluate(vhat)
+    v = irfft2(vhat, op.n)
+    lv = irfft2(op.k2 * vhat, op.n)
+    del vhat
+    e2u = _exp2u(op.S, v)
+    F = op.residual(lv, e2u)
     cg_total = 0
     cg_capped = 0
     for it in range(_MAX_NEWTON):
         norm = float(np.abs(F).max())
         if norm <= tol:
             break
+        phi0 = float((F * F).sum())
         W = op.weight(e2u)
-        dhat, inner, capped = _cg(op, W, float(W.mean()), -F)
+        del e2u
+        np.negative(F, out=F)  # CG's right-hand side -F, in place
+        d, ld, inner, capped = _cg(op, W, float(W.mean()), F)
+        del W, F
         cg_total += inner
         cg_capped += capped
-        phi0 = float((F * F).sum())
         step = 1.0
         while True:
             try:
-                vhat_try = vhat + step * dhat
-                v_try, e2u_try, F_try = op.evaluate(vhat_try)
-                if float((F_try * F_try).sum()) <= (1.0 - 2e-4 * step) * phi0:
-                    vhat, v, e2u, F = vhat_try, v_try, e2u_try, F_try
+                v_try = v + step * d
+                lv_try = lv + step * ld
+                e2u = _exp2u(op.S, v_try)
+                F = op.residual(lv_try, e2u)
+                if float((F * F).sum()) <= (1.0 - 2e-4 * step) * phi0:
+                    v, lv = v_try, lv_try
                     break
             except ResidualOverflow:
                 pass
@@ -297,17 +328,39 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
                 raise NonConvergence(
                     f"line search hit the 2^-30 floor at Newton step {it + 1} "
                     f"(residual {norm:.3e})")
+        del d, ld, v_try, lv_try
     else:
         raise NonConvergence(
             f"Newton did not reach tol={tol:g} within {_MAX_NEWTON} iterations "
             f"(residual {float(np.abs(F).max()):.3e})")
-    return vhat, v, e2u, F, it, cg_total, cg_capped
+    return v, e2u, norm, it, cg_total, cg_capped
+
+
+def _start(spec: CurvatureSpec, split: SingularSplit, v0: Field | None,
+           tol: float) -> np.ndarray:
+    """Half spectrum the Newton loop starts from: v0, else the n/4 solution
+    on a grid n >= 512, else (or when that falls back) the default guess."""
+    if v0 is not None:
+        return rfft2(v0.values)
+    vhat = _coarse_start(spec, split, tol) if split.n >= _NESTED_MIN_N else None
+    return rfft2(default_initial_guess(spec, split).values) if vhat is None else vhat
+
+
+def _solve_level(spec: CurvatureSpec, split: SingularSplit, v0: Field | None,
+                 tol: float) -> tuple:
+    """Newton-CG on one grid from `_start`, with no input checks and no area.
+
+    Returns the operator followed by `_newton_loop`'s tuple.
+    """
+    op = _operator(spec, split)
+    return (op,) + _newton_loop(op, _start(spec, split, v0, tol), tol)
 
 
 def _coarse_start(spec: CurvatureSpec, split: SingularSplit, tol: float):
-    """Half spectrum of the n/4 newton_solve of v, zero-padded to n, or None
-    when newton_solve falls back to the default guess. The factor 16 = (n/m)^2
-    carries the unnormalized forward transform across grid sizes."""
+    """Half spectrum of the n/4 solution of v, zero-padded to n, or None
+    when the coarse grid rejects an atom or its Newton does not converge.
+    The factor 16 = (n/m)^2 carries the unnormalized forward transform
+    across grid sizes."""
     n, m = split.n, split.n // 4
     try:
         coarse = singular_part(split.divisor, m)
@@ -317,11 +370,13 @@ def _coarse_start(spec: CurvatureSpec, split: SingularSplit, tol: float):
     def inject(f):
         return Field(f.values[::4, ::4], TorusChart()) if isinstance(f, Field) else f
 
+    # the injected problem passes newton_solve's checks whenever the fine one does
     cspec = CurvatureSpec(inject(spec.curvature), inject(spec.forcing))
     try:
-        chat = 16.0 * rfft2(newton_solve(cspec, coarse, tol=tol).v.values)
+        chat = rfft2(_solve_level(cspec, coarse, None, tol)[1])
     except NonConvergence:
         return None
+    chat *= 16.0
     h = m // 2
     vhat = np.zeros((n, n // 2 + 1), dtype=chat.dtype)
     vhat[:h, :h] = chat[:h, :h]
@@ -344,7 +399,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     An inner solve that reaches 2000 iterations keeps its last iterate and
     is counted in `cg_capped`.
 
-    With `v0` None, a grid n >= 512 starts from a newton_solve call at n/4:
+    With `v0` None, a grid n >= 512 starts from the same solve at n/4:
     Field curvature and forcing are restricted by injection, and the half
     spectrum of the coarse v is zero-padded to n (Nyquist row and column
     dropped, scaled by 16). If `singular_part` rejects an atom at n/4 (an
@@ -353,7 +408,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     NonConvergence, the start is `default_initial_guess`, which every other
     grid uses too; any other coarse error propagates. `newton_iters`,
     `cg_iters` and `cg_capped` count this grid's Newton loop only; the
-    coarse call keeps its counts in its own Solution.
+    n/4 level's counts are not kept.
     """
     div = split.divisor
     chi = euler_characteristic("torus", div)
@@ -370,24 +425,15 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
-    op = _operator(spec, split)
-    vhat = None
-    if v0 is not None:
-        if v0.n != op.n:
-            raise ValueError("v0 grid does not match the singular part")
-        vhat = rfft2(v0.values)
-    elif op.n >= _NESTED_MIN_N:
-        vhat = _coarse_start(spec, split, tol)
-    if vhat is None:
-        vhat = rfft2(default_initial_guess(spec, split).values)
+    if v0 is not None and v0.n != split.n:
+        raise ValueError("v0 grid does not match the singular part")
 
-    vhat, v, e2u, F, it, cg_total, cg_capped = _newton_loop(op, vhat, tol)
+    op, v, e2u, norm, it, cg_total, cg_capped = _solve_level(spec, split, v0, tol)
 
     v_field = Field(v, TorusChart())
     area, grid_area, rejected = metric_area(split, v_field)
     gb = abs(float((op.K * e2u + op.rho).mean()) - TAU * chi)
-    return Solution(split=split, spec=spec, v=v_field,
-                    residual_norm=float(np.abs(F).max()), area=area,
+    return Solution(split=split, spec=spec, v=v_field, residual_norm=norm, area=area,
                     gb_defect=gb, newton_iters=it, cg_iters=cg_total,
                     cg_capped=cg_capped, grid_area=grid_area, rings_rejected=rejected)
 

@@ -19,7 +19,7 @@ from cmlab.bubbles import (
 )
 from cmlab.cli import main as cli_main
 from cmlab.continuation import cusp_schedule, run_continuation
-from cmlab.grids import TAU, TorusChart, sample
+from cmlab.grids import TAU, Field, TorusChart, sample
 from cmlab.green import green_torus, singular_part
 from cmlab.measures import Divisor, kelvin_transform, pairing, residue
 from cmlab.models import LinearCylinder, cusp_profile, cusp_radial_length, standard_bubble
@@ -49,6 +49,11 @@ def test_criterion_1_conical_solve_area_and_order():
     _line(1, f"n=512 gbDefect {sol.gb_defect:.3e} (tol 1e-8)",
           sol.gb_defect <= 1e-8)
     _line(1, f"n=512 runtime {elapsed:.1f}s (limit 60s)", elapsed <= 60.0)
+    # with constant K the area is pinned whatever weight S carries; the
+    # measured residue at the atom sees the cone's weight
+    res = residue(Field(sol.u_values, TorusChart()), ATOM)
+    _line(1, f"n=512 residue at the atom {res:.4f} (want -0.5 within 1e-2)",
+          abs(res + 0.5) <= 1e-2)
     errs = [abs(solve_divisor((ATOM,), (-0.5,), n=n).area - math.pi) / math.pi
             for n in (128, 256, 1024)]
     errs.insert(2, rel)

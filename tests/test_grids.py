@@ -131,6 +131,9 @@ def test_transform_pair_equals_scipy_bit_for_bit(a, strided_spectrum):
     want = sfft.rfft2(a)
     assert (ahat.shape, ahat.dtype) == (want.shape, want.dtype)
     assert ahat.tobytes() == want.tobytes()
+    out = np.empty_like(ahat)
+    assert rfft2(a, out=out) is out
+    assert out.tobytes() == want.tobytes()
     # an arbitrary half spectrum, not only one of a real array
     rng = np.random.default_rng(n)
     spec = ahat * (1.0 + 1j * rng.standard_normal(ahat.shape))
@@ -144,6 +147,9 @@ def test_transform_pair_equals_scipy_bit_for_bit(a, strided_spectrum):
     want = sfft.irfft2(spec, s=(n, n))
     assert (back.shape, back.dtype) == (want.shape, want.dtype)
     assert back.tobytes() == want.tobytes()
+    out = np.empty((n, n))
+    assert irfft2(spec.copy(), n, out=out) is out  # the copy serves as scratch
+    assert out.tobytes() == want.tobytes()
 
 
 def test_bilinear_torus_wraps():
