@@ -30,6 +30,21 @@ transforms, rfft2(r) for the preconditioner and irfft2(z^) for z, and a
 solve from a given start spectrum costs 2 more, for v and lv. The loop
 holds only what the next step reads: entering CG, v, lv, W and F.
 
+CG stops when its recurrence residual r has ||r||_2 <= max(1e-6 ||b||_2,
+tol/2), with b = -F and tol the Newton tolerance. After a full step d,
+F(v + d) = -r + O(|d|^2) and sup |r| <= ||r||_2, so once ||r||_2 <= tol/2
+a further CG iteration only lowers a residual the Newton test already
+accepts; when the quadratic term is above tol/2, the loop takes one more
+Newton step, as it would anyway. This is the inexact-Newton stop of
+Dembo, Eisenstat & Steihaug (SIAM J. Numer. Anal. 1982) with no tuned
+forcing constant. It moved no Newton count on the cone and ladder solves
+measured; only where F's round-off floor nears tol (an atom within about
+1e-3 of a cell of a node) can it cost a Newton step. It binds on the
+last step, whose right-hand side is already near tol: at
+n = 1024 the fine level's third step takes 1 CG iteration instead of 5,
+and the solve makes 62 transforms instead of 72 (22 on the fine level;
+40 for the n/4 level, its default guess and the padded coarse spectrum).
+
 The preconditioner is the spectral inverse (-Delta + c)^-1 with the shift
 c = mean(W). -Delta does not see the constant mode, and mean(W) is the
 Rayleigh quotient of the Jacobian on that mode, so the preconditioner is
@@ -44,7 +59,7 @@ solved at n/4 (nested iteration), which nests in turn from n >= 2048. The
 n/4 level runs the same start and Newton loop as the fine one, but no
 area quadrature and no Solution: only its final v is read. The solution
 is unique, so the start changes the cost, not the answer: at n = 1024 one
-cone takes 3 fine Newton steps and 14 CG iterations instead of 4 and 19.
+cone takes 3 fine Newton steps and 10 CG iterations instead of 4 and 18.
 The half spectrum of the coarse
 solution is zero-padded into the fine one, its Nyquist row and column
 dropped and its coefficients scaled by 16. When the coarse grid rejects an
@@ -117,7 +132,7 @@ class Solution:
     gb_defect: float
     newton_iters: int
     cg_iters: int
-    cg_capped: int  # inner solves stopped by _CG_MAXITER before _CG_RTOL
+    cg_capped: int  # inner solves stopped by _CG_MAXITER before CG's stop test
     grid_area: float  # mean(e^{2u}), which the discrete Gauss-Bonnet identity fixes
     rings_rejected: int  # atoms whose ring correction was not credible, so not applied
 
@@ -186,7 +201,13 @@ def _samples(v: Field | np.ndarray, split: SingularSplit) -> np.ndarray:
 
 
 def residual(v: Field | np.ndarray, spec: CurvatureSpec, split: SingularSplit) -> Field:
-    """F(v) = -Delta v - K e^{2(S+v)} + 2 pi sum(beta) - forcing."""
+    """F(v) = -Delta v - K e^{2(S+v)} + 2 pi sum(beta) - forcing.
+
+    -Delta v is recomputed from the samples through a transform pair, so
+    the result carries the round-off floor eps (pi n)^2 ||v|| (5.4e-9 at
+    n = 1024), far above the default tol; `Solution.residual_norm` is the
+    solve's own measure, from the -Delta v the Newton loop carries.
+    """
     vv = _samples(v, split)
     op = _operator(spec, split)
     lv = irfft2(op.k2 * rfft2(vv), op.n)
@@ -202,8 +223,14 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
     return op.jacobian(op.weight(_exp2u(op.S, vv)), w, rfft2(w))
 
 
-def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
-    """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1.
+def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
+        tol: float) -> tuple:
+    """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1,
+    until the recurrence residual r has ||r||_2 <= max(_CG_RTOL ||b||_2, tol/2).
+
+    With b = -F and the Newton tolerance `tol`, the absolute term stops the
+    inner solve once a full step would leave sup |F| about tol/2 (module
+    docstring); `tol` = 0 keeps the pure relative stop.
 
     CG works on samples. The preconditioner solve (k2 + shift) z^ = r^ fixes
     -Delta z = r - shift z with no transform, and p = z + beta p is linear
@@ -235,6 +262,7 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
     tmp = np.empty_like(r)
     rz = float(np.multiply(r, p, out=tmp).sum())
     bnorm = math.sqrt(float(np.multiply(b, b, out=tmp).sum()))
+    stop = max(_CG_RTOL * bnorm, 0.5 * tol)
     capped = True
     for iters in range(1, _CG_MAXITER + 1):
         Ap = np.multiply(W, p, out=w)
@@ -248,7 +276,7 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray) -> tuple:
         x += np.multiply(p, alpha, out=tmp)
         Ap *= alpha
         r -= Ap
-        if math.sqrt(float(np.multiply(r, r, out=tmp).sum())) <= _CG_RTOL * bnorm:
+        if math.sqrt(float(np.multiply(r, r, out=tmp).sum())) <= stop:
             capped = False
             break
         rfft2(r, out=zhat)
@@ -307,7 +335,7 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
         W = op.weight(e2u)
         del e2u
         np.negative(F, out=F)  # CG's right-hand side -F, in place
-        d, ld, inner, capped = _cg(op, W, float(W.mean()), F)
+        d, ld, inner, capped = _cg(op, W, float(W.mean()), F, tol)
         del W, F
         cg_total += inner
         cg_capped += capped
@@ -392,10 +420,11 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     manufactured forcing is supplied, strictly conical weights
     (beta > -1; cusps are reached through continuation), and sup K < 0.
     At most 60 Newton steps solve (-Delta + W) delta = -F, W = -2K e^{2u},
-    by CG to relative residual 1e-6, preconditioned with
-    (-Delta + mean(W))^-1, which is exact on the constant mode (sup K < 0
-    makes W and its mean positive); step lengths come from Armijo
-    backtracking on ||F||_2^2 with factor 1/2, slope 1e-4 and floor 2^-30.
+    by CG to relative residual 1e-6, or until its 2-norm is under tol/2,
+    preconditioned with (-Delta + mean(W))^-1, which is exact on the
+    constant mode (sup K < 0 makes W and its mean positive); step lengths
+    come from Armijo backtracking on ||F||_2^2 with factor 1/2, slope 1e-4
+    and floor 2^-30.
     An inner solve that reaches 2000 iterations keeps its last iterate and
     is counted in `cg_capped`.
 

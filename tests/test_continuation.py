@@ -130,12 +130,13 @@ def test_secant_start_when_weights_stand_still():
 
 def test_ladder_cg_budget():
     # 299 CG iterations with a sqrt(min W max W) shift, 136 with the mean(W)
-    # shift and 121 with the secant start as well: the budget fails if the
-    # preconditioner stops matching the Jacobian on the constant mode
+    # shift, 121 with the secant start as well and 114 (17/24/23/18/17/15)
+    # once CG stops at tol/2: the budget fails if the preconditioner stops
+    # matching the Jacobian on the constant mode or CG oversolves again
     res = run_continuation(cusp_schedule(Divisor(((0.3, 0.7),), (-1.0,)), k_max=6),
                            n=64)
     assert all(st.cg_iters > 0 for st in res.stages)
-    assert sum(st.cg_iters for st in res.stages) <= 180
+    assert sum(st.cg_iters for st in res.stages) <= 117
 
 
 def test_stage_envelope_holds_off_node_at_fine_grid():

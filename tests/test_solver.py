@@ -299,19 +299,27 @@ def test_newton_cg_transform_count(monkeypatch):
     assert calls["n"] == 2 * sol.cg_iters + 3
 
 
-def test_cg_true_residual_on_a_cusp_stage():
-    # CG carries -Delta p by a recurrence, not a transform; at a near-cusp
-    # weight W spikes to ~6e3, so the true residual of (-Delta + W) x = b,
-    # applied afresh through the Jacobian, guards that recurrence against drift
-    n = 128
+def _cusp_stage_jacobian(n=128):
+    """The operator and Jacobian weight W at the solution of a near-cusp
+    cone (beta = -(1 - 2^-10)), where W spikes to ~6e3 at the atom."""
     split = singular_part(Divisor(((0.3, 0.7),), (-(1.0 - 2.0 ** -10),)), n)
     spec = CurvatureSpec(-1.0)
     sol = newton_solve(spec, split)
     op = cmlab.solver._operator(spec, split)
     W = op.weight(np.exp(2.0 * sol.u_values))
     assert float(W.max()) > 5e3
+    return op, W
+
+
+def test_cg_true_residual_on_a_cusp_stage():
+    # CG carries -Delta p by a recurrence, not a transform; at a near-cusp
+    # weight the true residual of (-Delta + W) x = b, applied afresh through
+    # the Jacobian, guards that recurrence against drift (tol = 0: the
+    # relative stop alone)
+    op, W = _cusp_stage_jacobian()
+    n = op.n
     b = np.random.default_rng(5).normal(size=(n, n))
-    x, lx, _, capped = cmlab.solver._cg(op, W, float(W.mean()), b)
+    x, lx, _, capped = cmlab.solver._cg(op, W, float(W.mean()), b, 0.0)
     assert not capped
     xhat = rfft2(x)
     res = op.jacobian(W, x, xhat) - b
@@ -319,6 +327,23 @@ def test_cg_true_residual_on_a_cusp_stage():
     # the returned -Delta x, read off the recurrence residual, is the one a
     # transform gives (7e-14 of max |b| measured); the Newton state carries it
     assert float(np.abs(lx - irfft2(op.k2 * xhat, n)).max()) <= 1e-10 * float(np.abs(b).max())
+
+
+def test_cg_stops_at_half_the_newton_tolerance():
+    # a right-hand side already near tol, as in the last Newton step: CG
+    # stops once ||r||_2 <= tol/2 (3 iterations measured) where the relative
+    # stop alone takes 7, and the true residual is under tol/2 (0.28 tol)
+    op, W = _cusp_stage_jacobian()
+    n, tol = op.n, 1e-10
+    b = np.random.default_rng(5).normal(size=(n, n))
+    b *= 100.0 * tol / np.linalg.norm(b)
+    shift = float(W.mean())
+    x, _, iters, capped = cmlab.solver._cg(op, W, shift, b, tol)
+    full = cmlab.solver._cg(op, W, shift, b, 0.0)[2]
+    assert not capped
+    assert iters < full
+    res = op.jacobian(W, x, rfft2(x)) - b
+    assert np.linalg.norm(res) <= 0.5 * tol
 
 
 def test_newton_solve_working_set():
@@ -452,6 +477,9 @@ def test_coarse_start_gives_the_default_start_answer(monkeypatch):
     assert float(np.abs(nested.v.values - plain.v.values).max()) <= 1e-12
     assert nested.area == pytest.approx(plain.area, rel=1e-14)
     assert nested.newton_iters <= plain.newton_iters
+    # 5/5/3 CG per Newton step; 15 when the last step solved to 1e-6 of a
+    # right-hand side already at tol
+    assert nested.cg_iters <= 13
 
 
 def test_coarse_start_builds_no_coarse_solution(monkeypatch):
@@ -471,7 +499,13 @@ def test_coarse_start_builds_no_coarse_solution(monkeypatch):
 
 def test_coarse_start_falls_back_when_the_coarse_grid_rejects_an_atom(monkeypatch):
     # 2e-8 of a fine cell off a node passes the n = 512 on-node test (1e-8),
-    # but it is 5e-9 of a cell at n = 128, where singular_part refuses it
+    # but it is 5e-9 of a cell at n = 128, where singular_part refuses it.
+    # This solve also sits on F's round-off floor: W reaches 2.4e5 at that
+    # node, where -Delta v and K e^{2u} nearly cancel, and it ends at 9.24e-11
+    # against tol = 1e-10 (5 Newton steps, 24 CG), a margin of 8%. Any change
+    # to CG's rounding can tip it into NonConvergence (reductions through
+    # einsum end at 1.11e-10), so it is a sentinel for that arithmetic: a
+    # failure here means CG's rounding moved, not that the test is too strict
     n = 512
     div = Divisor(((128 / n + 2e-8 / n, 0.75),), (-0.5,))
     split = singular_part(div, n)
