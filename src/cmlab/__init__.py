@@ -89,18 +89,9 @@ from .measures import (
 )
 from .models import (
     LinearCylinder,
-    cap_disk_area,
     cap_profile,
-    cone_profile,
-    cone_radial_length,
-    cusp_annulus_area,
-    cusp_flux,
     cusp_profile,
-    cusp_radial_length,
-    flat_neck_annulus_area,
-    flat_neck_inner_radius,
     flat_neck_profile,
-    standard_bubble,
 )
 from .solver import (
     CurvatureSpec,

@@ -437,13 +437,18 @@ def _cylinder_segment_area(u, t0: float, t1: float) -> float:
         t0, t1, 20, max(1, math.ceil((t1 - t0) / 0.5)))
 
 
+def _log(a: float) -> float:
+    return math.log(a) if a > 0.0 else -math.inf
+
+
 def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
     """Geometric decay of segment areas Q_i = S^1 x [(i-1)L, iL].
 
     Verifies the flux hypothesis (circle flux of the t-derivative beyond
     +-2 pi kappa with a fixed sign at 65 evenly spaced t in [0, 2L]),
     computes Area(Q_1) and Area(Q_2), and checks
-    Area(Q_2) < e^{-kappa L / 2} Area(Q_1) (mirrored for the positive side).
+    log Area(Q_2) < log Area(Q_1) - kappa L / 2 (mirrored for the positive
+    side), an area that underflows to 0 reading log = -inf.
     `model` is a callable u(t, theta) or a LinearCylinder, whose closed-form
     segment areas are attached.
     A failed hypothesis is reported, never silently passed; kappa and L
@@ -473,17 +478,19 @@ def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
         side = "positive"
     else:
         side = None
-    bound = math.exp(-kappa * L / 2.0)
+    # in log space: e^{-kappa L/2} and Area(Q_2) underflow long before
+    # the decay fails
+    log_gap = kappa * L / 2.0
     if side == "negative":
-        decay_ok = a2 < bound * a1
+        decay_ok = _log(a2) < _log(a1) - log_gap
     elif side == "positive":
-        decay_ok = a1 < bound * a2
+        decay_ok = _log(a1) < _log(a2) - log_gap
     else:
         decay_ok = False
     return ThreeCircleReport(hypothesis_ok=side is not None, side=side,
                              flux_min=fmin, flux_max=fmax,
                              area_q1=a1, area_q2=a2, closed_form=closed,
-                             decay_bound=bound, decay_ok=decay_ok)
+                             decay_bound=math.exp(-log_gap), decay_ok=decay_ok)
 
 
 # -- neck areas -----------------------------------------------------------------

@@ -239,8 +239,8 @@ def no_bubble_scan(sol: Solution, radii, threshold: float = 1.0) -> ScanReport:
     e2u = np.exp(2.0 * u)
     mass_hat = rfft2(np.abs(K) * e2u / (n * n))
     area_hat = rfft2(e2u / (n * n))
-    X, Y = TorusChart().mesh(n)
-    d0 = torus_distance(X, Y, 0.0, 0.0)
+    x = TorusChart().nodes(n)
+    d0 = torus_distance(x[:, None], x[None, :], 0.0, 0.0)
     stride = max(1, n // 16)
     idx = np.arange(0, n, stride)
     max_mass = 0.0

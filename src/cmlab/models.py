@@ -1,9 +1,8 @@
-"""Closed-form model conformal factors used as references and generators.
+"""Closed-form model conformal factors used as generators.
 
 Every profile is a callable u(x, y) on the plane (or on cylinder
-coordinates (t, theta) for the linear model), together with the exact
-quantities the diagnostics are checked against: fluxes, lengths, disk and
-annulus areas.
+coordinates (t, theta) for the linear model, with its exact flux and
+segment areas, which the three-circle report carries).
 """
 
 from __future__ import annotations
@@ -25,33 +24,6 @@ def cusp_profile():
     return u
 
 
-def cusp_flux(r: float) -> float:
-    """Circle flux of the cusp profile: 2 pi (-1 + 1/log(1/r))."""
-    return TAU * (-1.0 + 1.0 / math.log(1.0 / r))
-
-
-def cusp_annulus_area(s: float, t: float) -> float:
-    """Area of s < r < t in the cusp metric: 2 pi (1/L(t) - 1/L(s))."""
-    return TAU * (1.0 / math.log(1.0 / t) - 1.0 / math.log(1.0 / s))
-
-
-def cusp_radial_length(delta: float, r0: float) -> float:
-    """Radial length in the cusp metric: loglog(1/delta) - loglog(1/r0)."""
-    return math.log(math.log(1.0 / delta)) - math.log(math.log(1.0 / r0))
-
-
-# -- cone: u = beta log r, angle 2 pi (beta + 1)
-
-def cone_profile(beta: float):
-    def u(x, y):
-        return beta * np.log(np.hypot(x, y))
-    return u
-
-
-def cone_radial_length(beta: float, delta: float, r0: float) -> float:
-    return (r0 ** (beta + 1.0) - delta ** (beta + 1.0)) / (beta + 1.0)
-
-
 # -- spherical cap: u = log(2 lam / (lam^2 + |x - q|^2)), K = +1, area 4 pi
 
 def cap_profile(lam: float, center=(0.0, 0.0)):
@@ -63,31 +35,12 @@ def cap_profile(lam: float, center=(0.0, 0.0)):
     return u
 
 
-def cap_disk_area(lam: float, r: float) -> float:
-    """Area of D_r(q) under the cap metric: 4 pi r^2 / (lam^2 + r^2)."""
-    return 4.0 * math.pi * r * r / (lam * lam + r * r)
-
-
-def standard_bubble():
-    """The lam = 1 cap centered at the origin: u = log(2/(1+|x|^2))."""
-    return cap_profile(1.0)
-
-
 # -- flat neck: u = -log(k r) on the annulus e^{-k^2} <= r <= 1, K = 0
 
 def flat_neck_profile(k: int):
     def u(x, y):
         return -np.log(float(k) * np.hypot(x, y))
     return u
-
-
-def flat_neck_inner_radius(k: int) -> float:
-    return math.exp(-float(k) * float(k))
-
-
-def flat_neck_annulus_area(k: int, s: float, t: float) -> float:
-    """Area of s < r < t: (2 pi / k^2) log(t/s); every e-fold gives 2 pi/k^2."""
-    return TAU / float(k) ** 2 * math.log(t / s)
 
 
 # -- linear cylinder: u(t, theta) = A + B t on S^1 x [0, T]

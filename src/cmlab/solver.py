@@ -28,7 +28,23 @@ recurrence. At its exit CG reads -Delta x = b - r - W x off its own
 recurrence residual r. One CG iteration therefore costs exactly two
 transforms, rfft2(r) for the preconditioner and irfft2(z^) for z, and a
 solve from a given start spectrum costs 2 more, for v and lv. The loop
-holds only what the next step reads: entering CG, v, lv, W and F.
+holds only v, lv, W and F and one set of CG arrays, which its inner solves
+and Armijo trials reuse, so no step allocates an n-by-n array.
+
+Between two transforms or two reductions, the elementwise work runs as one
+sweep over row blocks of _BLOCK = 2^15 elements (256 KiB; 32 rows at
+n = 1024, one block at n <= 128), each block finished while it is in
+cache instead of every pass streaming every n-by-n operand through memory
+(loop tiling; Wolf & Lam, PLDI 1991). The sweeps are CG's, the Armijo
+trial (v + t d, lv + t ld, e^{2u}, F, ||F||^2 and sup |F| at once, so the
+loop top recomputes neither) and the step writing W and -F over e^{2u} and
+F. An inner product is the per-block np.multiply(a, b, out=tmp).sum()
+partials combined pairwise in a binary tree; at a power-of-two n numpy's
+pairwise sum splits the whole array at the same points, so every iterate,
+count and area is that of whole-array passes, bit for bit. The near-node
+test test_coarse_start_falls_back_when_the_coarse_grid_rejects_an_atom
+depends on it: that solve ends 8% under tol on F's round-off floor, and
+reductions in another order (einsum) tip it into NonConvergence.
 
 CG stops when its recurrence residual r has ||r||_2 <= max(1e-6 ||b||_2,
 tol/2), with b = -F and tol the Newton tolerance. After a full step d,
@@ -86,6 +102,7 @@ _MAX_NEWTON = 60
 _CG_RTOL = 1e-6
 _CG_MAXITER = 2000
 _NESTED_MIN_N = 512  # default starts from an n/4 solve at and above this grid
+_BLOCK = 2 ** 15  # elements per sweep block: 256 KiB of float64, about one L2
 
 
 @dataclass(frozen=True)
@@ -149,6 +166,30 @@ def _exp2u(S: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _blocks(n: int) -> list:
+    """Equal row slices of _BLOCK elements (one when n^2 <= _BLOCK); 2^k of them."""
+    rows = min(n, max(1, _BLOCK // n))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
+def _tree_sum(parts: list) -> float:
+    """Per-block partial sums combined pairwise: numpy's pairwise sum halves
+    2^k >= 256 elements down to 128, so this is the whole ``sum()``'s bits."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
+    return float(parts[0])
+
+
+def _dot(a: np.ndarray, b: np.ndarray, blocks: list, tmp: np.ndarray) -> float:
+    """sum(a * b) by blocks, through the block array tmp."""
+    return _tree_sum([np.multiply(a[s], b[s], out=tmp).sum() for s in blocks])
+
+
+def _rows(a: float | np.ndarray, s: slice) -> float | np.ndarray:
+    """Rows `s` of a grid array; a scalar stands for every row."""
+    return a[s] if isinstance(a, np.ndarray) else a
+
+
 @dataclass(frozen=True)
 class _Operator:
     """F(v) = -Delta v - K e^{2(S+v)} + const - rho and its Jacobian
@@ -165,17 +206,19 @@ class _Operator:
     def n(self) -> int:
         return self.S.shape[0]
 
-    def residual(self, lv: np.ndarray, e2u: np.ndarray) -> np.ndarray:
-        """F from the samples lv of -Delta v and of e^{2(S+v)}."""
-        F = np.multiply(self.K, e2u)
+    def residual(self, lv: np.ndarray, e2u: np.ndarray, s: slice = slice(None),
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """F from the samples lv of -Delta v and of e^{2(S+v)} on the grid
+        rows `s`, written into `out` when given."""
+        F = np.multiply(_rows(self.K, s), e2u, out=out)
         np.subtract(lv, F, out=F)
         F += self.const
-        F -= self.rho
+        F -= _rows(self.rho, s)
         return F
 
-    def weight(self, e2u: np.ndarray) -> np.ndarray:
-        """W = -2K e^{2(S+v)}, written over the samples e2u."""
-        return np.multiply(-2.0 * self.K, e2u, out=e2u)
+    def weight(self, e2u: np.ndarray, s: slice = slice(None)) -> np.ndarray:
+        """W = -2K e^{2(S+v)} on the grid rows `s`, written over the samples e2u."""
+        return np.multiply(-2.0 * _rows(self.K, s), e2u, out=e2u)
 
     def jacobian(self, W: np.ndarray, w: np.ndarray, what: np.ndarray) -> np.ndarray:
         """(-Delta + W) w from the samples w and their half spectrum."""
@@ -223,8 +266,15 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
     return op.jacobian(op.weight(_exp2u(op.S, vv)), w, rfft2(w))
 
 
+def _cg_work(n: int) -> list:
+    """CG's arrays r, p, lp, x, w, z^, 1/(k2 + shift) and one row block."""
+    return ([np.empty((n, n)) for _ in range(5)]
+            + [np.empty((n, n // 2 + 1), complex), np.empty((n, n // 2 + 1)),
+               np.empty((_blocks(n)[0].stop, n))])
+
+
 def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
-        tol: float) -> tuple:
+        tol: float, work: list | None = None) -> tuple:
     """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1,
     until the recurrence residual r has ||r||_2 <= max(_CG_RTOL ||b||_2, tol/2).
 
@@ -241,59 +291,73 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
     is r = b - (W x - Delta x), so the exit reads -Delta x = b - r - W x
     from it, again with no transform.
 
-    The iteration allocates no array: the transforms write into z^ and into
-    w, which holds A p and then z and -Delta z in turn, and every product
-    goes through tmp. Arrays freed and reallocated every iteration are
-    page-faulted in again whenever the allocator hands them back to the
-    system; measured that way, the n = 256 ladder ran about 7% slower.
+    Between the transforms the work runs as block sweeps (module docstring),
+    in the bits of whole-array passes: r.z; p, lp, A p = W p + lp and p.Ap;
+    x, r and ||r||^2. The first iteration, from p = lp = 0 and beta = 0,
+    sets p = z and lp = r - shift z. z^ * (1/(k2 + shift)) has the bits of
+    numpy's complex-by-real division z^ / (k2 + shift).
 
-    Returns (x, -Delta x, iterations, whether _CG_MAXITER cut it short).
+    CG allocates nothing but `work` (from `_cg_work`, fresh when None): the
+    transforms write into z^ and into w, which holds z and -Delta z and then
+    A p in turn, and the products go through the block. The Newton loop
+    hands one work set to all its inner solves. Arrays freed and reallocated
+    are page-faulted in again whenever the allocator has handed them back to
+    the system (the n = 256 ladder ran about 7% slower that way), and freed
+    arrays of three sizes leave heap holes that raise the peak RSS.
+
+    Returns (x, -Delta x, iterations, whether _CG_MAXITER cut it short); x
+    and -Delta x live in `work`.
     """
     n = op.n
-    denom = op.k2 + shift
-    r = b.copy()
-    zhat = rfft2(r)
-    zhat /= denom
-    p = irfft2(zhat, n)
-    lp = np.multiply(p, shift)
-    np.subtract(r, lp, out=lp)
-    x = np.zeros_like(r)
-    w = np.empty_like(r)
-    tmp = np.empty_like(r)
-    rz = float(np.multiply(r, p, out=tmp).sum())
-    bnorm = math.sqrt(float(np.multiply(b, b, out=tmp).sum()))
-    stop = max(_CG_RTOL * bnorm, 0.5 * tol)
+    blocks = _blocks(n)
+    r, p, lp, x, w, zhat, inv, tmp = _cg_work(n) if work is None else work
+    np.add(op.k2, shift, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.copyto(r, b)
+    for a in (p, lp, x):
+        a.fill(0.0)
+    stop = max(_CG_RTOL * math.sqrt(_dot(b, b, blocks, tmp)), 0.5 * tol)
+    rz = math.inf  # beta = 0 on the first iteration
     capped = True
     for iters in range(1, _CG_MAXITER + 1):
-        Ap = np.multiply(W, p, out=w)
-        Ap += lp
-        pAp = float(np.multiply(p, Ap, out=tmp).sum())
+        rfft2(r, out=zhat)
+        zhat *= inv
+        z = irfft2(zhat, n, out=w)
+        rz_next = _dot(r, z, blocks, tmp)
+        beta = rz_next / rz
+        rz = rz_next
+        pAp = []
+        for s in blocks:  # p = z + beta p, lp = (r - shift z) + beta lp, A p
+            pb, lpb, zb = p[s], lp[s], z[s]
+            pb *= beta
+            pb += zb
+            zb *= shift  # z is read for the last time: it becomes r - shift z
+            np.subtract(r[s], zb, out=zb)
+            lpb *= beta
+            lpb += zb
+            Ap = np.multiply(W[s], pb, out=zb)
+            Ap += lpb
+            pAp.append(np.multiply(pb, Ap, out=tmp).sum())
+        pAp = _tree_sum(pAp)
         if pAp <= 0.0:
             raise CurvatureSignError(
                 "CG met a non-positive curvature direction; the linearized "
                 "operator is not definite")
         alpha = rz / pAp
-        x += np.multiply(p, alpha, out=tmp)
-        Ap *= alpha
-        r -= Ap
-        if math.sqrt(float(np.multiply(r, r, out=tmp).sum())) <= stop:
+        rr = []
+        for s in blocks:  # x += alpha p, r -= alpha A p
+            xb, rb, Ap = x[s], r[s], w[s]
+            xb += np.multiply(p[s], alpha, out=tmp)
+            Ap *= alpha
+            rb -= Ap
+            rr.append(np.multiply(rb, rb, out=tmp).sum())
+        if math.sqrt(_tree_sum(rr)) <= stop:
             capped = False
             break
-        rfft2(r, out=zhat)
-        zhat /= denom
-        z = irfft2(zhat, n, out=w)
-        rz_next = float(np.multiply(r, z, out=tmp).sum())
-        beta = rz_next / rz
-        p *= beta
-        p += z
-        z *= shift  # z is read for the last time: it becomes r - shift z
-        np.subtract(r, z, out=z)
-        lp *= beta
-        lp += z
-        rz = rz_next
-    lx = np.subtract(b, r, out=w)
-    lx -= np.multiply(W, x, out=tmp)
-    return x, lx, iters, capped
+    for s in blocks:  # -Delta x = b - r - W x
+        lx = np.subtract(b[s], r[s], out=w[s])
+        lx -= np.multiply(W[s], x[s], out=tmp)
+    return x, w, iters, capped
 
 
 def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
@@ -313,6 +377,32 @@ def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
     return Field(np.full((op.n, op.n), c), TorusChart())
 
 
+def _residual_sweep(op: _Operator, v: np.ndarray, lv: np.ndarray, e2u: np.ndarray,
+                    F: np.ndarray, tmp: np.ndarray, trial: tuple | None = None) -> tuple:
+    """Write e^{2(S+v)} and F into e2u and F, one row block at a time, and
+    return (||F||_2^2, sup |F|); the products go through the block tmp.
+
+    With `trial` = (v0, lv0, d, ld, t) the same sweep first writes the
+    Armijo trial v0 + t d and lv0 + t ld into v and lv. A block whose
+    exponent overflows raises ResidualOverflow from `_exp2u`.
+    """
+    sq, sup = [], []
+    for s in _blocks(op.n):
+        vb, lvb = v[s], lv[s]
+        if trial is not None:
+            v0, lv0, d, ld, t = trial
+            np.multiply(d[s], t, out=vb)
+            vb += v0[s]
+            np.multiply(ld[s], t, out=lvb)
+            lvb += lv0[s]
+        eb = e2u[s]
+        eb[...] = _exp2u(op.S[s], vb)
+        Fb = op.residual(lvb, eb, s, out=F[s])
+        sq.append(np.multiply(Fb, Fb, out=tmp).sum())
+        sup.append(np.abs(Fb, out=tmp).max())
+    return _tree_sum(sq), float(np.max(sup))
+
+
 def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
     """Damped Newton-CG on `op` from the half spectrum `vhat` to sup |F| <= tol.
 
@@ -323,31 +413,34 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
     v = irfft2(vhat, op.n)
     lv = irfft2(op.k2 * vhat, op.n)
     del vhat
-    e2u = _exp2u(op.S, v)
-    F = op.residual(lv, e2u)
+    e2u = np.empty_like(v)
+    F = np.empty_like(v)
+    work = _cg_work(op.n)
+    phi, norm = _residual_sweep(op, v, lv, e2u, F, work[-1])
     cg_total = 0
     cg_capped = 0
     for it in range(_MAX_NEWTON):
-        norm = float(np.abs(F).max())
         if norm <= tol:
             break
-        phi0 = float((F * F).sum())
-        W = op.weight(e2u)
-        del e2u
-        np.negative(F, out=F)  # CG's right-hand side -F, in place
-        d, ld, inner, capped = _cg(op, W, float(W.mean()), F, tol)
-        del W, F
+        wsum = []
+        for s in _blocks(op.n):  # W over e2u, CG's right-hand side -F over F
+            wsum.append(op.weight(e2u[s], s).sum())
+            np.negative(F[s], out=F[s])
+        shift = _tree_sum(wsum) / op.n ** 2  # mean(W), the bits of W.mean()
+        d, ld, inner, capped = _cg(op, e2u, shift, F, tol, work)
         cg_total += inner
         cg_capped += capped
+        # W, -F and CG's r and p are spent: the trials are written over them,
+        # and an accepted trial hands the old v and lv to the next CG as r, p
+        v_try, lv_try = work[:2]
         step = 1.0
         while True:
             try:
-                v_try = v + step * d
-                lv_try = lv + step * ld
-                e2u = _exp2u(op.S, v_try)
-                F = op.residual(lv_try, e2u)
-                if float((F * F).sum()) <= (1.0 - 2e-4 * step) * phi0:
-                    v, lv = v_try, lv_try
+                phi_try, norm_try = _residual_sweep(op, v_try, lv_try, e2u, F, work[-1],
+                                                    (v, lv, d, ld, step))
+                if phi_try <= (1.0 - 2e-4 * step) * phi:
+                    work[:2] = v, lv
+                    v, lv, phi, norm = v_try, lv_try, phi_try, norm_try
                     break
             except ResidualOverflow:
                 pass
@@ -360,7 +453,7 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
     else:
         raise NonConvergence(
             f"Newton did not reach tol={tol:g} within {_MAX_NEWTON} iterations "
-            f"(residual {float(np.abs(F).max()):.3e})")
+            f"(residual {norm:.3e})")
     return v, e2u, norm, it, cg_total, cg_capped
 
 
@@ -469,6 +562,21 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
 
 # -- area quadrature ---------------------------------------------------------
 
+def _blended_grid_sum(u2: np.ndarray, px: float, py: float) -> float:
+    """Sum of (1 - s4) u2 over the nodes within 8/n of (px, py), s4 rising
+    from 0 at 4/n to 1 at 8/n, read off a window of 20 nodes a side (the
+    whole grid when n <= 20). The window's rows and columns are sorted, so
+    the cells are summed in the whole grid's row-major order, bit for bit."""
+    n = u2.shape[0]
+    r_na, r_bl = 4.0 / n, 8.0 / n
+    rows, cols = (np.arange(n) if n <= 20 else
+                  np.sort((math.floor(c * n) + np.arange(-9, 11)) % n) for c in (px, py))
+    d = torus_distance((rows / n)[:, None], (cols / n)[None, :], px, py)
+    near = d < r_bl
+    blend = _s4((d[near] - r_na) / (r_bl - r_na))
+    return float(((1.0 - blend) * u2[np.ix_(rows, cols)][near]).sum())
+
+
 def metric_area(split: SingularSplit, v: Field) -> tuple:
     """(area, grid area, rings rejected) of e^{2(S+v)}: the grid mean, with
     analytic polar rings near the atoms.
@@ -491,7 +599,6 @@ def metric_area(split: SingularSplit, v: Field) -> tuple:
     area = grid_area
     r_na = 4.0 / n
     r_bl = 8.0 / n
-    X, Y = TorusChart().mesh(n)
     theta = TAU * np.arange(64) / 64
     rejected = 0
     for i, ((px, py), beta) in enumerate(zip(split.divisor.points, split.divisor.betas)):
@@ -499,10 +606,7 @@ def metric_area(split: SingularSplit, v: Field) -> tuple:
         if a < 0.75:
             rejected += 1
             continue
-        d = torus_distance(X, Y, px, py)
-        near = d < r_bl
-        blend = _s4((d[near] - r_na) / (r_bl - r_na))
-        grid_inner = float(((1.0 - blend) * u2[near]).sum()) / (n * n)
+        grid_inner = _blended_grid_sum(u2, px, py) / (n * n)
         # ring: (1/a) \int_0^{r_bl^a} dt \int dtheta (1-m) e^{2(H_i+v)}
         t_max = r_bl ** a
 

@@ -2,7 +2,9 @@
 
 Deliberately different algorithms from the package: direct lattice series,
 finite-difference stencils, and adaptive quadrature, so agreement between
-the two is evidence, not tautology.
+the two is evidence, not tautology. The model closed forms the tests check
+against live here too. The whole-array references at the end keep the
+arithmetic the solver's cache-blocked sweeps must reproduce bit for bit.
 """
 
 import math
@@ -10,7 +12,11 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from cmlab.grids import bilinear_torus
+from cmlab.errors import CurvatureSignError
+from cmlab.green import _s4
+from cmlab.grids import TorusChart, bilinear_torus, irfft2, rfft2, torus_distance
+from cmlab.models import cap_profile
+from cmlab.solver import _CG_MAXITER, _CG_RTOL
 
 TAU = 2.0 * math.pi
 
@@ -97,3 +103,101 @@ def cell_log_mean_quad() -> float:
         return val
     outer, _ = quad(inner, 0.0, 0.5, limit=200, epsabs=1e-12, epsrel=1e-11)
     return 4.0 * outer
+
+
+# -- model closed forms ----------------------------------------------------------
+
+def cusp_flux(r: float) -> float:
+    """Circle flux of the cusp profile: 2 pi (-1 + 1/log(1/r))."""
+    return TAU * (-1.0 + 1.0 / math.log(1.0 / r))
+
+
+def cusp_annulus_area(s: float, t: float) -> float:
+    """Area of s < r < t in the cusp metric: 2 pi (1/L(t) - 1/L(s))."""
+    return TAU * (1.0 / math.log(1.0 / t) - 1.0 / math.log(1.0 / s))
+
+
+def cusp_radial_length(delta: float, r0: float) -> float:
+    """Radial length in the cusp metric: loglog(1/delta) - loglog(1/r0)."""
+    return math.log(math.log(1.0 / delta)) - math.log(math.log(1.0 / r0))
+
+
+def cone_profile(beta: float):
+    """u = beta log r: a cone of angle 2 pi (beta + 1)."""
+    def u(x, y):
+        return beta * np.log(np.hypot(x, y))
+    return u
+
+
+def cone_radial_length(beta: float, delta: float, r0: float) -> float:
+    return (r0 ** (beta + 1.0) - delta ** (beta + 1.0)) / (beta + 1.0)
+
+
+def cap_disk_area(lam: float, r: float) -> float:
+    """Area of D_r(q) under the cap metric: 4 pi r^2 / (lam^2 + r^2)."""
+    return 4.0 * math.pi * r * r / (lam * lam + r * r)
+
+
+def standard_bubble():
+    """The lam = 1 cap centered at the origin: u = log(2/(1+|x|^2))."""
+    return cap_profile(1.0)
+
+
+def flat_neck_inner_radius(k: int) -> float:
+    """Inner radius e^{-k^2} of the flat neck u = -log(k r)."""
+    return math.exp(-float(k) * float(k))
+
+
+def flat_neck_annulus_area(k: int, s: float, t: float) -> float:
+    """Area of s < r < t: (2 pi / k^2) log(t/s); every e-fold gives 2 pi/k^2."""
+    return TAU / float(k) ** 2 * math.log(t / s)
+
+
+# -- whole-array references for the solver's block sweeps ------------------------
+
+def whole_array_cg(op, W, shift, b, tol):
+    """The solver's preconditioned CG with every pass over whole arrays:
+    (x, -Delta x, iterations, capped), the reference for the blocked `_cg`."""
+    n = op.n
+    denom = op.k2 + shift
+    r = b.copy()
+    zhat = rfft2(r)
+    zhat /= denom
+    p = irfft2(zhat, n)
+    lp = np.subtract(r, np.multiply(p, shift))
+    x = np.zeros_like(r)
+    rz = float(np.multiply(r, p).sum())
+    stop = max(_CG_RTOL * math.sqrt(float(np.multiply(b, b).sum())), 0.5 * tol)
+    capped = True
+    for iters in range(1, _CG_MAXITER + 1):
+        Ap = np.multiply(W, p) + lp
+        pAp = float(np.multiply(p, Ap).sum())
+        if pAp <= 0.0:
+            raise CurvatureSignError("non-positive curvature direction")
+        alpha = rz / pAp
+        x += np.multiply(p, alpha)
+        r -= np.multiply(Ap, alpha)
+        if math.sqrt(float(np.multiply(r, r).sum())) <= stop:
+            capped = False
+            break
+        zhat = rfft2(r)
+        zhat /= denom
+        z = irfft2(zhat, n)
+        rz_next = float(np.multiply(r, z).sum())
+        beta = rz_next / rz
+        p = np.multiply(p, beta) + z
+        lp = np.multiply(lp, beta) + np.subtract(r, np.multiply(z, shift))
+        rz = rz_next
+    return x, np.subtract(b, r) - np.multiply(W, x), iters, capped
+
+
+def whole_grid_blended_sum(u2, px: float, py: float) -> float:
+    """Sum of (1 - s4) u2 over the nodes within 8/n of (px, py), read off
+    distances over the whole grid."""
+    n = u2.shape[0]
+    r_na, r_bl = 4.0 / n, 8.0 / n
+    X, Y = TorusChart().mesh(n)
+    d = torus_distance(X, Y, px, py)
+    near = d < r_bl
+    blend = _s4((d[near] - r_na) / (r_bl - r_na))
+    return float(((1.0 - blend) * u2[near]).sum())

@@ -22,7 +22,7 @@ from cmlab.continuation import cusp_schedule, run_continuation
 from cmlab.grids import TAU, Field, TorusChart, sample
 from cmlab.green import green_torus, singular_part
 from cmlab.measures import Divisor, kelvin_transform, pairing, residue
-from cmlab.models import LinearCylinder, cusp_profile, cusp_radial_length, standard_bubble
+from cmlab.models import LinearCylinder, cusp_profile
 from cmlab.solver import (
     CurvatureSpec,
     jacobian_apply,
@@ -31,6 +31,7 @@ from cmlab.solver import (
     solve_divisor,
     uniqueness_probe,
 )
+from oracles import cusp_radial_length, standard_bubble
 
 ATOM = (0.3, 0.7)
 

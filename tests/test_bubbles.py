@@ -23,14 +23,8 @@ from cmlab.bubbles import (
 from cmlab.errors import ConfigError
 from cmlab.grids import DiskChart, Field, LogPolarChart, TorusChart, interpolate, sample
 from cmlab.measures import FluxProfile
-from cmlab.models import (
-    TAU,
-    LinearCylinder,
-    cap_profile,
-    cusp_annulus_area,
-    cusp_profile,
-    standard_bubble,
-)
+from cmlab.models import TAU, LinearCylinder, cap_profile, cusp_profile
+from oracles import cusp_annulus_area, standard_bubble
 
 FIXTURES = ["flat-neck", "hyperbolic-cusp", "linear-cylinder",
             "no-bubble", "spherical-cap"]

@@ -344,6 +344,18 @@ def test_three_circle_exit_codes(tmp_path):
     assert read_report(out3 / "report.json")["fixture"] == "linear-cylinder"
 
 
+def test_three_circle_decides_decay_after_underflow(tmp_path):
+    # at length 4000, Area(Q_2) and e^{-kappa L/2} underflow to 0 while
+    # Area(Q_1) = pi: in log space the decay still holds
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[three-circle]\nlength = 4000\n")
+    out = tmp_path / "out"
+    assert run_cli(["three-circle", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = read_report(out / "report.json")
+    assert rep["hypothesisOk"] and rep["decayOk"]
+    assert rep["areaQ2"] == 0.0 and rep["decayBound"] == 0.0
+
+
 def test_neck_flat_fixture_violation(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(["neck", "--out", str(out)])

@@ -19,8 +19,9 @@ from cmlab.errors import InfeasibleTopology, StageFailure
 from cmlab.green import singular_part
 from cmlab.grids import TAU, DiskChart, Field, TorusChart, constant, sample
 from cmlab.measures import Divisor
-from cmlab.models import cap_disk_area, cap_profile
+from cmlab.models import cap_profile
 from cmlab.solver import CurvatureSpec, Solution, newton_solve, solve_divisor
+from oracles import cap_disk_area
 
 
 def test_cusp_schedule_weights():

@@ -31,14 +31,9 @@ from cmlab.measures import (
     residue,
     residue_profiled,
 )
-from cmlab.models import (
-    cone_profile,
-    cusp_annulus_area,
-    cusp_flux,
-    cusp_profile,
-)
+from cmlab.models import cusp_profile
 from cmlab.solver import solve_divisor
-from oracles import cell_log_mean_quad
+from oracles import cell_log_mean_quad, cone_profile, cusp_annulus_area, cusp_flux
 
 
 def test_euler_characteristic():

@@ -6,24 +6,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cmlab.models import (
-    TAU,
-    LinearCylinder,
+from cmlab.models import TAU, LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
+from cmlab.measures import flux_profile
+from oracles import (
     cap_disk_area,
-    cap_profile,
     cone_profile,
     cone_radial_length,
     cusp_annulus_area,
     cusp_flux,
-    cusp_profile,
     cusp_radial_length,
+    fd_gauss_curvature,
     flat_neck_annulus_area,
     flat_neck_inner_radius,
-    flat_neck_profile,
+    quad_radial_area,
+    quad_radial_length,
     standard_bubble,
 )
-from cmlab.measures import flux_profile
-from oracles import fd_gauss_curvature, quad_radial_area, quad_radial_length
 
 
 def _radial(u):

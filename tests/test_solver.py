@@ -14,7 +14,7 @@ from cmlab.grids import (TAU, Field, TorusChart, constant, irfft2, neg_laplacian
                          sample)
 from cmlab.green import singular_part
 from cmlab.measures import Divisor, residue
-from cmlab.models import cone_radial_length, cusp_profile, cusp_radial_length
+from cmlab.models import cusp_profile
 from cmlab.solver import (
     CurvatureSpec,
     default_initial_guess,
@@ -27,7 +27,13 @@ from cmlab.solver import (
     solve_divisor,
     uniqueness_probe,
 )
-from oracles import quad_ray_length_cells
+from oracles import (
+    cone_radial_length,
+    cusp_radial_length,
+    quad_ray_length_cells,
+    whole_array_cg,
+    whole_grid_blended_sum,
+)
 
 
 def test_manufactured_forcing_recovers_exact_solution():
@@ -246,6 +252,40 @@ def test_metric_area_ring_correction_gate():
     assert metric_area(s_cusp.split, s_cusp.v) == (s_cusp.area, s_cusp.grid_area, 1)
 
 
+@pytest.mark.parametrize("n", [8, 32, 256])
+def test_metric_area_window_matches_the_whole_grid(monkeypatch, n):
+    # atoms across both seams, where the window of nodes wraps: its sorted
+    # rows and columns keep the whole grid's row-major order, so the blended
+    # grid sums, and with them the area, are the same bits
+    split = singular_part(Divisor(((0.999, 0.001), (0.0005, 0.5)), (-0.5, -0.25)), n)
+    v = random_smooth_field(n, np.random.default_rng(n))
+    u2 = np.exp(np.random.default_rng(1).uniform(-30.0, 30.0, size=(n, n)))
+    for px, py in split.divisor.points:
+        assert (cmlab.solver._blended_grid_sum(u2, px, py)
+                == whole_grid_blended_sum(u2, px, py))
+    got = metric_area(split, v)
+    monkeypatch.setattr(cmlab.solver, "_blended_grid_sum", whole_grid_blended_sum)
+    assert metric_area(split, v) == got
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
+def test_block_partials_sum_to_the_whole_array_bits(n):
+    # the solver's inner products are per-block partials combined in a
+    # binary tree; numpy's pairwise sum must split the whole array the same
+    # way, or CG's rounding moves (a numpy upgrade that changes pairwise
+    # summation fails here first)
+    blocks = cmlab.solver._blocks(n)
+    rows = {s.stop - s.start for s in blocks}
+    assert len(rows) == 1 and len(blocks) * rows.pop() == n
+    assert len(blocks) & (len(blocks) - 1) == 0
+    rng = np.random.default_rng(n)
+    a, b = (rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-20.0, 20.0, size=(n, n))
+            for _ in range(2))
+    tmp = np.empty_like(a[blocks[0]])
+    parts = [np.multiply(a[s], b[s], out=tmp).sum() for s in blocks]
+    assert cmlab.solver._tree_sum(parts) == float(np.multiply(a, b).sum())
+
+
 def _complex_neg_laplacian(values):
     """-Delta by full complex numpy.fft transforms (independent of the package)."""
     n = values.shape[0]
@@ -346,9 +386,29 @@ def test_cg_stops_at_half_the_newton_tolerance():
     assert np.linalg.norm(res) <= 0.5 * tol
 
 
+@pytest.mark.parametrize("block", [None, 2 ** 12, 2 ** 7])
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+def test_blocked_cg_matches_whole_array_cg_bits(monkeypatch, block, tol):
+    # n = 128 is one block of 2^15 elements; 2^12 and 2^7 give 4 and 128
+    op, W = _cusp_stage_jacobian()
+    if block is not None:
+        monkeypatch.setattr(cmlab.solver, "_BLOCK", block)
+    n = op.n
+    b = np.random.default_rng(5).normal(size=(n, n))
+    if tol:
+        b *= 100.0 * tol / np.linalg.norm(b)  # the absolute stop binds
+    shift = float(W.mean())
+    x, lx, iters, capped = cmlab.solver._cg(op, W, shift, b, tol)
+    want = whole_array_cg(op, W, shift, b, tol)
+    assert (iters, capped) == want[2:]
+    np.testing.assert_array_equal(x, want[0])
+    np.testing.assert_array_equal(lx, want[1])
+
+
 def test_newton_solve_working_set():
-    # the n = 512 solve with its kernels cached, under tracemalloc: 25.1 MiB
-    # measured, 35.0 MiB when the state was a half spectrum, every Armijo
+    # the n = 512 solve with its kernels cached, under tracemalloc: 23.4 MiB
+    # measured; 25.1 MiB when CG's products went through a whole-grid
+    # array, and 35.0 MiB when the state was a half spectrum, every Armijo
     # trial transformed and the loop held the previous step
     solve_divisor(((0.3, 0.7),), (-0.5,), n=512)
     tracemalloc.start()
@@ -357,7 +417,7 @@ def test_newton_solve_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2 ** 20
+    assert peak <= 24 * 2 ** 20
 
 
 _SHIFT_N = 32
