@@ -14,6 +14,7 @@ final-stage field plus a Richardson extrapolation of the areas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +76,14 @@ def cusp_schedule(target: Divisor, k_max: int = 10,
     the schedule degenerates to a single direct stage. It sets no `lam`:
     `run_continuation`'s defect check pins each stage's grid area to within
     10 tol / |K| of 2 pi |chi| / |K|, inside any envelope a `lam` declares.
+    With a cusp atom `k_max` must lie in 1..53: -1 + 2^{-k} rounds to -1
+    beyond k = 53.
     """
     if not any(b == -1.0 for b in target.betas):
         return ContinuationSchedule(target, (ScheduleStep(target.betas, curvature),))
+    if not 1 <= k_max <= 53:
+        raise ValueError(f"k_max = {k_max} is outside 1..53: the stage weight "
+                         "-1 + 2^-k_max must be a double strictly above -1")
     steps = []
     for k in range(1, k_max + 1):
         betas = tuple(-1.0 + 2.0 ** -k if b == -1.0 else b for b in target.betas)
@@ -224,12 +230,15 @@ class ScanReport:
 def no_bubble_scan(sol: Solution, radii, threshold: float = 1.0) -> ScanReport:
     """Largest curvature mass and area over scanned disks away from atoms.
 
-    Disk masses of |K| e^{2u} are computed for every grid center at once by
-    periodic convolution with the disk indicator, then read off on the
-    coarse sublattice of stride n/16 (16 x 16 centers; every node at n = 8),
-    skipping centers within radius + 8/n of a divisor atom; `check_scan`
-    bounds the radii and `threshold`. A center is flagged when its mass
-    reaches `threshold` (the concentration proxy).
+    Centers are the coarse sublattice of stride n/16 (16 x 16 centers; every
+    node at n = 8), skipping centers within radius + 8/n of a divisor atom;
+    `check_scan` bounds the radii and `threshold`. The centers are nodes, so
+    every disk holds the same node offsets (k, l), those with
+    hypot(k/n, l/n) <= r (exact dyadics at a power-of-two n), and a kept
+    center's mass and area are the direct sums of |K| e^{2u} / n^2 and
+    e^{2u} / n^2 over them, read off the grid wrap-padded by floor(r n).
+    r < 1/2 keeps a disk from wrapping onto itself. A center is flagged
+    when its mass reaches `threshold` (the concentration proxy).
     """
     check_scan(radii, threshold)
     u = sol.u_values
@@ -237,22 +246,15 @@ def no_bubble_scan(sol: Solution, radii, threshold: float = 1.0) -> ScanReport:
     K = sol.spec.values(n)
     atoms = sol.split.divisor.points
     e2u = np.exp(2.0 * u)
-    mass_hat = rfft2(np.abs(K) * e2u / (n * n))
-    area_hat = rfft2(e2u / (n * n))
-    x = TorusChart().nodes(n)
-    d0 = torus_distance(x[:, None], x[None, :], 0.0, 0.0)
-    stride = max(1, n // 16)
-    idx = np.arange(0, n, stride)
+    mass = np.abs(K) * e2u / (n * n)
+    area = np.divide(e2u, n * n, out=e2u)
+    idx = np.arange(0, n, max(1, n // 16))
+    cx, cy = np.meshgrid(idx, idx, indexing="ij")
     max_mass = 0.0
     max_area = 0.0
     flags = []
     scanned = 0
     for r in radii:
-        disk = (d0 <= r).astype(float)
-        dhat = rfft2(disk)
-        masses = irfft2(mass_hat * dhat, n)
-        areas = irfft2(area_hat * dhat, n)
-        cx, cy = np.meshgrid(idx, idx, indexing="ij")
         keep = np.ones(cx.shape, dtype=bool)
         for (ax, ay) in atoms:
             dist = torus_distance(cx / n, cy / n, ax, ay)
@@ -260,8 +262,17 @@ def no_bubble_scan(sol: Solution, radii, threshold: float = 1.0) -> ScanReport:
         if not keep.any():
             raise ValueError(f"atoms exclude every scan center at radius {r}")
         scanned += int(keep.sum())
-        m_here = masses[cx, cy]
-        a_here = areas[cx, cy]
+        h = math.floor(r * n)
+        k = np.arange(-h, h + 1) / n
+        disk = np.hypot(k[:, None], k[None, :]) <= r
+        masses, areas = (np.pad(a, h, mode="wrap") for a in (mass, area))
+        m_here = np.zeros(cx.shape)
+        a_here = np.zeros(cx.shape)
+        for i, j in zip(*np.nonzero(keep)):
+            window = (slice(cx[i, j], cx[i, j] + 2 * h + 1),
+                      slice(cy[i, j], cy[i, j] + 2 * h + 1))
+            m_here[i, j] = masses[window][disk].sum()
+            a_here[i, j] = areas[window][disk].sum()
         max_mass = max(max_mass, float(m_here[keep].max()))
         max_area = max(max_area, float(a_here[keep].max()))
         flagged = keep & (m_here >= threshold)

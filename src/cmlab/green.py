@@ -36,27 +36,9 @@ def _s4(t: np.ndarray) -> np.ndarray:
     return t ** 5 * (126.0 + t * (-420.0 + t * (540.0 + t * (-315.0 + t * 70.0))))
 
 
-def _s4_d1(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return 630.0 * t ** 4 * (1.0 - t) ** 4
-
-
-def _s4_d2(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return 2520.0 * t ** 3 * (1.0 - t) ** 3 * (1.0 - 2.0 * t)
-
-
 def cutoff(d: np.ndarray) -> np.ndarray:
     """chi(d): 1 inside d <= 1/8, 0 outside d >= 3/8, C^4 in between."""
     return 1.0 - _s4((np.asarray(d, dtype=float) - _R1) / _W)
-
-
-def _cutoff_d1(d: np.ndarray) -> np.ndarray:
-    return -_s4_d1((np.asarray(d, dtype=float) - _R1) / _W) / _W
-
-
-def _cutoff_d2(d: np.ndarray) -> np.ndarray:
-    return -_s4_d2((np.asarray(d, dtype=float) - _R1) / _W) / (_W * _W)
 
 
 def _psi(d: np.ndarray) -> np.ndarray:
@@ -65,8 +47,9 @@ def _psi(d: np.ndarray) -> np.ndarray:
     out = np.zeros_like(d)
     band = (d > _R1) & (d < _R2)
     db = d[band]
-    c1 = _cutoff_d1(db)
-    c2 = _cutoff_d2(db)
+    t = np.clip((db - _R1) / _W, 0.0, 1.0)
+    c1 = -(630.0 * t ** 4 * (1.0 - t) ** 4) / _W  # chi'(d)
+    c2 = -(2520.0 * t ** 3 * (1.0 - t) ** 3 * (1.0 - 2.0 * t)) / (_W * _W)  # chi''(d)
     out[band] = (np.log(db) * (c2 + c1 / db) + 2.0 * c1 / db) / TAU
     return out
 
@@ -101,9 +84,8 @@ class TorusGreen:
 # its n/4 start) and a two-cusp ladder 2
 @lru_cache(maxsize=8)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
-    chart = TorusChart()
-    X, Y = chart.mesh(n)
-    d = torus_distance(X, Y, px, py)
+    x = TorusChart().nodes(n)
+    d = torus_distance(x[:, None], x[None, :], px, py)
     remainder = poisson_mean_zero(-1.0 - _psi(d))
     # pin the continuum mean of G to zero: mean(R) = (1/2pi) int chi log d
     remainder += _cutoff_log_mean()

@@ -274,7 +274,7 @@ def _cg_work(n: int) -> list:
 
 
 def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
-        tol: float, work: list | None = None) -> tuple:
+        tol: float, work: list) -> tuple:
     """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1,
     until the recurrence residual r has ||r||_2 <= max(_CG_RTOL ||b||_2, tol/2).
 
@@ -297,7 +297,7 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
     sets p = z and lp = r - shift z. z^ * (1/(k2 + shift)) has the bits of
     numpy's complex-by-real division z^ / (k2 + shift).
 
-    CG allocates nothing but `work` (from `_cg_work`, fresh when None): the
+    CG allocates nothing but `work` (from `_cg_work`): the
     transforms write into z^ and into w, which holds z and -Delta z and then
     A p in turn, and the products go through the block. The Newton loop
     hands one work set to all its inner solves. Arrays freed and reallocated
@@ -310,7 +310,7 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
     """
     n = op.n
     blocks = _blocks(n)
-    r, p, lp, x, w, zhat, inv, tmp = _cg_work(n) if work is None else work
+    r, p, lp, x, w, zhat, inv, tmp = work
     np.add(op.k2, shift, out=inv)
     np.divide(1.0, inv, out=inv)
     np.copyto(r, b)
@@ -553,8 +553,10 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     op, v, e2u, norm, it, cg_total, cg_capped = _solve_level(spec, split, v0, tol)
 
     v_field = Field(v, TorusChart())
-    area, grid_area, rejected = metric_area(split, v_field)
-    gb = abs(float((op.K * e2u + op.rho).mean()) - TAU * chi)
+    area, grid_area, rejected = metric_area(split, v_field, e2u)
+    np.multiply(op.K, e2u, out=e2u)  # the Gauss-Bonnet defect, over e^{2u}
+    e2u += op.rho
+    gb = abs(float(e2u.mean()) - TAU * chi)
     return Solution(split=split, spec=spec, v=v_field, residual_norm=norm, area=area,
                     gb_defect=gb, newton_iters=it, cg_iters=cg_total,
                     cg_capped=cg_capped, grid_area=grid_area, rings_rejected=rejected)
@@ -577,9 +579,9 @@ def _blended_grid_sum(u2: np.ndarray, px: float, py: float) -> float:
     return float(((1.0 - blend) * u2[np.ix_(rows, cols)][near]).sum())
 
 
-def metric_area(split: SingularSplit, v: Field) -> tuple:
-    """(area, grid area, rings rejected) of e^{2(S+v)}: the grid mean, with
-    analytic polar rings near the atoms.
+def metric_area(split: SingularSplit, v: Field, e2u: np.ndarray) -> tuple:
+    """(area, grid area, rings rejected) of e^{2(S+v)}, whose samples `e2u`
+    the caller holds: the grid mean, with analytic polar rings near the atoms.
 
     Within 8/n of each atom the grid quadrature is blended out and replaced
     by radial integration of r^{2 beta} e^{2(H_i + v)} (H_i the stable
@@ -593,9 +595,7 @@ def metric_area(split: SingularSplit, v: Field) -> tuple:
     the count of those atoms is the third entry.
     """
     n = split.n
-    S = split.S.values
-    u2 = _exp2u(S, v.values)
-    grid_area = float(u2.mean())
+    grid_area = float(e2u.mean())
     area = grid_area
     r_na = 4.0 / n
     r_bl = 8.0 / n
@@ -606,7 +606,7 @@ def metric_area(split: SingularSplit, v: Field) -> tuple:
         if a < 0.75:
             rejected += 1
             continue
-        grid_inner = _blended_grid_sum(u2, px, py) / (n * n)
+        grid_inner = _blended_grid_sum(e2u, px, py) / (n * n)
         # ring: (1/a) \int_0^{r_bl^a} dt \int dtheta (1-m) e^{2(H_i+v)}
         t_max = r_bl ** a
 

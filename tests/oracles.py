@@ -4,7 +4,9 @@ Deliberately different algorithms from the package: direct lattice series,
 finite-difference stencils, and adaptive quadrature, so agreement between
 the two is evidence, not tautology. The model closed forms the tests check
 against live here too. The whole-array references at the end keep the
-arithmetic the solver's cache-blocked sweeps must reproduce bit for bit.
+arithmetic the solver's cache-blocked sweeps must reproduce bit for bit,
+and the spectral disk masses the concentration scan's direct sums must
+reproduce to a few ulps.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from cmlab.continuation import ScanReport
 from cmlab.errors import CurvatureSignError
 from cmlab.green import _s4
 from cmlab.grids import TorusChart, bilinear_torus, irfft2, rfft2, torus_distance
@@ -201,3 +204,39 @@ def whole_grid_blended_sum(u2, px: float, py: float) -> float:
     near = d < r_bl
     blend = _s4((d[near] - r_na) / (r_bl - r_na))
     return float(((1.0 - blend) * u2[near]).sum())
+
+
+def convolution_scan(sol, radii, threshold: float = 1.0):
+    """`no_bubble_scan` by periodic convolution: every node's disk masses of
+    |K| e^{2u} and e^{2u} from the transforms of the densities and of the disk
+    indicator, then read off the same 16 x 16 centers with the same
+    exclusion and threshold rule."""
+    u = sol.u_values
+    n = u.shape[0]
+    K = sol.spec.values(n)
+    e2u = np.exp(2.0 * u)
+    mass_hat = rfft2(np.abs(K) * e2u / (n * n))
+    area_hat = rfft2(e2u / (n * n))
+    x = TorusChart().nodes(n)
+    d0 = torus_distance(x[:, None], x[None, :], 0.0, 0.0)
+    idx = np.arange(0, n, max(1, n // 16))
+    cx, cy = np.meshgrid(idx, idx, indexing="ij")
+    max_mass = max_area = 0.0
+    flags = []
+    scanned = 0
+    for r in radii:
+        dhat = rfft2((d0 <= r).astype(float))
+        masses = irfft2(mass_hat * dhat, n)
+        areas = irfft2(area_hat * dhat, n)
+        keep = np.ones(cx.shape, dtype=bool)
+        for ax, ay in sol.split.divisor.points:
+            keep &= torus_distance(cx / n, cy / n, ax, ay) > r + 8.0 / n
+        scanned += int(keep.sum())
+        m_here = masses[cx, cy]
+        max_mass = max(max_mass, float(m_here[keep].max()))
+        max_area = max(max_area, float(areas[cx, cy][keep].max()))
+        for i, j in zip(*np.nonzero(keep & (m_here >= threshold))):
+            flags.append(((float(cx[i, j]) / n, float(cy[i, j]) / n),
+                          float(r), float(m_here[i, j])))
+    return ScanReport(radii=tuple(float(r) for r in radii), max_mass=max_mass,
+                      max_area=max_area, flags=tuple(flags), centers_scanned=scanned)

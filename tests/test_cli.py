@@ -264,6 +264,21 @@ def test_reruns_write_identical_reports(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("k_max", [0, 60])
+def test_continue_cusp_names_a_bad_k_max(tmp_path, capsys, k_max):
+    # 0 used to exit on "schedule needs at least one step", and 60 on "stage
+    # weights must stay strictly above -1" (-1 + 2^-k rounds to -1 for k >= 54)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[continue-cusp]\nk_max = {k_max}\n")
+    out = tmp_path / "out"
+    assert run_cli(["continue-cusp", "--config", str(cfg), "--out", str(out),
+                    "--grid", "16"]) == 1
+    err = capsys.readouterr().err
+    assert f"k_max = {k_max} is outside 1..53" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_continue_cusp_run(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[continue-cusp]\nk_max = 3\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cmlab.continuation
+import cmlab.grids
 from cmlab.continuation import (
     ContinuationSchedule,
     ScheduleStep,
@@ -20,8 +21,9 @@ from cmlab.green import singular_part
 from cmlab.grids import TAU, DiskChart, Field, TorusChart, constant, sample
 from cmlab.measures import Divisor
 from cmlab.models import cap_profile
-from cmlab.solver import CurvatureSpec, Solution, newton_solve, solve_divisor
-from oracles import cap_disk_area
+from cmlab.solver import (CurvatureSpec, Solution, newton_solve, random_smooth_field,
+                          solve_divisor)
+from oracles import cap_disk_area, convolution_scan
 
 
 def test_cusp_schedule_weights():
@@ -36,6 +38,12 @@ def test_cusp_schedule_weights():
         assert step.betas[1] == -0.5  # conical atoms keep their weight
     conical = Divisor(((0.3, 0.7),), (-0.5,))
     assert len(cusp_schedule(conical).steps) == 1
+    assert len(cusp_schedule(conical, k_max=0).steps) == 1  # no cusp: k_max unused
+    # -1 + 2^-53 is the last double strictly above -1
+    assert cusp_schedule(target, k_max=53).steps[-1].betas[0] > -1.0
+    for k_max in (0, -1, 54, 60):
+        with pytest.raises(ValueError, match=rf"k_max = {k_max} is outside 1\.\.53"):
+            cusp_schedule(target, k_max=k_max)
     # 0 used to raise ZeroDivisionError, nan and inf a complaint about lam
     for c in (0.0, 1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="curvature must be finite and negative"):
@@ -217,7 +225,7 @@ def test_mollify_curvature():
             mollify_curvature(const, 3, lam)
 
 
-def _unsolved(div: Divisor, curvature: float, v: Field) -> Solution:
+def _unsolved(div: Divisor, curvature: float | Field, v: Field) -> Solution:
     """A Solution holding `v` as given, for scans of a chosen field."""
     return Solution(split=singular_part(div, v.n), spec=CurvatureSpec(curvature), v=v,
                     residual_norm=0.0, area=0.0, gb_defect=0.0, newton_iters=0,
@@ -257,3 +265,44 @@ def test_no_bubble_scan_needs_a_center():
     sol = _unsolved(Divisor(pts, (-0.5,) * 4), -1.0, constant(0.0, TorusChart(), 64))
     with pytest.raises(ValueError, match="atoms exclude every scan center at radius 0.3"):
         no_bubble_scan(sol, radii=(0.3,))
+
+
+@pytest.mark.parametrize("n, atoms, radii", [
+    (8, (), (1.0 / 8.0, 1.0 / 4.0, 0.3)),
+    (32, ((0.999, 0.001),), (1.0 / 16.0, 1.0 / 8.0, 0.1)),
+    (256, ((0.999, 0.001), (0.5003, 0.2501)), (1.0 / 16.0, 1.0 / 32.0, 0.1)),
+])
+def test_no_bubble_scan_matches_the_convolution(n, atoms, radii):
+    # direct disk sums against the spectral convolution they replaced, on a
+    # variable K with atoms across both seams; radii with r n an integer put
+    # nodes exactly on the rim. Centers and flags agree, masses and areas to
+    # 4 ulp (the convolution's own rounding)
+    rng = np.random.default_rng(n)
+    K = Field(-1.0 - rng.random((n, n)), TorusChart())
+    sol = _unsolved(Divisor(atoms, (-0.5,) * len(atoms)), K, random_smooth_field(n, rng))
+    threshold = 0.5 * convolution_scan(sol, radii).max_mass
+    got = no_bubble_scan(sol, radii, threshold=threshold)
+    want = convolution_scan(sol, radii, threshold=threshold)
+    assert got.radii == want.radii
+    assert got.centers_scanned == want.centers_scanned
+    assert [f[:2] for f in got.flags] == [f[:2] for f in want.flags]
+    assert want.flags
+    np.testing.assert_array_max_ulp(
+        np.array([got.max_mass, got.max_area] + [f[2] for f in got.flags]),
+        np.array([want.max_mass, want.max_area] + [f[2] for f in want.flags]), maxulp=4)
+
+
+def test_no_bubble_scan_makes_no_transform(monkeypatch):
+    # the scan sums the disks it reports: no spectrum of the densities or of
+    # a disk indicator
+    sol = solve_divisor(((0.3, 0.7),), (-0.5,), n=64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no_bubble_scan made a transform")
+
+    for module in (cmlab.continuation, cmlab.grids):
+        monkeypatch.setattr(module, "rfft2", refuse)
+        monkeypatch.setattr(module, "irfft2", refuse)
+    rep = no_bubble_scan(sol, radii=(1.0 / 16.0, 1.0 / 32.0))
+    assert rep.centers_scanned > 0
+    assert rep.max_mass < 1.0

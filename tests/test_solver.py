@@ -243,13 +243,14 @@ def test_metric_area_ring_correction_gate():
     s_cone = solve_divisor(((0.3, 0.7),), (-0.5,), n=128)
     assert s_cone.rings_rejected == 0
     assert s_cone.area != s_cone.grid_area
-    assert metric_area(s_cone.split, s_cone.v) == (
+    assert metric_area(s_cone.split, s_cone.v, np.exp(2.0 * s_cone.u_values)) == (
         s_cone.area, s_cone.grid_area, s_cone.rings_rejected)
 
     s_cusp = solve_divisor(((0.3, 0.7),), (-0.9,), n=128)
     assert s_cusp.rings_rejected == 1
     assert s_cusp.area == s_cusp.grid_area
-    assert metric_area(s_cusp.split, s_cusp.v) == (s_cusp.area, s_cusp.grid_area, 1)
+    assert metric_area(s_cusp.split, s_cusp.v, np.exp(2.0 * s_cusp.u_values)) == (
+        s_cusp.area, s_cusp.grid_area, 1)
 
 
 @pytest.mark.parametrize("n", [8, 32, 256])
@@ -263,9 +264,10 @@ def test_metric_area_window_matches_the_whole_grid(monkeypatch, n):
     for px, py in split.divisor.points:
         assert (cmlab.solver._blended_grid_sum(u2, px, py)
                 == whole_grid_blended_sum(u2, px, py))
-    got = metric_area(split, v)
+    e2u = np.exp(2.0 * (split.S.values + v.values))
+    got = metric_area(split, v, e2u)
     monkeypatch.setattr(cmlab.solver, "_blended_grid_sum", whole_grid_blended_sum)
-    assert metric_area(split, v) == got
+    assert metric_area(split, v, e2u) == got
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
@@ -359,7 +361,8 @@ def test_cg_true_residual_on_a_cusp_stage():
     op, W = _cusp_stage_jacobian()
     n = op.n
     b = np.random.default_rng(5).normal(size=(n, n))
-    x, lx, _, capped = cmlab.solver._cg(op, W, float(W.mean()), b, 0.0)
+    x, lx, _, capped = cmlab.solver._cg(op, W, float(W.mean()), b, 0.0,
+                                        cmlab.solver._cg_work(n))
     assert not capped
     xhat = rfft2(x)
     res = op.jacobian(W, x, xhat) - b
@@ -378,8 +381,8 @@ def test_cg_stops_at_half_the_newton_tolerance():
     b = np.random.default_rng(5).normal(size=(n, n))
     b *= 100.0 * tol / np.linalg.norm(b)
     shift = float(W.mean())
-    x, _, iters, capped = cmlab.solver._cg(op, W, shift, b, tol)
-    full = cmlab.solver._cg(op, W, shift, b, 0.0)[2]
+    x, _, iters, capped = cmlab.solver._cg(op, W, shift, b, tol, cmlab.solver._cg_work(n))
+    full = cmlab.solver._cg(op, W, shift, b, 0.0, cmlab.solver._cg_work(n))[2]
     assert not capped
     assert iters < full
     res = op.jacobian(W, x, rfft2(x)) - b
@@ -398,7 +401,7 @@ def test_blocked_cg_matches_whole_array_cg_bits(monkeypatch, block, tol):
     if tol:
         b *= 100.0 * tol / np.linalg.norm(b)  # the absolute stop binds
     shift = float(W.mean())
-    x, lx, iters, capped = cmlab.solver._cg(op, W, shift, b, tol)
+    x, lx, iters, capped = cmlab.solver._cg(op, W, shift, b, tol, cmlab.solver._cg_work(n))
     want = whole_array_cg(op, W, shift, b, tol)
     assert (iters, capped) == want[2:]
     np.testing.assert_array_equal(x, want[0])
@@ -547,9 +550,9 @@ def test_coarse_start_builds_no_coarse_solution(monkeypatch):
     calls = []
     real = cmlab.solver.metric_area
 
-    def counted(split, v):
+    def counted(split, v, e2u):
         calls.append(split.n)
-        return real(split, v)
+        return real(split, v, e2u)
 
     monkeypatch.setattr(cmlab.solver, "metric_area", counted)
     sol = solve_divisor(((0.3, 0.7),), (-0.5,), n=512)
