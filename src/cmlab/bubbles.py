@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import TAU, DiskChart, Field, TorusChart, gauss_legendre, interpolate
+from .grids import (TAU, DiskChart, Field, TorusChart, circle_points, gauss_legendre,
+                    interpolate)
 from .io import ini_value, read_ini
 from .measures import FluxProfile, kelvin_transform, residue_profiled
 from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
@@ -49,9 +50,8 @@ def _annulus_area(u, x0, ra: float, rb: float) -> float:
     """Area of ra < |x - x0| < rb under e^{2u}: 32 Gauss-Legendre nodes in
     log r on each octave."""
     sa, sb = math.log(ra), math.log(rb)
-    panels = max(1, math.ceil((sb - sa) / math.log(2.0)))
-    return gauss_legendre(lambda s: _circle_areas(u, x0, np.exp(s), s[:, None]),
-                          sa, sb, 32, panels)
+    edges = np.linspace(sa, sb, max(1, math.ceil((sb - sa) / math.log(2.0))) + 1)
+    return gauss_legendre(lambda s: _circle_areas(u, x0, np.exp(s), s[:, None]), edges, 32)
 
 
 def _disk_area(u, x0, R: float, inner: float | None = None) -> float:
@@ -59,7 +59,7 @@ def _disk_area(u, x0, R: float, inner: float | None = None) -> float:
     rc = min(inner, R) the concentration scale, the annulus rule beyond."""
     rc = min(inner if inner else R, R)
     core = rc * gauss_legendre(
-        lambda t: _circle_areas(u, x0, rc * t, 0.0) * (rc * t), 0.0, 1.0, 64)
+        lambda t: _circle_areas(u, x0, rc * t, 0.0) * (rc * t), (0.0, 1.0), 64)
     if rc < R:
         core += _annulus_area(u, x0, rc, R)
     return core
@@ -213,6 +213,8 @@ class SyntheticFamily:
         if unknown:
             raise ConfigError(
                 f"parameters {sorted(unknown)} not valid for kind {self.kind!r}")
+        if self.k_min < 1:
+            raise ConfigError(f"k_min must be at least 1, got {self.k_min}")
         if not self.k_min <= self.k_max:
             raise ConfigError("k_min must not exceed k_max")
 
@@ -287,8 +289,7 @@ class SyntheticFamily:
         c = self.center()
         if self.kind in ("flat-neck", "hyperbolic-cusp"):
             return _annulus_area(uk, c, self.scale(k), window)
-        inner = self.scale(k) if self.kind == "spherical-cap" else window
-        return _disk_area(uk, c, window, inner=inner)
+        return _disk_area(uk, c, window, inner=self.scale(k))
 
     def limit_window_area(self, window: float) -> float:
         if self.kind == "hyperbolic-cusp":
@@ -392,16 +393,13 @@ def validate_family(fam: SyntheticFamily, k: int, window: float = 0.5) -> Valida
     uk = fam.u(k)
     c = fam.center()
     inner = max(fam.scale(k), 1e-7 * window)
-    radii = np.exp(np.linspace(math.log(inner), math.log(window), 40))
-    theta = TAU * np.arange(16) / 16
-    max_grad = 0.0
-    for r in radii:
-        x = c[0] + r * np.cos(theta)
-        y = c[1] + r * np.sin(theta)
-        eps = 1e-6 * r
-        gx = (np.asarray(uk(x + eps, y)) - np.asarray(uk(x - eps, y))) / (2 * eps)
-        gy = (np.asarray(uk(x, y + eps)) - np.asarray(uk(x, y - eps))) / (2 * eps)
-        max_grad = max(max_grad, float((np.hypot(gx, gy) * r).max()))
+    r = np.exp(np.linspace(math.log(inner), math.log(window), 40))[:, None]
+    x, y = circle_points(c, r, 16)
+    eps = 1e-6 * r
+    gx = (np.asarray(uk(x + eps, y)) - np.asarray(uk(x - eps, y))) / (2 * eps)
+    gy = (np.asarray(uk(x, y + eps)) - np.asarray(uk(x, y - eps))) / (2 * eps)
+    # one maximum per circle; fmax passes over a circle where u is not finite
+    max_grad = float(np.fmax.reduce((np.hypot(gx, gy) * r).max(axis=1), initial=0.0))
     return ValidationReport(sign_ok=bool(sign_ok), mass_ok=bool(mass <= fam.mass_bound),
                             gradient_ok=bool(max_grad <= fam.gradient_bound),
                             max_mass=float(mass), max_gradient=max_grad)
@@ -422,19 +420,12 @@ class ThreeCircleReport:
     decay_ok: bool
 
 
-def _cylinder_flux(u, t: float) -> float:
-    eps = 1e-6
-    up = np.asarray(u(t + eps, _THETA), dtype=float)
-    um = np.asarray(u(t - eps, _THETA), dtype=float)
-    return float((up - um).mean() / (2 * eps) * TAU)
-
-
 def _cylinder_segment_area(u, t0: float, t1: float) -> float:
     """Area of [t0, t1] x S^1 under e^{2u}: 20 Gauss-Legendre nodes on
     each panel of length at most 1/2."""
     return gauss_legendre(
         lambda t: np.exp(2.0 * np.asarray(u(t[:, None], _THETA))).mean(axis=1) * TAU,
-        t0, t1, 20, max(1, math.ceil((t1 - t0) / 0.5)))
+        np.linspace(t0, t1, max(1, math.ceil((t1 - t0) / 0.5)) + 1), 20)
 
 
 def _log(a: float) -> float:
@@ -469,8 +460,9 @@ def three_circle_check(model, kappa: float, L: float) -> ThreeCircleReport:
         finite = False
     if not finite:
         raise ValueError(f"a segment area overflows double precision at L = {L:g}")
-    ts = np.linspace(0.0, 2.0 * L, 65)
-    fluxes = np.array([_cylinder_flux(u, float(t)) for t in ts])
+    ts = np.linspace(0.0, 2.0 * L, 65)[:, None]
+    up, um = (np.asarray(u(ts + e, _THETA), dtype=float) for e in (1e-6, -1e-6))
+    fluxes = (up - um).mean(axis=1) / 2e-6 * TAU
     fmin, fmax = float(fluxes.min()), float(fluxes.max())
     if fmax < -TAU * kappa:
         side = "negative"

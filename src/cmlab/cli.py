@@ -49,6 +49,8 @@ class RunConfig:
             raise ConfigError(f"grid resolution {self.n} is not a power of two >= 8")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def _parse_pairs(text: str):
@@ -242,7 +244,10 @@ def _cmd_area_identity(cfg: RunConfig):
 
 
 def _cmd_report(cfg: RunConfig):
-    return read_report(cfg.report_path), {}, 0
+    report = read_report(cfg.report_path)
+    if not isinstance(report, dict):
+        raise CmlabError(f"{str(cfg.report_path)!r} does not hold a JSON object")
+    return report, {}, 0
 
 
 # name -> (handler, help, keys of the command's config section)

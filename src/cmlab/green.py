@@ -47,7 +47,7 @@ def _psi(d: np.ndarray) -> np.ndarray:
     out = np.zeros_like(d)
     band = (d > _R1) & (d < _R2)
     db = d[band]
-    t = np.clip((db - _R1) / _W, 0.0, 1.0)
+    t = (db - _R1) / _W  # exactly in (0, 1) on the open band
     c1 = -(630.0 * t ** 4 * (1.0 - t) ** 4) / _W  # chi'(d)
     c2 = -(2520.0 * t ** 3 * (1.0 - t) ** 3 * (1.0 - 2.0 * t)) / (_W * _W)  # chi''(d)
     out[band] = (np.log(db) * (c2 + c1 / db) + 2.0 * c1 / db) / TAU
@@ -61,7 +61,7 @@ def _cutoff_log_mean() -> float:
     Inner disk d <= 1/8 analytic; the cutoff band by 64-node Gauss-Legendre.
     """
     inner = 0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
-    return inner + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), _R1, _R2, 64)
+    return inner + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64)
 
 
 @dataclass(frozen=True)

@@ -51,21 +51,23 @@ def irfft2(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(a, axis=0, out=a), n, axis=1, out=out)
 
 
-@dataclass(frozen=True)
-class TorusChart:
-    def descriptor(self) -> str:
-        return "torus"
-
-    def nodes(self, n: int) -> np.ndarray:
-        return np.arange(n) / n
-
+class _SquareMesh:
     def mesh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         x = self.nodes(n)
         return np.meshgrid(x, x, indexing="ij")
 
 
 @dataclass(frozen=True)
-class DiskChart:
+class TorusChart(_SquareMesh):
+    def descriptor(self) -> str:
+        return "torus"
+
+    def nodes(self, n: int) -> np.ndarray:
+        return np.arange(n) / n
+
+
+@dataclass(frozen=True)
+class DiskChart(_SquareMesh):
     radius: float
 
     def __post_init__(self):
@@ -80,10 +82,6 @@ class DiskChart:
 
     def nodes(self, n: int) -> np.ndarray:
         return -self.radius + self.spacing(n) * np.arange(n)
-
-    def mesh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        x = self.nodes(n)
-        return np.meshgrid(x, x, indexing="ij")
 
 
 @dataclass(frozen=True)
@@ -201,6 +199,13 @@ def torus_distance(x, y, px: float, py: float) -> np.ndarray:
     return np.hypot(wrap_half(np.asarray(x) - px), wrap_half(np.asarray(y) - py))
 
 
+def circle_points(center, r, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the m points center + r (cos, sin)(2 pi j / m); an r of
+    shape (k, 1) gives one row per radius."""
+    th = TAU * np.arange(m) / m
+    return center[0] + r * np.cos(th), center[1] + r * np.sin(th)
+
+
 # -- interpolation ----------------------------------------------------------
 
 def _bilinear_periodic(grid: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
@@ -265,11 +270,12 @@ def _leggauss(m: int):
     return np.polynomial.legendre.leggauss(m)
 
 
-def gauss_legendre(f, a: float, b: float, m: int, panels: int = 1) -> float:
-    """Integral of f (array of nodes -> array of values) over [a, b] by the
-    m-node Gauss-Legendre rule on `panels` equal panels; exact to degree 2m - 1."""
+def gauss_legendre(f, edges, m: int) -> float:
+    """Integral of f (array of nodes -> array of values) over the panels
+    between consecutive `edges`: the m-node Gauss-Legendre rule on each,
+    exact to degree 2m - 1, and the panel terms added in order."""
     t, w = _leggauss(m)
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.asarray(edges, dtype=float)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         vals = f(0.5 * (lo + hi) + 0.5 * (hi - lo) * t)

@@ -141,31 +141,36 @@ def write_csv(path, header: list, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# report key -> (CSV file, header, rows from the key's value)
+_SERIES = {
+    "stages": ("stages.csv", ["stage", "area", "gbDefect"],
+               lambda v: [(s["k"], s["area"], s["gbDefect"]) for s in v]),
+    "efold_annuli": ("annuli.csv", ["index", "r", "area"], lambda v: [
+        (i, r, a) for i, (r, a) in enumerate(zip(v["radii"], v["areas"]))]),
+    "window_areas": ("window_areas.csv", ["k", "area"],
+                     lambda v: [(row["k"], row["area"]) for row in v]),
+}
+
+
 def emit_plot_data(report: dict, out_dir) -> list:
     """Write plottable CSV series for every series-like key in a report.
 
     Returns the list of paths written. Known series, one per command that
     emits one: continuation stages (stage,area,gbDefect), annulus areas
-    (index,r,area), per-index family areas (k,area).
+    (index,r,area), per-index family areas (k,area). A key whose value is
+    not such a series raises CmlabError naming the key.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if "stages" in report:
-        rows = [(s["k"], s["area"], s["gbDefect"]) for s in report["stages"]]
-        path = out_dir / "stages.csv"
-        write_csv(path, ["stage", "area", "gbDefect"], rows)
-        written.append(path)
-    if "efold_annuli" in report:
-        rows = [(i, r, a) for i, (r, a) in
-                enumerate(zip(report["efold_annuli"]["radii"],
-                              report["efold_annuli"]["areas"]))]
-        path = out_dir / "annuli.csv"
-        write_csv(path, ["index", "r", "area"], rows)
-        written.append(path)
-    if "window_areas" in report:
-        rows = [(row["k"], row["area"]) for row in report["window_areas"]]
-        path = out_dir / "window_areas.csv"
-        write_csv(path, ["k", "area"], rows)
-        written.append(path)
+    for key, (name, header, rows) in _SERIES.items():
+        if key not in report:
+            continue
+        try:
+            table = rows(report[key])
+        except (TypeError, KeyError, IndexError) as exc:
+            raise CmlabError(f"report key {key!r} is not a ({','.join(header)}) "
+                             f"series: {type(exc).__name__}: {exc}") from None
+        write_csv(out_dir / name, header, table)
+        written.append(out_dir / name)
     return written

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonStabilizingFlux
-from .grids import (TAU, DiskChart, Field, LogPolarChart, TorusChart, integral,
-                    interpolate, irfft2, neg_laplacian, rfft2, torus_distance)
+from .grids import (TAU, DiskChart, Field, LogPolarChart, TorusChart, circle_points,
+                    integral, interpolate, irfft2, neg_laplacian, rfft2, torus_distance)
 
 # integral of ln|y| over the unit-spacing grid cell centered at the origin,
 # divided by the cell area: closed form -(ln 2)/2 - 3/2 + pi/4
@@ -154,11 +154,6 @@ def pairing(u: Field, testfn: Field, background_curv: Field | float = 0.0) -> fl
 
 # -- circle flux -------------------------------------------------------------
 
-def _circle_points(center, r: float, m: int):
-    th = TAU * np.arange(m) / m
-    return center[0] + r * np.cos(th), center[1] + r * np.sin(th), th
-
-
 def _flux_once(u, center, r: float) -> float:
     """Flux of grad(u) through the circle of radius r (callable or Field).
 
@@ -169,13 +164,10 @@ def _flux_once(u, center, r: float) -> float:
     leaves a disk or log-polar chart is left to `interpolate`.
     """
     if callable(u):
-        m = 256
         delta = 1e-5
-        xp, yp, _ = _circle_points(center, r * math.exp(delta), m)
-        xm, ym, _ = _circle_points(center, r * math.exp(-delta), m)
-        dds = (np.asarray(u(xp, yp), dtype=float)
-               - np.asarray(u(xm, ym), dtype=float)) / (2.0 * delta)
-        return float(dds.mean() * TAU)
+        up, um = (np.asarray(u(*circle_points(center, r * math.exp(s), 256)), dtype=float)
+                  for s in (delta, -delta))
+        return float(((up - um) / (2.0 * delta)).mean() * TAU)
     chart = u.chart
     if isinstance(chart, LogPolarChart):
         if center != (0.0, 0.0):
@@ -190,7 +182,7 @@ def _flux_once(u, center, r: float) -> float:
             raise ValueError("flux radius exceeds the torus chart")
         m, scale = max(64, int(math.ceil(TAU * r / h))), r
         radii = [r + step * h for step in (-2, -1, 1, 2)]
-    vals = [interpolate(u, *_circle_points(center, rho, m)[:2]) for rho in radii]
+    vals = [interpolate(u, *circle_points(center, rho, m)) for rho in radii]
     d = (8.0 * (vals[2] - vals[1]) - (vals[3] - vals[0])) / (12.0 * h)
     return float(d.mean() * TAU * scale)
 

@@ -2,7 +2,7 @@
 
 Every profile is a callable u(x, y) on the plane (or on cylinder
 coordinates (t, theta) for the linear model, with its exact flux and
-segment areas, which the three-circle report carries).
+segment areas; the three-circle report carries the areas, as closedForm).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAU = 2.0 * math.pi
+from .grids import TAU
 
 
 # -- hyperbolic cusp: u = -log(r log(1/r)), K = -1, complete at the puncture

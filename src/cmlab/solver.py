@@ -18,18 +18,18 @@ is about eps max(W) |d| rather than eps (pi n)^2 |d|; lv only accumulates
 t ld, so an Armijo trial is v + t d, lv + t ld, e^{2u} and F, with no
 transform.
 
-One operator evaluates the residual and applies its Jacobian; the public
-``residual`` and ``jacobian_apply``, the default guess and the Newton loop
-all use it. The inner CG works on samples and applies the same Jacobian
--Delta + W, but gets -Delta p without a transform: the preconditioner
-solve (k2 + c) z^ = r^, with the shift c below, gives -Delta z = r - c z
-exactly, and p is a linear recurrence in z, so -Delta p follows the same
-recurrence. At its exit CG reads -Delta x = b - r - W x off its own
-recurrence residual r. One CG iteration therefore costs exactly two
-transforms, rfft2(r) for the preconditioner and irfft2(z^) for z, and a
-solve from a given start spectrum costs 2 more, for v and lv. The loop
-holds only v, lv, W and F and one set of CG arrays, which its inner solves
-and Armijo trials reuse, so no step allocates an n-by-n array.
+One operator evaluates the residual and the Jacobian's weight W; the
+public ``residual`` and ``jacobian_apply``, the default guess and the
+Newton loop all use it. The inner CG works on samples and applies the
+Jacobian -Delta + W, but gets -Delta p without a transform: the
+preconditioner solve (k2 + c) z^ = r^, with the shift c below, gives
+-Delta z = r - c z exactly, and p is a linear recurrence in z, so -Delta p
+follows the same recurrence. At its exit CG reads -Delta x = b - r - W x
+off its own recurrence residual r. One CG iteration therefore costs
+exactly two transforms, rfft2(r) for the preconditioner and irfft2(z^) for
+z, and a solve from a given start spectrum costs 2 more, for v and lv. The
+loop holds only v, lv, W and F and one set of CG arrays, which its inner
+solves and Armijo trials reuse, so no step allocates an n-by-n array.
 
 Between two transforms or two reductions, the elementwise work runs as one
 sweep over row blocks of _BLOCK = 2^15 elements (256 KiB; 32 rows at
@@ -93,8 +93,9 @@ import numpy as np
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
 from .green import SingularSplit, _s4, singular_part
-from .grids import (TAU, Field, TorusChart, gauss_legendre, half_laplacian_multiplier,
-                    interpolate, irfft2, rfft2, torus_distance)
+from .grids import (TAU, Field, TorusChart, circle_points, gauss_legendre,
+                    half_laplacian_multiplier, interpolate, irfft2, neg_laplacian, rfft2,
+                    torus_distance)
 from .measures import Divisor, euler_characteristic
 
 _EXP_LIMIT = 350.0
@@ -192,9 +193,9 @@ def _rows(a: float | np.ndarray, s: slice) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class _Operator:
-    """F(v) = -Delta v - K e^{2(S+v)} + const - rho and its Jacobian
-    (-Delta + W) w, W = -2K e^{2(S+v)}, with -Delta applied on the half
-    spectrum through the symbol k2."""
+    """F(v) = -Delta v - K e^{2(S+v)} + const - rho and the weight
+    W = -2K e^{2(S+v)} of its Jacobian -Delta + W; k2 is the symbol of
+    -Delta on the half spectrum."""
 
     S: np.ndarray
     K: float | np.ndarray
@@ -219,10 +220,6 @@ class _Operator:
     def weight(self, e2u: np.ndarray, s: slice = slice(None)) -> np.ndarray:
         """W = -2K e^{2(S+v)} on the grid rows `s`, written over the samples e2u."""
         return np.multiply(-2.0 * _rows(self.K, s), e2u, out=e2u)
-
-    def jacobian(self, W: np.ndarray, w: np.ndarray, what: np.ndarray) -> np.ndarray:
-        """(-Delta + W) w from the samples w and their half spectrum."""
-        return irfft2(self.k2 * what, self.n) + W * w
 
 
 def _operator(spec: CurvatureSpec, split: SingularSplit) -> _Operator:
@@ -253,8 +250,7 @@ def residual(v: Field | np.ndarray, spec: CurvatureSpec, split: SingularSplit) -
     """
     vv = _samples(v, split)
     op = _operator(spec, split)
-    lv = irfft2(op.k2 * rfft2(vv), op.n)
-    return Field(op.residual(lv, _exp2u(op.S, vv)), TorusChart())
+    return Field(op.residual(neg_laplacian(vv), _exp2u(op.S, vv)), TorusChart())
 
 
 def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
@@ -263,7 +259,7 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
     vv = _samples(v, split)
     op = _operator(spec, split)
     w = np.asarray(w, dtype=float)
-    return op.jacobian(op.weight(_exp2u(op.S, vv)), w, rfft2(w))
+    return neg_laplacian(w) + op.weight(_exp2u(op.S, vv)) * w
 
 
 def _cg_work(n: int) -> list:
@@ -566,13 +562,12 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
 
 def _blended_grid_sum(u2: np.ndarray, px: float, py: float) -> float:
     """Sum of (1 - s4) u2 over the nodes within 8/n of (px, py), s4 rising
-    from 0 at 4/n to 1 at 8/n, read off a window of 20 nodes a side (the
-    whole grid when n <= 20). The window's rows and columns are sorted, so
-    the cells are summed in the whole grid's row-major order, bit for bit."""
+    from 0 at 4/n to 1 at 8/n, read off a window of 20 nodes a side (every
+    node when n <= 16). The window's rows and columns are sorted, so the
+    cells are summed in the whole grid's row-major order, bit for bit."""
     n = u2.shape[0]
     r_na, r_bl = 4.0 / n, 8.0 / n
-    rows, cols = (np.arange(n) if n <= 20 else
-                  np.sort((math.floor(c * n) + np.arange(-9, 11)) % n) for c in (px, py))
+    rows, cols = (np.sort((math.floor(c * n) + np.arange(-9, 11)[:n]) % n) for c in (px, py))
     d = torus_distance((rows / n)[:, None], (cols / n)[None, :], px, py)
     near = d < r_bl
     blend = _s4((d[near] - r_na) / (r_bl - r_na))
@@ -599,7 +594,6 @@ def metric_area(split: SingularSplit, v: Field, e2u: np.ndarray) -> tuple:
     area = grid_area
     r_na = 4.0 / n
     r_bl = 8.0 / n
-    theta = TAU * np.arange(64) / 64
     rejected = 0
     for i, ((px, py), beta) in enumerate(zip(split.divisor.points, split.divisor.betas)):
         a = 2.0 * beta + 2.0
@@ -612,13 +606,12 @@ def metric_area(split: SingularSplit, v: Field, e2u: np.ndarray) -> tuple:
 
         def ring_vals(tau):
             r_nodes = (t_max * tau) ** (1.0 / a)
-            xs = (px + r_nodes[:, None] * np.cos(theta)[None, :]) % 1.0
-            ys = (py + r_nodes[:, None] * np.sin(theta)[None, :]) % 1.0
+            xs, ys = (c % 1.0 for c in circle_points((px, py), r_nodes[:, None], 64))
             smooth = split.smooth_rest(i, xs, ys) + interpolate(v, xs, ys)
             vals = np.exp(2.0 * smooth).mean(axis=1) * TAU
             return vals * (1.0 - _s4((r_nodes - r_na) / (r_bl - r_na)))
 
-        ring = t_max / a * gauss_legendre(ring_vals, 0.0, 1.0, 32)
+        ring = t_max / a * gauss_legendre(ring_vals, (0.0, 1.0), 32)
         corr = ring - grid_inner
         if abs(corr) <= 0.25 * ring:
             area += corr
@@ -705,8 +698,7 @@ def radial_length(u, p, delta: float, r0: float) -> float:
                                           + interpolate(u.v, x, py))
         return np.exp((beta + 1.0) * t + h)
 
-    return float(sum(gauss_legendre(integrand, lo, hi, 32)
-                     for lo, hi in zip(edges[:-1], edges[1:])))
+    return float(gauss_legendre(integrand, edges, 32))
 
 
 def solve_divisor(points, betas, curvature=-1.0, n: int = 256,

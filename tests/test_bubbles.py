@@ -246,6 +246,30 @@ def test_three_circle_accepts_cylinder_and_callable():
     assert rc.side == "negative" and rc.decay_ok
 
 
+def test_one_call_checks_match_the_per_point_loops():
+    # three_circle_check reads all 65 fluxes and validate_family all 40
+    # circles in one profile call; each row equals its own call, bit for bit
+    def u(t, theta):
+        return -0.9 * t + 0.2 * np.cos(3.0 * theta) * np.exp(-0.3 * t)
+
+    theta = TAU * np.arange(128) / 128
+    fluxes = [float((u(t + 1e-6, theta) - u(t - 1e-6, theta)).mean() / 2e-6 * TAU)
+              for t in np.linspace(0.0, 16.0, 65)]
+    rep = three_circle_check(u, kappa=0.5, L=8.0)
+    assert (rep.flux_min, rep.flux_max) == (min(fluxes), max(fluxes))
+
+    fam = load_fixture("no-bubble")
+    uk, (cx, cy) = fam.u(fam.k_max), fam.center()
+    th = TAU * np.arange(16) / 16
+    grads = []
+    for r in np.exp(np.linspace(math.log(1e-7 * 0.5), math.log(0.5), 40)):
+        x, y, eps = cx + r * np.cos(th), cy + r * np.sin(th), 1e-6 * r
+        gx = (uk(x + eps, y) - uk(x - eps, y)) / (2 * eps)
+        gy = (uk(x, y + eps) - uk(x, y - eps)) / (2 * eps)
+        grads.append(float((np.hypot(gx, gy) * r).max()))
+    assert validate_family(fam, fam.k_max).max_gradient == max(grads)
+
+
 @pytest.mark.parametrize("kappa, L", [(0.5, -5.0), (0.5, 0.0), (-0.5, 10.0),
                                       (0.0, 10.0), (math.nan, 10.0), (0.5, math.inf)])
 def test_three_circle_rejects_degenerate_inputs(kappa, L):

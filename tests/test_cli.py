@@ -437,6 +437,52 @@ def test_report_reemission_is_byte_identical(tmp_path):
                     "--out", str(second)]) == 1
 
 
+@pytest.mark.parametrize("body, message", [
+    ({"stages": 5}, "report key 'stages' is not a (stage,area,gbDefect) series"),
+    ({"stages": [{"k": 1}]}, "report key 'stages' is not a (stage,area,gbDefect) series"),
+    ({"efold_annuli": {"radii": [1]}}, "report key 'efold_annuli' is not a (index,r,area)"),
+    ({"window_areas": [3]}, "report key 'window_areas' is not a (k,area) series"),
+    (5, "does not hold a JSON object"),
+])
+def test_report_names_a_malformed_series(tmp_path, capsys, body, message):
+    # these used to end on a TypeError or KeyError traceback from the CSV writer
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(body))
+    assert run_cli(["report", str(src), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("kind, sign, k_min", [
+    ("hyperbolic-cusp", "negative", 0), ("flat-neck", "violating", -2)])
+def test_fixture_index_below_1_is_rejected(tmp_path, capsys, kind, sign, k_min):
+    # k = 0 used to divide by zero in the cusp's rate 1/k, and the flat neck
+    # at k = -2 failed on a profile that is not finite on a circle
+    fixture = tmp_path / "fam.ini"
+    fixture.write_text(f"[family]\nkind = {kind}\nsign = {sign}\n"
+                       f"k_min = {k_min}\nk_max = 3\n")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[area-identity]\nfixture = {fixture}\n")
+    assert run_cli(["area-identity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"k_min must be at least 1, got {k_min}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_negative_seed_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
+    # it used to run the whole solve, then fail in numpy's default_rng
+    # with a message that named neither the seed nor the option
+    solves = []
+    monkeypatch.setattr(cmlab.cli, "newton_solve", lambda *a, **kw: solves.append(a))
+    cfg = tmp_path / "cfg.ini"
+    for run, flag in (("", ["--seed", "-1"]), ("[run]\nseed = -1\n", [])):
+        cfg.write_text(f"{run}[solve]\nuniqueness_trials = 1\n")
+        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), *flag]
+        assert run_cli(argv) == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, section, keys, nested", [
     ("solve", "uniqueness_trials = 1",
      "area atoms betas cgCapped cgIters chi command curvature gbDefect grid "
