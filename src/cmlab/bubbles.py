@@ -31,18 +31,22 @@ from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
 _THETA = TAU * np.arange(128) / 128  # angles of every circle mean below
 
 
-def _circle_areas(u, x0, r, s):
-    """2 pi times the mean of e^{2(u + s)} over each circle |x - x0| = r_i;
-    `s` is added to u row by row (log r for the log-radial measure).
-    Raises ValueError (numpy's warnings silenced) when u is not finite on a circle."""
-    x = x0[0] + r[:, None] * np.cos(_THETA)[None, :]
-    y = x0[1] + r[:, None] * np.sin(_THETA)[None, :]
+def _on_circles(u, x0, r, x, y):
+    """u at the points (x, y), row i on or beside the circle |x - x0| = r_i.
+    Raises ValueError (numpy's warnings silenced) when u is not finite on a row."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         vals = np.asarray(u(x, y))
     bad = ~np.isfinite(vals).all(axis=1)
     if bad.any():
         raise ValueError(f"profile is not finite on the circle of radius "
                          f"{float(r[bad][0]):.6g} about {tuple(map(float, x0))}")
+    return vals
+
+
+def _circle_areas(u, x0, r, s):
+    """2 pi times the mean of e^{2(u + s)} over each circle |x - x0| = r_i;
+    `s` is added to u row by row (log r for the log-radial measure)."""
+    vals = _on_circles(u, x0, r, *circle_points(x0, r[:, None], len(_THETA)))
     return np.exp(2.0 * (vals + s)).mean(axis=1) * TAU
 
 
@@ -180,12 +184,48 @@ def classify_pair(a: BlowupSeq, b: BlowupSeq) -> str:
 
 # -- synthetic families -------------------------------------------------------
 
-_KIND_PARAMS = {
-    "spherical-cap": {"lam_scale", "center_x", "center_y"},
-    "smooth-perturbation": {"amp_u", "amp_w"},
-    "flat-neck": set(),
-    "hyperbolic-cusp": set(),
-    "linear-cylinder": {"a", "b"},
+def _cap_scale(p, k):
+    return p["lam_scale"] * 2.0 ** -k
+
+
+def _cusp_limit(p, center, window):
+    # closed form, logarithmic in the cutoff; the cusp lives in the unit disk
+    if window >= 1.0:
+        raise ValueError(f"the hyperbolic-cusp limit area needs window < 1, got {window}")
+    return TAU / math.log(1.0 / window)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A generator kind; scale, u and rate take (params, k), limit (params, center, window)."""
+
+    params: dict  # parameter names and their defaults
+    curvature: float
+    scale: object = lambda p, k: 0.0
+    u: object = None  # None: no planar profile
+    rate: object = None  # t_k, with window areas ~ A + c t_k; None: no rate
+    limit: object = lambda p, center, window: 0.0  # the k -> inf window area
+    annular: bool = False  # window areas are annuli out from the scale
+    bubbles: tuple = ()
+
+
+_KINDS = {
+    "spherical-cap": _Kind(
+        {"lam_scale": 1.0, "center_x": 0.0, "center_y": 0.0}, 1.0, _cap_scale,
+        lambda p, k: cap_profile(_cap_scale(p, k), (p["center_x"], p["center_y"])),
+        lambda p, k: 4.0 ** -k, bubbles=(4.0 * math.pi,)),
+    "smooth-perturbation": _Kind(
+        {"amp_u": 0.2, "amp_w": 0.05}, -1.0, rate=lambda p, k: 2.0 ** -k,
+        u=lambda p, k: lambda x, y: (_smooth_base(x, y, p["amp_u"]) + 2.0 ** -k * (
+            p["amp_w"] * np.cos(0.8 * np.asarray(x) + 0.5 * np.asarray(y) + 0.1))),
+        limit=lambda p, c, w: _disk_area(lambda x, y: _smooth_base(x, y, p["amp_u"]), c, w)),
+    "flat-neck": _Kind(
+        {}, 0.0, lambda p, k: math.exp(-float(k) ** 2), lambda p, k: flat_neck_profile(k),
+        lambda p, k: 1.0 / float(k) ** 2, annular=True),
+    "hyperbolic-cusp": _Kind(
+        {}, -1.0, lambda p, k: math.exp(-float(k)), lambda p, k: cusp_profile(),
+        lambda p, k: 1.0 / float(k), _cusp_limit, annular=True),
+    "linear-cylinder": _Kind({"a": 0.0, "b": -1.0}, 0.0),
 }
 
 _SIGN_CLASSES = ("positive", "negative", "violating")
@@ -205,11 +245,11 @@ class SyntheticFamily:
     gradient_bound: float = 8.0
 
     def __post_init__(self):
-        if self.kind not in _KIND_PARAMS:
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
         if self.sign_class not in _SIGN_CLASSES:
             raise ConfigError(f"unknown sign class {self.sign_class!r}")
-        unknown = set(self.params) - _KIND_PARAMS[self.kind]
+        unknown = set(self.params) - set(_KINDS[self.kind].params)
         if unknown:
             raise ConfigError(
                 f"parameters {sorted(unknown)} not valid for kind {self.kind!r}")
@@ -217,6 +257,9 @@ class SyntheticFamily:
             raise ConfigError(f"k_min must be at least 1, got {self.k_min}")
         if not self.k_min <= self.k_max:
             raise ConfigError("k_min must not exceed k_max")
+
+    def _p(self) -> dict:  # the kind's defaults under `params`, merged at each read
+        return {**_KINDS[self.kind].params, **self.params}
 
     # family members ----------------------------------------------------
 
@@ -228,54 +271,28 @@ class SyntheticFamily:
 
     def scale(self, k: int) -> float:
         """Concentration scale at index k (inner radius for annular kinds)."""
-        if self.kind == "spherical-cap":
-            return self.params.get("lam_scale", 1.0) * 2.0 ** -k
-        if self.kind == "flat-neck":
-            return math.exp(-float(k) ** 2)
-        if self.kind == "hyperbolic-cusp":
-            return math.exp(-float(k))
-        return 0.0
+        return _KINDS[self.kind].scale(self._p(), k)
 
     def u(self, k: int):
-        if self.kind == "spherical-cap":
-            return cap_profile(self.scale(k), self.center())
-        if self.kind == "smooth-perturbation":
-            au = self.params.get("amp_u", 0.2)
-            aw = self.params.get("amp_w", 0.05)
-            eps = 2.0 ** -k
-
-            def u_k(x, y):
-                return _smooth_base(x, y, au) + eps * _smooth_bump(x, y, aw)
-            return u_k
-        if self.kind == "flat-neck":
-            return flat_neck_profile(k)
-        if self.kind == "hyperbolic-cusp":
-            return cusp_profile()
-        raise ValueError(f"kind {self.kind!r} has no planar profile")
+        if _KINDS[self.kind].u is None:
+            raise ValueError(f"kind {self.kind!r} has no planar profile")
+        return _KINDS[self.kind].u(self._p(), k)
 
     def curvature(self, k: int) -> float:
-        return {"spherical-cap": 1.0, "smooth-perturbation": -1.0,
-                "flat-neck": 0.0, "hyperbolic-cusp": -1.0,
-                "linear-cylinder": 0.0}[self.kind]
+        return _KINDS[self.kind].curvature
 
     def cylinder(self) -> LinearCylinder:
         if self.kind != "linear-cylinder":
             raise ValueError("not a cylinder family")
-        return LinearCylinder(self.params.get("a", 0.0), self.params.get("b", -1.0))
+        return LinearCylinder(self._p()["a"], self._p()["b"])
 
     # tail extrapolation metadata ----------------------------------------
 
     def rate_value(self, k: int) -> float:
         """Declared decay proxy t_k with window areas ~ A + c t_k."""
-        if self.kind == "spherical-cap":
-            return 4.0 ** -k
-        if self.kind == "smooth-perturbation":
-            return 2.0 ** -k
-        if self.kind == "flat-neck":
-            return 1.0 / float(k) ** 2
-        if self.kind == "hyperbolic-cusp":
-            return 1.0 / float(k)
-        raise ValueError(f"kind {self.kind!r} declares no rate")
+        if _KINDS[self.kind].rate is None:
+            raise ValueError(f"kind {self.kind!r} declares no rate")
+        return _KINDS[self.kind].rate(self._p(), k)
 
     @property
     def ghost(self) -> bool:
@@ -285,28 +302,18 @@ class SyntheticFamily:
     # areas ---------------------------------------------------------------
 
     def window_area(self, k: int, window: float) -> float:
-        uk = self.u(k)
-        c = self.center()
-        if self.kind in ("flat-neck", "hyperbolic-cusp"):
-            return _annulus_area(uk, c, self.scale(k), window)
-        return _disk_area(uk, c, window, inner=self.scale(k))
+        uk, c, s = self.u(k), self.center(), self.scale(k)
+        return (_annulus_area(uk, c, s, window) if _KINDS[self.kind].annular
+                else _disk_area(uk, c, window, inner=s))
 
     def limit_window_area(self, window: float) -> float:
-        if self.kind == "hyperbolic-cusp":
-            # closed form: the quadrature limit is logarithmic in the cutoff
-            return TAU / math.log(1.0 / window)
-        if self.kind == "smooth-perturbation":
-            au = self.params.get("amp_u", 0.2)
-            return _disk_area(lambda x, y: _smooth_base(x, y, au), self.center(), window)
-        return 0.0
+        return _KINDS[self.kind].limit(self._p(), self.center(), window)
 
     def bubble_areas(self) -> tuple:
-        if self.kind == "spherical-cap":
-            return (4.0 * math.pi,)
-        return ()
+        return _KINDS[self.kind].bubbles
 
     def bubble_seq(self) -> BlowupSeq | None:
-        if self.kind != "spherical-cap":
+        if not self.bubble_areas():
             return None
         ks = list(self.k_values())
         return BlowupSeq(tuple(self.center() for _ in ks),
@@ -315,10 +322,6 @@ class SyntheticFamily:
 
 def _smooth_base(x, y, amp):
     return amp * np.sin(1.3 * np.asarray(x) + 0.4) * np.cos(0.9 * np.asarray(y) - 0.2)
-
-
-def _smooth_bump(x, y, amp):
-    return amp * np.cos(0.8 * np.asarray(x) + 0.5 * np.asarray(y) + 0.1)
 
 
 # -- fixture corpus -----------------------------------------------------------
@@ -338,7 +341,7 @@ def list_fixtures() -> list:
 def load_fixture(name: str) -> SyntheticFamily:
     """Load a named packaged fixture, or an explicit .ini path. Its one
     [family] section is read like a run config (`read_ini`); the keys
-    beyond _FIXTURE_KEYS are the kind's parameters."""
+    beyond _FIXTURE_KEYS are the kind's parameters (`_KINDS`)."""
     if name.endswith(".ini") or "/" in name:
         path = Path(name)
         if not path.exists():
@@ -353,8 +356,8 @@ def load_fixture(name: str) -> SyntheticFamily:
             raise ConfigError(
                 f"unknown fixture {name!r}; available: {list_fixtures()}") from None
         stem = name
-    sec = read_ini(text, name,
-                   {"family": _FIXTURE_KEYS.union(*_KIND_PARAMS.values())}).get("family")
+    sec = read_ini(text, name, {"family": _FIXTURE_KEYS.union(
+        *(kind.params for kind in _KINDS.values()))}).get("family")
     if sec is None:
         raise ConfigError(f"fixture {name!r} has no [family] section")
     return SyntheticFamily(
@@ -381,7 +384,8 @@ class ValidationReport:
 def validate_family(fam: SyntheticFamily, k: int, window: float = 0.5) -> ValidationReport:
     """Proxy checks of the standing hypotheses: declared curvature sign
     class, curvature-mass bound over the window, and a scale-invariant
-    gradient bound |grad u| * |x - x0| sampled over the window."""
+    gradient bound |grad u| * |x - x0| sampled over the window. Raises
+    ValueError when u is not finite on a sampled circle."""
     f = fam.curvature(k)
     if fam.sign_class == "positive":
         sign_ok = f >= 1.0 - 1e-12
@@ -393,13 +397,12 @@ def validate_family(fam: SyntheticFamily, k: int, window: float = 0.5) -> Valida
     uk = fam.u(k)
     c = fam.center()
     inner = max(fam.scale(k), 1e-7 * window)
-    r = np.exp(np.linspace(math.log(inner), math.log(window), 40))[:, None]
-    x, y = circle_points(c, r, 16)
-    eps = 1e-6 * r
-    gx = (np.asarray(uk(x + eps, y)) - np.asarray(uk(x - eps, y))) / (2 * eps)
-    gy = (np.asarray(uk(x, y + eps)) - np.asarray(uk(x, y - eps))) / (2 * eps)
-    # one maximum per circle; fmax passes over a circle where u is not finite
-    max_grad = float(np.fmax.reduce((np.hypot(gx, gy) * r).max(axis=1), initial=0.0))
+    r = np.exp(np.linspace(math.log(inner), math.log(window), 40))
+    x, y = circle_points(c, r[:, None], 16)
+    eps = 1e-6 * r[:, None]
+    gx = (_on_circles(uk, c, r, x + eps, y) - _on_circles(uk, c, r, x - eps, y)) / (2 * eps)
+    gy = (_on_circles(uk, c, r, x, y + eps) - _on_circles(uk, c, r, x, y - eps)) / (2 * eps)
+    max_grad = float((np.hypot(gx, gy) * r[:, None]).max())
     return ValidationReport(sign_ok=bool(sign_ok), mass_ok=bool(mass <= fam.mass_bound),
                             gradient_ok=bool(max_grad <= fam.gradient_bound),
                             max_mass=float(mass), max_gradient=max_grad)

@@ -54,16 +54,6 @@ def _psi(d: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _cutoff_log_mean() -> float:
-    """(1/2 pi) integral over the torus of chi(d) log d.
-
-    Inner disk d <= 1/8 analytic; the cutoff band by 64-node Gauss-Legendre.
-    """
-    inner = 0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
-    return inner + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64)
-
-
 @dataclass(frozen=True)
 class TorusGreen:
     """Tabulated kernel for one atom: remainder grid plus analytic log."""
@@ -87,8 +77,10 @@ def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     x = TorusChart().nodes(n)
     d = torus_distance(x[:, None], x[None, :], px, py)
     remainder = poisson_mean_zero(-1.0 - _psi(d))
-    # pin the continuum mean of G to zero: mean(R) = (1/2pi) int chi log d
-    remainder += _cutoff_log_mean()
+    # pin the continuum mean of G to zero: mean(R) = (1/2pi) int chi log d,
+    # the disk d <= 1/8 analytic and the cutoff band by 64-node Gauss-Legendre
+    remainder += (0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
+                  + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64))
     # a node coinciding with the atom gets a clamped stand-in sample
     d_eff = np.maximum(d, 1.0 / (1024.0 * n))
     samples = remainder - cutoff(d) * np.log(d_eff) / TAU

@@ -248,11 +248,9 @@ def _geometric_tail(values):
         return None
     if spread > 0.3:
         return None
+    # (c - b) - (b - a) = d[-1] - d[-2] is 0 only at q[-1] = 1, rejected above
     a, b, c = values[-3], values[-2], values[-1]
-    den = (c - b) - (b - a)
-    if den == 0.0:
-        return None
-    return c - (c - b) ** 2 / den
+    return c - (c - b) ** 2 / ((c - b) - (b - a))
 
 
 def residue_profiled(u, center):

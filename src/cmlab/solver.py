@@ -19,10 +19,10 @@ t ld, so an Armijo trial is v + t d, lv + t ld, e^{2u} and F, with no
 transform.
 
 One operator evaluates the residual and the Jacobian's weight W; the
-public ``residual`` and ``jacobian_apply``, the default guess and the
-Newton loop all use it. The inner CG works on samples and applies the
-Jacobian -Delta + W, but gets -Delta p without a transform: the
-preconditioner solve (k2 + c) z^ = r^, with the shift c below, gives
+public ``residual`` and ``jacobian_apply`` and the Newton loop all use
+it. The inner CG works on samples and applies the Jacobian -Delta + W,
+but gets -Delta p without a transform: the preconditioner
+solve (k2 + c) z^ = r^, with the shift c below, gives
 -Delta z = r - c z exactly, and p is a linear recurrence in z, so -Delta p
 follows the same recurrence. At its exit CG reads -Delta x = b - r - W x
 off its own recurrence residual r. One CG iteration therefore costs
@@ -145,7 +145,7 @@ class Solution:
     split: SingularSplit
     spec: CurvatureSpec
     v: Field
-    residual_norm: float
+    residual_norm: float  # sup|F| of the Newton loop's (v, -Delta v); see residual()
     area: float
     gb_defect: float
     newton_iters: int
@@ -359,18 +359,18 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
 def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
     """Constant v balancing mean curvature: e^{2v} mean(|K| e^{2S}) = 2 pi |sum beta|;
     ValueError when |K| puts the mean or v out of double precision."""
-    op = _operator(spec, split)
+    n, K = split.n, spec.values(split.n)
     if split.beta_sum == 0.0:
-        return Field(np.zeros((op.n, op.n)), TorusChart())
+        return Field(np.zeros((n, n)), TorusChart())
     with np.errstate(over="ignore"):
-        mean = float((np.abs(op.K) * np.exp(2.0 * op.S)).mean())
+        mean = float((np.abs(K) * np.exp(2.0 * split.S.values)).mean())
     c = (0.5 * math.log(TAU * abs(split.beta_sum) / mean)
          if 0.0 < mean < math.inf else math.nan)
     if not math.isfinite(c):
-        what = "field" if isinstance(op.K, np.ndarray) else f"{op.K:g}"
+        what = "field" if isinstance(K, np.ndarray) else f"{K:g}"
         raise ValueError(f"curvature {what} is out of range for the default guess: "
                          f"mean(|K| e^(2S)) = {mean:g}")
-    return Field(np.full((op.n, op.n), c), TorusChart())
+    return Field(np.full((n, n), c), TorusChart())
 
 
 def _residual_sweep(op: _Operator, v: np.ndarray, lv: np.ndarray, e2u: np.ndarray,
@@ -689,7 +689,8 @@ def radial_length(u, p, delta: float, r0: float) -> float:
                      if float(torus_distance(px, py, *q)) < 1e-12), None)
         beta = 0.0 if atom is None else div.betas[atom]
         s = np.arange(math.floor((px + delta) * n), math.ceil((px + r0) * n)) / n - px
-        edges = np.union1d(edges, np.log(s[(s > delta) & (s < r0)]))
+        edges = np.sort(np.concatenate((edges, np.log(s[(s > delta) & (s < r0)]))))
+        edges = edges[np.append(True, edges[1:] != edges[:-1])]
 
     def integrand(t):
         # ds = s dt, so the length element is s^{beta + 1} e^H dt

@@ -1,0 +1,101 @@
+"""Mutation check of the acceptance gate, tests/test_acceptance.py.
+
+Each mutant is a one-line edit of the package, applied by exact string
+replacement to a copy of src/ in a temporary directory; tests/ and
+pyproject.toml are copied beside it, so pytest imports the mutated copy.
+The script runs the acceptance tests once on an unmutated copy and once
+per mutant, and prints a Markdown table of the criteria that failed. An
+edit whose old text is not in the source exactly once stops the script,
+so the list cannot go stale silently (DeMillo, Lipton & Sayward, "Hints on
+test data selection", IEEE Computer 1978).
+
+pytest does not collect this file. Run it from anywhere:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (what the mutant does, module under src/cmlab, old text, new text)
+MUTANTS = [
+    ("`singular_part` builds S from kernels at p + (0.5/n, 0)", "green.py",
+     "greens = tuple(green_kernel(p, n) for p in div.points)",
+     "greens = tuple(green_kernel((p[0] + 0.5 / n, p[1]), n) for p in div.points)"),
+    ("the same at p + (2/n, 0)", "green.py",
+     "greens = tuple(green_kernel(p, n) for p in div.points)",
+     "greens = tuple(green_kernel((p[0] + 2.0 / n, p[1]), n) for p in div.points)"),
+    ("S with weight 0.9β (the constant keeps β)", "green.py",
+     "S = S - TAU * beta * g.samples",
+     "S = S - TAU * 0.9 * beta * g.samples"),
+    ("`green_kernel` at p + 0.5/n for every caller", "green.py",
+     "return _green_cached(float(p[0]), float(p[1]), int(n))",
+     "return _green_cached(float(p[0]) + 0.5 / n, float(p[1]) + 0.5 / n, int(n))"),
+    ("the -Δ symbol × 1.001", "grids.py",
+     "out = (TAU * kx) ** 2 + (TAU * ky) ** 2",
+     "out = 1.001 * ((TAU * kx) ** 2 + (TAU * ky) ** 2)"),
+]
+
+_SKIP = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
+
+
+def _copy_tree(dest: Path) -> None:
+    shutil.copytree(ROOT / "src", dest / "src", ignore=_SKIP)
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=_SKIP)
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _mutate(tree: Path, module: str, old: str, new: str) -> None:
+    path = tree / "src" / "cmlab" / module
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"mutant text is not in src/cmlab/{module} exactly once: {old!r}")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def _acceptance(tree: Path) -> tuple[int, list]:
+    """(tests passed, numbers of the failed criteria) on the tree's copy."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=1800, check=False)
+    if proc.returncode not in (0, 1):
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"pytest exited {proc.returncode}")
+    failed = sorted({int(c) for c in re.findall(
+        r"^(?:FAILED|ERROR) tests/test_acceptance\.py::test_criterion_(\d+)",
+        proc.stdout, re.M)})
+    passed = re.search(r"(\d+) passed", proc.stdout)
+    return (int(passed.group(1)) if passed else 0), failed
+
+
+def main() -> int:
+    rows = [("none (the source as it is)", None, "", "")] + MUTANTS
+    print("| mutant | `test_acceptance.py` |")
+    print("| --- | --- |")
+    for what, module, old, new in rows:
+        with tempfile.TemporaryDirectory(prefix="cmlab-mutant-") as tmp:
+            tree = Path(tmp)
+            _copy_tree(tree)
+            if module is not None:
+                _mutate(tree, module, old, new)
+            passed, failed = _acceptance(tree)
+        verdict = f"{passed} of {passed + len(failed)} pass"
+        if failed:
+            verdict += "; failed: criterion " + ", ".join(map(str, failed))
+        print(f"| {what} | {verdict} |", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

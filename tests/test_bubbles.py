@@ -209,6 +209,13 @@ def test_validate_family_signs():
     assert not validate_family(wrong, 4).sign_ok
 
 
+def test_validate_family_rejects_a_profile_undefined_in_the_window():
+    # the cusp profile is infinite at r = 1 and NaN beyond; the gradient
+    # check used to pass over that circle and report gradient_ok
+    with pytest.raises(ValueError, match="profile is not finite on the circle of radius 1 "):
+        validate_family(load_fixture("hyperbolic-cusp"), 12, 1.0)
+
+
 def test_three_circle_linear_closed_form():
     cyl = LinearCylinder(A=0.0, B=-1.0)
     rep = three_circle_check(cyl, kappa=0.5, L=10.0)

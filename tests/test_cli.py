@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cmlab.cli
 import cmlab.continuation
-from cmlab.bubbles import _FIXTURE_KEYS, _KIND_PARAMS, load_fixture
+from cmlab.bubbles import _FIXTURE_KEYS, _KINDS, load_fixture
 from cmlab.cli import _COMMANDS, _RUN_KEYS, build_parser, load_config, main
 from cmlab.errors import ConfigError
 from cmlab.grids import TAU, TorusChart
@@ -144,7 +144,8 @@ def test_unknown_ini_section_or_key_is_named(tmp_path, target, name, where):
     # run configs and fixture files go through one reader; a fixture file's
     # only section is [family], which takes every kind's parameters
     if target == "fixture":
-        own, keys = "family", {"family": _FIXTURE_KEYS.union(*_KIND_PARAMS.values())}
+        own, keys = "family", {"family": _FIXTURE_KEYS.union(
+            *(kind.params for kind in _KINDS.values()))}
     else:
         own, keys = target, {"run": _RUN_KEYS, target: _COMMANDS[target][2]}
     if where == "section":
@@ -186,6 +187,9 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     ("neck", "fixture = hyperbolic-cusp\nr_out = 2.0", "profile is not finite on the circle"),
     ("area-identity", "fixture = hyperbolic-cusp\nwindow = 2.0",
      "profile is not finite on the circle"),
+    # the cusp's closed-form limit 2 pi / log(1/window) used to divide by zero
+    ("area-identity", "fixture = hyperbolic-cusp\nwindow = 1.0",
+     "the hyperbolic-cusp limit area needs window < 1, got 1.0"),
     # a profile that overflows on a circle used to print numpy's warning first
     ("neck", "fixture = spherical-cap\nr_out = 1e300", "profile is not finite on the circle"),
     ("area-identity", "window = 1e300", "profile is not finite on the circle"),
@@ -524,8 +528,9 @@ def test_report_key_sets(tmp_path, command, section, keys, nested):
 
 # Runs CLI commands (a JSON list of argv lists) in a fresh interpreter, then
 # radial_length on a callable and on a Solution, and prints the exit codes,
-# the two lengths, the scipy modules loaded and the messages of any
-# CurvatureSignError raised by CG (the guard tests/conftest.py keeps in process).
+# the two lengths, the scipy modules loaded, whether numpy.ma is loaded and
+# the messages of any CurvatureSignError raised by CG (the guard
+# tests/conftest.py keeps in process).
 _SCIPY_PROBE = """
 import json, sys
 import numpy as np
@@ -544,7 +549,8 @@ sol = cmlab.solver.solve_divisor(((0.3, 0.7),), (-0.5,), n=16)
 lengths = [cmlab.solver.radial_length(u, (0.3, 0.7), 0.02, 0.2)
            for u in (lambda x, y: -0.5 * np.log(np.abs(x - 0.3)), sol)]
 print(json.dumps({"codes": codes, "lengths": lengths, "sign_errors": sign_errors,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -565,6 +571,7 @@ def test_diagnostics_commands_never_load_scipy(tmp_path):
     assert got["lengths"][0] == pytest.approx(2.0 * (0.2 ** 0.5 - 0.02 ** 0.5), rel=1e-12)
     assert got["sign_errors"] == []
     assert got["scipy"] == []
+    assert not got["numpy_ma"]
     assert (tmp_path / "report" / "stages.csv").exists()
 
 
@@ -578,3 +585,4 @@ def test_solving_commands_never_load_scipy(tmp_path):
     assert got["codes"] == [0, 0, 0]
     assert got["sign_errors"] == []
     assert got["scipy"] == []
+    assert not got["numpy_ma"]

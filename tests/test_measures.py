@@ -30,6 +30,7 @@ from cmlab.measures import (
     pairing,
     residue,
     residue_profiled,
+    _geometric_tail,
 )
 from cmlab.models import cusp_profile
 from cmlab.solver import solve_divisor
@@ -272,3 +273,17 @@ def test_residue_on_planar_charts():
     with pytest.raises(NonStabilizingFlux) as exc:
         residue(sample(u, DiskChart(1.0), 256), (0.0, 0.0))
     assert len(exc.value.profile.radii) == 2
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 2.0, 2.0, 2.5],  # a zero difference
+    [0.0, 1.0, 1.85, 2.615, 3.34175],  # q = 0.85, 0.9, 0.95: near 1, spread 0.1
+    [0.0, 1.0, 1.1, 1.15, 1.19],  # q = 0.1, 0.5, 0.8: spread 0.7
+])
+def test_geometric_tail_rejects_an_inconsistent_drift(values):
+    assert _geometric_tail(values) is None
+
+
+def test_geometric_tail_is_the_aitken_limit_of_a_geometric_sequence():
+    values = [3.0 - 2.0 * 0.7 ** j for j in range(8)]
+    assert _geometric_tail(values) == pytest.approx(3.0, abs=1e-12)
