@@ -159,9 +159,7 @@ def classify_pair(a: BlowupSeq, b: BlowupSeq) -> str:
     'disjoint', 'inconclusive'. Finite data cannot certify asymptotics;
     inconclusive is an honest verdict, not an error.
     """
-    m = min(len(a), len(b))
-    if m < 8:
-        raise ValueError("need a common index range of at least 8")
+    m = min(len(a), len(b))  # BlowupSeq holds at least 8 entries
     ca = np.asarray(a.centers[-m:], dtype=float)
     cb = np.asarray(b.centers[-m:], dtype=float)
     ra = np.asarray(a.radii[-m:], dtype=float)
@@ -207,13 +205,15 @@ class _Kind:
     limit: object = lambda p, center, window: 0.0  # the k -> inf window area
     annular: bool = False  # window areas are annuli out from the scale
     bubbles: tuple = ()
+    neck_out: float = 0.5  # `neck`'s default r_out; its default r_in is the
+    neck_at_scale: bool = False  # scale if this is set, else r_out / 256
 
 
 _KINDS = {
     "spherical-cap": _Kind(
         {"lam_scale": 1.0, "center_x": 0.0, "center_y": 0.0}, 1.0, _cap_scale,
         lambda p, k: cap_profile(_cap_scale(p, k), (p["center_x"], p["center_y"])),
-        lambda p, k: 4.0 ** -k, bubbles=(4.0 * math.pi,)),
+        lambda p, k: 4.0 ** -k, bubbles=(4.0 * math.pi,), neck_at_scale=True),
     "smooth-perturbation": _Kind(
         {"amp_u": 0.2, "amp_w": 0.05}, -1.0, rate=lambda p, k: 2.0 ** -k,
         u=lambda p, k: lambda x, y: (_smooth_base(x, y, p["amp_u"]) + 2.0 ** -k * (
@@ -221,10 +221,10 @@ _KINDS = {
         limit=lambda p, c, w: _disk_area(lambda x, y: _smooth_base(x, y, p["amp_u"]), c, w)),
     "flat-neck": _Kind(
         {}, 0.0, lambda p, k: math.exp(-float(k) ** 2), lambda p, k: flat_neck_profile(k),
-        lambda p, k: 1.0 / float(k) ** 2, annular=True),
+        lambda p, k: 1.0 / float(k) ** 2, annular=True, neck_out=1.0, neck_at_scale=True),
     "hyperbolic-cusp": _Kind(
         {}, -1.0, lambda p, k: math.exp(-float(k)), lambda p, k: cusp_profile(),
-        lambda p, k: 1.0 / float(k), _cusp_limit, annular=True),
+        lambda p, k: 1.0 / float(k), _cusp_limit, annular=True, neck_at_scale=True),
     "linear-cylinder": _Kind({"a": 0.0, "b": -1.0}, 0.0),
 }
 
@@ -308,6 +308,11 @@ class SyntheticFamily:
 
     def limit_window_area(self, window: float) -> float:
         return _KINDS[self.kind].limit(self._p(), self.center(), window)
+
+    def neck_radii(self, k: int, r_out: float | None = None) -> tuple:
+        """`neck`'s default (r_in, r_out) at index k; r_in fits r_out if it is given."""
+        r_out = _KINDS[self.kind].neck_out if r_out is None else r_out
+        return (self.scale(k) if _KINDS[self.kind].neck_at_scale else r_out / 256.0), r_out
 
     def bubble_areas(self) -> tuple:
         return _KINDS[self.kind].bubbles

@@ -5,8 +5,8 @@ Every run writes report.json (canonical form: sorted keys, floats in
 Python's shortest round-trip repr, which is exact, so a re-emit is
 byte-identical) plus CSV plot series into the output directory; grid fields
 are written as CMLGRID1. Exit status: 0 success, 2 hypothesis violation or
-concentration flag (artifacts still written), 1 configuration or solver
-error.
+concentration flag (artifacts still written), 1 usage, configuration or
+solver error ("error: ..." on stderr, no artifact written); --help exits 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .models import LinearCylinder
 from .green import singular_part
 from .solver import CurvatureSpec, check_curvature_bounds, newton_solve, uniqueness_probe
 
-_RUN_KEYS = {"grid", "tol", "seed"}
 _DEFAULT_ATOMS = ((0.3, 0.7),)
 _DEFAULT_BETAS = (-0.5,)
 
@@ -42,7 +41,7 @@ class RunConfig:
     tol: float
     seed: int
     options: dict
-    report_path: Path | None
+    report_path: str | None
 
     def __post_init__(self):
         if self.n < 8 or self.n & (self.n - 1):
@@ -68,25 +67,20 @@ def _parse_floats(text: str):
 
 
 def load_config(command: str, args) -> RunConfig:
+    """A flag overrides its [run] key, and the key the default: one conversion."""
+    _, _, own_keys, run_keys = _COMMANDS[command]
+    flags = vars(args)
     sections: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file {args.config!r} does not exist")
-        sections = read_ini(path.read_text(encoding="utf-8"), args.config,
-                            {"run": _RUN_KEYS, command: _COMMANDS[command][2]})
-    run = sections.get("run", {})
-    n = args.grid if args.grid is not None else ini_value(run, "grid", int, 256)
-    tol = args.tol if args.tol is not None else ini_value(run, "tol", float, 1e-10)
-    seed = args.seed if args.seed is not None else ini_value(run, "seed", int, 0)
-    report_path = None
-    if command == "report":
-        report_path = Path(args.report_path)
-        if not report_path.is_file():
-            raise ConfigError(f"report file {args.report_path!r} does not exist")
+    if flags.get("config") is not None:  # a file that cannot be read fails as an OSError
+        sections = read_ini(Path(args.config).read_text(encoding="utf-8"), args.config,
+                            {"run": run_keys, command: own_keys})
+    run = sections.get("run", {}) | {k: flags[k] for k in run_keys if flags[k] is not None}
+    n = ini_value(run, "grid", int, 256)
+    tol = ini_value(run, "tol", float, 1e-10)
+    seed = ini_value(run, "seed", int, 0)
     return RunConfig(command=command, out_dir=Path(args.out), n=n, tol=tol,
                      seed=seed, options=sections.get(command, {}),
-                     report_path=report_path)
+                     report_path=flags.get("report_path"))
 
 
 def _report_fields(result, *omit) -> dict:
@@ -208,10 +202,8 @@ def _cmd_neck(cfg: RunConfig):
     if not fam.k_min <= k <= fam.k_max:
         raise ConfigError(f"k = {k} outside the fixture range "
                           f"[{fam.k_min}, {fam.k_max}]")
-    default_out = 1.0 if fam.kind == "flat-neck" else 0.5
-    r_out = ini_value(opt, "r_out", float, default_out)
-    scale = fam.scale(k)
-    r_in = ini_value(opt, "r_in", float, scale if scale > 0 else r_out / 256.0)
+    r_in, r_out = fam.neck_radii(k, ini_value(opt, "r_out", float, None))
+    r_in = ini_value(opt, "r_in", float, r_in)
     rep = neck_area_profile(fam.u(k), fam.center(), r_in, r_out)
     violation = fam.sign_class == "violating"
     report = {
@@ -246,49 +238,57 @@ def _cmd_area_identity(cfg: RunConfig):
 def _cmd_report(cfg: RunConfig):
     report = read_report(cfg.report_path)
     if not isinstance(report, dict):
-        raise CmlabError(f"{str(cfg.report_path)!r} does not hold a JSON object")
+        raise CmlabError(f"{cfg.report_path!r} does not hold a JSON object")
     return report, {}, 0
 
 
-# name -> (handler, help, keys of the command's config section)
+# name -> (handler, help, keys of its config section, the [run] keys it reads)
 _COMMANDS = {
     "solve": (_cmd_solve, "solve the prescribed-curvature problem for one divisor",
-              {"atoms", "betas", "curvature", "uniqueness_trials"}),
+              {"atoms", "betas", "curvature", "uniqueness_trials"}, {"grid", "tol", "seed"}),
     "continue-cusp": (_cmd_continue, "run the cone-to-cusp continuation schedule",
-                      {"atoms", "betas", "k_max", "curvature", "scan_radius"}),
+                      {"atoms", "betas", "k_max", "curvature", "scan_radius"},
+                      {"grid", "tol"}),
     "scan": (_cmd_scan, "solve, then scan for concentrating curvature mass",
-             {"atoms", "betas", "curvature", "radius", "threshold"}),
+             {"atoms", "betas", "curvature", "radius", "threshold"}, {"grid", "tol"}),
     "three-circle": (_cmd_three_circle, "segment-area decay check on a cylinder model",
-                     {"fixture", "kappa", "length", "a", "b"}),
+                     {"fixture", "kappa", "length", "a", "b"}, set()),
     "neck": (_cmd_neck, "annulus-area profile of a neck region",
-             {"fixture", "k", "r_in", "r_out"}),
+             {"fixture", "k", "r_in", "r_out"}, set()),
     "area-identity": (_cmd_area_identity, "bubble-tree area identity defect for a fixture",
-                      {"fixture", "window"}),
-    "report": (_cmd_report, "re-emit plot CSVs from an existing report.json", set()),
+                      {"fixture", "window"}, set()),
+    "report": (_cmd_report, "re-emit plot CSVs from an existing report.json", set(), set()),
 }
+_RUN_HELP = {"grid": "grid resolution (power of two)", "tol": "solver tolerance",
+             "seed": "seed for random probes"}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a configuration error: exit 1
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmlab",
         description="Conformal metrics with prescribed negative curvature: "
                     "solves, continuation, and concentration diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
+    for name, (_, help_text, _, run_keys) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name == "report":
             sp.add_argument("report_path", help="path to an existing report.json")
-        sp.add_argument("--config", help="INI config file")
+        else:
+            sp.add_argument("--config", help="INI config file")
         sp.add_argument("--out", default="cml-out", help="output directory")
-        sp.add_argument("--grid", type=int, help="grid resolution (power of two)")
-        sp.add_argument("--tol", type=float, help="solver tolerance")
-        sp.add_argument("--seed", type=int, help="seed for random probes")
+        for key in [k for k in _RUN_HELP if k in run_keys]:
+            sp.add_argument(f"--{key}", help=_RUN_HELP[key])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.command, args)
         report, fields, code = _COMMANDS[args.command][0](cfg)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -43,6 +43,12 @@ MUTANTS = [
     ("the -Δ symbol × 1.001", "grids.py",
      "out = (TAU * kx) ** 2 + (TAU * ky) ** 2",
      "out = 1.001 * ((TAU * kx) ** 2 + (TAU * ky) ** 2)"),
+    ("G's mean-pinning disk term × 2 (a constant shift of G)", "green.py",
+     "0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)",
+     "2.0 * 0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)"),
+    ("`_coarse_start` copies the coarse Nyquist row into the fine start", "solver.py",
+     "vhat[n - h + 1:, :h] = chat[h + 1:, :h]",
+     "vhat[n - h:, :h] = chat[h:, :h]"),
 ]
 
 _SKIP = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")

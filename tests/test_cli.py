@@ -1,5 +1,6 @@
 """End-to-end command-line runs: artifacts, exit codes, error paths."""
 
+import argparse
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import cmlab.cli
 import cmlab.continuation
 from cmlab.bubbles import _FIXTURE_KEYS, _KINDS, load_fixture
-from cmlab.cli import _COMMANDS, _RUN_KEYS, build_parser, load_config, main
+from cmlab.cli import _COMMANDS, build_parser, load_config, main
 from cmlab.errors import ConfigError
 from cmlab.grids import TAU, TorusChart
 from cmlab.io import read_field, read_report
@@ -23,6 +24,11 @@ from cmlab.io import read_field, read_report
 
 def run_cli(argv):
     return main(argv)
+
+
+def _grid_flag(command, n):
+    """`--grid n` for a command that reads the grid, else nothing."""
+    return ["--grid", str(n)] if "grid" in _COMMANDS[command][3] else []
 
 
 def test_solve_writes_artifacts(tmp_path, capsys):
@@ -83,6 +89,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
 
     assert run_cli(["solve", "--config", str(tmp_path / "missing.ini"),
                     "--out", str(tmp_path / "o")]) == 1
+    # an empty path used to read no config, so the run went on with defaults
+    assert run_cli(["neck", "--config", "", "--out", str(tmp_path / "o")]) == 1
     assert run_cli(["solve", "--grid", "100", "--out", str(tmp_path / "o")]) == 1
     capsys.readouterr()
     # an infinite tolerance used to skip the solve and fail only on writing
@@ -137,7 +145,7 @@ def test_a_value_that_does_not_convert_names_its_key(tmp_path, capsys, command,
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(target=st.sampled_from([*sorted(_COMMANDS), "fixture"]),
+@given(target=st.sampled_from([*sorted(set(_COMMANDS) - {"report"}), "fixture"]),
        name=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
        where=st.sampled_from(["section", "run", "own"]))
 def test_unknown_ini_section_or_key_is_named(tmp_path, target, name, where):
@@ -147,7 +155,7 @@ def test_unknown_ini_section_or_key_is_named(tmp_path, target, name, where):
         own, keys = "family", {"family": _FIXTURE_KEYS.union(
             *(kind.params for kind in _KINDS.values()))}
     else:
-        own, keys = target, {"run": _RUN_KEYS, target: _COMMANDS[target][2]}
+        own, keys = target, {"run": _COMMANDS[target][3], target: _COMMANDS[target][2]}
     if where == "section":
         assume(name not in keys)
         text, named = f"[{name}]\nx = 1\n", f"section [{name}]"
@@ -161,9 +169,98 @@ def test_unknown_ini_section_or_key_is_named(tmp_path, target, name, where):
         if target == "fixture":
             load_fixture(str(cfg))
         else:
-            report = ["report.json"] if target == "report" else []
-            load_config(target, build_parser().parse_args([target, *report,
-                                                           "--config", str(cfg)]))
+            load_config(target, build_parser().parse_args([target, "--config", str(cfg)]))
+
+
+# the [run] keys each command does not read; each key was once settable on
+# every command, as a flag and in [run], and ignored where it is listed here
+_UNREAD = {"three-circle": ("grid", "tol", "seed"), "neck": ("grid", "tol", "seed"),
+           "area-identity": ("grid", "tol", "seed"), "report": ("grid", "tol", "seed"),
+           "continue-cusp": ("seed",), "scan": ("seed",)}
+_VALID = {"grid": "64", "tol": "1e-3", "seed": "9"}
+
+
+def test_each_command_offers_exactly_the_settings_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_COMMANDS)
+    for name, parser in sub.choices.items():
+        run_keys = _COMMANDS[name][3]
+        assert run_keys == {"grid", "tol", "seed"} - set(_UNREAD.get(name, ()))
+        options = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        assert options == {"out"} | run_keys | (set() if name == "report" else {"config"})
+        # flags reach the code as strings, converted like their [run] keys
+        assert all(a.type is None for a in parser._actions)
+
+
+@pytest.mark.parametrize("command, key, as_flag", [
+    (command, key, as_flag) for command, keys in _UNREAD.items() for key in keys
+    for as_flag in (True, False)])
+def test_a_setting_the_command_does_not_read_is_rejected(tmp_path, capsys, command,
+                                                         key, as_flag):
+    # `neck --grid 64` used to write the bytes of `neck`, and `neck --grid 7`
+    # failed on a power-of-two check for a grid neck does not have
+    src = tmp_path / "in.json"
+    src.write_text("{}")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\n{key} = {_VALID[key]}\n")
+    head = ["report", str(src)] if command == "report" else [command]
+    setting = [f"--{key}", _VALID[key]] if as_flag else ["--config", str(cfg)]
+    named = (f"unrecognized arguments: --{key}" if as_flag
+             else "unrecognized arguments: --config" if command == "report"
+             else f"unknown keys ['{key}'] in section [run]")
+    out = tmp_path / "o"
+    assert run_cli([*head, *_grid_flag(command, 16), *setting, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (out / "report.json").exists()
+
+
+def test_report_takes_no_config(tmp_path, capsys):
+    src, cfg = tmp_path / "in.json", tmp_path / "cfg.ini"
+    src.write_text("{}")
+    cfg.write_text("")
+    out = tmp_path / "o"
+    assert run_cli(["report", str(src), "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert run_cli(["report", str(src), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("key, value", [("grid", "abc"), ("tol", "fine"), ("seed", "1.5")])
+def test_a_flag_and_its_run_key_share_one_conversion(tmp_path, capsys, key, value):
+    # --grid abc used to exit 2 on argparse's message, [run] grid = abc 1 on this one
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\n{key} = {value}\n")
+    messages = []
+    for setting in ([f"--{key}", value], ["--config", str(cfg)]):
+        assert run_cli(["solve", *setting, "--out", str(tmp_path / "o")]) == 1
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"error: bad value for {key!r}: ")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["report"], "the following arguments are required: report_path"),
+    (["solve", "--grid"], "argument --grid: expected one argument"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    # these used to exit 2, the status of a hypothesis violation
+    assert run_cli([*argv, "--out", str(tmp_path / "o")] if argv else argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["solve", "--help"], ["report", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, section", [
@@ -177,7 +274,7 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[{command}]\n{section}\n")
     assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
-                    "--grid", "64"]) == 1
+                    *_grid_flag(command, 64)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
 
@@ -192,6 +289,7 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
      "the hyperbolic-cusp limit area needs window < 1, got 1.0"),
     # a profile that overflows on a circle used to print numpy's warning first
     ("neck", "fixture = spherical-cap\nr_out = 1e300", "profile is not finite on the circle"),
+    ("neck", "fixture = linear-cylinder", "kind 'linear-cylinder' has no planar profile"),
     ("area-identity", "window = 1e300", "profile is not finite on the circle"),
     ("three-circle", "b = nan", "linear cylinder needs finite A and B"),
     # segment areas beyond double precision: the closed form used to raise a
@@ -403,6 +501,25 @@ def test_neck_cusp_fixture_ok(tmp_path):
                     "--out", str(tmp_path / "o2")]) == 1
 
 
+@pytest.mark.parametrize("fixture, section, k, r_in, r_out, code", [
+    ("flat-neck", "", 10, math.exp(-100.0), 1.0, 2),
+    ("hyperbolic-cusp", "", 12, math.exp(-12.0), 0.5, 0),
+    ("spherical-cap", "", 12, 2.0 ** -12, 0.5, 0),
+    # a kind with no concentration scale starts the neck at r_out / 256
+    ("no-bubble", "", 14, 0.5 / 256.0, 0.5, 0),
+    ("no-bubble", "r_out = 0.25", 14, 0.25 / 256.0, 0.25, 0),
+    ("hyperbolic-cusp", "r_out = 0.25\nr_in = 0.01", 12, 0.01, 0.25, 0),
+])
+def test_neck_default_radii_follow_the_fixture_kind(tmp_path, fixture, section, k,
+                                                    r_in, r_out, code):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[neck]\nfixture = {fixture}\n{section}\n")
+    out = tmp_path / "out"
+    assert run_cli(["neck", "--config", str(cfg), "--out", str(out)]) == code
+    rep = read_report(out / "report.json")
+    assert (rep["k"], rep["rIn"], rep["rOut"]) == (k, r_in, r_out)
+
+
 def test_area_identity_exit_codes(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["area-identity", "--out", str(out)]) == 0
@@ -518,7 +635,7 @@ def test_report_key_sets(tmp_path, command, section, keys, nested):
     cfg.write_text(f"[{command}]\n{section}\n")
     out = tmp_path / "out"
     assert run_cli([command, "--config", str(cfg), "--out", str(out),
-                    "--grid", "32"]) in (0, 2)
+                    *_grid_flag(command, 32)]) in (0, 2)
     rep = read_report(out / "report.json")
     assert sorted(rep) == keys.split()
     for key, sub in nested.items():

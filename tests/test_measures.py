@@ -1,6 +1,7 @@
 """Divisors, weak pairings, circle flux, residues, Kelvin, potentials."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ def test_flux_profile_validation():
         FluxProfile((0.0, 0.1), (1.0, 2.0))
     with pytest.raises(ValueError):
         FluxProfile((0.1, 0.2), (1.0,))
+
+
+_ANNULUS = LogPolarChart(0.05, 0.8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LogPolarChart(1.0, 1.0), "log-polar chart needs 0 < r_inner < r_outer < inf"),
+    (lambda: pairing(constant(0.0, _ANNULUS, 16), constant(1.0, _ANNULUS, 16)),
+     "pairing is defined on torus and disk charts"),
+    (lambda: flux_profile(constant(0.0, _ANNULUS, 16), (0.1, 0.0), [0.2]),
+     "log-polar flux circles must be centered at the origin"),
+    (lambda: flux_profile(constant(0.0, TorusChart(), 32), (0.5, 0.5), [0.45]),
+     "flux radius exceeds the torus chart"),
+])
+def test_chart_and_flux_inputs_outside_their_domain_are_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_pairing_weak_identity_torus():
