@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import (TAU, DiskChart, Field, TorusChart, circle_points, gauss_legendre,
-                    interpolate)
+                    interpolate, on_circles)
 from .io import ini_value, read_ini
 from .measures import FluxProfile, kelvin_transform, residue_profiled
 from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
@@ -31,22 +31,10 @@ from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
 _THETA = TAU * np.arange(128) / 128  # angles of every circle mean below
 
 
-def _on_circles(u, x0, r, x, y):
-    """u at the points (x, y), row i on or beside the circle |x - x0| = r_i.
-    Raises ValueError (numpy's warnings silenced) when u is not finite on a row."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = np.asarray(u(x, y))
-    bad = ~np.isfinite(vals).all(axis=1)
-    if bad.any():
-        raise ValueError(f"profile is not finite on the circle of radius "
-                         f"{float(r[bad][0]):.6g} about {tuple(map(float, x0))}")
-    return vals
-
-
 def _circle_areas(u, x0, r, s):
     """2 pi times the mean of e^{2(u + s)} over each circle |x - x0| = r_i;
     `s` is added to u row by row (log r for the log-radial measure)."""
-    vals = _on_circles(u, x0, r, *circle_points(x0, r[:, None], len(_THETA)))
+    vals = on_circles(u, x0, r, *circle_points(x0, r[:, None], len(_THETA)))
     return np.exp(2.0 * (vals + s)).mean(axis=1) * TAU
 
 
@@ -207,6 +195,8 @@ class _Kind:
     bubbles: tuple = ()
     neck_out: float = 0.5  # `neck`'s default r_out; its default r_in is the
     neck_at_scale: bool = False  # scale if this is set, else r_out / 256
+    ghost: bool = False  # additive normalizations diverge with no bubble area
+    cylinder: object = None  # params -> LinearCylinder; None: not a cylinder
 
 
 _KINDS = {
@@ -221,14 +211,20 @@ _KINDS = {
         limit=lambda p, c, w: _disk_area(lambda x, y: _smooth_base(x, y, p["amp_u"]), c, w)),
     "flat-neck": _Kind(
         {}, 0.0, lambda p, k: math.exp(-float(k) ** 2), lambda p, k: flat_neck_profile(k),
-        lambda p, k: 1.0 / float(k) ** 2, annular=True, neck_out=1.0, neck_at_scale=True),
+        lambda p, k: 1.0 / float(k) ** 2, annular=True, neck_out=1.0, neck_at_scale=True,
+        ghost=True),
     "hyperbolic-cusp": _Kind(
         {}, -1.0, lambda p, k: math.exp(-float(k)), lambda p, k: cusp_profile(),
         lambda p, k: 1.0 / float(k), _cusp_limit, annular=True, neck_at_scale=True),
-    "linear-cylinder": _Kind({"a": 0.0, "b": -1.0}, 0.0),
+    "linear-cylinder": _Kind({"a": 0.0, "b": -1.0}, 0.0,
+                             cylinder=lambda p: LinearCylinder(p["a"], p["b"])),
 }
 
-_SIGN_CLASSES = ("positive", "negative", "violating")
+_SIGN_CLASSES = {  # sign class -> whether a curvature f belongs to it
+    "positive": lambda f: f >= 1.0 - 1e-12,
+    "negative": lambda f: f <= -1.0 + 1e-12,
+    "violating": lambda f: not (abs(f) >= 1.0 - 1e-12),
+}
 
 
 @dataclass
@@ -282,9 +278,9 @@ class SyntheticFamily:
         return _KINDS[self.kind].curvature
 
     def cylinder(self) -> LinearCylinder:
-        if self.kind != "linear-cylinder":
+        if _KINDS[self.kind].cylinder is None:
             raise ValueError("not a cylinder family")
-        return LinearCylinder(self._p()["a"], self._p()["b"])
+        return _KINDS[self.kind].cylinder(self._p())
 
     # tail extrapolation metadata ----------------------------------------
 
@@ -297,7 +293,7 @@ class SyntheticFamily:
     @property
     def ghost(self) -> bool:
         """Additive normalizations diverge with no bubble area attached."""
-        return self.kind == "flat-neck"
+        return _KINDS[self.kind].ghost
 
     # areas ---------------------------------------------------------------
 
@@ -349,8 +345,6 @@ def load_fixture(name: str) -> SyntheticFamily:
     beyond _FIXTURE_KEYS are the kind's parameters (`_KINDS`)."""
     if name.endswith(".ini") or "/" in name:
         path = Path(name)
-        if not path.exists():
-            raise ConfigError(f"fixture file {name!r} does not exist")
         text = path.read_text(encoding="utf-8")
         stem = path.stem
     else:
@@ -392,12 +386,7 @@ def validate_family(fam: SyntheticFamily, k: int, window: float = 0.5) -> Valida
     gradient bound |grad u| * |x - x0| sampled over the window. Raises
     ValueError when u is not finite on a sampled circle."""
     f = fam.curvature(k)
-    if fam.sign_class == "positive":
-        sign_ok = f >= 1.0 - 1e-12
-    elif fam.sign_class == "negative":
-        sign_ok = f <= -1.0 + 1e-12
-    else:
-        sign_ok = not (abs(f) >= 1.0 - 1e-12)
+    sign_ok = _SIGN_CLASSES[fam.sign_class](f)
     mass = abs(f) * fam.window_area(k, window)
     uk = fam.u(k)
     c = fam.center()
@@ -405,8 +394,8 @@ def validate_family(fam: SyntheticFamily, k: int, window: float = 0.5) -> Valida
     r = np.exp(np.linspace(math.log(inner), math.log(window), 40))
     x, y = circle_points(c, r[:, None], 16)
     eps = 1e-6 * r[:, None]
-    gx = (_on_circles(uk, c, r, x + eps, y) - _on_circles(uk, c, r, x - eps, y)) / (2 * eps)
-    gy = (_on_circles(uk, c, r, x, y + eps) - _on_circles(uk, c, r, x, y - eps)) / (2 * eps)
+    gx = (on_circles(uk, c, r, x + eps, y) - on_circles(uk, c, r, x - eps, y)) / (2 * eps)
+    gy = (on_circles(uk, c, r, x, y + eps) - on_circles(uk, c, r, x, y - eps)) / (2 * eps)
     max_grad = float((np.hypot(gx, gy) * r[:, None]).max())
     return ValidationReport(sign_ok=bool(sign_ok), mass_ok=bool(mass <= fam.mass_bound),
                             gradient_ok=bool(max_grad <= fam.gradient_bound),

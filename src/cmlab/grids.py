@@ -62,6 +62,9 @@ class TorusChart(_SquareMesh):
     def descriptor(self) -> str:
         return "torus"
 
+    def spacing(self, n: int) -> float:
+        return 1.0 / n
+
     def nodes(self, n: int) -> np.ndarray:
         return np.arange(n) / n
 
@@ -204,6 +207,20 @@ def circle_points(center, r, m: int) -> tuple[np.ndarray, np.ndarray]:
     shape (k, 1) gives one row per radius."""
     th = TAU * np.arange(m) / m
     return center[0] + r * np.cos(th), center[1] + r * np.sin(th)
+
+
+def on_circles(u, center, r, x, y) -> np.ndarray:
+    """Callable u at the points (x, y), row i on or beside the circle
+    |x - center| = r_i, a scalar u broadcast to them. Raises ValueError
+    (numpy's warnings silenced) when u is not finite on a row."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        vals = np.broadcast_to(np.asarray(u(x, y), dtype=float), np.shape(x))
+    bad = ~np.isfinite(vals).all(axis=-1)
+    if bad.any():
+        raise ValueError(f"profile is not finite on the circle of radius "
+                         f"{float(np.asarray(r)[bad][0]):.6g} about "
+                         f"{tuple(map(float, center))}")
+    return vals
 
 
 # -- interpolation ----------------------------------------------------------

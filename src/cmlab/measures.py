@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import NonStabilizingFlux
 from .grids import (TAU, DiskChart, Field, LogPolarChart, TorusChart, circle_points,
-                    integral, interpolate, irfft2, neg_laplacian, rfft2, torus_distance)
+                    integral, interpolate, irfft2, neg_laplacian, on_circles, rfft2,
+                    torus_distance)
 
 # integral of ln|y| over the unit-spacing grid cell centered at the origin,
 # divided by the cell area: closed form -(ln 2)/2 - 3/2 + pi/4
@@ -154,44 +155,58 @@ def pairing(u: Field, testfn: Field, background_curv: Field | float = 0.0) -> fl
 
 # -- circle flux -------------------------------------------------------------
 
-def _flux_once(u, center, r: float) -> float:
-    """Flux of grad(u) through the circle of radius r (callable or Field).
+def _flux_reader(u, center):
+    """(flux, floor, start, limit) of grad(u) about `center`, u a callable
+    or a Field: flux(r) through the circle of radius r, the smallest radius
+    resolved, residue's first radius, and limit(b, c), the r -> 0 flux from
+    the last two stabilized values.
 
-    Grid-backed fields use a 5-point 4th-order radial stencil so the
-    log-singular part is differenced accurately down to r = 8 cells. It
-    steps in s = log r on log-polar charts and in r elsewhere, where the
-    derivative is scaled by r (d/ds = r d/dr). Whether a stencil circle
-    leaves a disk or log-polar chart is left to `interpolate`.
+    A callable is read through `on_circles` and differenced in s = log r;
+    its limit is Richardson-extrapolated in r^2 (the smooth part of the
+    flux is even in r). A Field takes a 5-point 4th-order radial stencil,
+    accurate on the log-singular part down to r = 8 cells: in s on
+    log-polar charts, elsewhere in r and scaled by r (d/ds = r d/dr).
+    Whether a stencil circle leaves a disk or log-polar chart is left to
+    `interpolate`.
     """
     if callable(u):
-        delta = 1e-5
-        up, um = (np.asarray(u(*circle_points(center, r * math.exp(s), 256)), dtype=float)
-                  for s in (delta, -delta))
-        return float(((up - um) / (2.0 * delta)).mean() * TAU)
-    chart = u.chart
-    if isinstance(chart, LogPolarChart):
+        def flux(r):
+            up, um = (on_circles(u, center, r, *circle_points(center, r * math.exp(s), 256))
+                      for s in (1e-5, -1e-5))
+            return float(((up - um) / 2e-5).mean() * TAU)
+        return (flux, 1e-12 * (1.0 + abs(center[0]) + abs(center[1])), 0.125,
+                lambda b, c: (4.0 * c - b) / 3.0)
+    chart, n = u.chart, u.n
+    polar, torus = isinstance(chart, LogPolarChart), isinstance(chart, TorusChart)
+    if polar:
         if center != (0.0, 0.0):
             raise ValueError("log-polar flux circles must be centered at the origin")
-        s = chart.s_nodes(u.n)
+        s = chart.s_nodes(n)
         h = s[1] - s[0]
-        m, scale = u.n, 1.0
-        radii = [r * math.exp(step * h) for step in (-2, -1, 1, 2)]
+        floor, start = chart.r_inner * math.exp(2.0 * h), 0.5 * chart.r_outer
     else:
-        h = 1.0 / u.n if isinstance(chart, TorusChart) else chart.spacing(u.n)
-        if isinstance(chart, TorusChart) and r + 2 * h >= 0.5:
+        h = chart.spacing(n)
+        floor = 8.0 * h
+        start = (min(0.25, 0.5 - 4.0 * h) if torus
+                 else 0.25 * (chart.radius - max(abs(center[0]), abs(center[1]))))
+
+    def flux(r):
+        if torus and r + 2 * h >= 0.5:
             raise ValueError("flux radius exceeds the torus chart")
-        m, scale = max(64, int(math.ceil(TAU * r / h))), r
-        radii = [r + step * h for step in (-2, -1, 1, 2)]
-    vals = [interpolate(u, *circle_points(center, rho, m)) for rho in radii]
-    d = (8.0 * (vals[2] - vals[1]) - (vals[3] - vals[0])) / (12.0 * h)
-    return float(d.mean() * TAU * scale)
+        m, scale = (n, 1.0) if polar else (max(64, int(math.ceil(TAU * r / h))), r)
+        vals = [interpolate(u, *circle_points(
+            center, r * math.exp(k * h) if polar else r + k * h, m)) for k in (-2, -1, 1, 2)]
+        d = (8.0 * (vals[2] - vals[1]) - (vals[3] - vals[0])) / (12.0 * h)
+        return float(d.mean() * TAU * scale)
+    return flux, floor, start, lambda b, c: c
 
 
 def flux_profile(u, center, radii) -> FluxProfile:
     """Circle flux of grad(u) at each radius; u is a Field or a callable."""
     center = (float(center[0]), float(center[1]))
     radii = sorted(float(r) for r in radii)
-    return FluxProfile(tuple(radii), tuple(_flux_once(u, center, r) for r in radii))
+    flux = _flux_reader(u, center)[0]
+    return FluxProfile(tuple(radii), tuple(flux(r) for r in radii))
 
 
 def gauss_bonnet_annulus(u, center, s: float, t: float) -> float:
@@ -200,30 +215,6 @@ def gauss_bonnet_annulus(u, center, s: float, t: float) -> float:
         raise ValueError("annulus radii must satisfy 0 < s < t")
     prof = flux_profile(u, center, [s, t])
     return prof.flux[0] - prof.flux[1]
-
-
-def _min_radius(u, center) -> float:
-    if callable(u):
-        return 1e-12 * (1.0 + abs(center[0]) + abs(center[1]))
-    chart = u.chart
-    if isinstance(chart, TorusChart):
-        return 8.0 / u.n
-    if isinstance(chart, DiskChart):
-        return 8.0 * chart.spacing(u.n)
-    s = chart.s_nodes(u.n)
-    return chart.r_inner * math.exp(2.0 * (s[1] - s[0]))
-
-
-def _default_r_start(u, center) -> float:
-    if callable(u):
-        return 0.125
-    chart = u.chart
-    if isinstance(chart, TorusChart):
-        return min(0.25, 0.5 - 4.0 / u.n)
-    if isinstance(chart, DiskChart):
-        reach = chart.radius - max(abs(center[0]), abs(center[1]))
-        return 0.25 * reach
-    return 0.5 * chart.r_outer
 
 
 def _geometric_tail(values):
@@ -256,23 +247,22 @@ def _geometric_tail(values):
 def residue_profiled(u, center):
     """Like :func:`residue`, returning (value, measured FluxProfile)."""
     center = (float(center[0]), float(center[1]))
-    floor = _min_radius(u, center)
+    flux, floor, r, limit = _flux_reader(u, center)
+    if r < floor:
+        raise ValueError(f"no flux circle fits about {center}: the first radius "
+                         f"{r:.6g} is below the smallest resolved radius {floor:.6g}")
     radii, values = [], []
-    r = _default_r_start(u, center)
     value = None
     for _ in range(48):
         if r < floor:
             break
         radii.append(r)
-        values.append(_flux_once(u, center, r))
+        values.append(flux(r))
         if len(values) >= 3:
             a, b, c = values[-3], values[-2], values[-1]
             tol = 1e-3 * (1.0 + abs(c))
             if max(abs(a - b), abs(b - c), abs(a - c)) < tol:
-                if callable(u):
-                    value = (4.0 * c - b) / 3.0 / TAU
-                else:
-                    value = c / TAU
+                value = limit(b, c) / TAU
                 break
         r *= 0.5
     profile = FluxProfile(tuple(reversed(radii)), tuple(reversed(values)))
@@ -290,13 +280,14 @@ def residue_profiled(u, center):
 def residue(u, center) -> float:
     """Atom mass of the curvature measure at ``center``, via flux limits.
 
-    Descends at most 48 dyadic radii from `_default_r_start` (1/8 for a
-    callable) until three consecutive flux values agree within
-    1e-3 * (1 + |flux|); grid-backed fields stop at `_min_radius`. For
-    callables the limit is Richardson-extrapolated in r^2 from the two
-    smallest stabilized radii (the smooth part of the flux is even in r).
-    Failing that, the Aitken limit of a geometric tail is taken, else
-    NonStabilizingFlux is raised (with the measured profile).
+    Descends at most 48 dyadic radii from `_flux_reader`'s first radius
+    (1/8 for a callable) until three consecutive flux values agree within
+    1e-3 * (1 + |flux|), or below its floor (8 cells on a disk or torus).
+    The limit is the last flux (for callables, Richardson-extrapolated in
+    r^2 from the last two). Failing that, the Aitken limit of a geometric
+    tail is taken, else NonStabilizingFlux is raised (with the measured
+    profile). ValueError: the first radius is below the floor, or a
+    callable is not finite on a flux circle.
     """
     return residue_profiled(u, center)[0]
 

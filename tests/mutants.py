@@ -1,10 +1,12 @@
-"""Mutation check of the acceptance gate, tests/test_acceptance.py.
+"""Mutation check of tier-1 (all of tests/) and of its acceptance gate,
+tests/test_acceptance.py.
 
 Each mutant is a one-line edit of the package, applied by exact string
 replacement to a copy of src/ in a temporary directory; tests/ and
 pyproject.toml are copied beside it, so pytest imports the mutated copy.
-The script runs the acceptance tests once on an unmutated copy and once
-per mutant, and prints a Markdown table of the criteria that failed. An
+The script runs tier-1 once on an unmutated copy and once per mutant, and
+prints a Markdown table of the acceptance criteria that failed and the
+number of tier-1 tests that failed. An
 edit whose old text is not in the source exactly once stops the script,
 so the list cannot go stale silently (DeMillo, Lipton & Sayward, "Hints on
 test data selection", IEEE Computer 1978).
@@ -68,38 +70,37 @@ def _mutate(tree: Path, module: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def _acceptance(tree: Path) -> tuple[int, list]:
-    """(tests passed, numbers of the failed criteria) on the tree's copy."""
+def _tier1(tree: Path) -> tuple[list, int, int]:
+    """(numbers of the failed criteria, tier-1 tests failed, tier-1 tests
+    run) on the tree's copy."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_acceptance.py"],
+         "--continue-on-collection-errors", "tests"],
         cwd=tree, env=env, capture_output=True, text=True, timeout=1800, check=False)
     if proc.returncode not in (0, 1):
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"pytest exited {proc.returncode}")
-    failed = sorted({int(c) for c in re.findall(
-        r"^(?:FAILED|ERROR) tests/test_acceptance\.py::test_criterion_(\d+)",
-        proc.stdout, re.M)})
+    failed = re.findall(r"^(?:FAILED|ERROR) (tests/\S+)", proc.stdout, re.M)
+    criteria = sorted({int(c) for c in re.findall(
+        r"^tests/test_acceptance\.py::test_criterion_(\d+)", "\n".join(failed), re.M)})
     passed = re.search(r"(\d+) passed", proc.stdout)
-    return (int(passed.group(1)) if passed else 0), failed
+    return criteria, len(failed), len(failed) + (int(passed.group(1)) if passed else 0)
 
 
 def main() -> int:
     rows = [("none (the source as it is)", None, "", "")] + MUTANTS
-    print("| mutant | `test_acceptance.py` |")
-    print("| --- | --- |")
+    print("| mutant | acceptance criteria failed | tier-1 tests failed |")
+    print("| --- | --- | --- |")
     for what, module, old, new in rows:
         with tempfile.TemporaryDirectory(prefix="cmlab-mutant-") as tmp:
             tree = Path(tmp)
             _copy_tree(tree)
             if module is not None:
                 _mutate(tree, module, old, new)
-            passed, failed = _acceptance(tree)
-        verdict = f"{passed} of {passed + len(failed)} pass"
-        if failed:
-            verdict += "; failed: criterion " + ", ".join(map(str, failed))
-        print(f"| {what} | {verdict} |", flush=True)
+            criteria, failed, run = _tier1(tree)
+        print(f"| {what} | {', '.join(map(str, criteria)) or 'none'} "
+              f"| {failed} of {run} |", flush=True)
     return 0
 
 

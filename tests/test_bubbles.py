@@ -145,7 +145,8 @@ def test_fixture_loading_errors(tmp_path):
     two.write_text("[family]\nkind = flat-neck\nsign = violating\n[extra]\n")
     with pytest.raises(ConfigError):
         load_fixture(str(two))
-    with pytest.raises(ConfigError):
+    # a missing file is an OSError, which `main` reports like a missing config
+    with pytest.raises(FileNotFoundError, match="No such file or directory"):
         load_fixture(str(tmp_path / "missing.ini"))
     for text in ("kind = flat-neck\n",  # no section header
                  "[family]\nkind = flat-neck\nkind = flat-neck\n"):  # a repeated key

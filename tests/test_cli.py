@@ -112,6 +112,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
         assert f"cannot parse {str(fixture)!r}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
+    # a missing fixture file fails through main's OSError path, as a config does
+    neck.write_text(f"[neck]\nfixture = {tmp_path / 'absent.ini'}\n")
+    assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
+    assert "[Errno 2] No such file or directory" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("command, section, family, message", [

@@ -79,6 +79,24 @@ _ANNULUS = LogPolarChart(0.05, 0.8)
      "log-polar flux circles must be centered at the origin"),
     (lambda: flux_profile(constant(0.0, TorusChart(), 32), (0.5, 0.5), [0.45]),
      "flux radius exceeds the torus chart"),
+    # no flux circle fits: these raised NonStabilizingFlux after 0 radii
+    (lambda: residue(constant(0.0, DiskChart(1.0), 64), (2.0, 0.0)),
+     "no flux circle fits about (2.0, 0.0): the first radius -0.25 is below "
+     "the smallest resolved radius 0.253968"),
+    (lambda: residue(constant(0.0, DiskChart(1.0), 64), (0.9, 0.0)),
+     "the first radius 0.025 is below the smallest resolved radius 0.253968"),
+    (lambda: residue_profiled(constant(0.0, TorusChart(), 16), (0.3, 0.7)),
+     "the first radius 0.25 is below the smallest resolved radius 0.5"),
+    (lambda: residue(constant(0.0, TorusChart(), 8), (0.3, 0.7)),
+     "the first radius 0 is below the smallest resolved radius 1"),
+    (lambda: residue(constant(0.0, LogPolarChart(0.5, 0.6), 64), (0.0, 0.0)),
+     "the first radius 0.3 is below the smallest resolved radius 0.502902"),
+    # a callable that is not finite on a flux circle: these returned nan
+    # with a RuntimeWarning, and ran 37 radii of nan into NonStabilizingFlux
+    (lambda: flux_profile(cusp_profile(), (0, 0), [0.5, 1.5]),
+     "profile is not finite on the circle of radius 1.5 about (0.0, 0.0)"),
+    (lambda: residue(lambda x, y: np.log(x), (0, 0)),
+     "profile is not finite on the circle of radius 0.125 about (0.0, 0.0)"),
 ])
 def test_chart_and_flux_inputs_outside_their_domain_are_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

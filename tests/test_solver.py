@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import cmlab.solver
 from cmlab.continuation import check_curvature_bounds
 from cmlab.errors import InfeasibleTopology, NonConvergence, ResidualOverflow
-from cmlab.grids import TAU, Field, TorusChart, constant, neg_laplacian, sample
+from cmlab.grids import TAU, Field, TorusChart, constant, neg_laplacian, rfft2, sample
 from cmlab.green import singular_part
 from cmlab.measures import Divisor, residue
 from cmlab.models import cusp_profile
@@ -542,6 +542,30 @@ def test_coarse_start_gives_the_default_start_answer(monkeypatch):
     # 5/5/3 CG per Newton step; 15 when the last step solved to 1e-6 of a
     # right-hand side already at tol
     assert nested.cg_iters <= 13
+
+
+def test_coarse_start_pads_the_coarse_spectrum(monkeypatch):
+    # the start is 16 = (n/m)^2 times the n/4 solution's half spectrum on
+    # the modes both grids hold, and zero from the coarse Nyquist row and
+    # column on; a start that changes only the cost passes every other test
+    n, h = 128, 16
+    levels = []
+    real = cmlab.solver._solve_level
+
+    def kept(*args):
+        out = real(*args)
+        levels.append(out[1])
+        return out
+
+    monkeypatch.setattr(cmlab.solver, "_solve_level", kept)
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
+    vhat = cmlab.solver._coarse_start(CurvatureSpec(-1.0), split, 1e-10)
+    chat = 16.0 * rfft2(levels[0])
+    assert vhat.shape == (n, n // 2 + 1) and chat.shape == (2 * h, h + 1)
+    np.testing.assert_array_equal(vhat[:h, :h], chat[:h, :h])
+    np.testing.assert_array_equal(vhat[n - h + 1:, :h], chat[h + 1:, :h])
+    assert np.abs(chat[h, :h]).min() > 0  # the coarse Nyquist row is not empty
+    assert not vhat[h:n - h + 1].any() and not vhat[:, h:].any()
 
 
 def test_coarse_start_builds_no_coarse_solution(monkeypatch):
