@@ -39,8 +39,10 @@ class NonStabilizingFlux(CmlabError):
 
 
 class StageFailure(CmlabError):
-    """A continuation stage failed; carries the stage index."""
+    """A continuation stage failed; carries the stage index and the
+    reports of the stages completed before it."""
 
-    def __init__(self, message: str, stage: int):
+    def __init__(self, message: str, stage: int, reports: tuple = ()):
         super().__init__(message)
         self.stage = stage
+        self.reports = tuple(reports)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import (TAU, Field, TorusChart, bilinear_torus, gauss_legendre,
+from .grids import (TAU, Field, TorusChart, bilinear_torus, finite_point, gauss_legendre,
                     poisson_mean_zero, torus_distance)
 from .measures import Divisor
 
@@ -70,8 +70,9 @@ class TorusGreen:
         return bilinear_torus(self.remainder, x, y) - cutoff(d) * np.log(d) / TAU
 
 
-# 8 kernels hold 128 MB at n = 1024; a one-atom fine solve uses 2 keys (n and
-# its n/4 start) and a two-cusp ladder 2
+# 8 kernels hold 128 MB at n = 1024. A cold solve nests from n >= 128, so an
+# atom at n = 1024 needs 3 keys (1024, 256, 64) and a two-atom solve 6; a
+# two-cusp ladder at n = 256 needs 4 (256 and 64 per atom)
 @lru_cache(maxsize=8)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     x = TorusChart().nodes(n)
@@ -90,7 +91,8 @@ def _green_cached(px: float, py: float, n: int) -> TorusGreen:
 
 
 def green_kernel(p, n: int) -> TorusGreen:
-    return _green_cached(float(p[0]), float(p[1]), int(n))
+    px, py = finite_point(p)
+    return _green_cached(px, py, int(n))
 
 
 def green_torus(p, n: int) -> Field:

@@ -106,6 +106,13 @@ class SignedMeasureSample:
         return float(tv)
 
 
+def _check_radii(radii) -> None:
+    """Raise ValueError unless the radii are positive and strictly
+    increasing (a NaN radius fails both)."""
+    if radii and not (radii[0] > 0 and all(a < b for a, b in zip(radii, radii[1:]))):
+        raise ValueError("radii must be positive and strictly increasing")
+
+
 @dataclass(frozen=True)
 class FluxProfile:
     radii: tuple
@@ -116,8 +123,7 @@ class FluxProfile:
         flux = tuple(float(f) for f in self.flux)
         if len(radii) != len(flux):
             raise ValueError("radii and flux must have equal length")
-        if any(b <= a for a, b in zip(radii, radii[1:])) or (radii and radii[0] <= 0):
-            raise ValueError("radii must be positive and strictly increasing")
+        _check_radii(radii)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "flux", flux)
 
@@ -202,9 +208,12 @@ def _flux_reader(u, center):
 
 
 def flux_profile(u, center, radii) -> FluxProfile:
-    """Circle flux of grad(u) at each radius; u is a Field or a callable."""
+    """Circle flux of grad(u) at each radius; u is a Field or a callable.
+    The sorted radii must be positive and strictly increasing, which is
+    checked before any flux is measured."""
     center = (float(center[0]), float(center[1]))
     radii = sorted(float(r) for r in radii)
+    _check_radii(radii)
     flux = _flux_reader(u, center)[0]
     return FluxProfile(tuple(radii), tuple(flux(r) for r in radii))
 

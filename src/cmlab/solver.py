@@ -58,8 +58,7 @@ measured; only where F's round-off floor nears tol (an atom within about
 1e-3 of a cell of a node) can it cost a Newton step. It binds on the
 last step, whose right-hand side is already near tol: at
 n = 1024 the fine level's third step takes 1 CG iteration instead of 5,
-and the solve makes 62 transforms instead of 72 (22 on the fine level;
-40 for the n/4 level, its default guess and the padded coarse spectrum).
+and the fine level makes 22 transforms (25 more at n/4 and 38 at n/16).
 
 The preconditioner is the spectral inverse (-Delta + c)^-1 with the shift
 c = mean(W). -Delta does not see the constant mode, and mean(W) is the
@@ -70,12 +69,14 @@ topological constant 4 pi |chi|. W = -2K e^{2u} spikes at the atoms (up to
 so a shift that follows the spike, such as sqrt(min W max W), mismatches
 the low modes where CG spends its iterations.
 
-A solve given no start on a grid n >= 512 begins from the same problem
-solved at n/4 (nested iteration), which nests in turn from n >= 2048. The
+A solve given no start on a grid n >= 128 begins from the same problem
+solved at n/4 (nested iteration), which nests in turn from n >= 512: the
+levels are 1024 -> 256 -> 64 and 512 -> 128 -> 32. The
 n/4 level runs the same start and Newton loop as the fine one, but no
 area quadrature and no Solution: only its final v is read. The solution
 is unique, so the start changes the cost, not the answer: at n = 1024 one
-cone takes 3 fine Newton steps and 10 CG iterations instead of 4 and 18.
+cone takes 3 fine Newton steps and 10 CG iterations instead of 4 and 18,
+and at n = 256 3 and 11 instead of 4 and 18.
 The half spectrum of the coarse
 solution is zero-padded into the fine one, its Nyquist row and column
 dropped and its coefficients scaled by 16. When the coarse grid rejects an
@@ -93,7 +94,7 @@ import numpy as np
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
 from .green import SingularSplit, _s4, singular_part
-from .grids import (TAU, Field, TorusChart, circle_points, gauss_legendre,
+from .grids import (TAU, Field, TorusChart, circle_points, finite_point, gauss_legendre,
                     half_laplacian_multiplier, interpolate, irfft2, neg_laplacian, rfft2,
                     torus_distance)
 from .measures import Divisor, euler_characteristic
@@ -102,7 +103,7 @@ _EXP_LIMIT = 350.0
 _MAX_NEWTON = 60
 _CG_RTOL = 1e-6
 _CG_MAXITER = 2000
-_NESTED_MIN_N = 512  # default starts from an n/4 solve at and above this grid
+_NESTED_MIN_N = 128  # default starts from an n/4 solve at and above this grid
 _BLOCK = 2 ** 15  # elements per sweep block: 256 KiB of float64, about one L2
 
 
@@ -456,7 +457,7 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
 def _start(spec: CurvatureSpec, split: SingularSplit, v0: Field | None,
            tol: float) -> np.ndarray:
     """Half spectrum the Newton loop starts from: v0, else the n/4 solution
-    on a grid n >= 512, else (or when that falls back) the default guess."""
+    on a grid n >= 128, else (or when that falls back) the default guess."""
     if v0 is not None:
         return rfft2(v0.values)
     vhat = _coarse_start(spec, split, tol) if split.n >= _NESTED_MIN_N else None
@@ -517,7 +518,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     An inner solve that reaches 2000 iterations keeps its last iterate and
     is counted in `cg_capped`.
 
-    With `v0` None, a grid n >= 512 starts from the same solve at n/4:
+    With `v0` None, a grid n >= 128 starts from the same solve at n/4:
     Field curvature and forcing are restricted by injection, and the half
     spectrum of the coarse v is zero-padded to n (Nyquist row and column
     dropped, scaled by 16). If `singular_part` rejects an atom at n/4 (an
@@ -679,7 +680,7 @@ def radial_length(u, p, delta: float, r0: float) -> float:
     """
     if not 0.0 < delta < r0:
         raise ValueError("need 0 < delta < r0")
-    px, py = float(p[0]), float(p[1])
+    px, py = finite_point(p)
     a, b = math.log(delta), math.log(r0)
     edges = np.linspace(a, b, math.ceil(4.0 * (b - a) / math.log(2.0)) + 1)
     beta = 0.0

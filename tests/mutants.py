@@ -40,8 +40,8 @@ MUTANTS = [
      "S = S - TAU * beta * g.samples",
      "S = S - TAU * 0.9 * beta * g.samples"),
     ("`green_kernel` at p + 0.5/n for every caller", "green.py",
-     "return _green_cached(float(p[0]), float(p[1]), int(n))",
-     "return _green_cached(float(p[0]) + 0.5 / n, float(p[1]) + 0.5 / n, int(n))"),
+     "return _green_cached(px, py, int(n))",
+     "return _green_cached(px + 0.5 / n, py + 0.5 / n, int(n))"),
     ("the -Δ symbol × 1.001", "grids.py",
      "out = (TAU * kx) ** 2 + (TAU * ky) ** 2",
      "out = 1.001 * ((TAU * kx) ** 2 + (TAU * ky) ** 2)"),

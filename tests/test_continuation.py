@@ -11,12 +11,13 @@ import cmlab.grids
 from cmlab.continuation import (
     ContinuationSchedule,
     ScheduleStep,
+    _extrapolated_start,
     cusp_schedule,
     mollify_curvature,
     no_bubble_scan,
     run_continuation,
 )
-from cmlab.errors import InfeasibleTopology, StageFailure
+from cmlab.errors import InfeasibleTopology, NonConvergence, StageFailure
 from cmlab.green import singular_part
 from cmlab.grids import TAU, DiskChart, Field, TorusChart, constant, sample
 from cmlab.measures import Divisor
@@ -121,13 +122,14 @@ def test_warm_and_cold_starts_agree():
     warm = run_continuation(sched, n=64)
     cold = _cold_solves(sched, 64)
     assert float(np.abs(warm.final.v.values - cold[-1].v.values).max()) < 1e-8
-    # stage 3 starts from the secant prediction through stages 1 and 2
+    # stages 1 and 2 start cold, stage 3 from the secant through them
     np.testing.assert_allclose(warm.areas, [s.area for s in cold], rtol=1e-8)
 
 
 def test_secant_start_when_weights_stand_still():
-    # stage 3 follows two stages with equal weights, so its secant has no
-    # slope in chi and it starts from stage 2 alone
+    # stage 2 repeats stage 1's chi, so it starts from stage 1; stage 3
+    # follows two stages at one chi, so its predictor has no slope in chi
+    # and it starts from stage 2 alone
     target = Divisor(((0.3, 0.7),), (-0.75,))
     steps = (ScheduleStep((-0.5,), -1.0), ScheduleStep((-0.5,), -1.5),
              ScheduleStep((-0.75,), -1.5))
@@ -137,15 +139,51 @@ def test_secant_start_when_weights_stand_still():
     np.testing.assert_allclose(warm.areas, [s.area for s in cold], rtol=1e-8)
 
 
+def test_extrapolated_start():
+    # the Lagrange polynomial through four stages reproduces a field cubic
+    # in chi to round-off
+    rng = np.random.default_rng(1)
+    coef = rng.standard_normal((4, 8, 8))
+
+    def v(chi):
+        return coef[0] + chi * (coef[1] + chi * (coef[2] + chi * coef[3]))
+
+    chis = [-1.0 + 2.0 ** -k for k in range(1, 6)]
+    solved = [(c, Field(v(c), TorusChart())) for c in chis[:4]]
+    np.testing.assert_allclose(_extrapolated_start(solved, chis[4]).values, v(chis[4]),
+                               rtol=0, atol=1e-13)
+    # one earlier stage: a cold start, unless the weights stand still
+    one = solved[-1:]
+    assert _extrapolated_start([], chis[4]) is None
+    assert _extrapolated_start(one, chis[4]) is None
+    assert _extrapolated_start(one, chis[3]) is one[0][1]
+    assert _extrapolated_start(solved, chis[3]) is solved[-1][1]
+    # stages at one chi count once, with the latest v
+    still = [(chis[0], solved[0][1]), (chis[0], solved[1][1])]
+    np.testing.assert_array_equal(_extrapolated_start(still, chis[1]).values,
+                                  solved[1][1].values)
+
+
 def test_ladder_cg_budget():
     # 299 CG iterations with a sqrt(min W max W) shift, 136 with the mean(W)
-    # shift, 121 with the secant start as well and 114 (17/24/23/18/17/15)
-    # once CG stops at tol/2: the budget fails if the preconditioner stops
-    # matching the Jacobian on the constant mode or CG oversolves again
+    # shift, 121 with the secant start as well, 114 (17/24/23/18/17/15)
+    # once CG stops at tol/2 and 106 (17/25/23/18/12/11) with the cubic
+    # predictor: the budget fails if the preconditioner stops matching the
+    # Jacobian on the constant mode, CG oversolves again or the predictor
+    # falls back to a lower order
     res = run_continuation(cusp_schedule(Divisor(((0.3, 0.7),), (-1.0,)), k_max=6),
                            n=64)
     assert all(st.cg_iters > 0 for st in res.stages)
-    assert sum(st.cg_iters for st in res.stages) <= 117
+    assert sum(st.cg_iters for st in res.stages) <= 109
+
+
+def test_ladder_cg_budget_with_nested_cold_starts():
+    # at n = 128 the two cold stages start from the n/4 solve and the rest
+    # from the cubic: 123 CG iterations (12/18/23/18/13/11/10/7/6/5), where
+    # cold default starts and the secant took 159
+    res = run_continuation(cusp_schedule(Divisor(((0.3, 0.7),), (-1.0,)), k_max=10),
+                           n=128)
+    assert sum(st.cg_iters for st in res.stages) <= 126
 
 
 def test_stage_envelope_holds_off_node_at_fine_grid():
@@ -176,6 +214,24 @@ def test_stage_failure_carries_stage_index():
     assert exc.value.stage == 1
 
 
+def test_stage_failure_keeps_the_completed_stages(monkeypatch):
+    solves = []
+
+    def failing(*args, **kwargs):
+        solves.append(None)
+        if len(solves) == 3:
+            raise NonConvergence("injected")
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cmlab.continuation, "newton_solve", failing)
+    target = Divisor(((0.3, 0.7),), (-1.0,))
+    with pytest.raises(StageFailure, match="stage 3 failed: injected") as exc:
+        run_continuation(cusp_schedule(target, k_max=4), n=32)
+    assert exc.value.stage == 3
+    assert [r.k for r in exc.value.reports] == [1, 2]
+    assert exc.value.reports[1].chi == -0.75
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("gb_defect", 1.0, "conservation defect"),
     ("grid_area", 2.0 * TAU, "grid area"),  # outside the lam = 1 envelope
@@ -196,6 +252,7 @@ def test_stage_checks_raise_at_their_stage(monkeypatch, field, value, message):
     with pytest.raises(StageFailure, match=message) as exc:
         run_continuation(sched, n=32)
     assert exc.value.stage == 2
+    assert [r.k for r in exc.value.reports] == [1]
 
 
 def test_mollify_curvature():

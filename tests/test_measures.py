@@ -97,6 +97,11 @@ _ANNULUS = LogPolarChart(0.05, 0.8)
      "profile is not finite on the circle of radius 1.5 about (0.0, 0.0)"),
     (lambda: residue(lambda x, y: np.log(x), (0, 0)),
      "profile is not finite on the circle of radius 0.125 about (0.0, 0.0)"),
+    # radii are checked before any flux is measured: these blamed the profile
+    (lambda: flux_profile(lambda x, y: -0.5 * np.log(np.hypot(x, y)), (0, 0), [0.0]),
+     "radii must be positive and strictly increasing"),
+    (lambda: flux_profile(cusp_profile(), (0, 0), [0.5, math.nan]),
+     "radii must be positive and strictly increasing"),
 ])
 def test_chart_and_flux_inputs_outside_their_domain_are_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,6 +1,7 @@
 """Newton-CG solver, area quadrature, uniqueness and length probes."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import cmlab.solver
 from cmlab.continuation import check_curvature_bounds
 from cmlab.errors import InfeasibleTopology, NonConvergence, ResidualOverflow
 from cmlab.grids import TAU, Field, TorusChart, constant, neg_laplacian, rfft2, sample
-from cmlab.green import singular_part
+from cmlab.green import _green_cached, green_kernel, singular_part
 from cmlab.measures import Divisor, residue
 from cmlab.models import cusp_profile
 from cmlab.solver import (
@@ -218,6 +219,23 @@ def test_radial_length_grid_path_matches_cellwise_quad(n):
     for p in ((0.3, 0.7), (0.55, 0.2)):
         assert radial_length(sol, p, 0.02, 0.2) == pytest.approx(
             quad_ray_length_cells(sol, p, 0.02, 0.2), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    # green_kernel returned a kernel and cached it under a NaN key
+    (lambda: green_kernel((math.nan, 0.5), 16), "p = (nan, 0.5) is not a finite point"),
+    (lambda: green_kernel((0.5, math.inf), 16), "p = (0.5, inf) is not a finite point"),
+    # radial_length returned nan
+    (lambda: radial_length(cusp_profile(), (math.nan, 0.0), 0.1, 0.5),
+     "p = (nan, 0.0) is not a finite point"),
+    (lambda: radial_length(cusp_profile(), (0.0, -math.inf), 0.1, 0.5),
+     "p = (0.0, -inf) is not a finite point"),
+])
+def test_non_finite_points_are_rejected(call, message):
+    before = _green_cached.cache_info()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+    assert _green_cached.cache_info() == before  # nothing built, nothing cached
 
 
 def test_uniqueness_probe_quick():
@@ -534,8 +552,9 @@ def test_coarse_start_gives_the_default_start_answer(monkeypatch):
     spec = CurvatureSpec(-1.0)
     nested = newton_solve(spec, split)
     plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
-    assert calls == [128]  # only the default start solves on the n/4 grid
-    assert solves == [512, 128, 512]  # by one level solve of its own
+    # only the default start solves on the n/4 grid, which nests again
+    assert calls == [128, 32]
+    assert solves == [512, 128, 32, 512]  # by one level solve each
     assert float(np.abs(nested.v.values - plain.v.values).max()) <= 1e-12
     assert nested.area == pytest.approx(plain.area, rel=1e-14)
     assert nested.newton_iters <= plain.newton_iters
@@ -628,7 +647,7 @@ def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
     spec = CurvatureSpec(k, forcing=residual(v_exact, CurvatureSpec(k), split))
     calls = _solver_splits(monkeypatch)
     sol = newton_solve(spec, split)
-    assert calls == [128]
+    assert calls == [128, 32]
     assert sol.residual_norm <= 1e-10
     # the coarse solve of the injected problem starts inside the fine
     # quadratic basin (1 step measured); a transposed or shifted injection
