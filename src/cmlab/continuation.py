@@ -9,8 +9,10 @@ cubic in chi through the four stages before it (fewer while fewer are
 solved; Allgower & Georg, Numerical Continuation Methods, 1990). On the
 n = 256 one-cusp ladder of ten stages this takes 130 CG iterations where
 the secant through two stages took 172. The first two stages start cold,
-from the solver's own start (the n/4 solve at n >= 128): stage 1 alone
-is a worse start for stage 2 (26 CG iterations against 17). A stage at
+from the solver's own start: the n/4 solve at n >= 128, where stage 1
+alone is a worse start for stage 2 (26 CG iterations against 17), and
+the default guess below it, where stage 1 would be a slightly better one
+(24 against 25 at n = 64). A stage at
 the last stage's chi starts from that stage. Stage areas converge
 geometrically for constant curvature, and the limit is reported as the
 final-stage field plus a Richardson extrapolation of the areas.

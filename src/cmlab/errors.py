@@ -42,7 +42,7 @@ class StageFailure(CmlabError):
     """A continuation stage failed; carries the stage index and the
     reports of the stages completed before it."""
 
-    def __init__(self, message: str, stage: int, reports: tuple = ()):
+    def __init__(self, message: str, stage: int, reports):
         super().__init__(message)
         self.stage = stage
         self.reports = tuple(reports)

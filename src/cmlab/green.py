@@ -71,8 +71,10 @@ class TorusGreen:
 
 
 # 8 kernels hold 128 MB at n = 1024. A cold solve nests from n >= 128, so an
-# atom at n = 1024 needs 3 keys (1024, 256, 64) and a two-atom solve 6; a
-# two-cusp ladder at n = 256 needs 4 (256 and 64 per atom)
+# atom needs 3 keys at n >= 512 (1024, 256, 64) and 2 at n = 128..256 (256,
+# 64): the cache holds solves of up to 2 atoms at n >= 512 and up to 4 at
+# n = 128..256. With more atoms each repeated solve or cold ladder stage
+# rebuilds every kernel
 @lru_cache(maxsize=8)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     x = TorusChart().nodes(n)

@@ -198,11 +198,11 @@ def wrap_half(a: np.ndarray) -> np.ndarray:
     return a - np.round(a)
 
 
-def finite_point(p, name: str = "p") -> tuple[float, float]:
-    """(x, y) of the point p as floats; ValueError naming it unless finite."""
+def finite_point(p) -> tuple[float, float]:
+    """(x, y) of the point p as floats; ValueError unless finite."""
     x, y = float(p[0]), float(p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{name} = {p} is not a finite point")
+        raise ValueError(f"p = {p} is not a finite point")
     return x, y
 
 

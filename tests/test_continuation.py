@@ -118,11 +118,12 @@ def _cold_solves(sched, n):
 
 def test_warm_and_cold_starts_agree():
     target = Divisor(((0.3, 0.7),), (-1.0,))
-    sched = cusp_schedule(target, k_max=3)
+    sched = cusp_schedule(target, k_max=5)
     warm = run_continuation(sched, n=64)
     cold = _cold_solves(sched, 64)
     assert float(np.abs(warm.final.v.values - cold[-1].v.values).max()) < 1e-8
-    # stages 1 and 2 start cold, stage 3 from the secant through them
+    # stages 1 and 2 start cold, stage 3 from the secant through them,
+    # stage 4 from the quadratic and stage 5 from the cubic
     np.testing.assert_allclose(warm.areas, [s.area for s in cold], rtol=1e-8)
 
 
