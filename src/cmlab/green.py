@@ -6,7 +6,9 @@ analytically: G = R - (1/2 pi) chi(d) log d, with chi a C^4 cutoff equal to
 1 for d <= 1/8 and 0 for d >= 3/8 (nearest-image distance d). The smooth
 remainder R solves -Delta R = -(1 + psi) spectrally, where psi collects the
 cutoff's commutator terms; near an atom every evaluation goes through the
-analytic log plus the tabulated R, never through raw grid samples of G.
+analytic log plus R, never through raw grid samples of G. A kernel keeps
+one grid, the samples of G that S is summed from; R is rebuilt from them
+at the nodes an off-grid read touches.
 
 The singular part of a conformal factor for a divisor is
 S = -2 pi * sum_i beta_i G_{p_i}, so that -Delta S has atoms
@@ -54,42 +56,58 @@ def _psi(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _node_log(d: np.ndarray, n: int) -> np.ndarray:
+    """(1/2 pi) chi(d) log d at the node distances d of an n x n grid, d
+    clamped to 1/(1024 n): a node on the atom gets a finite stand-in."""
+    return cutoff(d) * np.log(np.maximum(d, 1.0 / (1024.0 * n))) / TAU
+
+
 @dataclass(frozen=True)
 class TorusGreen:
-    """Tabulated kernel for one atom: remainder grid plus analytic log."""
+    """Tabulated kernel for one atom: its one grid, the samples of G, from
+    which R = G + (1/2 pi) chi log d is rebuilt at the nodes a read
+    touches, plus the analytic log."""
 
     p: tuple
     n: int
-    remainder: np.ndarray
     samples: np.ndarray
+
+    def remainder_at(self, x, y) -> np.ndarray:
+        """R off the grid: bilinear in its node values samples + node log,
+        the four corners rebuilt in one pass (x and y are broadcast first,
+        so the corner index arrays stack)."""
+        n = self.n
+
+        def corners(I, J):
+            i, j = np.stack(I), np.stack(J)
+            return self.samples[i, j] + _node_log(torus_distance(i / n, j / n, *self.p), n)
+        return bilinear_torus(corners, *np.broadcast_arrays(x, y), n)
 
     def eval(self, x, y) -> np.ndarray:
         """G_p off the grid: bilinear remainder + analytic cutoff log."""
         d = torus_distance(x, y, *self.p)
         d = np.maximum(d, 1e-300)
-        return bilinear_torus(self.remainder, x, y) - cutoff(d) * np.log(d) / TAU
+        return self.remainder_at(x, y) - cutoff(d) * np.log(d) / TAU
 
 
-# 8 kernels hold 128 MB at n = 1024. A cold solve nests from n >= 128, so an
-# atom needs 3 keys at n >= 512 (1024, 256, 64) and 2 at n = 128..256 (256,
-# 64): the cache holds solves of up to 2 atoms at n >= 512 and up to 4 at
-# n = 128..256. With more atoms each repeated solve or cold ladder stage
-# rebuilds every kernel
-@lru_cache(maxsize=8)
+# 16 kernels hold 128 MiB at n = 1024, one 8 MiB grid each. A cold solve
+# nests from n >= 128, so an atom needs 3 keys at n >= 512 (1024, 256, 64)
+# and 2 at n = 128..256 (256, 64): the cache holds solves of up to 5 atoms
+# at n >= 512 and up to 8 at n = 128..256. With more atoms each repeated
+# solve or cold ladder stage rebuilds every kernel
+@lru_cache(maxsize=16)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     x = TorusChart().nodes(n)
     d = torus_distance(x[:, None], x[None, :], px, py)
-    remainder = poisson_mean_zero(-1.0 - _psi(d))
+    # the smooth remainder R, formed only to build the samples G = R - node log
+    samples = poisson_mean_zero(-1.0 - _psi(d))
     # pin the continuum mean of G to zero: mean(R) = (1/2pi) int chi log d,
     # the disk d <= 1/8 analytic and the cutoff band by 64-node Gauss-Legendre
-    remainder += (0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
-                  + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64))
-    # a node coinciding with the atom gets a clamped stand-in sample
-    d_eff = np.maximum(d, 1.0 / (1024.0 * n))
-    samples = remainder - cutoff(d) * np.log(d_eff) / TAU
-    remainder.setflags(write=False)
+    samples += (0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
+                + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64))
+    samples -= _node_log(d, n)
     samples.setflags(write=False)
-    return TorusGreen((px, py), n, remainder, samples)
+    return TorusGreen((px, py), n, samples)
 
 
 def green_kernel(p, n: int) -> TorusGreen:
@@ -127,14 +145,14 @@ class SingularSplit:
     def smooth_rest(self, i: int | None, x, y) -> np.ndarray:
         """S - beta_i log|x - p_i|, evaluated stably near atom i; S if i is None.
 
-        Assembled from the tabulated remainders so that no large logs
+        Assembled from the kernels' remainders so that no large logs
         cancel: the i-th atom contributes beta_i (chi(d) - 1) log d, which
         vanishes identically inside the cutoff core.
         """
         betas = self.divisor.betas
         out = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
         for j, g in enumerate(self.greens):
-            out -= TAU * betas[j] * bilinear_torus(g.remainder, x, y)
+            out -= TAU * betas[j] * g.remainder_at(x, y)
             d = np.maximum(torus_distance(x, y, *g.p), 1e-300)
             out += betas[j] * (cutoff(d) - (j == i)) * np.log(d)
         return out

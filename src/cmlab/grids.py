@@ -198,11 +198,11 @@ def wrap_half(a: np.ndarray) -> np.ndarray:
     return a - np.round(a)
 
 
-def finite_point(p) -> tuple[float, float]:
-    """(x, y) of the point p as floats; ValueError unless finite."""
+def finite_point(p, name: str = "p") -> tuple[float, float]:
+    """(x, y) of the point p as floats; a ValueError naming it unless finite."""
     x, y = float(p[0]), float(p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"p = {p} is not a finite point")
+        raise ValueError(f"{name} = {p} is not a finite point")
     return x, y
 
 
@@ -233,8 +233,10 @@ def on_circles(u, center, r, x, y) -> np.ndarray:
 
 # -- interpolation ----------------------------------------------------------
 
-def _bilinear_periodic(grid: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
-    n = grid.shape[0]
+def _bilinear_periodic(corners, n: int, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
+    """Bilinear blend at fractional node indices (fi, fj), periodic with
+    period n, of the corner values corners(I, J): the values at the four
+    integer node-index pairs (I[k], J[k])."""
     i0 = np.floor(fi).astype(int)
     j0 = np.floor(fj).astype(int)
     ti = fi - i0
@@ -243,14 +245,27 @@ def _bilinear_periodic(grid: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.n
     j0 %= n
     i1 = (i0 + 1) % n
     j1 = (j0 + 1) % n
-    return (grid[i0, j0] * (1 - ti) * (1 - tj) + grid[i1, j0] * ti * (1 - tj)
-            + grid[i0, j1] * (1 - ti) * tj + grid[i1, j1] * ti * tj)
+    c00, c10, c01, c11 = corners((i0, i1, i0, i1), (j0, j0, j1, j1))
+    return (c00 * (1 - ti) * (1 - tj) + c10 * ti * (1 - tj)
+            + c01 * (1 - ti) * tj + c11 * ti * tj)
 
 
-def bilinear_torus(grid: np.ndarray, x, y) -> np.ndarray:
-    """Periodic bilinear interpolation of torus samples at points (x, y)."""
-    n = grid.shape[0]
-    return _bilinear_periodic(grid, np.asarray(x) * n, np.asarray(y) * n)
+def _gather(grid: np.ndarray):
+    return lambda I, J: (grid[i, j] for i, j in zip(I, J))
+
+
+def bilinear_torus(grid, x, y, n: int | None = None) -> np.ndarray:
+    """Periodic bilinear interpolation of torus samples at points (x, y).
+
+    `grid` is the n-by-n array of samples, or a callable grid(I, J) that
+    returns the samples at the four node-index pairs (I[k], J[k]); then n
+    is required.
+    """
+    if callable(grid):
+        corners = grid
+    else:
+        corners, n = _gather(grid), grid.shape[0]
+    return _bilinear_periodic(corners, n, np.asarray(x) * n, np.asarray(y) * n)
 
 
 def interpolate(field: Field, x, y) -> np.ndarray:
@@ -261,10 +276,14 @@ def interpolate(field: Field, x, y) -> np.ndarray:
     log-polar s axis) is clipped to [0, n-1-1e-12], so its lower node is at
     most n-2 and the kernel's wrap to node 0 never fires there: the result
     is the plain bilinear value. Points within a relative 1e-12 of the
-    chart's edge are accepted, so every node can be read back.
+    chart's edge are accepted, so every node can be read back. A
+    non-finite x or y raises a ValueError naming it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    for name, a in (("x", x), ("y", y)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"interpolation point {name} is not finite")
     c = field.chart
     n = field.n
     if isinstance(c, TorusChart):
@@ -285,7 +304,7 @@ def interpolate(field: Field, x, y) -> np.ndarray:
         ds = (math.log(c.r_outer) - s0) / (n - 1)
         fi = np.clip((np.log(r) - s0) / ds, 0, top)
         fj = (np.arctan2(y, x) % TAU) / (TAU / n)
-    return _bilinear_periodic(field.values, fi, fj)
+    return _bilinear_periodic(_gather(field.values), n, fi, fj)
 
 
 # -- quadrature -------------------------------------------------------------
@@ -295,16 +314,30 @@ def _leggauss(m: int):
     return np.polynomial.legendre.leggauss(m)
 
 
+# nodes per call of a quadrature's integrand, in whole panels: f's working
+# set stays bounded however many panels there are (at 128 the circle
+# integrands, 128 angles per node, keep the diagnostics' peak RSS of one
+# panel per call), and radial_length makes a quarter of the calls
+_QUAD_NODES = 128
+
+
 def gauss_legendre(f, edges, m: int) -> float:
-    """Integral of f (array of nodes -> array of values) over the panels
-    between consecutive `edges`: the m-node Gauss-Legendre rule on each,
-    exact to degree 2m - 1, and the panel terms added in order."""
+    """Integral of f (array of nodes -> array of values, node by node) over
+    the panels between consecutive `edges`: the m-node Gauss-Legendre rule
+    on each, exact to degree 2m - 1, and the panel terms added in order.
+    f is called on the nodes of as many whole panels as fit in
+    `_QUAD_NODES` (at least one), panel after panel."""
     t, w = _leggauss(m)
     edges = np.asarray(edges, dtype=float)
+    lows, highs = edges[:-1, None], edges[1:, None]
+    step = max(1, _QUAD_NODES // m)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        vals = f(0.5 * (lo + hi) + 0.5 * (hi - lo) * t)
-        total += 0.5 * (hi - lo) * float((w * vals).sum())
+    for k0 in range(0, len(lows), step):
+        lo, hi = lows[k0:k0 + step], highs[k0:k0 + step]
+        nodes = (0.5 * (lo + hi) + 0.5 * (hi - lo) * t).ravel()
+        vals = np.broadcast_to(f(nodes), nodes.shape).reshape(len(lo), m)
+        for k in range(len(lo)):
+            total += 0.5 * (hi[k, 0] - lo[k, 0]) * float((w * vals[k]).sum())
     return total
 
 

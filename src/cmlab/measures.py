@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import NonStabilizingFlux
 from .grids import (TAU, DiskChart, Field, LogPolarChart, TorusChart, circle_points,
-                    integral, interpolate, irfft2, neg_laplacian, on_circles, rfft2,
-                    torus_distance)
+                    finite_point, integral, interpolate, irfft2, neg_laplacian, on_circles,
+                    rfft2, torus_distance)
 
 # integral of ln|y| over the unit-spacing grid cell centered at the origin,
 # divided by the cell area: closed form -(ln 2)/2 - 3/2 + pi/4
@@ -210,8 +210,8 @@ def _flux_reader(u, center):
 def flux_profile(u, center, radii) -> FluxProfile:
     """Circle flux of grad(u) at each radius; u is a Field or a callable.
     The sorted radii must be positive and strictly increasing, which is
-    checked before any flux is measured."""
-    center = (float(center[0]), float(center[1]))
+    checked before any flux is measured, as is a finite center."""
+    center = finite_point(center, "center")
     radii = sorted(float(r) for r in radii)
     _check_radii(radii)
     flux = _flux_reader(u, center)[0]
@@ -255,7 +255,7 @@ def _geometric_tail(values):
 
 def residue_profiled(u, center):
     """Like :func:`residue`, returning (value, measured FluxProfile)."""
-    center = (float(center[0]), float(center[1]))
+    center = finite_point(center, "center")
     flux, floor, r, limit = _flux_reader(u, center)
     if r < floor:
         raise ValueError(f"no flux circle fits about {center}: the first radius "
@@ -295,8 +295,8 @@ def residue(u, center) -> float:
     The limit is the last flux (for callables, Richardson-extrapolated in
     r^2 from the last two). Failing that, the Aitken limit of a geometric
     tail is taken, else NonStabilizingFlux is raised (with the measured
-    profile). ValueError: the first radius is below the floor, or a
-    callable is not finite on a flux circle.
+    profile). ValueError: the center is not finite, the first radius is
+    below the floor, or a callable is not finite on a flux circle.
     """
     return residue_profiled(u, center)[0]
 

@@ -3,10 +3,11 @@
 Deliberately different algorithms from the package: direct lattice series,
 finite-difference stencils, and adaptive quadrature, so agreement between
 the two is evidence, not tautology. The model closed forms the tests check
-against live here too. The whole-array references at the end keep the
-arithmetic the solver's cache-blocked sweeps must reproduce bit for bit,
-and the spectral disk masses the concentration scan's direct sums must
-reproduce to a few ulps.
+against live here too, and so does the Green kernel's smooth remainder as
+a whole grid, which the package no longer stores. The whole-array
+references at the end keep the arithmetic the solver's cache-blocked
+sweeps must reproduce bit for bit, and the spectral disk masses the
+concentration scan's direct sums must reproduce to a few ulps.
 """
 
 import math
@@ -16,8 +17,9 @@ from scipy.integrate import quad
 
 from cmlab.continuation import ScanReport
 from cmlab.errors import CurvatureSignError
-from cmlab.green import _s4
-from cmlab.grids import TorusChart, bilinear_torus, irfft2, rfft2, torus_distance
+from cmlab.green import _R1, _R2, _psi, _s4, cutoff
+from cmlab.grids import (TorusChart, bilinear_torus, gauss_legendre, irfft2, poisson_mean_zero,
+                         rfft2, torus_distance)
 from cmlab.models import cap_profile
 from cmlab.solver import _CG_MAXITER, _CG_RTOL
 
@@ -47,6 +49,17 @@ def lattice_green(x: float, y: float) -> float:
         ratio = math.exp(a - b) * (1.0 + math.exp(-2.0 * a)) / (1.0 - math.exp(-2.0 * b))
         total += math.cos(TAU * k * fx) * ratio / (TAU * k)
     return total
+
+
+def green_remainder_grid(p, n: int) -> np.ndarray:
+    """The n x n grid of G_p's smooth remainder R = G + (1/2 pi) chi log d,
+    solved and mean-pinned as the kernel build does, and kept whole."""
+    x = TorusChart().nodes(n)
+    d = torus_distance(x[:, None], x[None, :], *p)
+    remainder = poisson_mean_zero(-1.0 - _psi(d))
+    remainder += (0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
+                  + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64))
+    return remainder
 
 
 def fd_neg_laplacian_periodic(values: np.ndarray) -> np.ndarray:

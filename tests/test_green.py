@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cmlab.grids import TAU, Field, TorusChart, sample, torus_distance
+from cmlab.grids import TAU, Field, TorusChart, bilinear_torus, sample, torus_distance
 from cmlab.green import green_kernel, green_torus, singular_part
 from cmlab.measures import Divisor, pairing
-from oracles import lattice_green
+from oracles import green_remainder_grid, lattice_green
 
 # independently computed convergent series value, G_0(1/2, 1/2)
 G_HALF_HALF = -0.055158900038163
@@ -100,6 +100,42 @@ def test_green_log_split_bounded_near_atom():
         raw.append(abs(g.eval(x, y)))
     assert max(abs(v) for v in vals) < 1.0  # remainder stays bounded
     assert raw[-1] > raw[0]  # while G itself grows
+
+
+def test_cached_kernel_holds_one_grid():
+    n = 64
+    g = green_kernel((0.3, 0.7), n)
+    arrays = [a for a in vars(g).values() if isinstance(a, np.ndarray)]
+    assert [(a.shape, a.dtype) for a in arrays] == [((n, n), np.float64)]
+
+
+@pytest.mark.parametrize("p, n", [
+    ((0.3, 0.7), 64),
+    ((0.0, 0.0), 64),  # an atom on a node: the clamped stand-in sample
+    ((0.999, 0.001), 32),  # the atom's core across both seams
+    ((0.5 + 0.3 / 128, 0.25 + 0.7 / 128), 128),
+])
+def test_remainder_at_matches_the_remainder_grid(p, n):
+    # R rebuilt from the samples at each corner read differs from the grid
+    # the build solved by round-off only: within 2 ulp of the largest |R| or
+    # |G| at the four corners (1.5 ulp is the largest seen)
+    g = green_kernel(p, n)
+    R = green_remainder_grid(p, n)
+    big = np.maximum(np.abs(R), np.abs(g.samples))
+    x = TorusChart().nodes(n)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    seam = np.array([0.0, -0.25 / n, 1.0 - 0.5 / n, 1.0 - 1e-9])
+    points = [(X, Y), (X + 0.5 / n, Y + 0.5 / n), (X + 0.3 / n, Y + 0.8 / n),
+              np.meshgrid(seam, x + 0.4 / n), np.meshgrid(x + 0.4 / n, seam),
+              (np.array([p[0]]), np.array([p[1]]))]
+    for xs, ys in points:
+        got = g.remainder_at(xs, ys)
+        want = bilinear_torus(R, xs, ys)
+        i = np.floor(np.asarray(xs) * n).astype(int) % n
+        j = np.floor(np.asarray(ys) * n).astype(int) % n
+        scale = np.maximum.reduce([big[i, j], big[(i + 1) % n, j],
+                                   big[i, (j + 1) % n], big[(i + 1) % n, (j + 1) % n]])
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(scale))
 
 
 def test_singular_part_assembles_weighted_greens():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cmlab.grids import (
+    _QUAD_NODES,
     TAU,
     DiskChart,
     Field,
@@ -278,14 +279,21 @@ def test_gauss_legendre_exact_on_polynomials(m):
 
 def test_gauss_legendre_uneven_edges_sum_their_panels():
     # radial_length's case: quarter-octave edges with grid-line breaks
-    # merged in; the panel terms are added in order, bit for bit
+    # merged in; the panel terms are added in order, bit for bit, and f is
+    # called on whole panels, as many as fit in _QUAD_NODES
     edges = np.union1d(np.linspace(-4.0, -1.0, 13), [-3.71, -2.5003, -1.02])
+    calls = []
 
     def f(t):
+        calls.append(t.size)
         return np.exp(1.5 * t) * np.cos(7.0 * t)
 
     whole = gauss_legendre(f, edges, 32)
+    per_call = _QUAD_NODES // 32 * 32
+    full, rest = divmod((len(edges) - 1) * 32, per_call)
+    assert calls == [per_call] * full + [rest] * (rest > 0)
     parts = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         parts += gauss_legendre(f, (lo, hi), 32)
     assert whole == parts
+    assert gauss_legendre(lambda t: 2.0, edges, 5) == pytest.approx(6.0, abs=1e-14)

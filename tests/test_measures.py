@@ -2,10 +2,12 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from cmlab.bubbles import rescale
 from cmlab.errors import NonStabilizingFlux
 from cmlab.grids import (
     TAU,
@@ -16,6 +18,7 @@ from cmlab.grids import (
     conformal_area,
     constant,
     integral,
+    interpolate,
     sample,
 )
 from cmlab.measures import (
@@ -106,6 +109,41 @@ _ANNULUS = LogPolarChart(0.05, 0.8)
 def test_chart_and_flux_inputs_outside_their_domain_are_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+_TORUS16 = constant(0.0, TorusChart(), 16)
+_DISK16 = constant(0.0, DiskChart(1.0), 16)
+_POLAR16 = constant(0.0, _ANNULUS, 16)
+
+
+@pytest.mark.parametrize("call, message", [
+    # interpolate returned nan with a RuntimeWarning from casting nan to int
+    (lambda: interpolate(_TORUS16, math.nan, 0.5), "interpolation point x is not finite"),
+    (lambda: interpolate(_TORUS16, 0.5, [0.1, math.inf]), "interpolation point y is not finite"),
+    (lambda: interpolate(_DISK16, [0.2, math.nan], 0.1), "interpolation point x is not finite"),
+    (lambda: interpolate(_DISK16, 0.1, -math.inf), "interpolation point y is not finite"),
+    (lambda: interpolate(_POLAR16, math.nan, 0.3), "interpolation point x is not finite"),
+    (lambda: interpolate(_POLAR16, 0.3, math.nan), "interpolation point y is not finite"),
+    (lambda: rescale(_TORUS16, (math.nan, 0.5), 0.1), "interpolation point x is not finite"),
+    # residue raised "no flux circle fits" at n = 16, a cast warning at n = 64
+    # and "profile is not finite on the circle of radius 0.125" for a callable
+    (lambda: residue(_TORUS16, (math.nan, 0.0)), "center = (nan, 0.0) is not a finite point"),
+    (lambda: residue(constant(0.0, TorusChart(), 64), (math.nan, 0.0)),
+     "center = (nan, 0.0) is not a finite point"),
+    (lambda: residue(cone_profile(-0.5), (math.nan, 0.0)),
+     "center = (nan, 0.0) is not a finite point"),
+    (lambda: residue_profiled(_DISK16, (0.0, math.inf)),
+     "center = (0.0, inf) is not a finite point"),
+    (lambda: residue_profiled(_POLAR16, (math.nan, 0.0)),
+     "center = (nan, 0.0) is not a finite point"),
+    (lambda: flux_profile(cone_profile(-0.5), (0.0, -math.inf), [0.1]),
+     "center = (0.0, -inf) is not a finite point"),
+])
+def test_non_finite_points_are_rejected_before_any_read(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_pairing_weak_identity_torus():
