@@ -84,17 +84,18 @@ class TorusGreen:
         return bilinear_torus(corners, *np.broadcast_arrays(x, y), n)
 
     def eval(self, x, y) -> np.ndarray:
-        """G_p off the grid: bilinear remainder + analytic cutoff log."""
-        d = torus_distance(x, y, *self.p)
-        d = np.maximum(d, 1e-300)
-        return self.remainder_at(x, y) - cutoff(d) * np.log(d) / TAU
+        """G_p off the grid: bilinear remainder (read first: it checks the
+        points) + analytic cutoff log."""
+        R = self.remainder_at(x, y)
+        d = np.maximum(torus_distance(x, y, *self.p), 1e-300)
+        return R - cutoff(d) * np.log(d) / TAU
 
 
-# 16 kernels hold 128 MiB at n = 1024, one 8 MiB grid each. A cold solve
-# nests from n >= 128, so an atom needs 3 keys at n >= 512 (1024, 256, 64)
-# and 2 at n = 128..256 (256, 64): the cache holds solves of up to 5 atoms
-# at n >= 512 and up to 8 at n = 128..256. With more atoms each repeated
-# solve or cold ladder stage rebuilds every kernel
+# 16 kernels hold 128 MiB at n = 1024, one 8 MiB grid each. A solve reads
+# one key per atom, its own grid's (its n/4 levels inject S): a 3-atom cone
+# solved twice at n = 1024 misses 3 times and hits 3, a 5-cusp n = 256
+# ladder (k_max = 10) misses 5 times and hits 45. Solves of up to 16 atoms
+# fit; with more, each repeated solve or ladder stage rebuilds every kernel
 @lru_cache(maxsize=16)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     x = TorusChart().nodes(n)

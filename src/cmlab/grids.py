@@ -254,18 +254,28 @@ def _gather(grid: np.ndarray):
     return lambda I, J: (grid[i, j] for i, j in zip(I, J))
 
 
+def _finite_points(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays; a ValueError naming the one that is not finite."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    for name, a in (("x", x), ("y", y)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"interpolation point {name} is not finite")
+    return x, y
+
+
 def bilinear_torus(grid, x, y, n: int | None = None) -> np.ndarray:
     """Periodic bilinear interpolation of torus samples at points (x, y).
 
     `grid` is the n-by-n array of samples, or a callable grid(I, J) that
     returns the samples at the four node-index pairs (I[k], J[k]); then n
-    is required.
+    is required. A non-finite x or y raises a ValueError naming it.
     """
+    x, y = _finite_points(x, y)
     if callable(grid):
         corners = grid
     else:
         corners, n = _gather(grid), grid.shape[0]
-    return _bilinear_periodic(corners, n, np.asarray(x) * n, np.asarray(y) * n)
+    return _bilinear_periodic(corners, n, x * n, y * n)
 
 
 def interpolate(field: Field, x, y) -> np.ndarray:
@@ -279,15 +289,11 @@ def interpolate(field: Field, x, y) -> np.ndarray:
     chart's edge are accepted, so every node can be read back. A
     non-finite x or y raises a ValueError naming it.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for name, a in (("x", x), ("y", y)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"interpolation point {name} is not finite")
     c = field.chart
     n = field.n
     if isinstance(c, TorusChart):
         return bilinear_torus(field.values, x, y)
+    x, y = _finite_points(x, y)
     top = n - 1 - 1e-12
     if isinstance(c, DiskChart):
         reach = c.radius * (1 + 1e-12)

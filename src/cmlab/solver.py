@@ -42,9 +42,9 @@ F. An inner product is the per-block np.multiply(a, b, out=tmp).sum()
 partials combined pairwise in a binary tree; at a power-of-two n numpy's
 pairwise sum splits the whole array at the same points, so every iterate,
 count and area is that of whole-array passes, bit for bit. The near-node
-test test_coarse_start_falls_back_when_the_coarse_grid_rejects_an_atom
-depends on it: that solve ends 8% under tol on F's round-off floor, and
-reductions in another order (einsum) tip it into NonConvergence.
+test test_coarse_start_nests_an_atom_the_coarse_on_node_test_refuses
+depends on it: its default-guess solve ends 8% under tol on F's round-off
+floor, and reductions in another order (einsum) tip it into NonConvergence.
 
 CG stops when its recurrence residual r has ||r||_2 <= max(1e-6 ||b||_2,
 tol/2), with b = -F and tol the Newton tolerance. After a full step d,
@@ -70,18 +70,18 @@ so a shift that follows the spike, such as sqrt(min W max W), mismatches
 the low modes where CG spends its iterations.
 
 A solve given no start on a grid n >= 128 begins from the same problem
-solved at n/4 (nested iteration), which nests in turn from n >= 512: the
-levels are 1024 -> 256 -> 64 and 512 -> 128 -> 32. The
-n/4 level runs the same start and Newton loop as the fine one, but no
-area quadrature and no Solution: only its final v is read. The solution
-is unique, so the start changes the cost, not the answer: at n = 1024 one
-cone takes 3 fine Newton steps and 10 CG iterations instead of 4 and 18,
-and at n = 256 3 and 11 instead of 4 and 18.
-The half spectrum of the coarse
-solution is zero-padded into the fine one, its Nyquist row and column
-dropped and its coefficients scaled by 16. When the coarse grid rejects an
-atom or the coarse Newton does not converge, the constant default guess
-is used instead.
+solved at n/4 (nested iteration; Brandt, Math. Comp. 31, 1977), which
+nests in turn from n >= 512: the levels are 1024 -> 256 -> 64 and
+512 -> 128 -> 32. The n/4 level is the fine operator injected (S, K and
+the forcing at every fourth node), so it builds no Green kernel; it runs
+the same start and Newton loop, but no area quadrature and no Solution:
+only its final v is read. The solution is unique, so the start changes
+the cost, not the answer: at n = 1024 one cone takes 3 fine Newton steps
+and 10 CG iterations instead of 4 and 18, and at n = 256 3 and 11 instead
+of 4 and 18. The half spectrum of the coarse solution is zero-padded into
+the fine one, its Nyquist row and column dropped and its coefficients
+scaled by 16. When the coarse Newton does not converge, the constant
+default guess is used instead.
 """
 
 from __future__ import annotations
@@ -357,21 +357,25 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
     return x, w, iters, capped
 
 
-def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
-    """Constant v balancing mean curvature: e^{2v} mean(|K| e^{2S}) = 2 pi |sum beta|;
+def _default_guess(op: _Operator) -> np.ndarray:
+    """Constant v with e^{2v} mean(|K| e^{2S}) = |const| = 2 pi |sum beta|;
     ValueError when |K| puts the mean or v out of double precision."""
-    n, K = split.n, spec.values(split.n)
-    if split.beta_sum == 0.0:
-        return Field(np.zeros((n, n)), TorusChart())
+    n, K = op.n, op.K
+    if op.const == 0.0:
+        return np.zeros((n, n))
     with np.errstate(over="ignore"):
-        mean = float((np.abs(K) * np.exp(2.0 * split.S.values)).mean())
-    c = (0.5 * math.log(TAU * abs(split.beta_sum) / mean)
-         if 0.0 < mean < math.inf else math.nan)
+        mean = float((np.abs(K) * np.exp(2.0 * op.S)).mean())
+    c = 0.5 * math.log(abs(op.const) / mean) if 0.0 < mean < math.inf else math.nan
     if not math.isfinite(c):
         what = "field" if isinstance(K, np.ndarray) else f"{K:g}"
         raise ValueError(f"curvature {what} is out of range for the default guess: "
                          f"mean(|K| e^(2S)) = {mean:g}")
-    return Field(np.full((n, n), c), TorusChart())
+    return np.full((n, n), c)
+
+
+def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
+    """The default start of the solve of `spec` on `split` (`_default_guess`)."""
+    return Field(_default_guess(_operator(spec, split)), TorusChart())
 
 
 def _residual_sweep(op: _Operator, v: np.ndarray, lv: np.ndarray, e2u: np.ndarray,
@@ -454,44 +458,32 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
     return v, e2u, norm, it, cg_total, cg_capped
 
 
-def _start(spec: CurvatureSpec, split: SingularSplit, v0: Field | None,
-           tol: float) -> np.ndarray:
-    """Half spectrum the Newton loop starts from: v0, else the n/4 solution
-    on a grid n >= 128, else (or when that falls back) the default guess."""
+def _start(op: _Operator, v0: Field | None, tol: float) -> np.ndarray:
+    """Half spectrum the Newton loop on `op` starts from: v0, else the n/4
+    solution on a grid n >= 128, else (or when that does not converge) the
+    default guess."""
     if v0 is not None:
         return rfft2(v0.values)
-    vhat = _coarse_start(spec, split, tol) if split.n >= _NESTED_MIN_N else None
-    return rfft2(default_initial_guess(spec, split).values) if vhat is None else vhat
+    vhat = _coarse_start(op, tol) if op.n >= _NESTED_MIN_N else None
+    return rfft2(_default_guess(op)) if vhat is None else vhat
 
 
-def _solve_level(spec: CurvatureSpec, split: SingularSplit, v0: Field | None,
-                 tol: float) -> tuple:
-    """Newton-CG on one grid from `_start`, with no input checks and no area.
-
-    Returns the operator followed by `_newton_loop`'s tuple.
-    """
-    op = _operator(spec, split)
-    return (op,) + _newton_loop(op, _start(spec, split, v0, tol), tol)
+def _inject(a: float | np.ndarray) -> float | np.ndarray:
+    """Every fourth node of a grid array, as a contiguous copy; a scalar as it is."""
+    return np.ascontiguousarray(a[::4, ::4]) if isinstance(a, np.ndarray) else a
 
 
-def _coarse_start(spec: CurvatureSpec, split: SingularSplit, tol: float):
+def _coarse_start(op: _Operator, tol: float) -> np.ndarray | None:
     """Half spectrum of the n/4 solution of v, zero-padded to n, or None
-    when the coarse grid rejects an atom or its Newton does not converge.
+    when the n/4 Newton loop does not converge. The n/4 operator is `op`
+    injected: S, K and rho at every fourth node, the constant as it is.
     The factor 16 = (n/m)^2 carries the unnormalized forward transform
     across grid sizes."""
-    n, m = split.n, split.n // 4
+    n, m = op.n, op.n // 4
+    coarse = _Operator(_inject(op.S), _inject(op.K), op.const, _inject(op.rho),
+                       half_laplacian_multiplier(m))
     try:
-        coarse = singular_part(split.divisor, m)
-    except ValueError:
-        return None
-
-    def inject(f):
-        return Field(f.values[::4, ::4], TorusChart()) if isinstance(f, Field) else f
-
-    # the injected problem passes newton_solve's checks whenever the fine one does
-    cspec = CurvatureSpec(inject(spec.curvature), inject(spec.forcing))
-    try:
-        chat = rfft2(_solve_level(cspec, coarse, None, tol)[1])
+        chat = rfft2(_newton_loop(coarse, _start(coarse, None, tol), tol)[0])
     except NonConvergence:
         return None
     chat *= 16.0
@@ -519,13 +511,11 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     is counted in `cg_capped`.
 
     With `v0` None, a grid n >= 128 starts from the same solve at n/4:
-    Field curvature and forcing are restricted by injection, and the half
-    spectrum of the coarse v is zero-padded to n (Nyquist row and column
-    dropped, scaled by 16). If `singular_part` rejects an atom at n/4 (an
-    atom 1e-8 to 4e-8 of a fine cell from a coarse node passes the fine
-    test but not the coarse one) or the coarse solve raises
-    NonConvergence, the start is `default_initial_guess`, which every other
-    grid uses too; any other coarse error propagates. `newton_iters`,
+    S, Field curvature and forcing are restricted by injection, and the
+    half spectrum of the coarse v is zero-padded to n (Nyquist row and
+    column dropped, scaled by 16). If the coarse solve raises
+    NonConvergence, the start is `default_initial_guess`, which every
+    other grid uses too; any other coarse error propagates. `newton_iters`,
     `cg_iters` and `cg_capped` count this grid's Newton loop only; the
     n/4 level's counts are not kept.
     """
@@ -547,7 +537,8 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     if v0 is not None and v0.n != split.n:
         raise ValueError("v0 grid does not match the singular part")
 
-    op, v, e2u, norm, it, cg_total, cg_capped = _solve_level(spec, split, v0, tol)
+    op = _operator(spec, split)
+    v, e2u, norm, it, cg_total, cg_capped = _newton_loop(op, _start(op, v0, tol), tol)
 
     v_field = Field(v, TorusChart())
     area, grid_area, rejected = metric_area(split, v_field, e2u)

@@ -9,12 +9,14 @@ import pytest
 
 from cmlab.bubbles import rescale
 from cmlab.errors import NonStabilizingFlux
+from cmlab.green import singular_part
 from cmlab.grids import (
     TAU,
     DiskChart,
     Field,
     LogPolarChart,
     TorusChart,
+    bilinear_torus,
     conformal_area,
     constant,
     integral,
@@ -114,6 +116,7 @@ def test_chart_and_flux_inputs_outside_their_domain_are_rejected(call, message):
 _TORUS16 = constant(0.0, TorusChart(), 16)
 _DISK16 = constant(0.0, DiskChart(1.0), 16)
 _POLAR16 = constant(0.0, _ANNULUS, 16)
+_SPLIT16 = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 16)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -125,6 +128,13 @@ _POLAR16 = constant(0.0, _ANNULUS, 16)
     (lambda: interpolate(_POLAR16, math.nan, 0.3), "interpolation point x is not finite"),
     (lambda: interpolate(_POLAR16, 0.3, math.nan), "interpolation point y is not finite"),
     (lambda: rescale(_TORUS16, (math.nan, 0.5), 0.1), "interpolation point x is not finite"),
+    # the off-grid readers of G, R and S warned on the cast and returned nan
+    (lambda: _SPLIT16.greens[0].eval(math.nan, 0.5), "interpolation point x is not finite"),
+    (lambda: _SPLIT16.greens[0].remainder_at(0.5, [0.2, math.inf]),
+     "interpolation point y is not finite"),
+    (lambda: _SPLIT16.smooth_rest(0, [0.1, -math.inf], 0.5),
+     "interpolation point x is not finite"),
+    (lambda: bilinear_torus(_TORUS16.values, 0.5, math.nan), "interpolation point y is not finite"),
     # residue raised "no flux circle fits" at n = 16, a cast warning at n = 64
     # and "profile is not finite on the circle of radius 0.125" for a callable
     (lambda: residue(_TORUS16, (math.nan, 0.0)), "center = (nan, 0.0) is not a finite point"),

@@ -515,46 +515,33 @@ def test_uniqueness_probe_rejects_no_trials():
             uniqueness_probe(CurvatureSpec(-1.0), split, trials=trials)
 
 
-def _solver_splits(monkeypatch):
-    """Grid sizes of the singular_part calls the solver makes from now on."""
-    calls = []
-    real = cmlab.solver.singular_part
+def _newton_loops(monkeypatch, fail_at=None):
+    """Operators of the Newton loops the solver runs from now on, one per
+    level, in the order the loops start: a level's n/4 loop, which builds
+    its start, before its own. A loop on grid `fail_at` raises
+    NonConvergence."""
+    ops = []
+    real = cmlab.solver._newton_loop
 
-    def counted(div, n):
-        calls.append(n)
-        return real(div, n)
-
-    monkeypatch.setattr(cmlab.solver, "singular_part", counted)
-    return calls
-
-
-def _inner_solves(monkeypatch, fail_at=None):
-    """Grid sizes of the level solves the solver makes from now on, the
-    fine level of each newton_solve included; a level on grid `fail_at`
-    raises NonConvergence."""
-    calls = []
-    real = cmlab.solver._solve_level
-
-    def counted(spec, split, *args, **kwargs):
-        calls.append(split.n)
-        if split.n == fail_at:
+    def counted(op, vhat, tol):
+        ops.append(op)
+        if op.n == fail_at:
             raise NonConvergence("injected")
-        return real(spec, split, *args, **kwargs)
+        return real(op, vhat, tol)
 
-    monkeypatch.setattr(cmlab.solver, "_solve_level", counted)
-    return calls
+    monkeypatch.setattr(cmlab.solver, "_newton_loop", counted)
+    return ops
 
 
 def test_coarse_start_gives_the_default_start_answer(monkeypatch):
-    calls = _solver_splits(monkeypatch)
-    solves = _inner_solves(monkeypatch)
+    ops = _newton_loops(monkeypatch)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
     spec = CurvatureSpec(-1.0)
     nested = newton_solve(spec, split)
     plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
-    # only the default start solves on the n/4 grid, which nests again
-    assert calls == [128, 32]
-    assert solves == [512, 128, 32, 512]  # by one level solve each
+    # only the default start solves on the n/4 grid, which nests again, by
+    # one Newton loop per level
+    assert [op.n for op in ops] == [32, 128, 512, 512]
     assert float(np.abs(nested.v.values - plain.v.values).max()) <= 1e-12
     assert nested.area == pytest.approx(plain.area, rel=1e-14)
     assert nested.newton_iters <= plain.newton_iters
@@ -569,16 +556,17 @@ def test_coarse_start_pads_the_coarse_spectrum(monkeypatch):
     # column on; a start that changes only the cost passes every other test
     n, h = 128, 16
     levels = []
-    real = cmlab.solver._solve_level
+    real = cmlab.solver._newton_loop
 
     def kept(*args):
         out = real(*args)
-        levels.append(out[1])
+        levels.append(out[0])
         return out
 
-    monkeypatch.setattr(cmlab.solver, "_solve_level", kept)
+    monkeypatch.setattr(cmlab.solver, "_newton_loop", kept)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
-    vhat = cmlab.solver._coarse_start(CurvatureSpec(-1.0), split, 1e-10)
+    op = cmlab.solver._operator(CurvatureSpec(-1.0), split)
+    vhat = cmlab.solver._coarse_start(op, 1e-10)
     chat = 16.0 * rfft2(levels[0])
     assert vhat.shape == (n, n // 2 + 1) and chat.shape == (2 * h, h + 1)
     np.testing.assert_array_equal(vhat[:h, :h], chat[:h, :h])
@@ -602,42 +590,58 @@ def test_coarse_start_builds_no_coarse_solution(monkeypatch):
     assert calls == [512]
 
 
-def test_coarse_start_falls_back_when_the_coarse_grid_rejects_an_atom(monkeypatch):
+def test_coarse_start_builds_only_the_fine_kernels():
+    # the n/4 levels inject the fine S, so a cold solve builds one kernel
+    # per atom, on its own grid, and none on the n/4 or n/16 grid
+    before = _green_cached.cache_info()
+    sol = solve_divisor(((0.3141, 0.5926),), (-0.5,), n=512)
+    assert sol.residual_norm <= 1e-10
+    assert _green_cached.cache_info().misses - before.misses == 1
+
+
+def test_coarse_start_nests_an_atom_the_coarse_on_node_test_refuses(monkeypatch):
     # 2e-8 of a fine cell off a node passes the n = 512 on-node test (1e-8),
     # but it is 5e-9 of a cell at n = 128, where singular_part refuses it.
-    # This solve also sits on F's round-off floor: W reaches 2.4e5 at that
-    # node, where -Delta v and K e^{2u} nearly cancel, and it ends at 9.24e-11
-    # against tol = 1e-10 (5 Newton steps, 24 CG), a margin of 8%. Any change
-    # to CG's rounding can tip it into NonConvergence (reductions through
-    # einsum end at 1.11e-10), so it is a sentinel for that arithmetic: a
-    # failure here means CG's rounding moved, not that the test is too strict
+    # The n/4 level injects the fine S, so the solve nests all the same.
+    # This atom sits on F's round-off floor: W reaches 2.4e5 at that node,
+    # where -Delta v and K e^{2u} nearly cancel. The default-guess solve
+    # ends at 9.24e-11 against tol = 1e-10 (5 Newton steps, 24 CG), a margin
+    # of 8%, and the nested one at 8.22e-11 (6 and 26). Any change to CG's
+    # rounding can tip either into NonConvergence (reductions through
+    # einsum end the default-guess solve at 1.11e-10), so it is a sentinel
+    # for that arithmetic: a failure here means CG's rounding moved, not
+    # that the test is too strict
     n = 512
     div = Divisor(((128 / n + 2e-8 / n, 0.75),), (-0.5,))
     split = singular_part(div, n)
     with pytest.raises(ValueError):
         singular_part(div, n // 4)
-    calls = _solver_splits(monkeypatch)
+    ops = _newton_loops(monkeypatch)
     spec = CurvatureSpec(-1.0)
-    sol = newton_solve(spec, split)
     plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
-    assert calls == [128]
-    assert (sol.newton_iters, sol.cg_iters) == (plain.newton_iters, plain.cg_iters)
-    np.testing.assert_array_equal(sol.v.values, plain.v.values)
+    assert (plain.newton_iters, plain.cg_iters) == (5, 24)
+    assert plain.residual_norm == pytest.approx(9.24e-11, rel=1e-3)
+    sol = newton_solve(spec, split)
+    assert [op.n for op in ops] == [512, 32, 128, 512]
+    assert (sol.newton_iters, sol.cg_iters) == (6, 26)
+    assert sol.residual_norm == pytest.approx(8.22e-11, rel=1e-3)
+    assert float(np.abs(sol.v.values - plain.v.values).max()) <= 1e-12
+    assert sol.area == pytest.approx(plain.area, rel=1e-14)
 
 
 def test_coarse_start_falls_back_when_the_coarse_newton_does_not_converge(monkeypatch):
-    solves = _inner_solves(monkeypatch, fail_at=128)
+    ops = _newton_loops(monkeypatch, fail_at=128)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
     spec = CurvatureSpec(-1.0)
     sol = newton_solve(spec, split)
     plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
-    assert solves == [512, 128, 512]
+    assert [op.n for op in ops] == [32, 128, 512, 512]
     assert (sol.newton_iters, sol.cg_iters) == (plain.newton_iters, plain.cg_iters)
     np.testing.assert_array_equal(sol.v.values, plain.v.values)
 
 
 def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
-    # Field curvature and forcing reach the n/4 grid by injection
+    # S, Field curvature and forcing reach the n/4 grid by injection
     n = 512
     k = sample(lambda x, y: -1.0 - 0.5 * np.cos(TAU * x) * np.sin(TAU * y),
                TorusChart(), n)
@@ -645,14 +649,24 @@ def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
     v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y),
                      TorusChart(), n)
     spec = CurvatureSpec(k, forcing=residual(v_exact, CurvatureSpec(k), split))
-    calls = _solver_splits(monkeypatch)
+    ops = _newton_loops(monkeypatch)
     sol = newton_solve(spec, split)
-    assert calls == [128, 32]
+    assert [op.n for op in ops] == [32, 128, 512]
+    fine = ops[-1]
+    for level, step in zip(ops, (16, 4)):
+        for name in ("S", "K", "rho"):
+            np.testing.assert_array_equal(getattr(level, name),
+                                          getattr(fine, name)[::step, ::step])
+        assert level.const == fine.const
     assert sol.residual_norm <= 1e-10
     # the coarse solve of the injected problem starts inside the fine
     # quadratic basin (1 step measured); a transposed or shifted injection
     # measured 5 and 3 steps, the default guess 6
     assert sol.newton_iters <= 2
+    # the n/4 problem is the fine one restricted, so v_exact solves it too
+    # and the fine level starts next to it: 3 CG and 5.0e-16 measured
+    assert sol.cg_iters <= 4
+    assert float(np.abs(sol.v.values - v_exact.values).max()) <= 1e-14
     plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
     assert sol.area == pytest.approx(plain.area, rel=1e-12)
 
@@ -660,7 +674,7 @@ def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
 def test_uniqueness_probe_keeps_fine_starts(monkeypatch):
     # random starts must begin on the fine grid, or the probe tests less
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
-    calls = _solver_splits(monkeypatch)
+    ops = _newton_loops(monkeypatch)
     rep = uniqueness_probe(CurvatureSpec(-1.0), split, trials=2, seed=3)
-    assert calls == []
+    assert [op.n for op in ops] == [512, 512]
     assert rep.max_pairwise < 1e-8
