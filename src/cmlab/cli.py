@@ -20,7 +20,7 @@ from pathlib import Path
 from .bubbles import area_identity_check, load_fixture, neck_area_profile, three_circle_check
 from .continuation import check_scan, cusp_schedule, no_bubble_scan, run_continuation
 from .errors import CmlabError, ConfigError
-from .grids import Field, TorusChart
+from .grids import MIN_N, Field, TorusChart
 from .io import emit_plot_data, ini_value, read_ini, read_report, write_field, write_report
 from .measures import Divisor, euler_characteristic
 from .models import LinearCylinder
@@ -44,8 +44,8 @@ class RunConfig:
     report_path: str | None
 
     def __post_init__(self):
-        if self.n < 8 or self.n & (self.n - 1):
-            raise ConfigError(f"grid resolution {self.n} is not a power of two >= 8")
+        if self.n < MIN_N or self.n & (self.n - 1):
+            raise ConfigError(f"grid resolution {self.n} is not a power of two >= {MIN_N}")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
         if self.seed < 0:
@@ -130,7 +130,7 @@ def _cmd_solve(cfg: RunConfig):
         raise ConfigError(f"uniqueness_trials = {trials} is negative; 0 means no probe")
     sol, report = _solved(cfg)
     report.update(_report_fields(sol, "split", "spec", "v", "grid_area"),
-                  chi=euler_characteristic("torus", sol.split.divisor))
+                  chi=euler_characteristic(sol.split.divisor))
     if trials > 0:
         probe = uniqueness_probe(sol.spec, sol.split, trials, seed=cfg.seed, tol=cfg.tol)
         report["uniqueness"] = dict(_report_fields(probe, "max_pairwise"),

@@ -9,10 +9,9 @@ cubic in chi through the four stages before it (fewer while fewer are
 solved; Allgower & Georg, Numerical Continuation Methods, 1990). On the
 n = 256 one-cusp ladder of ten stages this takes 130 CG iterations where
 the secant through two stages took 172. The first two stages start cold,
-from the solver's own start: the n/4 solve at n >= 128, where stage 1
-alone is a worse start for stage 2 (26 CG iterations against 17), and
-the default guess below it, where stage 1 would be a slightly better one
-(24 against 25 at n = 64). A stage at
+from the solver's own start, the nested n/4 solve; stage 1 alone is a
+worse start for stage 2 (26 CG iterations against 17 at n = 256, 24
+against 18 at n = 64, where the default guess takes 25). A stage at
 the last stage's chi starts from that stage. Stage areas converge
 geometrically for constant curvature, and the limit is reported as the
 final-stage field plus a Richardson extrapolation of the areas.
@@ -136,7 +135,7 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
     A StageFailure carries the reports of the stages completed before it.
     """
     check_scan((scan_radius,))
-    chi_target = euler_characteristic("torus", sched.target)
+    chi_target = euler_characteristic(sched.target)
     if chi_target >= 0.0:
         raise InfeasibleTopology(
             f"chi(torus, target beta) = {chi_target:g} >= 0: no continuation target")
@@ -145,7 +144,7 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
     sol = None
     for k, step in enumerate(sched.steps, start=1):
         div_k = Divisor(sched.target.points, step.betas)
-        chi_k = euler_characteristic("torus", div_k)
+        chi_k = euler_characteristic(div_k)
         split = singular_part(div_k, n)
         try:
             sol = newton_solve(CurvatureSpec(step.curvature), split,

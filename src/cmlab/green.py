@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import (TAU, Field, TorusChart, bilinear_torus, finite_point, gauss_legendre,
-                    poisson_mean_zero, torus_distance)
+from .grids import (TAU, Field, TorusChart, _finite_points, bilinear_torus, finite_point,
+                    gauss_legendre, poisson_mean_zero, torus_distance)
 from .measures import Divisor
 
 _R1 = 0.125
@@ -148,10 +148,12 @@ class SingularSplit:
 
         Assembled from the kernels' remainders so that no large logs
         cancel: the i-th atom contributes beta_i (chi(d) - 1) log d, which
-        vanishes identically inside the cutoff core.
+        vanishes identically inside the cutoff core. A non-finite x or y
+        raises a ValueError naming it, with or without atoms.
         """
+        x, y = _finite_points(x, y)
         betas = self.divisor.betas
-        out = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+        out = np.zeros(np.broadcast(x, y).shape)
         for j, g in enumerate(self.greens):
             out -= TAU * betas[j] * g.remainder_at(x, y)
             d = np.maximum(torus_distance(x, y, *g.p), 1e-300)

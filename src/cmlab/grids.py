@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 TAU = 2.0 * math.pi
+MIN_N = 8  # the smallest grid: a Field's n is a power of two >= MIN_N
 
 
 def rfft2(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -129,7 +130,7 @@ def parse_descriptor(line: str) -> Chart:
 
 @dataclass
 class Field:
-    """n-by-n scalar samples on a chart; n >= 8 and a power of two."""
+    """n-by-n scalar samples on a chart; n >= MIN_N and a power of two."""
 
     values: np.ndarray
     chart: Chart
@@ -139,8 +140,8 @@ class Field:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("Field values must be a square 2-D array")
         n = v.shape[0]
-        if n < 8 or n & (n - 1):
-            raise ValueError(f"grid resolution must be a power of two >= 8, got {n}")
+        if n < MIN_N or n & (n - 1):
+            raise ValueError(f"grid resolution must be a power of two >= {MIN_N}, got {n}")
         if not np.all(np.isfinite(v)):
             raise ValueError("Field values must be finite")
         self.values = v

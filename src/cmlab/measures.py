@@ -74,12 +74,10 @@ def _mod1(x) -> float:
     return 0.0 if r == 1.0 else r  # a tiny negative x rounds up to 1.0
 
 
-def euler_characteristic(surface: str, div: Divisor) -> float:
-    """chi of the pair: chi(surface) + sum of the divisor weights."""
-    base = {"torus": 0.0, "sphere": 2.0}
-    if surface not in base:
-        raise ValueError(f"unknown surface {surface!r}; expected torus or sphere")
-    return base[surface] + div.beta_sum
+def euler_characteristic(div: Divisor) -> float:
+    """chi of the torus with the divisor: chi(torus) = 0 plus the sum of
+    the weights."""
+    return div.beta_sum
 
 
 @dataclass(frozen=True)

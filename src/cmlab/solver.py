@@ -58,7 +58,8 @@ measured; only where F's round-off floor nears tol (an atom within about
 1e-3 of a cell of a node) can it cost a Newton step. It binds on the
 last step, whose right-hand side is already near tol: at
 n = 1024 the fine level's third step takes 1 CG iteration instead of 5,
-and the fine level makes 22 transforms (25 more at n/4 and 38 at n/16).
+and the fine level makes 22 transforms (25 more at n/4, 25 at n/16 and
+36 at n/64).
 
 The preconditioner is the spectral inverse (-Delta + c)^-1 with the shift
 c = mean(W). -Delta does not see the constant mode, and mean(W) is the
@@ -69,19 +70,21 @@ topological constant 4 pi |chi|. W = -2K e^{2u} spikes at the atoms (up to
 so a shift that follows the spike, such as sqrt(min W max W), mismatches
 the low modes where CG spends its iterations.
 
-A solve given no start on a grid n >= 128 begins from the same problem
-solved at n/4 (nested iteration; Brandt, Math. Comp. 31, 1977), which
-nests in turn from n >= 512: the levels are 1024 -> 256 -> 64 and
-512 -> 128 -> 32. The n/4 level is the fine operator injected (S, K and
-the forcing at every fourth node), so it builds no Green kernel; it runs
-the same start and Newton loop, but no area quadrature and no Solution:
-only its final v is read. The solution is unique, so the start changes
-the cost, not the answer: at n = 1024 one cone takes 3 fine Newton steps
-and 10 CG iterations instead of 4 and 18, and at n = 256 3 and 11 instead
-of 4 and 18. The half spectrum of the coarse solution is zero-padded into
-the fine one, its Nyquist row and column dropped and its coefficients
-scaled by 16. When the coarse Newton does not converge, the constant
-default guess is used instead.
+Every solve given no start nests while n/4 is a grid (n/4 >= MIN_N): it
+begins from the same problem solved at n/4 (nested iteration; Brandt,
+Math. Comp. 31, 1977), which starts the same way. The levels are
+1024 -> 256 -> 64 -> 16 and 512 -> 128 -> 32 -> 8, and only the last, an
+8- or 16-point grid, starts from the constant default guess. The n/4
+level is the fine operator injected (S, K and the forcing at every fourth
+node), so it builds no Green kernel; it runs the same start and Newton
+loop, but no area quadrature and no Solution: only its final v is read.
+The solution is unique, so the start changes the cost, not the answer:
+one cone takes 3 fine Newton steps and 10 CG iterations at n = 1024
+instead of 4 and 18 from the default guess, 3 and 11 at n = 256 instead
+of 4 and 18, and 3 and 11 at n = 64 instead of 4 and 17. The half
+spectrum of the coarse solution is zero-padded into the fine one, its
+Nyquist row and column dropped and its coefficients scaled by 16. When
+the coarse Newton does not converge, the default guess is used instead.
 """
 
 from __future__ import annotations
@@ -94,16 +97,15 @@ import numpy as np
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
 from .green import SingularSplit, _s4, singular_part
-from .grids import (TAU, Field, TorusChart, circle_points, finite_point, gauss_legendre,
-                    half_laplacian_multiplier, interpolate, irfft2, neg_laplacian, rfft2,
-                    torus_distance)
+from .grids import (MIN_N, TAU, Field, TorusChart, circle_points, finite_point,
+                    gauss_legendre, half_laplacian_multiplier, interpolate, irfft2,
+                    neg_laplacian, rfft2, torus_distance)
 from .measures import Divisor, euler_characteristic
 
 _EXP_LIMIT = 350.0
 _MAX_NEWTON = 60
 _CG_RTOL = 1e-6
 _CG_MAXITER = 2000
-_NESTED_MIN_N = 128  # default starts from an n/4 solve at and above this grid
 _BLOCK = 2 ** 15  # elements per sweep block: 256 KiB of float64, about one L2
 
 
@@ -373,11 +375,6 @@ def _default_guess(op: _Operator) -> np.ndarray:
     return np.full((n, n), c)
 
 
-def default_initial_guess(spec: CurvatureSpec, split: SingularSplit) -> Field:
-    """The default start of the solve of `spec` on `split` (`_default_guess`)."""
-    return Field(_default_guess(_operator(spec, split)), TorusChart())
-
-
 def _residual_sweep(op: _Operator, v: np.ndarray, lv: np.ndarray, e2u: np.ndarray,
                     F: np.ndarray, tmp: np.ndarray, trial: tuple | None = None) -> tuple:
     """Write e^{2(S+v)} and F into e2u and F, one row block at a time, and
@@ -460,11 +457,11 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
 
 def _start(op: _Operator, v0: Field | None, tol: float) -> np.ndarray:
     """Half spectrum the Newton loop on `op` starts from: v0, else the n/4
-    solution on a grid n >= 128, else (or when that does not converge) the
-    default guess."""
+    solution while n/4 is a grid, else (or when that does not converge)
+    the default guess."""
     if v0 is not None:
         return rfft2(v0.values)
-    vhat = _coarse_start(op, tol) if op.n >= _NESTED_MIN_N else None
+    vhat = _coarse_start(op, tol) if op.n // 4 >= MIN_N else None
     return rfft2(_default_guess(op)) if vhat is None else vhat
 
 
@@ -510,17 +507,18 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     An inner solve that reaches 2000 iterations keeps its last iterate and
     is counted in `cg_capped`.
 
-    With `v0` None, a grid n >= 128 starts from the same solve at n/4:
-    S, Field curvature and forcing are restricted by injection, and the
-    half spectrum of the coarse v is zero-padded to n (Nyquist row and
-    column dropped, scaled by 16). If the coarse solve raises
-    NonConvergence, the start is `default_initial_guess`, which every
-    other grid uses too; any other coarse error propagates. `newton_iters`,
-    `cg_iters` and `cg_capped` count this grid's Newton loop only; the
-    n/4 level's counts are not kept.
+    With `v0` None, every solve nests while n/4 is a grid: it starts from
+    the same solve at n/4, itself started the same way. S, Field curvature
+    and forcing are restricted by injection, and the half spectrum of the
+    coarse v is zero-padded to n (Nyquist row and column dropped, scaled by
+    16). The smallest level (n = 8 or 16), and any level whose coarse solve
+    raises NonConvergence, starts from the constant default guess; any
+    other coarse error propagates. `newton_iters`, `cg_iters` and
+    `cg_capped` count this grid's Newton loop only; the coarser levels'
+    counts are not kept.
     """
     div = split.divisor
-    chi = euler_characteristic("torus", div)
+    chi = euler_characteristic(div)
     if spec.forcing is None and chi >= 0.0:
         raise InfeasibleTopology(
             f"chi(torus, beta) = {chi:g} >= 0: the equation with K < 0 "

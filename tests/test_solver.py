@@ -6,18 +6,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cmlab.solver
-from cmlab.continuation import check_curvature_bounds
+from cmlab.continuation import check_curvature_bounds, cusp_schedule, run_continuation
 from cmlab.errors import InfeasibleTopology, NonConvergence, ResidualOverflow
-from cmlab.grids import TAU, Field, TorusChart, constant, neg_laplacian, rfft2, sample
+from cmlab.grids import (MIN_N, TAU, Field, TorusChart, constant, neg_laplacian, rfft2,
+                         sample)
 from cmlab.green import _green_cached, green_kernel, singular_part
 from cmlab.measures import Divisor, residue
 from cmlab.models import cusp_profile
 from cmlab.solver import (
     CurvatureSpec,
-    default_initial_guess,
     jacobian_apply,
     metric_area,
     newton_solve,
@@ -305,6 +305,12 @@ def test_block_partials_sum_to_the_whole_array_bits(n):
     assert cmlab.solver._tree_sum(parts) == float(np.multiply(a, b).sum())
 
 
+def _default_start(spec, split):
+    """The un-nested start: the constant default guess on the solve's grid."""
+    return Field(cmlab.solver._default_guess(cmlab.solver._operator(spec, split)),
+                 TorusChart())
+
+
 def _complex_neg_laplacian(values):
     """-Delta by full complex numpy.fft transforms (independent of the package)."""
     n = values.shape[0]
@@ -337,11 +343,13 @@ def test_operator_matches_complex_fft_reference(n):
 
 
 def test_newton_cg_transform_count(monkeypatch):
-    # one rfft2 of the default guess, two for the start's v and -Delta v, and
-    # two half-size transforms per CG iteration (rfft2(r) and irfft2(z^);
+    # given its start, one rfft2 of it, two for the start's v and -Delta v,
+    # and two half-size transforms per CG iteration (rfft2(r) and irfft2(z^);
     # -Delta p comes from the preconditioner solve); Armijo trials and CG
     # exits make none
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
+    spec = CurvatureSpec(-1.0)
+    v0 = _default_start(spec, split)
     calls = {"n": 0}
 
     def counted(fn):
@@ -352,7 +360,7 @@ def test_newton_cg_transform_count(monkeypatch):
 
     monkeypatch.setattr(cmlab.solver, "rfft2", counted(cmlab.solver.rfft2))
     monkeypatch.setattr(cmlab.solver, "irfft2", counted(cmlab.solver.irfft2))
-    sol = newton_solve(CurvatureSpec(-1.0), split)
+    sol = newton_solve(spec, split, v0=v0)
     assert sol.residual_norm < 1e-10
     assert sol.cg_iters > 0
     assert calls["n"] == 2 * sol.cg_iters + 3
@@ -457,6 +465,44 @@ def test_whole_cell_shift_rolls_the_solution(i, j):
     assert abs(sol.area - base.area) <= 1e-12
 
 
+_SYM_N = 64
+_CELL = st.integers(0, _SYM_N - 1)
+_INSIDE = st.floats(0.1, 0.9)  # of a cell: off every node, and off-node at n/4
+_SYM_BETA = st.floats(-0.9, -0.1)
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(cells=st.tuples(_CELL, _CELL, _CELL, _CELL),
+       inside=st.tuples(_INSIDE, _INSIDE, _INSIDE, _INSIDE),
+       betas=st.tuples(_SYM_BETA, _SYM_BETA))
+def test_square_symmetries_commute_with_the_solve(cells, inside, betas):
+    # the swap x <-> y and the reflection x -> -x map nodes to nodes (and
+    # every fourth node to every fourth node, so the n/4 levels too): the
+    # solve of the mapped divisor is the mapped solve, up to round-off
+    # (measured on these examples: v to 1.1e-15, areas to 2.2e-16, equal
+    # counts). An S built off its atoms, such as kernels at p + (0.5/n, 0),
+    # breaks both (sup |dv| 6e-2 and more)
+    n = _SYM_N
+    i0, j0, i1, j1 = cells
+    assume((i0, j0) != (i1, j1))
+    atoms = tuple(((i + a) / n, (j + b) / n)
+                  for (i, j), (a, b) in zip(((i0, j0), (i1, j1)),
+                                            (inside[:2], inside[2:])))
+    base = solve_divisor(atoms, betas, n=n)
+    v = base.v.values
+    images = (
+        (tuple((y, x) for x, y in atoms), v.T),
+        (tuple(((-x) % 1.0, y) for x, y in atoms), np.roll(v[::-1], 1, axis=0)),
+    )
+    for mapped, v_image in images:
+        sol = solve_divisor(mapped, betas, n=n)
+        assert float(np.abs(sol.v.values - v_image).max()) <= 1e-13
+        assert sol.area == pytest.approx(base.area, rel=1e-14)
+        assert sol.grid_area == pytest.approx(base.grid_area, rel=1e-14)
+        assert ((sol.newton_iters, sol.cg_iters)
+                == (base.newton_iters, base.cg_iters))
+
+
 def test_cg_capped_is_counted(monkeypatch):
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 32)
     assert newton_solve(CurvatureSpec(-1.0), split).cg_capped == 0
@@ -503,7 +549,7 @@ def test_atom_free_forced_solve_starts_from_zero():
     v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y),
                      TorusChart(), n)
     spec = CurvatureSpec(-1.0, forcing=residual(v_exact, CurvatureSpec(-1.0), split))
-    assert not default_initial_guess(spec, split).values.any()
+    assert not _default_start(spec, split).values.any()
     sol = newton_solve(spec, split, tol=1e-12)
     assert float(np.abs(sol.v.values - v_exact.values).max()) < 1e-8
 
@@ -515,11 +561,12 @@ def test_uniqueness_probe_rejects_no_trials():
             uniqueness_probe(CurvatureSpec(-1.0), split, trials=trials)
 
 
-def _newton_loops(monkeypatch, fail_at=None):
+def _newton_loops(monkeypatch, fail_at=None, counts=None):
     """Operators of the Newton loops the solver runs from now on, one per
     level, in the order the loops start: a level's n/4 loop, which builds
     its start, before its own. A loop on grid `fail_at` raises
-    NonConvergence."""
+    NonConvergence. Each loop that returns appends (grid, Newton steps, CG
+    iterations) to the list `counts`, when one is given."""
     ops = []
     real = cmlab.solver._newton_loop
 
@@ -527,10 +574,51 @@ def _newton_loops(monkeypatch, fail_at=None):
         ops.append(op)
         if op.n == fail_at:
             raise NonConvergence("injected")
-        return real(op, vhat, tol)
+        out = real(op, vhat, tol)
+        if counts is not None:
+            counts.append((op.n, out[3], out[4]))
+        return out
 
     monkeypatch.setattr(cmlab.solver, "_newton_loop", counted)
     return ops
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+def test_cold_start_nests_while_n_over_4_is_a_grid(monkeypatch, n):
+    # one rule, no tuned threshold: the levels run down to the smallest
+    # grid a Field allows, and only that level starts from the default guess
+    levels = [n]
+    while levels[0] // 4 >= MIN_N:
+        levels.insert(0, levels[0] // 4)
+    ops = _newton_loops(monkeypatch)
+    sol = solve_divisor(((0.3, 0.7),), (-0.5,), n=n)
+    assert sol.residual_norm <= 1e-10
+    assert [op.n for op in ops] == levels
+
+
+def test_per_level_counts_of_the_benchmark_divisors(monkeypatch):
+    # (grid, Newton steps, CG iterations) of every Newton loop of the
+    # fine-solve cone and the two cusp-ladder ladders (seed 0), solved at
+    # n = 256: the cold solves nest 256 -> 64 -> 16, and ladder stages 3-10
+    # start from the cubic in chi. A change that moves a count on purpose
+    # updates these lists and says so
+    counts = []
+    _newton_loops(monkeypatch, counts=counts)
+    solve_divisor(((0.3, 0.7),), (-0.5,), n=256)
+    assert counts == [(16, 4, 16), (64, 3, 11), (256, 3, 11)]
+    counts.clear()
+    run_continuation(cusp_schedule(Divisor(((0.3, 0.7),), (-1.0,)), k_max=10), n=256)
+    assert counts == [(16, 4, 16), (64, 3, 11), (256, 3, 11),
+                      (16, 4, 22), (64, 4, 18), (256, 4, 17),
+                      (256, 4, 24), (256, 3, 19), (256, 3, 15), (256, 2, 12),
+                      (256, 2, 10), (256, 2, 9), (256, 2, 7), (256, 1, 6)]
+    counts.clear()
+    run_continuation(cusp_schedule(Divisor(((0.3, 0.7), (0.7, 0.3)), (-1.0, -1.0)),
+                                   k_max=10), n=256)
+    assert counts == [(16, 4, 17), (64, 3, 13), (256, 3, 13),
+                      (16, 4, 23), (64, 4, 20), (256, 3, 18),
+                      (256, 4, 24), (256, 3, 21), (256, 3, 15), (256, 2, 13),
+                      (256, 2, 12), (256, 2, 9), (256, 1, 7), (256, 1, 7)]
 
 
 def test_coarse_start_gives_the_default_start_answer(monkeypatch):
@@ -538,10 +626,10 @@ def test_coarse_start_gives_the_default_start_answer(monkeypatch):
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
     spec = CurvatureSpec(-1.0)
     nested = newton_solve(spec, split)
-    plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
-    # only the default start solves on the n/4 grid, which nests again, by
-    # one Newton loop per level
-    assert [op.n for op in ops] == [32, 128, 512, 512]
+    plain = newton_solve(spec, split, v0=_default_start(spec, split))
+    # only the cold start solves on the n/4 grids, down to n = 8, by one
+    # Newton loop per level
+    assert [op.n for op in ops] == [8, 32, 128, 512, 512]
     assert float(np.abs(nested.v.values - plain.v.values).max()) <= 1e-12
     assert nested.area == pytest.approx(plain.area, rel=1e-14)
     assert nested.newton_iters <= plain.newton_iters
@@ -567,7 +655,7 @@ def test_coarse_start_pads_the_coarse_spectrum(monkeypatch):
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
     op = cmlab.solver._operator(CurvatureSpec(-1.0), split)
     vhat = cmlab.solver._coarse_start(op, 1e-10)
-    chat = 16.0 * rfft2(levels[0])
+    chat = 16.0 * rfft2(levels[-1])
     assert vhat.shape == (n, n // 2 + 1) and chat.shape == (2 * h, h + 1)
     np.testing.assert_array_equal(vhat[:h, :h], chat[:h, :h])
     np.testing.assert_array_equal(vhat[n - h + 1:, :h], chat[h + 1:, :h])
@@ -618,11 +706,11 @@ def test_coarse_start_nests_an_atom_the_coarse_on_node_test_refuses(monkeypatch)
         singular_part(div, n // 4)
     ops = _newton_loops(monkeypatch)
     spec = CurvatureSpec(-1.0)
-    plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
+    plain = newton_solve(spec, split, v0=_default_start(spec, split))
     assert (plain.newton_iters, plain.cg_iters) == (5, 24)
     assert plain.residual_norm == pytest.approx(9.24e-11, rel=1e-3)
     sol = newton_solve(spec, split)
-    assert [op.n for op in ops] == [512, 32, 128, 512]
+    assert [op.n for op in ops] == [512, 8, 32, 128, 512]
     assert (sol.newton_iters, sol.cg_iters) == (6, 26)
     assert sol.residual_norm == pytest.approx(8.22e-11, rel=1e-3)
     assert float(np.abs(sol.v.values - plain.v.values).max()) <= 1e-12
@@ -634,8 +722,8 @@ def test_coarse_start_falls_back_when_the_coarse_newton_does_not_converge(monkey
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
     spec = CurvatureSpec(-1.0)
     sol = newton_solve(spec, split)
-    plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
-    assert [op.n for op in ops] == [32, 128, 512, 512]
+    plain = newton_solve(spec, split, v0=_default_start(spec, split))
+    assert [op.n for op in ops] == [8, 32, 128, 512, 512]
     assert (sol.newton_iters, sol.cg_iters) == (plain.newton_iters, plain.cg_iters)
     np.testing.assert_array_equal(sol.v.values, plain.v.values)
 
@@ -651,9 +739,9 @@ def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
     spec = CurvatureSpec(k, forcing=residual(v_exact, CurvatureSpec(k), split))
     ops = _newton_loops(monkeypatch)
     sol = newton_solve(spec, split)
-    assert [op.n for op in ops] == [32, 128, 512]
+    assert [op.n for op in ops] == [8, 32, 128, 512]
     fine = ops[-1]
-    for level, step in zip(ops, (16, 4)):
+    for level, step in zip(ops, (64, 16, 4)):
         for name in ("S", "K", "rho"):
             np.testing.assert_array_equal(getattr(level, name),
                                           getattr(fine, name)[::step, ::step])
@@ -667,7 +755,7 @@ def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
     # and the fine level starts next to it: 3 CG and 5.0e-16 measured
     assert sol.cg_iters <= 4
     assert float(np.abs(sol.v.values - v_exact.values).max()) <= 1e-14
-    plain = newton_solve(spec, split, v0=default_initial_guess(spec, split))
+    plain = newton_solve(spec, split, v0=_default_start(spec, split))
     assert sol.area == pytest.approx(plain.area, rel=1e-12)
 
 
