@@ -2,12 +2,12 @@
 3-circle decay checks, neck-area profiles, and the bubble-tree area
 identity.
 
-Families are closed-form generators (spherical caps, smooth perturbations,
-flat necks, hyperbolic cusps, linear cylinders) evaluable at any
-resolution, each declaring a curvature sign class, a convergence-rate
-sequence for tail extrapolation, and closed-form bubble areas where they
-exist. Limits over the family index are always finite-tail
-extrapolations and carry an error bar.
+Families are closed-form planar generators (spherical caps, smooth
+perturbations, flat necks, hyperbolic cusps) evaluable at any resolution,
+each declaring a curvature sign class, a convergence-rate sequence for
+tail extrapolation, and closed-form bubble areas where they exist. Limits
+over the family index are always finite-tail extrapolations and carry an
+error bar.
 """
 
 from __future__ import annotations
@@ -187,16 +187,15 @@ class _Kind:
 
     params: dict  # parameter names and their defaults
     curvature: float
-    scale: object = lambda p, k: 0.0
-    u: object = None  # None: no planar profile
-    rate: object = None  # t_k, with window areas ~ A + c t_k; None: no rate
+    scale: object
+    u: object  # the planar profile u(x, y)
+    rate: object  # t_k, with window areas ~ A + c t_k
     limit: object = lambda p, center, window: 0.0  # the k -> inf window area
     annular: bool = False  # window areas are annuli out from the scale
     bubbles: tuple = ()
     neck_out: float = 0.5  # `neck`'s default r_out; its default r_in is the
     neck_at_scale: bool = False  # scale if this is set, else r_out / 256
     ghost: bool = False  # additive normalizations diverge with no bubble area
-    cylinder: object = None  # params -> LinearCylinder; None: not a cylinder
 
 
 _KINDS = {
@@ -205,10 +204,11 @@ _KINDS = {
         lambda p, k: cap_profile(_cap_scale(p, k), (p["center_x"], p["center_y"])),
         lambda p, k: 4.0 ** -k, bubbles=(4.0 * math.pi,), neck_at_scale=True),
     "smooth-perturbation": _Kind(
-        {"amp_u": 0.2, "amp_w": 0.05}, -1.0, rate=lambda p, k: 2.0 ** -k,
-        u=lambda p, k: lambda x, y: (_smooth_base(x, y, p["amp_u"]) + 2.0 ** -k * (
+        {"amp_u": 0.2, "amp_w": 0.05}, -1.0, lambda p, k: 0.0,
+        lambda p, k: lambda x, y: (_smooth_base(x, y, p["amp_u"]) + 2.0 ** -k * (
             p["amp_w"] * np.cos(0.8 * np.asarray(x) + 0.5 * np.asarray(y) + 0.1))),
-        limit=lambda p, c, w: _disk_area(lambda x, y: _smooth_base(x, y, p["amp_u"]), c, w)),
+        lambda p, k: 2.0 ** -k,
+        lambda p, c, w: _disk_area(lambda x, y: _smooth_base(x, y, p["amp_u"]), c, w)),
     "flat-neck": _Kind(
         {}, 0.0, lambda p, k: math.exp(-float(k) ** 2), lambda p, k: flat_neck_profile(k),
         lambda p, k: 1.0 / float(k) ** 2, annular=True, neck_out=1.0, neck_at_scale=True,
@@ -216,8 +216,6 @@ _KINDS = {
     "hyperbolic-cusp": _Kind(
         {}, -1.0, lambda p, k: math.exp(-float(k)), lambda p, k: cusp_profile(),
         lambda p, k: 1.0 / float(k), _cusp_limit, annular=True, neck_at_scale=True),
-    "linear-cylinder": _Kind({"a": 0.0, "b": -1.0}, 0.0,
-                             cylinder=lambda p: LinearCylinder(p["a"], p["b"])),
 }
 
 _SIGN_CLASSES = {  # sign class -> whether a curvature f belongs to it
@@ -270,24 +268,15 @@ class SyntheticFamily:
         return _KINDS[self.kind].scale(self._p(), k)
 
     def u(self, k: int):
-        if _KINDS[self.kind].u is None:
-            raise ValueError(f"kind {self.kind!r} has no planar profile")
         return _KINDS[self.kind].u(self._p(), k)
 
     def curvature(self, k: int) -> float:
         return _KINDS[self.kind].curvature
 
-    def cylinder(self) -> LinearCylinder:
-        if _KINDS[self.kind].cylinder is None:
-            raise ValueError("not a cylinder family")
-        return _KINDS[self.kind].cylinder(self._p())
-
     # tail extrapolation metadata ----------------------------------------
 
     def rate_value(self, k: int) -> float:
         """Declared decay proxy t_k with window areas ~ A + c t_k."""
-        if _KINDS[self.kind].rate is None:
-            raise ValueError(f"kind {self.kind!r} declares no rate")
         return _KINDS[self.kind].rate(self._p(), k)
 
     @property

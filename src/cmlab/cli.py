@@ -177,20 +177,10 @@ def _cmd_three_circle(cfg: RunConfig):
     opt = cfg.options
     kappa = ini_value(opt, "kappa", float, 0.5)
     length = ini_value(opt, "length", float, 10.0)
-    if "fixture" in opt:
-        clash = sorted({"a", "b"} & opt.keys())
-        if clash:
-            raise ConfigError(f"fixture conflicts with {clash}: a fixture "
-                              "fixes its own cylinder parameters")
-        model = load_fixture(opt["fixture"]).cylinder()
-        label = opt["fixture"]
-    else:
-        model = LinearCylinder(ini_value(opt, "a", float, 0.0),
-                               ini_value(opt, "b", float, -1.0))
-        label = None
+    model = LinearCylinder(ini_value(opt, "a", float, 0.0), ini_value(opt, "b", float, -1.0))
     rep = three_circle_check(model, kappa, length)
-    report = {"command": "three-circle", "fixture": label, "A": model.A,
-              "B": model.B, "kappa": kappa, "length": length, **_report_fields(rep)}
+    report = {"command": "three-circle", "A": model.A, "B": model.B, "kappa": kappa,
+              "length": length, **_report_fields(rep)}
     return report, {}, 0 if (rep.hypothesis_ok and rep.decay_ok) else 2
 
 
@@ -252,7 +242,7 @@ _COMMANDS = {
     "scan": (_cmd_scan, "solve, then scan for concentrating curvature mass",
              {"atoms", "betas", "curvature", "radius", "threshold"}, {"grid", "tol"}),
     "three-circle": (_cmd_three_circle, "segment-area decay check on a cylinder model",
-                     {"fixture", "kappa", "length", "a", "b"}, set()),
+                     {"kappa", "length", "a", "b"}, set()),
     "neck": (_cmd_neck, "annulus-area profile of a neck region",
              {"fixture", "k", "r_in", "r_out"}, set()),
     "area-identity": (_cmd_area_identity, "bubble-tree area identity defect for a fixture",

@@ -108,6 +108,7 @@ class StageReport:
     cg_iters: int
     cg_capped: int
     rings_rejected: int
+    rings_overlapping: int
     residual_norm: float
 
 
@@ -173,7 +174,7 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
             gb_defect=sol.gb_defect, max_local_mass=scan.max_mass,
             solve_iters=sol.newton_iters, cg_iters=sol.cg_iters,
             cg_capped=sol.cg_capped, rings_rejected=sol.rings_rejected,
-            residual_norm=sol.residual_norm))
+            rings_overlapping=sol.rings_overlapping, residual_norm=sol.residual_norm))
     if len(reports) >= 2:
         extrap = 2.0 * reports[-1].area - reports[-2].area
     else:

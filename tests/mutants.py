@@ -11,6 +11,10 @@ edit whose old text is not in the source exactly once stops the script,
 so the list cannot go stale silently (DeMillo, Lipton & Sayward, "Hints on
 test data selection", IEEE Computer 1978).
 
+BLIND_SPOTS are the gate's intended blind spots: they change no answer, so
+they should pass every criterion. The script exits 1 when a mutant in
+MUTANTS, each of which changes the answer, fails no criterion.
+
 pytest does not collect this file. Run it from anywhere:
 
     python tests/mutants.py
@@ -45,6 +49,11 @@ MUTANTS = [
     ("the -Δ symbol × 1.001", "grids.py",
      "out = (TAU * kx) ** 2 + (TAU * ky) ** 2",
      "out = 1.001 * ((TAU * kx) ** 2 + (TAU * ky) ** 2)"),
+]
+
+# v absorbs a constant shift of G, so the answer does not change; a wrong
+# start changes the cost, not the answer
+BLIND_SPOTS = [
     ("G's mean-pinning disk term × 2 (a constant shift of G)", "green.py",
      "0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)",
      "2.0 * 0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)"),
@@ -89,19 +98,26 @@ def _tier1(tree: Path) -> tuple[list, int, int]:
 
 
 def main() -> int:
-    rows = [("none (the source as it is)", None, "", "")] + MUTANTS
+    rows = [("none (the source as it is)", None, "", "")] + MUTANTS + BLIND_SPOTS
+    unseen = []
     print("| mutant | acceptance criteria failed | tier-1 tests failed |")
     print("| --- | --- | --- |")
-    for what, module, old, new in rows:
+    for row in rows:
+        what, module, old, new = row
         with tempfile.TemporaryDirectory(prefix="cmlab-mutant-") as tmp:
             tree = Path(tmp)
             _copy_tree(tree)
             if module is not None:
                 _mutate(tree, module, old, new)
             criteria, failed, run = _tier1(tree)
-        print(f"| {what} | {', '.join(map(str, criteria)) or 'none'} "
+        if row in MUTANTS and not criteria:
+            unseen.append(what)
+        blind = " (intended blind spot)" if row in BLIND_SPOTS else ""
+        print(f"| {what} | {', '.join(map(str, criteria)) or 'none'}{blind} "
               f"| {failed} of {run} |", flush=True)
-    return 0
+    for what in unseen:
+        print(f"no acceptance criterion fails under: {what}", file=sys.stderr)
+    return 1 if unseen else 0
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from cmlab.models import LinearCylinder, cusp_profile
 from cmlab.solver import (
     CurvatureSpec,
     jacobian_apply,
+    newton_solve,
     radial_length,
     random_smooth_field,
     solve_divisor,
@@ -230,3 +231,34 @@ def test_criterion_9_jacobian_orders_and_positivity():
     # the spectral -Delta is positive semidefinite, so <w, Jw> >= min W <w, w>
     _line(9, f"Jacobian Rayleigh quotient min {rayleigh:.4g} >= min W {min_w:.4g}",
           rayleigh >= min_w * (1.0 - 1e-12))
+
+
+def test_criterion_10_square_torus_symmetries():
+    # the swap x <-> y and the reflection x -> -x map nodes to nodes, so the
+    # discrete problem of the mapped divisor and K is the mapped problem and
+    # its solve must be the mapped solve, up to round-off (measured: v to
+    # 6.7e-16, areas to 1.7e-16 relative, 3 Newton steps and 14 CG
+    # iterations each). S built from kernels at p + (0.5/n, 0) moves v by
+    # 4.2e-3 (swap) and 4.9e-3 (reflection)
+    n = 128
+    atoms, betas = ((0.3037, 0.7121), (0.6113, 0.1847)), (-0.5, -0.3)
+    K = sample(lambda x, y: -1.0 - 0.4 * np.sin(TAU * x) * np.cos(TAU * y)
+               - 0.2 * np.cos(2.0 * TAU * y), TorusChart(), n).values
+
+    def solve(points, curvature):
+        spec = CurvatureSpec(Field(np.ascontiguousarray(curvature), TorusChart()))
+        return newton_solve(spec, singular_part(Divisor(points, betas), n))
+
+    base = solve(atoms, K)
+    for name, point, grid in (
+            ("swap x <-> y", lambda x, y: (y, x), np.transpose),
+            ("reflection x -> -x", lambda x, y: ((-x) % 1.0, y),
+             lambda a: np.roll(a[::-1], 1, axis=0))):
+        sol = solve(tuple(point(*p) for p in atoms), grid(K))
+        dv = float(np.abs(sol.v.values - grid(base.v.values)).max())
+        da = abs(sol.area - base.area) / base.area
+        _line(10, f"n={n} {name}: sup|dv| {dv:.2e} (tol 1e-13), area rel {da:.1e} "
+                  "(tol 1e-14)", dv <= 1e-13 and da <= 1e-14)
+        _line(10, f"n={n} {name}: Newton/CG {sol.newton_iters}/{sol.cg_iters} equal "
+                  f"{base.newton_iters}/{base.cg_iters}",
+              (sol.newton_iters, sol.cg_iters) == (base.newton_iters, base.cg_iters))

@@ -26,8 +26,7 @@ from cmlab.measures import FluxProfile
 from cmlab.models import TAU, LinearCylinder, cap_profile, cusp_profile
 from oracles import cusp_annulus_area, standard_bubble
 
-FIXTURES = ["flat-neck", "hyperbolic-cusp", "linear-cylinder",
-            "no-bubble", "spherical-cap"]
+FIXTURES = ["flat-neck", "hyperbolic-cusp", "no-bubble", "spherical-cap"]
 
 
 def test_blowup_seq_validation():
@@ -124,8 +123,7 @@ def test_rescale_window_checks():
 def test_fixture_corpus():
     assert list_fixtures() == FIXTURES
     signs = {"flat-neck": "violating", "hyperbolic-cusp": "negative",
-             "linear-cylinder": "violating", "no-bubble": "negative",
-             "spherical-cap": "positive"}
+             "no-bubble": "negative", "spherical-cap": "positive"}
     for name in FIXTURES:
         fam = load_fixture(name)
         assert fam.name == name
@@ -169,10 +167,11 @@ def test_fixture_load_by_path(tmp_path):
     fam = load_fixture(str(p))
     assert fam.name == "my-cap"
     assert fam.scale(2) == pytest.approx(0.5 * 0.25)
-    # keys are case-insensitive, as in run configs: a and b name the cylinder
-    # as in [three-circle]
-    p.write_text("[family]\nkind = linear-cylinder\nsign = violating\nA = 0.5\nb = -2\n")
-    assert load_fixture(str(p)).cylinder() == LinearCylinder(0.5, -2.0)
+    # keys are case-insensitive, as in run configs
+    p.write_text("[family]\nKind = spherical-cap\nSIGN = positive\nLam_Scale = 0.5\n")
+    fam = load_fixture(str(p))
+    assert (fam.kind, fam.sign_class, fam.params) == ("spherical-cap", "positive",
+                                                      {"lam_scale": 0.5})
 
 
 def test_family_validation_errors():
@@ -184,14 +183,6 @@ def test_family_validation_errors():
         SyntheticFamily("x", "flat-neck", "violating", 1, 4, params={"A": 1.0})
     with pytest.raises(ConfigError):
         SyntheticFamily("x", "flat-neck", "violating", 5, 4)
-    cyl = SyntheticFamily("x", "linear-cylinder", "violating", 1, 4)
-    with pytest.raises(ValueError):
-        cyl.u(1)
-    with pytest.raises(ValueError):
-        cyl.rate_value(1)
-    cap = SyntheticFamily("x", "spherical-cap", "positive", 1, 8)
-    with pytest.raises(ValueError):
-        cap.cylinder()
 
 
 def test_validate_family_cap():
@@ -243,7 +234,7 @@ def test_three_circle_flat_cylinder_fails_hypothesis():
 
 
 def test_three_circle_accepts_cylinder_and_callable():
-    rep = three_circle_check(load_fixture("linear-cylinder").cylinder(), kappa=0.5, L=10.0)
+    rep = three_circle_check(LinearCylinder(0.0, -1.0), kappa=0.5, L=10.0)
     assert rep.closed_form is not None and rep.decay_ok
 
     def u(t, theta):
@@ -388,8 +379,6 @@ def test_neck_vanishing_controls_total_area():
     # the cap family widening the inner cut makes both vanish together
     for name in FIXTURES:
         fam = load_fixture(name)
-        if fam.kind == "linear-cylinder":
-            continue
         k = fam.k_max
         r_in = max(fam.scale(k), 1e-6)
         rep = neck_area_profile(fam.u(k), fam.center(), r_in, 0.5)

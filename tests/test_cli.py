@@ -294,7 +294,8 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
      "the hyperbolic-cusp limit area needs window < 1, got 1.0"),
     # a profile that overflows on a circle used to print numpy's warning first
     ("neck", "fixture = spherical-cap\nr_out = 1e300", "profile is not finite on the circle"),
-    ("neck", "fixture = linear-cylinder", "kind 'linear-cylinder' has no planar profile"),
+    # a family is a planar profile; a cylinder is named by [three-circle]'s a and b
+    ("neck", "fixture = linear-cylinder", "unknown fixture 'linear-cylinder'"),
     ("area-identity", "window = 1e300", "profile is not finite on the circle"),
     ("three-circle", "b = nan", "linear cylinder needs finite A and B"),
     # segment areas beyond double precision: the closed form used to raise a
@@ -302,10 +303,6 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     ("three-circle", "b = 40", "a segment area overflows double precision"),
     ("three-circle", "a = 400", "a segment area overflows double precision"),
     ("three-circle", "b = 20", "a segment area overflows double precision"),
-    # a fixture fixes A and B; a or b beside it named a different cylinder
-    ("three-circle", "fixture = linear-cylinder\nb = 0.2", "fixture conflicts with ['b']"),
-    ("three-circle", "fixture = linear-cylinder\na = 0.1\nb = 0.2",
-     "fixture conflicts with ['a', 'b']"),
     # 0 means no probe; a negative count used to skip it silently
     ("solve", "uniqueness_trials = -3", "uniqueness_trials = -3 is negative"),
     # a negative radius scans empty disks and can never flag; one of 1/2 or
@@ -443,7 +440,7 @@ def test_scan_clean_solution(tmp_path):
     assert rep["maxLocalMass"] < 1.0
 
 
-def test_three_circle_exit_codes(tmp_path):
+def test_three_circle_exit_codes(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["three-circle", "--out", str(out)]) == 0
     rep = read_report(out / "report.json")
@@ -458,12 +455,14 @@ def test_three_circle_exit_codes(tmp_path):
     rep2 = read_report(out2 / "report.json")
     assert not rep2["hypothesisOk"]
 
+    # a and b are the one way to name the cylinder: a fixture is an unknown key
     cfg3 = tmp_path / "fix.ini"
     cfg3.write_text("[three-circle]\nfixture = linear-cylinder\n")
     out3 = tmp_path / "out3"
     assert run_cli(["three-circle", "--config", str(cfg3),
-                    "--out", str(out3)]) == 0
-    assert read_report(out3 / "report.json")["fixture"] == "linear-cylinder"
+                    "--out", str(out3)]) == 1
+    assert "unknown keys ['fixture'] in section [three-circle]" in capsys.readouterr().err
+    assert not (out3 / "report.json").exists()
 
 
 def test_three_circle_decides_decay_after_underflow(tmp_path):
@@ -612,18 +611,18 @@ def test_negative_seed_is_rejected_before_the_solve(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("command, section, keys, nested", [
     ("solve", "uniqueness_trials = 1",
      "area atoms betas cgCapped cgIters chi command curvature gbDefect grid "
-     "newtonIters residualNorm ringsRejected tol uniqueness",
+     "newtonIters residualNorm ringsOverlapping ringsRejected tol uniqueness",
      {"uniqueness": "maxPairwiseSup residualNorms trials"}),
     ("continue-cusp", "k_max = 2",
      "atoms command curvature extrapolatedArea grid kMax stages targetBetas tol",
      {"stages": "area betas cgCapped cgIters chi gbDefect k maxLocalMass "
-                "residualNorm ringsRejected solveIters"}),
+                "residualNorm ringsOverlapping ringsRejected solveIters"}),
     ("scan", "",
      "atoms betas centersScanned command curvature flags grid maxLocalArea "
      "maxLocalMass radii threshold tol", {}),
     ("three-circle", "",
-     "A B areaQ1 areaQ2 closedForm command decayBound decayOk fixture fluxMax "
-     "fluxMin hypothesisOk kappa length side", {}),
+     "A B areaQ1 areaQ2 closedForm command decayBound decayOk fluxMax fluxMin "
+     "hypothesisOk kappa length side", {}),
     ("neck", "",
      "command dyadicAreas dyadicRadii efold_annuli fixture hypothesisViolation "
      "k rIn rOut supEfold total", {"efold_annuli": "areas radii"}),

@@ -288,7 +288,8 @@ def _unsolved(div: Divisor, curvature: float | Field, v: Field) -> Solution:
     """A Solution holding `v` as given, for scans of a chosen field."""
     return Solution(split=singular_part(div, v.n), spec=CurvatureSpec(curvature), v=v,
                     residual_norm=0.0, area=0.0, gb_defect=0.0, newton_iters=0,
-                    cg_iters=0, cg_capped=0, grid_area=0.0, rings_rejected=0)
+                    cg_iters=0, cg_capped=0, grid_area=0.0, rings_rejected=0,
+                    rings_overlapping=0)
 
 
 def test_no_bubble_scan_flags_concentration():

@@ -12,7 +12,7 @@ import cmlab.solver
 from cmlab.continuation import check_curvature_bounds, cusp_schedule, run_continuation
 from cmlab.errors import InfeasibleTopology, NonConvergence, ResidualOverflow
 from cmlab.grids import (MIN_N, TAU, Field, TorusChart, constant, neg_laplacian, rfft2,
-                         sample)
+                         sample, torus_distance)
 from cmlab.green import _green_cached, green_kernel, singular_part
 from cmlab.measures import Divisor, residue
 from cmlab.models import cusp_profile
@@ -79,7 +79,7 @@ def test_solver_validation():
     with pytest.raises(ValueError, match="forcing grid"):
         newton_solve(CurvatureSpec(-1.0, forcing=constant(0.0, TorusChart(), 32)), split)
     with pytest.raises(ValueError, match="v grid"):
-        residual(np.zeros((32, 32)), CurvatureSpec(-1.0), split)
+        residual(constant(0.0, TorusChart(), 32), CurvatureSpec(-1.0), split)
 
 
 def test_curvature_spec_bounds():
@@ -270,6 +270,24 @@ def test_metric_area_ring_correction_gate():
         s_cusp.area, s_cusp.grid_area, 1)
 
 
+@pytest.mark.parametrize("sep, area_err", [(0.1, 0.0212), (0.03, 0.0594), (0.01, 0.1187)])
+def test_close_atoms_are_flagged(sep, area_err):
+    # two cones closer than 16/n: their 8/n ring windows overlap, which the
+    # ring correction does not resolve, so the area reads high while the
+    # grid area stays exact; the pair is counted and the area left as it is
+    atom = (0.3037, 0.7121)
+    sol = solve_divisor((atom, (atom[0] + sep, atom[1])), (-0.5, -0.5), n=64)
+    assert sol.rings_overlapping == 1 and sol.rings_rejected == 0
+    assert sol.grid_area == pytest.approx(TAU, rel=1e-12)
+    assert sol.area / TAU - 1.0 == pytest.approx(area_err, abs=5e-4)
+
+
+def test_benchmark_divisors_have_no_overlapping_rings():
+    # one atom, and two atoms 0.57 apart
+    for atoms in (((0.3, 0.7),), ((0.3, 0.7), (0.7, 0.3))):
+        assert solve_divisor(atoms, (-0.5,) * len(atoms), n=64).rings_overlapping == 0
+
+
 @pytest.mark.parametrize("n", [8, 32, 256])
 def test_metric_area_window_matches_the_whole_grid(monkeypatch, n):
     # atoms across both seams, where the window of nodes wraps: its sorted
@@ -330,12 +348,12 @@ def test_operator_matches_complex_fft_reference(n):
     K = Field(-1.0 - 0.5 * rng.random((n, n)), TorusChart())
     forcing = Field(rng.normal(size=(n, n)), TorusChart())
     spec = CurvatureSpec(K, forcing=forcing)
-    v = rng.normal(scale=0.5, size=(n, n))
+    v = Field(rng.normal(scale=0.5, size=(n, n)), TorusChart())
     w = rng.normal(size=(n, n))
-    e2u = np.exp(2.0 * (split.S.values + v))
+    e2u = np.exp(2.0 * (split.S.values + v.values))
 
     assert _rel_err(neg_laplacian(w), _complex_neg_laplacian(w)) < 1e-12
-    want_F = (_complex_neg_laplacian(v) - K.values * e2u
+    want_F = (_complex_neg_laplacian(v.values) - K.values * e2u
               + TAU * split.beta_sum - forcing.values)
     assert _rel_err(residual(v, spec, split).values, want_F) < 1e-12
     want_J = _complex_neg_laplacian(w) - 2.0 * K.values * e2u * w
@@ -501,6 +519,31 @@ def test_square_symmetries_commute_with_the_solve(cells, inside, betas):
         assert sol.grid_area == pytest.approx(base.grid_area, rel=1e-14)
         assert ((sol.newton_iters, sol.cg_iters)
                 == (base.newton_iters, base.cg_iters))
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_comparison_principle_with_variable_curvature(seed):
+    # for one divisor, K1 <= K2 < 0 gives u1 <= u2 (Kazdan & Warner 1974).
+    # The spectral -Delta has no discrete maximum principle, so the margins
+    # are measured: over 240 seeds at n = 64, min(v_K - v_-1.6) >= 0.162,
+    # min(v_-0.4 - v_K) >= 0.356, and a 0.3 cos^2 bump of radius 0.1 added
+    # to K raised v everywhere by at least 5.4e-4; each bound is about half
+    split = singular_part(Divisor(((0.3037, 0.7121), (0.6113, 0.1847)), (-0.5, -0.3)), 64)
+
+    def solved_v(K):
+        spec = CurvatureSpec(K if np.isscalar(K) else Field(K, TorusChart()))
+        return newton_solve(spec, split).v.values
+
+    rng = np.random.default_rng(seed)
+    K = -1.0 + 0.6 * random_smooth_field(64, rng, amplitude=1.0).values  # in [-1.6, -0.4]
+    X, Y = TorusChart().mesh(64)
+    d = torus_distance(X, Y, *rng.uniform(0.0, 1.0, 2))
+    bumped = K + np.where(d < 0.1, 0.3 * np.cos(math.pi * d / 0.2) ** 2, 0.0)
+    v = solved_v(K)
+    assert float((v - solved_v(-1.6)).min()) >= 0.08
+    assert float((solved_v(-0.4) - v).min()) >= 0.18
+    assert float((solved_v(bumped) - v).min()) >= 2.5e-4
 
 
 def test_cg_capped_is_counted(monkeypatch):
