@@ -25,6 +25,13 @@ import numpy as np
 
 TAU = 2.0 * math.pi
 MIN_N = 8  # the smallest grid: a Field's n is a power of two >= MIN_N
+_BLOCK = 2 ** 15  # elements per sweep block: 256 KiB of float64, about one L2
+
+
+def _blocks(n: int) -> list:
+    """Equal row slices of _BLOCK elements (one when n^2 <= _BLOCK); 2^k of them."""
+    rows = min(n, max(1, _BLOCK // n))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def rfft2(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -45,11 +52,20 @@ def irfft2(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
 
     A real n-by-n `out` receives the result; then the column pass runs in
     place on `a`, which is overwritten, and the call allocates no n-by-n
-    array. The result is the same bit for bit either way.
+    array. The row pass then runs over the increasing row blocks of
+    `_blocks(n)`, so `out` may alias the head of `a`'s buffer (its first n^2 of
+    n(n + 2) doubles): row block [i, i + B) of `out` ends at (i + B) n
+    doubles, before row i + B of `a` starts at (i + B)(n + 2), so every
+    row is read before it is overwritten, and numpy copies the one
+    overlapping input block itself. The result is the same bit for bit
+    either way.
     """
     if out is None:
         return np.fft.irfft(np.fft.ifft(a, axis=0), n, axis=1)
-    return np.fft.irfft(np.fft.ifft(a, axis=0, out=a), n, axis=1, out=out)
+    np.fft.ifft(a, axis=0, out=a)
+    for s in _blocks(n):
+        np.fft.irfft(a[s], n, axis=1, out=out[s])
+    return out
 
 
 class _SquareMesh:
@@ -166,15 +182,20 @@ def constant(value: float, chart: Chart, n: int) -> Field:
 # Every torus field is real, so all spectral work uses the half spectrum
 # returned by ``rfft2``.
 
-@lru_cache(maxsize=32)
+def laplacian_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two 1-D factors of the symbol of -Delta on the unit torus:
+    (2 pi k_x)^2 as an (n, 1) column and (2 pi k_y)^2 as a (1, n//2 + 1)
+    row, whose sum is the symbol on the half spectrum of ``rfft2``."""
+    kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
+    return (TAU * kx) ** 2, (TAU * ky) ** 2
+
+
 def half_laplacian_multiplier(n: int) -> np.ndarray:
     """Symbol of -Delta on the unit torus, (2 pi k)^2 per Fourier mode, on
     the (n, n//2 + 1) half spectrum of ``rfft2``."""
-    kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
-    ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
-    out = (TAU * kx) ** 2 + (TAU * ky) ** 2
-    out.setflags(write=False)
-    return out
+    kx2, ky2 = laplacian_factors(n)
+    return kx2 + ky2
 
 
 def neg_laplacian(values: np.ndarray) -> np.ndarray:
@@ -188,10 +209,9 @@ def poisson_mean_zero(rhs: np.ndarray) -> np.ndarray:
     n = rhs.shape[0]
     k2 = half_laplacian_multiplier(n)
     rhat = rfft2(rhs)
-    what = np.zeros_like(rhat)
-    mask = k2 > 0
-    what[mask] = rhat[mask] / k2[mask]
-    return irfft2(what, n)
+    np.divide(rhat, k2, out=rhat, where=k2 > 0)
+    rhat[0, 0] = 0.0
+    return irfft2(rhat, n)
 
 
 def wrap_half(a: np.ndarray) -> np.ndarray:

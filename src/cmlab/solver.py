@@ -24,21 +24,31 @@ it. The inner CG works on samples and applies the Jacobian -Delta + W,
 but gets -Delta p without a transform: the preconditioner
 solve (k2 + c) z^ = r^, with the shift c below, gives
 -Delta z = r - c z exactly, and p is a linear recurrence in z, so -Delta p
-follows the same recurrence. At its exit CG reads -Delta x = b - r - W x
-off its own recurrence residual r. One CG iteration therefore costs
+follows the same recurrence. After CG the loop reads -Delta x = b - r - W x
+off CG's recurrence residual r. One CG iteration therefore costs
 exactly two transforms, rfft2(r) for the preconditioner and irfft2(z^) for
-z, and a solve from a given start spectrum costs 2 more, for v and lv. The
-loop holds only v, lv, W and F and one set of CG arrays, which its inner
-solves and Armijo trials reuse, so no step allocates an n-by-n array.
+z, and a solve from a given start spectrum costs 2 more, for v and lv.
+
+The loop keeps only the 9 n-by-n arrays it cannot rebuild, which its
+inner solves and Armijo trials reuse, so no step allocates an n-by-n
+array: S, v, lv, W (over e^{2u}) and F, CG's p, lp and x, and z^ (n(n + 2)
+doubles). CG solves in place on its right-hand side -F, so F's array
+becomes CG's r; b = -F is rebuilt afterwards from lv and K e^{2u} = W / -2,
+which is exact, since scaling by a power of two commutes with rounding. z, A p and -Delta x live in w, the first n^2 doubles of z^'s
+buffer, which ``grids.irfft2`` may write while it reads z^. The symbol k2
+of -Delta is held as its two 1-D factors, and CG forms 1/(k2 + c) a row
+block at a time. At n = 1024 the warm solve's tracemalloc peak is 72.7 MiB,
+at n = 512 18.7 MiB.
 
 Between two transforms or two reductions, the elementwise work runs as one
-sweep over row blocks of _BLOCK = 2^15 elements (256 KiB; 32 rows at
-n = 1024, one block at n <= 128), each block finished while it is in
-cache instead of every pass streaming every n-by-n operand through memory
-(loop tiling; Wolf & Lam, PLDI 1991). The sweeps are CG's, the Armijo
-trial (v + t d, lv + t ld, e^{2u}, F, ||F||^2 and sup |F| at once, so the
-loop top recomputes neither) and the step writing W and -F over e^{2u} and
-F. An inner product is the per-block np.multiply(a, b, out=tmp).sum()
+sweep over the row blocks of ``grids._blocks``, 2^15 elements each
+(256 KiB; 32 rows at n = 1024, one block at n <= 128), each block
+finished while it is in cache instead of every pass streaming every
+n-by-n operand through memory (loop tiling; Wolf & Lam, PLDI 1991). The
+sweeps are CG's, the Armijo trial (v + t d, lv + t ld, e^{2u}, F, ||F||^2
+and sup |F| at once, so the loop top recomputes neither), the step writing
+W and -F over e^{2u} and F, and the step's -Delta d read off CG's
+residual. An inner product is the per-block np.multiply(a, b, out=tmp).sum()
 partials combined pairwise in a binary tree; at a power-of-two n numpy's
 pairwise sum splits the whole array at the same points, so every iterate,
 count and area is that of whole-array passes, bit for bit. The near-node
@@ -97,16 +107,15 @@ import numpy as np
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
 from .green import SingularSplit, _s4, singular_part
-from .grids import (MIN_N, TAU, Field, TorusChart, circle_points, finite_point,
-                    gauss_legendre, half_laplacian_multiplier, interpolate, irfft2,
-                    neg_laplacian, rfft2, torus_distance)
+from .grids import (MIN_N, TAU, Field, TorusChart, _blocks, circle_points, finite_point,
+                    gauss_legendre, interpolate, irfft2, laplacian_factors, neg_laplacian,
+                    rfft2, torus_distance)
 from .measures import Divisor, euler_characteristic
 
 _EXP_LIMIT = 350.0
 _MAX_NEWTON = 60
 _CG_RTOL = 1e-6
 _CG_MAXITER = 2000
-_BLOCK = 2 ** 15  # elements per sweep block: 256 KiB of float64, about one L2
 _RING_WINDOW = (4.0, 8.0)  # in cells: a ring correction blends the grid out from 4/n to 8/n
 
 
@@ -172,12 +181,6 @@ def _exp2u(S: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _blocks(n: int) -> list:
-    """Equal row slices of _BLOCK elements (one when n^2 <= _BLOCK); 2^k of them."""
-    rows = min(n, max(1, _BLOCK // n))
-    return [slice(i, i + rows) for i in range(0, n, rows)]
-
-
 def _tree_sum(parts: list) -> float:
     """Per-block partial sums combined pairwise: numpy's pairwise sum halves
     2^k >= 256 elements down to 128, so this is the whole ``sum()``'s bits."""
@@ -199,14 +202,15 @@ def _rows(a: float | np.ndarray, s: slice) -> float | np.ndarray:
 @dataclass(frozen=True)
 class _Operator:
     """F(v) = -Delta v - K e^{2(S+v)} + const - rho and the weight
-    W = -2K e^{2(S+v)} of its Jacobian -Delta + W; k2 is the symbol of
-    -Delta on the half spectrum."""
+    W = -2K e^{2(S+v)} of its Jacobian -Delta + W; kx2 + ky2 is the symbol
+    of -Delta on the half spectrum (``grids.laplacian_factors``)."""
 
     S: np.ndarray
     K: float | np.ndarray
     const: float
     rho: float | np.ndarray
-    k2: np.ndarray
+    kx2: np.ndarray
+    ky2: np.ndarray
 
     @property
     def n(self) -> int:
@@ -216,11 +220,22 @@ class _Operator:
                  out: np.ndarray | None = None) -> np.ndarray:
         """F from the samples lv of -Delta v and of e^{2(S+v)} on the grid
         rows `s`, written into `out` when given."""
-        F = np.multiply(_rows(self.K, s), e2u, out=out)
-        np.subtract(lv, F, out=F)
-        F += self.const
-        F -= _rows(self.rho, s)
-        return F
+        return self._add_terms(lv, np.multiply(_rows(self.K, s), e2u, out=out), s)
+
+    def neg_residual(self, lv: np.ndarray, W: np.ndarray, s: slice,
+                     out: np.ndarray) -> np.ndarray:
+        """-F on the grid rows `s` from lv and the weight W, written into
+        `out`: K e^{2u} = W / -2 exactly, since scaling by a power of two
+        commutes with rounding, so these are the bits of -residual()."""
+        F = self._add_terms(lv, np.divide(W, -2.0, out=out), s)
+        return np.negative(F, out=F)
+
+    def _add_terms(self, lv: np.ndarray, ke: np.ndarray, s: slice) -> np.ndarray:
+        """lv - K e^{2u} + const - rho on the grid rows `s`, over ke = K e^{2u}."""
+        np.subtract(lv, ke, out=ke)
+        ke += self.const
+        ke -= _rows(self.rho, s)
+        return ke
 
     def weight(self, e2u: np.ndarray, s: slice = slice(None)) -> np.ndarray:
         """W = -2K e^{2(S+v)} on the grid rows `s`, written over the samples e2u."""
@@ -235,7 +250,7 @@ def _operator(spec: CurvatureSpec, split: SingularSplit) -> _Operator:
             raise ValueError("forcing grid does not match the solve grid")
         rho = spec.forcing.values
     return _Operator(split.S.values, spec.values(n), TAU * split.beta_sum, rho,
-                     half_laplacian_multiplier(n))
+                     *laplacian_factors(n))
 
 
 def _samples(v: Field, split: SingularSplit) -> np.ndarray:
@@ -267,16 +282,21 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
 
 
 def _cg_work(n: int) -> list:
-    """CG's arrays r, p, lp, x, w, z^, 1/(k2 + shift) and one row block."""
-    return ([np.empty((n, n)) for _ in range(5)]
-            + [np.empty((n, n // 2 + 1), complex), np.empty((n, n // 2 + 1)),
-               np.empty((_blocks(n)[0].stop, n))])
+    """CG's arrays p, lp, x, w, z^, a row block of the half spectrum and one
+    of samples. z^ is n(n + 2) doubles, and w is a real view of its first n^2."""
+    rows = _blocks(n)[0].stop
+    p, lp, x = (np.empty((n, n)) for _ in range(3))
+    zhat = np.empty((n, n // 2 + 1), complex)
+    w = zhat.view(float).reshape(-1)[:n * n].reshape(n, n)
+    return [p, lp, x, w, zhat, np.empty((rows, n // 2 + 1)), np.empty((rows, n))]
 
 
-def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
+def _cg(op: _Operator, W: np.ndarray, shift: float, r: np.ndarray,
         tol: float, work: list) -> tuple:
-    """Solve (-Delta + W) x = b by CG preconditioned with (-Delta + shift)^-1,
-    until the recurrence residual r has ||r||_2 <= max(_CG_RTOL ||b||_2, tol/2).
+    """Solve (-Delta + W) x = b, b the array `r` on entry, in place by CG
+    preconditioned with (-Delta + shift)^-1, until the recurrence residual r
+    has ||r||_2 <= max(_CG_RTOL ||b||_2, tol/2). On return `r` holds that
+    residual b - (-Delta + W) x.
 
     With b = -F and the Newton tolerance `tol`, the absolute term stops the
     inner solve once a full step would leave sup |F| about tol/2 (module
@@ -287,41 +307,43 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
     in z, so lp = -Delta p follows as lp = (r - shift z) + beta lp. The
     identity only multiplies r^ by k2 / (k2 + shift) <= 1, so round-off is
     not amplified by (pi n)^2 as a transform of k2 p^ would be. One
-    iteration costs one rfft2(r) and one irfft2(z^). The recurrence residual
-    is r = b - (W x - Delta x), so the exit reads -Delta x = b - r - W x
-    from it, again with no transform.
+    iteration costs one rfft2(r) and one irfft2(z^). Since r = b - W x -
+    (-Delta x) on return, the caller reads -Delta x = b - r - W x, again
+    with no transform.
 
     Between the transforms the work runs as block sweeps (module docstring),
-    in the bits of whole-array passes: r.z; p, lp, A p = W p + lp and p.Ap;
-    x, r and ||r||^2. The first iteration, from p = lp = 0 and beta = 0,
-    sets p = z and lp = r - shift z. z^ * (1/(k2 + shift)) has the bits of
-    numpy's complex-by-real division z^ / (k2 + shift).
+    in the bits of whole-array passes: 1/(k2 + shift) from the factors of
+    k2, a row block at a time, and z^ times it; r.z; p, lp, A p = W p + lp
+    and p.Ap; x, r and ||r||^2. The first iteration, from p = lp = 0 and
+    beta = 0, sets p = z and lp = r - shift z. z^ * (1/(k2 + shift)) has the
+    bits of numpy's complex-by-real division z^ / (k2 + shift).
 
-    CG allocates nothing but `work` (from `_cg_work`): the
-    transforms write into z^ and into w, which holds z and -Delta z and then
-    A p in turn, and the products go through the block. The Newton loop
-    hands one work set to all its inner solves. Arrays freed and reallocated
-    are page-faulted in again whenever the allocator has handed them back to
-    the system (the n = 256 ladder ran about 7% slower that way), and freed
-    arrays of three sizes leave heap holes that raise the peak RSS.
+    CG allocates nothing but `work` (from `_cg_work`): the transforms write
+    into z^ and into w, the head of z^'s buffer (``grids.irfft2``), which
+    holds z and -Delta z and then A p in turn, and the products go through
+    the blocks. The Newton loop hands one work set to all its inner solves.
+    Arrays freed and reallocated are page-faulted in again whenever the
+    allocator has handed them back to the system (the n = 256 ladder ran
+    about 7% slower that way), and freed arrays of three sizes leave heap
+    holes that raise the peak RSS.
 
-    Returns (x, -Delta x, iterations, whether _CG_MAXITER cut it short); x
-    and -Delta x live in `work`.
+    Returns (x, iterations, whether _CG_MAXITER cut it short); x lives in
+    `work`.
     """
     n = op.n
     blocks = _blocks(n)
-    r, p, lp, x, w, zhat, inv, tmp = work
-    np.add(op.k2, shift, out=inv)
-    np.divide(1.0, inv, out=inv)
-    np.copyto(r, b)
+    p, lp, x, w, zhat, pre, tmp = work
     for a in (p, lp, x):
         a.fill(0.0)
-    stop = max(_CG_RTOL * math.sqrt(_dot(b, b, blocks, tmp)), 0.5 * tol)
+    stop = max(_CG_RTOL * math.sqrt(_dot(r, r, blocks, tmp)), 0.5 * tol)
     rz = math.inf  # beta = 0 on the first iteration
     capped = True
     for iters in range(1, _CG_MAXITER + 1):
         rfft2(r, out=zhat)
-        zhat *= inv
+        for s in blocks:  # z^ *= 1/(k2 + shift)
+            inv = np.add(op.kx2[s], op.ky2, out=pre)
+            inv += shift
+            zhat[s] *= np.divide(1.0, inv, out=inv)
         z = irfft2(zhat, n, out=w)
         rz_next = _dot(r, z, blocks, tmp)
         beta = rz_next / rz
@@ -354,10 +376,7 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, b: np.ndarray,
         if math.sqrt(_tree_sum(rr)) <= stop:
             capped = False
             break
-    for s in blocks:  # -Delta x = b - r - W x
-        lx = np.subtract(b[s], r[s], out=w[s])
-        lx -= np.multiply(W[s], x[s], out=tmp)
-    return x, w, iters, capped
+    return x, iters, capped
 
 
 def _default_guess(op: _Operator) -> np.ndarray:
@@ -402,6 +421,13 @@ def _residual_sweep(op: _Operator, v: np.ndarray, lv: np.ndarray, e2u: np.ndarra
     return _tree_sum(sq), float(np.max(sup))
 
 
+def _stalled(what: str, norm: float, wmax: float) -> NonConvergence:
+    """NonConvergence naming the residual and the round-off floor of F,
+    eps max |K| e^{2u} = eps max W / 2, at the last Newton step's start."""
+    return NonConvergence(f"{what} (residual {norm:.3e}, round-off floor "
+                          f"eps max|K|e^(2u) = {np.finfo(float).eps * wmax / 2.0:.3e})")
+
+
 def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
     """Damped Newton-CG on `op` from the half spectrum `vhat` to sup |F| <= tol.
 
@@ -409,33 +435,44 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
     freed once v and lv exist. Returns (v, e^{2(S+v)}, sup |F|, Newton steps,
     CG iterations, capped inner solves) at the final iterate.
     """
-    v = irfft2(vhat, op.n)
-    lv = irfft2(op.k2 * vhat, op.n)
+    n = op.n
+    blocks = _blocks(n)
+    v = irfft2(vhat, n)
+    lv = irfft2((op.kx2 + op.ky2) * vhat, n)
     del vhat
     e2u = np.empty_like(v)
     F = np.empty_like(v)
-    work = _cg_work(op.n)
-    phi, norm = _residual_sweep(op, v, lv, e2u, F, work[-1])
+    work = _cg_work(n)
+    ld, tmp = work[3], work[-1]
+    phi, norm = _residual_sweep(op, v, lv, e2u, F, tmp)
     cg_total = 0
     cg_capped = 0
     for it in range(_MAX_NEWTON):
         if norm <= tol:
             break
-        wsum = []
-        for s in _blocks(op.n):  # W over e2u, CG's right-hand side -F over F
-            wsum.append(op.weight(e2u[s], s).sum())
+        wsum, peaks = [], []
+        for s in blocks:  # W over e2u, CG's right-hand side -F over F
+            Wb = op.weight(e2u[s], s)
+            wsum.append(Wb.sum())
+            peaks.append(Wb.max())
             np.negative(F[s], out=F[s])
-        shift = _tree_sum(wsum) / op.n ** 2  # mean(W), the bits of W.mean()
-        d, ld, inner, capped = _cg(op, e2u, shift, F, tol, work)
+        shift = _tree_sum(wsum) / n ** 2  # mean(W), the bits of W.mean()
+        wmax = float(max(peaks))
+        d, inner, capped = _cg(op, e2u, shift, F, tol, work)
         cg_total += inner
         cg_capped += capped
-        # W, -F and CG's r and p are spent: the trials are written over them,
-        # and an accepted trial hands the old v and lv to the next CG as r, p
+        for s in blocks:  # -Delta d = b - r - W d, b = -F rebuilt, CG's r over F
+            ldb = op.neg_residual(lv[s], e2u[s], s, out=ld[s])
+            ldb -= F[s]
+            ldb -= np.multiply(e2u[s], d[s], out=tmp)
+        # W, CG's r and its p and lp are spent: the trials are written over
+        # them, and an accepted trial hands the old v and lv to the next CG
+        # as p and lp
         v_try, lv_try = work[:2]
         step = 1.0
         while True:
             try:
-                phi_try, norm_try = _residual_sweep(op, v_try, lv_try, e2u, F, work[-1],
+                phi_try, norm_try = _residual_sweep(op, v_try, lv_try, e2u, F, tmp,
                                                     (v, lv, d, ld, step))
                 if phi_try <= (1.0 - 2e-4 * step) * phi:
                     work[:2] = v, lv
@@ -445,14 +482,12 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
                 pass
             step *= 0.5
             if step < 2.0 ** -30:
-                raise NonConvergence(
-                    f"line search hit the 2^-30 floor at Newton step {it + 1} "
-                    f"(residual {norm:.3e})")
-        del d, ld, v_try, lv_try
+                raise _stalled(f"line search hit the 2^-30 floor at Newton step {it + 1}",
+                               norm, wmax)
+        del d, v_try, lv_try
     else:
-        raise NonConvergence(
-            f"Newton did not reach tol={tol:g} within {_MAX_NEWTON} iterations "
-            f"(residual {norm:.3e})")
+        raise _stalled(f"Newton did not reach tol={tol:g} within {_MAX_NEWTON} iterations",
+                       norm, wmax)
     return v, e2u, norm, it, cg_total, cg_capped
 
 
@@ -479,7 +514,7 @@ def _coarse_start(op: _Operator, tol: float) -> np.ndarray | None:
     across grid sizes."""
     n, m = op.n, op.n // 4
     coarse = _Operator(_inject(op.S), _inject(op.K), op.const, _inject(op.rho),
-                       half_laplacian_multiplier(m))
+                       *laplacian_factors(m))
     try:
         chat = rfft2(_newton_loop(coarse, _start(coarse, None, tol), tol)[0])
     except NonConvergence:

@@ -47,8 +47,8 @@ MUTANTS = [
      "return _green_cached(px, py, int(n))",
      "return _green_cached(px + 0.5 / n, py + 0.5 / n, int(n))"),
     ("the -Δ symbol × 1.001", "grids.py",
-     "out = (TAU * kx) ** 2 + (TAU * ky) ** 2",
-     "out = 1.001 * ((TAU * kx) ** 2 + (TAU * ky) ** 2)"),
+     "return (TAU * kx) ** 2, (TAU * ky) ** 2",
+     "return 1.001 * (TAU * kx) ** 2, 1.001 * (TAU * ky) ** 2"),
 ]
 
 # v absorbs a constant shift of G, so the answer does not change; a wrong

@@ -18,8 +18,9 @@ from scipy.integrate import quad
 from cmlab.continuation import ScanReport
 from cmlab.errors import CurvatureSignError
 from cmlab.green import _R1, _R2, _psi, _s4, cutoff
-from cmlab.grids import (TorusChart, bilinear_torus, gauss_legendre, irfft2, poisson_mean_zero,
-                         rfft2, torus_distance)
+from cmlab.grids import (TorusChart, bilinear_torus, gauss_legendre,
+                         half_laplacian_multiplier, irfft2, poisson_mean_zero, rfft2,
+                         torus_distance)
 from cmlab.models import cap_profile
 from cmlab.solver import _CG_MAXITER, _CG_RTOL
 
@@ -175,7 +176,7 @@ def whole_array_cg(op, W, shift, b, tol):
     """The solver's preconditioned CG with every pass over whole arrays:
     (x, -Delta x, iterations, capped), the reference for the blocked `_cg`."""
     n = op.n
-    denom = op.k2 + shift
+    denom = half_laplacian_multiplier(n) + shift
     r = b.copy()
     zhat = rfft2(r)
     zhat /= denom

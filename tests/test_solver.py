@@ -396,6 +396,13 @@ def _cusp_stage_jacobian(n=128):
     return op, W
 
 
+def _cg_solve(op, W, shift, b, tol):
+    """`_cg` on a copy r of b: (x, -Delta x = b - r - W x, iterations, capped)."""
+    r = b.copy()
+    x, iters, capped = cmlab.solver._cg(op, W, shift, r, tol, cmlab.solver._cg_work(op.n))
+    return x, np.subtract(b, r) - np.multiply(W, x), iters, capped
+
+
 def test_cg_true_residual_on_a_cusp_stage():
     # CG carries -Delta p by a recurrence, not a transform; at a near-cusp
     # weight the true residual of (-Delta + W) x = b, applied afresh through
@@ -404,8 +411,7 @@ def test_cg_true_residual_on_a_cusp_stage():
     op, W = _cusp_stage_jacobian()
     n = op.n
     b = np.random.default_rng(5).normal(size=(n, n))
-    x, lx, _, capped = cmlab.solver._cg(op, W, float(W.mean()), b, 0.0,
-                                        cmlab.solver._cg_work(n))
+    x, lx, _, capped = _cg_solve(op, W, float(W.mean()), b, 0.0)
     assert not capped
     lap = neg_laplacian(x)
     res = lap + W * x - b
@@ -424,8 +430,8 @@ def test_cg_stops_at_half_the_newton_tolerance():
     b = np.random.default_rng(5).normal(size=(n, n))
     b *= 100.0 * tol / np.linalg.norm(b)
     shift = float(W.mean())
-    x, _, iters, capped = cmlab.solver._cg(op, W, shift, b, tol, cmlab.solver._cg_work(n))
-    full = cmlab.solver._cg(op, W, shift, b, 0.0, cmlab.solver._cg_work(n))[2]
+    x, _, iters, capped = _cg_solve(op, W, shift, b, tol)
+    full = _cg_solve(op, W, shift, b, 0.0)[2]
     assert not capped
     assert iters < full
     res = neg_laplacian(x) + W * x - b
@@ -435,27 +441,42 @@ def test_cg_stops_at_half_the_newton_tolerance():
 @pytest.mark.parametrize("block", [None, 2 ** 12, 2 ** 7])
 @pytest.mark.parametrize("tol", [0.0, 1e-10])
 def test_blocked_cg_matches_whole_array_cg_bits(monkeypatch, block, tol):
-    # n = 128 is one block of 2^15 elements; 2^12 and 2^7 give 4 and 128
+    # n = 128 is one block of 2^15 elements; 2^12 and 2^7 give 4 and 128,
+    # in the sweeps and in irfft2's row pass over z^'s own buffer
     op, W = _cusp_stage_jacobian()
     if block is not None:
-        monkeypatch.setattr(cmlab.solver, "_BLOCK", block)
+        monkeypatch.setattr(cmlab.grids, "_BLOCK", block)
     n = op.n
     b = np.random.default_rng(5).normal(size=(n, n))
     if tol:
         b *= 100.0 * tol / np.linalg.norm(b)  # the absolute stop binds
     shift = float(W.mean())
-    x, lx, iters, capped = cmlab.solver._cg(op, W, shift, b, tol, cmlab.solver._cg_work(n))
+    x, lx, iters, capped = _cg_solve(op, W, shift, b, tol)
     want = whole_array_cg(op, W, shift, b, tol)
     assert (iters, capped) == want[2:]
     np.testing.assert_array_equal(x, want[0])
     np.testing.assert_array_equal(lx, want[1])
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_cg_work_holds_no_half_spectrum_real_array(n):
+    # the preconditioner 1/(k2 + shift) is formed a row block at a time (at
+    # n <= 128 one block is the whole half spectrum), and w is the head of
+    # z^'s buffer, not an array of its own
+    work = cmlab.solver._cg_work(n)
+    assert not any(a.shape == (n, n // 2 + 1) and a.dtype == float for a in work)
+    w, zhat = work[3], work[4]
+    assert w.shape == (n, n) and np.shares_memory(w, zhat)
+
+
 def test_newton_solve_working_set():
-    # the n = 512 solve with its kernels cached, under tracemalloc: 23.4 MiB
-    # measured; 25.1 MiB when CG's products went through a whole-grid
-    # array, and 35.0 MiB when the state was a half spectrum, every Armijo
-    # trial transformed and the loop held the previous step
+    # the n = 512 solve with its kernels cached, under tracemalloc: 18.65 MiB
+    # measured, 9 arrays of n^2 doubles on the fine level (S, v, lv, W, F,
+    # p, lp, x, and z^ with w at its head); 23.5 MiB when CG also held r, w
+    # and 1/(k2 + shift) and the symbol k2 was cached, 25.1 MiB when CG's
+    # products went through a whole-grid array, and 35.0 MiB when the state
+    # was a half spectrum, every Armijo trial transformed and the loop held
+    # the previous step
     solve_divisor(((0.3, 0.7),), (-0.5,), n=512)
     tracemalloc.start()
     try:
@@ -463,7 +484,7 @@ def test_newton_solve_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 20 * 2 ** 20
 
 
 _SHIFT_N = 32
@@ -559,8 +580,25 @@ def test_newton_cap_raises_nonconvergence(monkeypatch):
     # the default guess needs more than one Newton step here
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 32)
     monkeypatch.setattr(cmlab.solver, "_MAX_NEWTON", 1)
-    with pytest.raises(NonConvergence, match="within 1 iterations"):
+    with pytest.raises(NonConvergence, match=r"within 1 iterations \(residual .*, round-off"):
         newton_solve(CurvatureSpec(-1.0), split)
+
+
+@pytest.mark.parametrize("delta, beta", [(0.05, -0.99), (1.0 / 1024, -0.97)])
+def test_a_failed_solve_names_its_round_off_floor(delta, beta):
+    # an atom delta cells off a node line at n = 512 puts the round-off floor
+    # of F, eps max|K| e^{2u} at the node nearest the atom, near tol, and the
+    # line search stalls on it. Measured: step 15 with
+    # residual 4.183e-10 against an estimate of 9.91e-11, and step 10 with
+    # 5.186e-10 against 2.775e-10. The message gives the estimate beside the
+    # residual
+    with pytest.raises(NonConvergence, match="line search hit the 2") as err:
+        solve_divisor((((128 + delta) / 512, 0.75),), (beta,), n=512)
+    got = re.search(r"residual (\S+), round-off floor eps max\|K\|e\^\(2u\) = (\S+)\)$",
+                    str(err.value))
+    assert got, str(err.value)
+    res, floor = (float(g) for g in got.groups())
+    assert res / 10.0 <= floor <= 10.0 * res
 
 
 def test_overflowing_line_search_trial_halves_the_step(monkeypatch):
