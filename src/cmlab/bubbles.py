@@ -235,8 +235,6 @@ class SyntheticFamily:
     k_min: int
     k_max: int
     params: dict = field(default_factory=dict)
-    mass_bound: float = 100.0
-    gradient_bound: float = 8.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -316,7 +314,7 @@ def _smooth_base(x, y, amp):
 
 # -- fixture corpus -----------------------------------------------------------
 
-_FIXTURE_KEYS = {"kind", "sign", "k_min", "k_max", "mass_bound", "gradient_bound"}
+_FIXTURE_KEYS = {"kind", "sign", "k_min", "k_max"}
 
 
 def _fixture_dir():
@@ -353,12 +351,14 @@ def load_fixture(name: str) -> SyntheticFamily:
         k_min=ini_value(sec, "k_min", int, 1, name),
         k_max=ini_value(sec, "k_max", int, 8, name),
         params={k: ini_value(sec, k, float, None, name)
-                for k in sec if k not in _FIXTURE_KEYS},
-        mass_bound=ini_value(sec, "mass_bound", float, 100.0, name),
-        gradient_bound=ini_value(sec, "gradient_bound", float, 8.0, name))
+                for k in sec if k not in _FIXTURE_KEYS})
 
 
 # -- hypothesis validators ----------------------------------------------------
+
+_MASS_BOUND = 100.0
+_GRADIENT_BOUND = 8.0
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -371,8 +371,8 @@ class ValidationReport:
 
 def validate_family(fam: SyntheticFamily, k: int, window: float = 0.5) -> ValidationReport:
     """Proxy checks of the standing hypotheses: declared curvature sign
-    class, curvature-mass bound over the window, and a scale-invariant
-    gradient bound |grad u| * |x - x0| sampled over the window. Raises
+    class, curvature mass over the window <= _MASS_BOUND, and scale-invariant
+    gradient |grad u| |x - x0| sampled over it <= _GRADIENT_BOUND. Raises
     ValueError when u is not finite on a sampled circle."""
     f = fam.curvature(k)
     sign_ok = _SIGN_CLASSES[fam.sign_class](f)
@@ -386,8 +386,8 @@ def validate_family(fam: SyntheticFamily, k: int, window: float = 0.5) -> Valida
     gx = (on_circles(uk, c, r, x + eps, y) - on_circles(uk, c, r, x - eps, y)) / (2 * eps)
     gy = (on_circles(uk, c, r, x, y + eps) - on_circles(uk, c, r, x, y - eps)) / (2 * eps)
     max_grad = float((np.hypot(gx, gy) * r[:, None]).max())
-    return ValidationReport(sign_ok=bool(sign_ok), mass_ok=bool(mass <= fam.mass_bound),
-                            gradient_ok=bool(max_grad <= fam.gradient_bound),
+    return ValidationReport(sign_ok=bool(sign_ok), mass_ok=bool(mass <= _MASS_BOUND),
+                            gradient_ok=bool(max_grad <= _GRADIENT_BOUND),
                             max_mass=float(mass), max_gradient=max_grad)
 
 

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import InfeasibleTopology, StageFailure
 from .green import singular_part
-from .grids import (Field, TAU, TorusChart, half_laplacian_multiplier, irfft2, rfft2,
-                    torus_distance)
+from .grids import Field, TorusChart, half_laplacian_multiplier, irfft2, rfft2, torus_distance
 from .measures import Divisor, euler_characteristic
 from .solver import CurvatureSpec, Solution, check_curvature_bounds, newton_solve
 
@@ -44,13 +43,11 @@ class ContinuationSchedule:
 
     Weights must stay strictly above -1, be non-increasing in k, and
     never undershoot the target; every stage curvature must be finite and
-    negative and, when `lam` is given, 1 <= lam < inf and every stage
-    curvature must lie in [-lam, -1/lam] (`check_curvature_bounds`).
+    negative (`check_curvature_bounds`).
     """
 
     target: Divisor
     steps: tuple
-    lam: float | None = None
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -69,7 +66,7 @@ class ContinuationSchedule:
             if prev is not None and any(b > pb + 1e-12 for b, pb in zip(step.betas, prev)):
                 raise ValueError("stage weights must be non-increasing")
             prev = step.betas
-            check_curvature_bounds(step.curvature, self.lam)
+            check_curvature_bounds(step.curvature, None)
         object.__setattr__(self, "steps", steps)
 
 
@@ -78,11 +75,8 @@ def cusp_schedule(target: Divisor, k_max: int = 10,
     """Default schedule: beta^k = -1 + 2^{-k} for each cusp atom.
 
     Strictly conical atoms keep their target weight; with no cusp atoms
-    the schedule degenerates to a single direct stage. It sets no `lam`:
-    `run_continuation`'s defect check pins each stage's grid area to within
-    10 tol / |K| of 2 pi |chi| / |K|, inside any envelope a `lam` declares.
-    With a cusp atom `k_max` must lie in 1..53: -1 + 2^{-k} rounds to -1
-    beyond k = 53.
+    the schedule degenerates to a single direct stage. With a cusp atom
+    `k_max` must lie in 1..53: -1 + 2^{-k} rounds to -1 beyond k = 53.
     """
     if not any(b == -1.0 for b in target.betas):
         return ContinuationSchedule(target, (ScheduleStep(target.betas, curvature),))
@@ -130,8 +124,8 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
 
     Each stage records its area, Gauss-Bonnet defect, iteration counts and
     the largest curvature mass over scanned disks away from the atoms.
-    The defect must stay below 10 * tol and, when curvature bounds are
-    declared, the grid area must respect -2 pi chi / lam <= area <= -2 pi chi lam.
+    The defect must stay below 10 * tol; at constant K that pins the grid
+    area to within 10 tol / |K| of 2 pi |chi| / |K|.
     The extrapolated area removes the leading 2^{-k} term from the tail.
     A StageFailure carries the reports of the stages completed before it.
     """
@@ -158,16 +152,6 @@ def run_continuation(sched: ContinuationSchedule, n: int = 256,
             raise StageFailure(
                 f"stage {k}: conservation defect {sol.gb_defect:.3e} > 10 tol",
                 stage=k, reports=reports)
-        if sched.lam is not None:
-            # the grid mean, unlike the ring corrections, is fixed by Gauss-Bonnet
-            lo = -TAU * chi_k / sched.lam
-            hi = -TAU * chi_k * sched.lam
-            slack = (1e-6 + 0.5 / n) * abs(TAU * chi_k) + 1e-12
-            area = sol.grid_area
-            if not (lo - slack <= area <= hi + slack):
-                raise StageFailure(
-                    f"stage {k}: grid area {area:.6g} violates [{lo:.6g}, {hi:.6g}]",
-                    stage=k, reports=reports)
         scan = no_bubble_scan(sol, radii=(scan_radius,))
         reports.append(StageReport(
             k=k, betas=step.betas, chi=chi_k, area=sol.area,

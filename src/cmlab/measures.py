@@ -137,24 +137,19 @@ def _laplacian_fd(values: np.ndarray, h: float) -> np.ndarray:
     return lap
 
 
-def pairing(u: Field, testfn: Field, background_curv: Field | float = 0.0) -> float:
-    """Weak curvature pairing: integral of (phi * K0 - u * Delta(phi))."""
+def pairing(u: Field, testfn: Field) -> float:
+    """Weak curvature pairing on a flat chart: the integral of -u Delta(phi).
+    The torus and disk charts carry no curvature of their own, so no
+    background term enters."""
     if u.n != testfn.n or u.chart != testfn.chart:
         raise ValueError("pairing requires matching grids and charts")
-    if isinstance(background_curv, Field):
-        if background_curv.n != u.n or background_curv.chart != u.chart:
-            raise ValueError("background curvature grid mismatch")
-        k0 = background_curv.values
-    else:
-        k0 = float(background_curv)
     if isinstance(u.chart, TorusChart):
         lap_phi = -neg_laplacian(testfn.values)
     elif isinstance(u.chart, DiskChart):
         lap_phi = _laplacian_fd(testfn.values, u.chart.spacing(u.n))
     else:
         raise ValueError("pairing is defined on torus and disk charts")
-    integrand = testfn.values * k0 - u.values * lap_phi
-    return integral(Field(integrand, u.chart))
+    return integral(Field(-u.values * lap_phi, u.chart))
 
 
 # -- circle flux -------------------------------------------------------------

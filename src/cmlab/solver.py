@@ -34,8 +34,9 @@ inner solves and Armijo trials reuse, so no step allocates an n-by-n
 array: S, v, lv, W (over e^{2u}) and F, CG's p, lp and x, and z^ (n(n + 2)
 doubles). CG solves in place on its right-hand side -F, so F's array
 becomes CG's r; b = -F is rebuilt afterwards from lv and K e^{2u} = W / -2,
-which is exact, since scaling by a power of two commutes with rounding. z, A p and -Delta x live in w, the first n^2 doubles of z^'s
-buffer, which ``grids.irfft2`` may write while it reads z^. The symbol k2
+which is exact, since scaling by a power of two commutes with rounding.
+z, A p and -Delta x live in w, the first n^2 doubles of z^'s buffer,
+which ``grids.irfft2`` may write while it reads z^. The symbol k2
 of -Delta is held as its two 1-D factors, and CG forms 1/(k2 + c) a row
 block at a time. At n = 1024 the warm solve's tracemalloc peak is 72.7 MiB,
 at n = 512 18.7 MiB.
@@ -298,9 +299,8 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, r: np.ndarray,
     has ||r||_2 <= max(_CG_RTOL ||b||_2, tol/2). On return `r` holds that
     residual b - (-Delta + W) x.
 
-    With b = -F and the Newton tolerance `tol`, the absolute term stops the
-    inner solve once a full step would leave sup |F| about tol/2 (module
-    docstring); `tol` = 0 keeps the pure relative stop.
+    With b = -F and Newton tolerance `tol`, the absolute term stops the inner
+    solve once a full step would leave sup |F| about tol/2 (module docstring).
 
     CG works on samples. The preconditioner solve (k2 + shift) z^ = r^ fixes
     -Delta z = r - shift z with no transform, and p = z + beta p is linear

@@ -2,7 +2,9 @@
 
 Deliberately different algorithms from the package: direct lattice series,
 finite-difference stencils, and adaptive quadrature, so agreement between
-the two is evidence, not tautology. The model closed forms the tests check
+the two is evidence, not tautology. The translation spread is the one
+metamorphic measure here: it runs the package's solver twice and compares
+the solves with each other. The model closed forms the tests check
 against live here too, and so does the Green kernel's smooth remainder as
 a whole grid, which the package no longer stores. The whole-array
 references at the end keep the arithmetic the solver's cache-blocked
@@ -17,12 +19,13 @@ from scipy.integrate import quad
 
 from cmlab.continuation import ScanReport
 from cmlab.errors import CurvatureSignError
-from cmlab.green import _R1, _R2, _psi, _s4, cutoff
+from cmlab.green import _R1, _R2, _psi, _s4, cutoff, singular_part
 from cmlab.grids import (TorusChart, bilinear_torus, gauss_legendre,
-                         half_laplacian_multiplier, irfft2, poisson_mean_zero, rfft2,
+                         half_laplacian_multiplier, irfft2, poisson_mean_zero, rfft2, sample,
                          torus_distance)
+from cmlab.measures import Divisor
 from cmlab.models import cap_profile
-from cmlab.solver import _CG_MAXITER, _CG_RTOL
+from cmlab.solver import _CG_MAXITER, _CG_RTOL, CurvatureSpec, newton_solve
 
 TAU = 2.0 * math.pi
 
@@ -168,6 +171,36 @@ def flat_neck_inner_radius(k: int) -> float:
 def flat_neck_annulus_area(k: int, s: float, t: float) -> float:
     """Area of s < r < t: (2 pi / k^2) log(t/s); every e-fold gives 2 pi/k^2."""
     return TAU / float(k) ** 2 * math.log(t / s)
+
+
+# -- translation spread ----------------------------------------------------------
+
+def translation_spread(beta: float, f: float, n: int,
+                       K=lambda x, y: np.full(np.shape(x), -1.0)) -> float:
+    """A lower bound on the discretisation error of v with no exact solution.
+
+    The continuum problem is invariant under translation, the grid is not.
+    One cone of weight beta is solved with its atom at
+    p = ((round(0.3 n) + 0.21)/n, (round(0.7 n) + 0.33)/n), a fixed sub-cell
+    offset at every n, and again with the atom and the callable curvature K
+    moved by f/n in x. The first v is moved the same way spectrally,
+    v1(x - f/n), by the phase e^{-2 pi i k_x f/n} with the Nyquist row and
+    column dropped, and the spread is the sup of |v2 - v1(x - f/n)| over
+    the nodes more than 0.1 from p. A shift by whole cells is a symmetry of
+    the grid, so there only the dropped Nyquist modes remain.
+    """
+    p = ((round(0.3 * n) + 0.21) / n, (round(0.7 * n) + 0.33) / n)
+    problems = ((p, K), ((p[0] + f / n, p[1]), lambda x, y: K(x - f / n, y)))
+    v1, v2 = (newton_solve(CurvatureSpec(sample(k, TorusChart(), n)),
+                           singular_part(Divisor((a,), (beta,)), n)).v.values
+              for a, k in problems)
+    kx = np.fft.fftfreq(n, 1.0 / n)
+    spec = np.fft.rfft2(v1) * np.exp(-2j * math.pi * kx[:, None] * f / n)
+    spec[n // 2, :] = 0.0
+    spec[:, n // 2] = 0.0
+    x = TorusChart().nodes(n)
+    far = torus_distance(x[:, None], x[None, :], *p) > 0.1
+    return float(np.abs(v2 - np.fft.irfft2(spec, s=(n, n)))[far].max())
 
 
 # -- whole-array references for the solver's block sweeps ------------------------

@@ -191,7 +191,7 @@ def test_validate_family_cap():
     assert rep.sign_ok and rep.mass_ok and rep.gradient_ok
     # |grad u| r = 2 r^2 / (lam^2 + r^2) tops out just under 2
     assert rep.max_gradient == pytest.approx(2.0, abs=1e-2)
-    assert rep.max_mass <= fam.mass_bound
+    assert rep.max_mass <= 100.0
 
 
 def test_validate_family_signs():

@@ -112,6 +112,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
         assert f"cannot parse {str(fixture)!r}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
+    # the hypothesis check's bounds are constants, not fixture keys
+    for key in ("mass_bound", "gradient_bound"):
+        fixture.write_text(f"[family]\nkind = flat-neck\nsign = violating\n{key} = 100.0\n")
+        assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown keys ['{key}'] in section [family]" in capsys.readouterr().err
     # a missing fixture file fails through main's OSError path, as a config does
     neck.write_text(f"[neck]\nfixture = {tmp_path / 'absent.ini'}\n")
     assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
@@ -123,8 +128,6 @@ def test_config_errors_exit_1(tmp_path, capsys):
     # fixture values used to print a bare int() or float() complaint
     ("neck", "fixture = {fixture}", "kind = flat-neck\nsign = positive\nk_min = two",
      "bad value for 'k_min' in '{fixture}': invalid literal for int()"),
-    ("neck", "fixture = {fixture}", "kind = flat-neck\nsign = positive\nmass_bound = lots",
-     "bad value for 'mass_bound' in '{fixture}': could not convert string to float"),
     ("area-identity", "fixture = {fixture}",
      "kind = spherical-cap\nsign = positive\nlam_scale = big",
      "bad value for 'lam_scale' in '{fixture}': could not convert string to float"),

@@ -64,21 +64,11 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         ContinuationSchedule(target, (ScheduleStep((-0.75 + 0.5,), -1.0),
                                       ScheduleStep((-0.1,), -1.0)))  # increasing
-    with pytest.raises(ValueError):
-        ContinuationSchedule(target, (ScheduleStep((-0.5,), -2.0),), lam=1.0)
-    # lam describes the bounds [-lam, -1/lam] only when 1 <= lam < inf
-    for lam in (0.0, 0.5, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="lam"):
-            ContinuationSchedule(target, (ScheduleStep((-0.5,), -1.0),), lam=lam)
 
 
 def test_schedules_without_lam_still_check_the_sign():
-    # cusp_schedule declares no envelope: for constant K the Gauss-Bonnet
-    # defect check pins each stage's grid area more tightly than any lam
+    # a Field stage is held to sup K < 0 when it is built
     target = Divisor(((0.3, 0.7),), (-1.0,))
-    assert cusp_schedule(target, k_max=2).lam is None
-    assert cusp_schedule(Divisor(((0.3, 0.7),), (-0.5,)), curvature=-2.0).lam is None
-    # with no lam a Field stage is still held to sup K < 0 when it is built
     k = sample(lambda x, y: -0.5 + np.cos(TAU * x), TorusChart(), 32)
     for field in (k, constant(0.0, TorusChart(), 32)):
         with pytest.raises(ValueError, match="curvature must be finite and negative"):
@@ -134,7 +124,7 @@ def test_secant_start_when_weights_stand_still():
     target = Divisor(((0.3, 0.7),), (-0.75,))
     steps = (ScheduleStep((-0.5,), -1.0), ScheduleStep((-0.5,), -1.5),
              ScheduleStep((-0.75,), -1.5))
-    sched = ContinuationSchedule(target, steps, lam=2.0)
+    sched = ContinuationSchedule(target, steps)
     warm = run_continuation(sched, n=32)
     cold = _cold_solves(sched, 32)
     np.testing.assert_allclose(warm.areas, [s.area for s in cold], rtol=1e-8)
@@ -190,13 +180,10 @@ def test_ladder_cg_budget_with_nested_cold_starts():
 
 def test_stage_envelope_holds_off_node_at_fine_grid():
     # the atom is 0.1 cell from node (154, 359) at n=512, where the ring
-    # correction moves the stage-1 area by -1.2e-3 relative, more than the
-    # envelope slack; the envelope is tested on the grid mean, which the
-    # discrete Gauss-Bonnet identity fixes
-    # lam = 1 declares K = -1 exactly, the tightest envelope there is
+    # correction moves the stage-1 area by -1.2e-3 relative; the grid mean,
+    # which the discrete Gauss-Bonnet identity fixes, stays on 2 pi |chi|
     target = Divisor(((0.3009765625, 0.7009765625),), (-1.0,))
-    sched = ContinuationSchedule(target, cusp_schedule(target, k_max=2).steps, lam=1.0)
-    res = run_continuation(sched, n=512)
+    res = run_continuation(cusp_schedule(target, k_max=2), n=512)
     assert [s.k for s in res.stages] == [1, 2]
     for s in res.stages:
         assert s.area == pytest.approx(TAU * (1.0 - 2.0 ** -s.k), rel=1e-2)
@@ -236,11 +223,9 @@ def test_stage_failure_keeps_the_completed_stages(monkeypatch):
 
 @pytest.mark.parametrize("field, value, message", [
     ("gb_defect", 1.0, "conservation defect"),
-    ("grid_area", 2.0 * TAU, "grid area"),  # outside the lam = 1 envelope
 ])
 def test_stage_checks_raise_at_their_stage(monkeypatch, field, value, message):
-    # a stage Solution that breaks Gauss-Bonnet or leaves the area envelope
-    # stops the run at that stage
+    # a stage Solution that breaks Gauss-Bonnet stops the run at that stage
     solves = []
 
     def tampered(*args, **kwargs):
@@ -250,9 +235,8 @@ def test_stage_checks_raise_at_their_stage(monkeypatch, field, value, message):
 
     monkeypatch.setattr(cmlab.continuation, "newton_solve", tampered)
     target = Divisor(((0.3, 0.7),), (-1.0,))
-    sched = ContinuationSchedule(target, cusp_schedule(target, k_max=3).steps, lam=1.0)
     with pytest.raises(StageFailure, match=message) as exc:
-        run_continuation(sched, n=32)
+        run_continuation(cusp_schedule(target, k_max=3), n=32)
     assert exc.value.stage == 2
     assert [r.k for r in exc.value.reports] == [1]
 

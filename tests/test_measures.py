@@ -165,9 +165,6 @@ def test_pairing_weak_identity_torus():
     phi = sample(lambda x, y: np.cos(TAU * x) * np.cos(TAU * y) + 0.3, chart, n)
     want = integral(Field(5.0 * TAU ** 2 * u.values * phi.values, chart))
     assert pairing(u, phi) == pytest.approx(want, abs=1e-9)
-    # constant background curvature shifts the pairing by K0 * integral(phi)
-    shift = pairing(u, phi, 3.0) - pairing(u, phi, 0.0)
-    assert shift == pytest.approx(3.0 * integral(phi), rel=1e-12)
     # linearity in the conformal factor
     w = sample(lambda x, y: np.cos(3 * TAU * x), chart, n)
     combo = Field(2.0 * u.values - 0.5 * w.values, chart)
@@ -177,26 +174,14 @@ def test_pairing_weak_identity_torus():
         pairing(u, sample(lambda x, y: x, chart, 32))
 
 
-def test_pairing_field_background_curvature():
-    # a Field K0 pairs like the constant it samples; its grid must match u's
-    n = 32
-    chart = TorusChart()
-    u = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), chart, n)
-    phi = sample(lambda x, y: np.cos(TAU * x) * np.cos(TAU * y) + 0.3, chart, n)
-    assert pairing(u, phi, constant(3.0, chart, n)) == pairing(u, phi, 3.0)
-    with pytest.raises(ValueError, match="background curvature grid mismatch"):
-        pairing(u, phi, constant(3.0, chart, 16))
-
-
 def test_pairing_disk_compact_support():
     # for a test function vanishing at the window edge the FD Laplacian
-    # integrates to zero, so pairing a constant against it is just K0 * phi
+    # integrates to zero, so pairing a constant against it vanishes
     chart = DiskChart(1.0)
     n = 128
     phi = sample(lambda x, y: np.exp(-20.0 * (x * x + y * y)), chart, n)
     u = constant(1.7, chart, n)
-    assert pairing(u, phi, 0.0) == pytest.approx(0.0, abs=1e-6)
-    assert pairing(u, phi, 2.0) == pytest.approx(2.0 * integral(phi), abs=1e-6)
+    assert pairing(u, phi) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_flux_matches_closed_forms():

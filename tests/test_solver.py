@@ -31,6 +31,7 @@ from oracles import (
     cone_radial_length,
     cusp_radial_length,
     quad_ray_length_cells,
+    translation_spread,
     whole_array_cg,
     whole_grid_blended_sum,
 )
@@ -565,6 +566,29 @@ def test_comparison_principle_with_variable_curvature(seed):
     assert float((v - solved_v(-1.6)).min()) >= 0.08
     assert float((solved_v(-0.4) - v).min()) >= 0.18
     assert float((solved_v(bumped) - v).min()) >= 2.5e-4
+
+
+@pytest.mark.parametrize("beta, order", [(-0.5, 0.95), (-0.8, 0.45)])
+def test_translation_spread_falls_with_the_grid(beta, order):
+    # a sub-cell move of the atom, undone spectrally, bounds v's
+    # discretisation error from below; it falls at about the order 2 + 2 beta
+    # (sampling e^{2S} ~ |x|^{2 beta} at nodes). Over 40 sub-cell offsets the
+    # fitted order at n = 64, 128, 256 ranged over 0.98-1.14 at beta = -0.5
+    # and 0.49-0.76 at beta = -0.8, and fell at every doubling; the fixed
+    # offset reads 1.03-1.05 and 0.60-0.63
+    ns = (64, 128, 256)
+    for f in (0.25, 0.5):
+        spreads = [translation_spread(beta, f, n) for n in ns]
+        assert spreads[0] > spreads[1] > spreads[2]
+        assert -np.polyfit(np.log2(ns), np.log2(spreads), 1)[0] >= order
+    # a whole-cell move is a symmetry of the grid, also with variable K: only
+    # the dropped Nyquist modes remain, 0.027 and 0.041 times the f = 1/2
+    # spread. Moving v1 the wrong way reads 1.9 and 1.8 times it, and
+    # leaving K in place 4.6 and 1.1 times
+    def K(x, y):
+        return -1.0 + 0.4 * np.cos(TAU * x) * np.cos(TAU * y)
+
+    assert translation_spread(beta, 1.0, 64, K) < 0.1 * spreads[0]
 
 
 def test_cg_capped_is_counted(monkeypatch):
