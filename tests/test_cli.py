@@ -112,15 +112,22 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
         assert f"cannot parse {str(fixture)!r}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
-    # the hypothesis check's bounds are constants, not fixture keys
-    for key in ("mass_bound", "gradient_bound"):
-        fixture.write_text(f"[family]\nkind = flat-neck\nsign = violating\n{key} = 100.0\n")
-        assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
-        assert f"unknown keys ['{key}'] in section [family]" in capsys.readouterr().err
     # a missing fixture file fails through main's OSError path, as a config does
     neck.write_text(f"[neck]\nfixture = {tmp_path / 'absent.ini'}\n")
     assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
     assert "[Errno 2] No such file or directory" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["mass_bound", "gradient_bound"])
+def test_a_fixture_that_sets_a_hypothesis_bound_exits_1(tmp_path, capsys, key):
+    # the hypothesis check's bounds are constants, not fixture keys
+    fixture = tmp_path / "fam.ini"
+    fixture.write_text(f"[family]\nkind = flat-neck\nsign = violating\n{key} = 100.0\n")
+    neck = tmp_path / "neck.ini"
+    neck.write_text(f"[neck]\nfixture = {fixture}\n")
+    assert run_cli(["neck", "--config", str(neck), "--out", str(tmp_path / "o")]) == 1
+    assert f"unknown keys ['{key}'] in section [family]" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
 
 
