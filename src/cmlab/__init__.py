@@ -55,7 +55,6 @@ from .grids import (
     LogPolarChart,
     TorusChart,
     bilinear_torus,
-    conformal_area,
     constant,
     integral,
     interpolate,
@@ -80,7 +79,6 @@ from .measures import (
     SignedMeasureSample,
     euler_characteristic,
     flux_profile,
-    gauss_bonnet_annulus,
     kelvin_transform,
     newtonian_potential,
     pairing,

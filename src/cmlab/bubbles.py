@@ -300,13 +300,6 @@ class SyntheticFamily:
     def bubble_areas(self) -> tuple:
         return _KINDS[self.kind].bubbles
 
-    def bubble_seq(self) -> BlowupSeq | None:
-        if not self.bubble_areas():
-            return None
-        ks = list(self.k_values())
-        return BlowupSeq(tuple(self.center() for _ in ks),
-                         tuple(self.scale(k) for k in ks))
-
 
 def _smooth_base(x, y, amp):
     return amp * np.sin(1.3 * np.asarray(x) + 0.4) * np.cos(0.9 * np.asarray(y) - 0.2)
@@ -490,8 +483,8 @@ def neck_area_profile(u, x0, r_in: float, r_out: float) -> NeckReport:
     sup is the vanishing-criterion quantity) and the dyadic tiling
     D_{r_j} \\ D_{r_{j+1}} whose areas sum to the total neck area.
     """
-    if not 0 < r_in < r_out:
-        raise ValueError("need 0 < r_in < r_out")
+    if not 0 < r_in < r_out < math.inf:
+        raise ValueError(f"need 0 < r_in < r_out < inf, got r_in = {r_in}, r_out = {r_out}")
     radii = []
     r = r_out
     while r > r_in * (1.0 + 1e-9):

@@ -110,7 +110,7 @@ def _problem(cfg: RunConfig, cusp: bool = False):
     betas = ini_value(opt, "betas", _parse_floats,
                       (-1.0,) * len(atoms) if cusp else _DEFAULT_BETAS)
     curvature = ini_value(opt, "curvature", float, -1.0)
-    check_curvature_bounds(curvature, None)
+    check_curvature_bounds(curvature)
     return Divisor(atoms, betas), CurvatureSpec(curvature), curvature
 
 

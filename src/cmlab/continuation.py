@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InfeasibleTopology, StageFailure
 from .green import singular_part
-from .grids import Field, TorusChart, half_laplacian_multiplier, irfft2, rfft2, torus_distance
+from .grids import Field, TorusChart, irfft2, laplacian_factors, rfft2, torus_distance
 from .measures import Divisor, euler_characteristic
 from .solver import CurvatureSpec, Solution, check_curvature_bounds, newton_solve
 
@@ -66,7 +66,7 @@ class ContinuationSchedule:
             if prev is not None and any(b > pb + 1e-12 for b, pb in zip(step.betas, prev)):
                 raise ValueError("stage weights must be non-increasing")
             prev = step.betas
-            check_curvature_bounds(step.curvature, None)
+            check_curvature_bounds(step.curvature)
         object.__setattr__(self, "steps", steps)
 
 
@@ -193,7 +193,8 @@ def _extrapolated_start(solved: list, chi_k: float) -> Field | None:
 
 
 def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
-    """Heat-semigroup smoothing of K at time 4^{-k}, clamped to [-lam, -1/lam].
+    """Heat-semigroup smoothing of K at time 4^{-k}, clamped to [-lam, -1/lam],
+    for a negative K in [-lam, -1/lam] (up to 1e-12) and 1 <= lam < inf.
 
     The semigroup is an exact spectral multiplier on the torus, so
     constants are fixed points and the L^1 distance to the target
@@ -201,10 +202,14 @@ def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
     """
     if not isinstance(Ktarget.chart, TorusChart):
         raise ValueError("mollification is defined on the torus chart")
-    check_curvature_bounds(Ktarget, lam)
+    check_curvature_bounds(Ktarget)
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"lam must satisfy 1 <= lam < inf, got {lam}")
+    if Ktarget.values.min() < -lam - 1e-12 or Ktarget.values.max() > -1.0 / lam + 1e-12:
+        raise ValueError(f"curvature exits its bounds [{-lam:g}, {-1.0 / lam:g}]")
     t = 4.0 ** (-k)
     n = Ktarget.n
-    mult = np.exp(-half_laplacian_multiplier(n) * t)
+    mult = np.exp(-np.add(*laplacian_factors(n)) * t)
     smoothed = irfft2(mult * rfft2(Ktarget.values), n)
     return Field(np.clip(smoothed, -lam, -1.0 / lam), TorusChart())
 

@@ -191,23 +191,16 @@ def laplacian_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (TAU * kx) ** 2, (TAU * ky) ** 2
 
 
-def half_laplacian_multiplier(n: int) -> np.ndarray:
-    """Symbol of -Delta on the unit torus, (2 pi k)^2 per Fourier mode, on
-    the (n, n//2 + 1) half spectrum of ``rfft2``."""
-    kx2, ky2 = laplacian_factors(n)
-    return kx2 + ky2
-
-
 def neg_laplacian(values: np.ndarray) -> np.ndarray:
     """-Delta u for periodic samples, spectrally exact in the trig basis."""
     n = values.shape[0]
-    return irfft2(half_laplacian_multiplier(n) * rfft2(values), n)
+    return irfft2(np.add(*laplacian_factors(n)) * rfft2(values), n)
 
 
 def poisson_mean_zero(rhs: np.ndarray) -> np.ndarray:
     """Samples of the mean-zero w with -Delta w = rhs - mean(rhs) on the torus."""
     n = rhs.shape[0]
-    k2 = half_laplacian_multiplier(n)
+    k2 = np.add(*laplacian_factors(n))
     rhat = rfft2(rhs)
     np.divide(rhat, k2, out=rhat, where=k2 > 0)
     rhat[0, 0] = 0.0
@@ -390,8 +383,3 @@ def integral(field: Field) -> float:
     s = c.s_nodes(field.n)
     ws = _trapezoid_weights(field.n, s[1] - s[0]) * np.exp(2.0 * s)
     return float((ws @ v).sum() * (TAU / field.n))
-
-
-def conformal_area(field: Field) -> float:
-    """Area of the metric e^{2u}|dx|^2 over the chart domain, u = samples."""
-    return integral(Field(np.exp(2.0 * field.values), field.chart))

@@ -211,14 +211,6 @@ def flux_profile(u, center, radii) -> FluxProfile:
     return FluxProfile(tuple(radii), tuple(flux(r) for r in radii))
 
 
-def gauss_bonnet_annulus(u, center, s: float, t: float) -> float:
-    """Curvature measure of the annulus s < |x - center| < t: Phi(s) - Phi(t)."""
-    if not 0 < s < t:
-        raise ValueError("annulus radii must satisfy 0 < s < t")
-    prof = flux_profile(u, center, [s, t])
-    return prof.flux[0] - prof.flux[1]
-
-
 def _geometric_tail(values):
     """Aitken limit of a dyadic flux sequence with geometric drift.
 

@@ -136,22 +136,13 @@ class CurvatureSpec:
         return float(self.curvature)
 
 
-def check_curvature_bounds(curvature: float | Field, lam: float | None) -> None:
+def check_curvature_bounds(curvature: float | Field) -> None:
     """Raise ValueError unless the constant or Field `curvature` is finite
-    and negative (sup K < 0, under which a solution exists and is unique).
-    When `lam` is not None, also unless 1 <= lam < inf and the curvature
-    lies in [-lam, -1/lam], up to 1e-12."""
-    k = curvature.values if isinstance(curvature, Field) else curvature
-    hi = float(np.max(k))
+    and negative (sup K < 0, under which a solution exists and is unique)."""
+    hi = float(np.max(curvature.values if isinstance(curvature, Field) else curvature))
     if not -math.inf < hi < 0.0:
         got = f"max {hi}" if isinstance(curvature, Field) else hi
         raise ValueError(f"curvature must be finite and negative, got {got}")
-    if lam is None:
-        return
-    if not 1.0 <= lam < math.inf:
-        raise ValueError(f"lam must satisfy 1 <= lam < inf, got {lam}")
-    if np.min(k) < -lam - 1e-12 or hi > -1.0 / lam + 1e-12:
-        raise ValueError(f"curvature exits its bounds [{-lam:g}, {-1.0 / lam:g}]")
 
 
 @dataclass
@@ -564,7 +555,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
             raise ValueError(
                 "cusp weight beta = -1 cannot be solved directly; "
                 "approach it through a continuation schedule")
-    check_curvature_bounds(spec.curvature, None)
+    check_curvature_bounds(spec.curvature)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
@@ -715,8 +706,8 @@ def radial_length(u, p, delta: float, r0: float) -> float:
     a Solution the panels also break where the ray crosses a grid line
     x = k/n, so no panel holds a kink of a bilinear read.
     """
-    if not 0.0 < delta < r0:
-        raise ValueError("need 0 < delta < r0")
+    if not 0.0 < delta < r0 < math.inf:
+        raise ValueError(f"need 0 < delta < r0 < inf, got delta = {delta}, r0 = {r0}")
     px, py = finite_point(p)
     a, b = math.log(delta), math.log(r0)
     edges = np.linspace(a, b, math.ceil(4.0 * (b - a) / math.log(2.0)) + 1)

@@ -1,11 +1,16 @@
-"""Line counts of the package: each module's lines and code lines, and the
-totals, as a Markdown table, largest module first.
+"""Line counts of the package: each module's lines, code lines and public
+names, and the totals, as a Markdown table, largest module first.
 
 Lines are those `wc -l` counts. A code line is a line that holds a token
 outside comments and docstrings, so every line of a multi-line expression
 or string counts, and blank lines, comment lines and docstring lines do
 not. A docstring is the string statement that opens a module, class or
 function.
+
+A public name is a module-level `def`, `class` or simple `NAME = ...`
+assignment whose name has no leading underscore, or a `def` with no
+leading underscore directly in the body of such a class. `__init__.py`
+only re-exports names, so its public names are not counted.
 
 pytest does not collect this file. Run it from anywhere:
 
@@ -46,16 +51,33 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
+def public_names(text: str) -> int:
+    count = 0
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [m.name for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        count += sum(not name.startswith("_") for name in names)
+    return count
+
+
 def main() -> None:
     rows = []
     for path in SRC.glob("*.py"):
         text = path.read_text(encoding="utf-8")
-        rows.append((path.stem, len(text.splitlines()), code_lines(text)))
+        public = 0 if path.name == "__init__.py" else public_names(text)
+        rows.append((path.stem, len(text.splitlines()), code_lines(text), public))
     rows.sort(key=lambda row: (-row[1], row[0]))
-    print("| file | lines | code |\n| --- | --- | --- |")
-    for name, lines, code in rows:
-        print(f"| `{name}` | {lines} | {code} |")
-    print(f"| total | {sum(r[1] for r in rows)} | {sum(r[2] for r in rows)} |")
+    print("| file | lines | code | public |\n| --- | --- | --- | --- |")
+    for name, lines, code, public in rows:
+        print(f"| `{name}` | {lines} | {code} | {public} |")
+    print("| total | " + " | ".join(str(sum(r[i] for r in rows)) for i in (1, 2, 3)) + " |")
 
 
 if __name__ == "__main__":

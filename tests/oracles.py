@@ -20,9 +20,8 @@ from scipy.integrate import quad
 from cmlab.continuation import ScanReport
 from cmlab.errors import CurvatureSignError
 from cmlab.green import _R1, _R2, _psi, _s4, cutoff, singular_part
-from cmlab.grids import (TorusChart, bilinear_torus, gauss_legendre,
-                         half_laplacian_multiplier, irfft2, poisson_mean_zero, rfft2, sample,
-                         torus_distance)
+from cmlab.grids import (TorusChart, bilinear_torus, gauss_legendre, irfft2,
+                         laplacian_factors, poisson_mean_zero, rfft2, sample, torus_distance)
 from cmlab.measures import Divisor
 from cmlab.models import cap_profile
 from cmlab.solver import _CG_MAXITER, _CG_RTOL, CurvatureSpec, newton_solve
@@ -209,7 +208,7 @@ def whole_array_cg(op, W, shift, b, tol):
     """The solver's preconditioned CG with every pass over whole arrays:
     (x, -Delta x, iterations, capped), the reference for the blocked `_cg`."""
     n = op.n
-    denom = half_laplacian_multiplier(n) + shift
+    denom = np.add(*laplacian_factors(n)) + shift
     r = b.copy()
     zhat = rfft2(r)
     zhat /= denom

@@ -365,14 +365,6 @@ def test_area_identity_hyperbolic_cusp():
     assert not rep.violation
 
 
-def test_bubble_seq_from_family():
-    fam = load_fixture("spherical-cap")
-    seq = fam.bubble_seq()
-    assert len(seq) == fam.k_max - fam.k_min + 1
-    assert classify_pair(seq, seq) == "essentially-same"
-    assert load_fixture("no-bubble").bubble_seq() is None
-
-
 def test_neck_vanishing_controls_total_area():
     # structural direction of the vanishing criterion: every dyadic annulus
     # sits inside an e-fold annulus, so total <= count * sup_efold; and for

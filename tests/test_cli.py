@@ -304,6 +304,10 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
      "the hyperbolic-cusp limit area needs window < 1, got 1.0"),
     # a profile that overflows on a circle used to print numpy's warning first
     ("neck", "fixture = spherical-cap\nr_out = 1e300", "profile is not finite on the circle"),
+    # an infinite outer radius used to halve inf forever, appending radii
+    # until memory ran out
+    ("neck", "r_out = inf",
+     "need 0 < r_in < r_out < inf, got r_in = 3.720075976020836e-44, r_out = inf"),
     # a family is a planar profile; a cylinder is named by [three-circle]'s a and b
     ("neck", "fixture = linear-cylinder", "unknown fixture 'linear-cylinder'"),
     ("area-identity", "window = 1e300", "profile is not finite on the circle"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,9 +259,13 @@ def test_mollify_curvature():
     # heat time 4^{-k} gives an asymptotic quartering per step
     assert dists[-1] / dists[-2] < 0.35 and dists[-2] / dists[-3] < 0.35
 
-    bad = constant(-3.0, TorusChart(), n)
-    with pytest.raises(ValueError):
-        mollify_curvature(bad, 3, 2.0)
+    # the sign is checked before lam; the clamp range on both sides
+    with pytest.raises(ValueError, match="finite and negative, got max 0.0"):
+        mollify_curvature(constant(0.0, TorusChart(), n), 3, 0.5)
+    with pytest.raises(ValueError, match=re.escape("exits its bounds [-2, -0.5]")):
+        mollify_curvature(constant(-3.0, TorusChart(), n), 3, 2.0)
+    with pytest.raises(ValueError, match=re.escape("exits its bounds [-1.5, -0.666667]")):
+        mollify_curvature(constant(-0.5, TorusChart(), 64), 3, 1.5)
     with pytest.raises(ValueError):
         mollify_curvature(constant(-1.0, DiskChart(1.0), 32), 3, 2.0)
     for lam in (0.0, 0.5, math.inf):
