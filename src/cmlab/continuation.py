@@ -193,8 +193,9 @@ def _extrapolated_start(solved: list, chi_k: float) -> Field | None:
 
 
 def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
-    """Heat-semigroup smoothing of K at time 4^{-k}, clamped to [-lam, -1/lam],
-    for a negative K in [-lam, -1/lam] (up to 1e-12) and 1 <= lam < inf.
+    """Heat-semigroup smoothing of K at time 4^{-k}, k >= 0, clamped to
+    [-lam, -1/lam], for a negative K in [-lam, -1/lam] (up to 1e-12) and
+    1 <= lam < inf.
 
     The semigroup is an exact spectral multiplier on the torus, so
     constants are fixed points and the L^1 distance to the target
@@ -205,6 +206,8 @@ def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
     check_curvature_bounds(Ktarget)
     if not 1.0 <= lam < math.inf:
         raise ValueError(f"lam must satisfy 1 <= lam < inf, got {lam}")
+    if not k >= 0:
+        raise ValueError(f"k must satisfy k >= 0, got {k}")
     if Ktarget.values.min() < -lam - 1e-12 or Ktarget.values.max() > -1.0 / lam + 1e-12:
         raise ValueError(f"curvature exits its bounds [{-lam:g}, {-1.0 / lam:g}]")
     t = 4.0 ** (-k)

@@ -8,7 +8,9 @@ remainder R solves -Delta R = -(1 + psi) spectrally, where psi collects the
 cutoff's commutator terms; near an atom every evaluation goes through the
 analytic log plus R, never through raw grid samples of G. A kernel keeps
 one grid, the samples of G that S is summed from; R is rebuilt from them
-at the nodes an off-grid read touches.
+at the nodes an off-grid read touches. The build evaluates psi and the
+log term only on chi's support d < 3/8; off it both vanish, so the
+samples have the bits of a build over the whole grid.
 
 The singular part of a conformal factor for a divisor is
 S = -2 pi * sum_i beta_i G_{p_i}, so that -Delta S has atoms
@@ -91,22 +93,31 @@ class TorusGreen:
         return R - cutoff(d) * np.log(d) / TAU
 
 
-# 16 kernels hold 128 MiB at n = 1024, one 8 MiB grid each. A solve reads
-# one key per atom, its own grid's (its n/4 levels inject S): a 3-atom cone
-# solved twice at n = 1024 misses 3 times and hits 3, a 5-cusp n = 256
-# ladder (k_max = 10) misses 5 times and hits 45. Solves of up to 16 atoms
-# fit; with more, each repeated solve or ladder stage rebuilds every kernel
+# 16 kernels hold 128 MiB at n = 1024, one 8 MiB grid each (the head of a
+# buffer of n(n + 2) doubles, the spectrum its Poisson solve transformed
+# back into). A solve reads one key per atom, its own grid's (its n/4
+# levels inject S): a 3-atom cone solved twice at n = 1024 misses 3 times
+# and hits 3, a 5-cusp n = 256 ladder (k_max = 10) misses 5 times and hits
+# 45. Solves of up to 16 atoms fit; with more, each repeated solve or
+# ladder stage rebuilds every kernel
 @lru_cache(maxsize=16)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     x = TorusChart().nodes(n)
-    d = torus_distance(x[:, None], x[None, :], px, py)
+    d = torus_distance(x[:, None], x[None, :], px, py).reshape(-1)
+    # psi and the node log vanish off chi's support d < 3/8 (44% of the nodes),
+    # so they are evaluated there alone and scattered: off it -1 - psi is -1,
+    # and subtracting the node log, -0.0, changes no nonzero sample's bits
+    near = np.flatnonzero(d < _R2)
+    d = d[near]
+    rhs = np.full((n, n), -1.0)
+    rhs.reshape(-1)[near] -= _psi(d)
     # the smooth remainder R, formed only to build the samples G = R - node log
-    samples = poisson_mean_zero(-1.0 - _psi(d))
+    samples = poisson_mean_zero(rhs)
     # pin the continuum mean of G to zero: mean(R) = (1/2pi) int chi log d,
     # the disk d <= 1/8 analytic and the cutoff band by 64-node Gauss-Legendre
     samples += (0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
                 + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64))
-    samples -= _node_log(d, n)
+    samples.reshape(-1)[near] -= _node_log(d, n)
     samples.setflags(write=False)
     return TorusGreen((px, py), n, samples)
 

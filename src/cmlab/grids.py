@@ -198,13 +198,20 @@ def neg_laplacian(values: np.ndarray) -> np.ndarray:
 
 
 def poisson_mean_zero(rhs: np.ndarray) -> np.ndarray:
-    """Samples of the mean-zero w with -Delta w = rhs - mean(rhs) on the torus."""
+    """Samples of the mean-zero w with -Delta w = rhs - mean(rhs) on the torus.
+
+    The spectrum is divided by the symbol a row block at a time, and w is
+    transformed back into the head of the spectrum's own buffer (``irfft2``):
+    the result is a view that shares that buffer of n(n + 2) doubles.
+    """
     n = rhs.shape[0]
-    k2 = np.add(*laplacian_factors(n))
+    kx2, ky2 = laplacian_factors(n)
     rhat = rfft2(rhs)
-    np.divide(rhat, k2, out=rhat, where=k2 > 0)
+    for s in _blocks(n):
+        k2 = kx2[s] + ky2
+        np.divide(rhat[s], k2, out=rhat[s], where=k2 > 0)
     rhat[0, 0] = 0.0
-    return irfft2(rhat, n)
+    return irfft2(rhat, n, out=rhat.view(float).reshape(-1)[:n * n].reshape(n, n))
 
 
 def wrap_half(a: np.ndarray) -> np.ndarray:

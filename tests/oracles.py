@@ -6,10 +6,13 @@ the two is evidence, not tautology. The translation spread is the one
 metamorphic measure here: it runs the package's solver twice and compares
 the solves with each other. The model closed forms the tests check
 against live here too, and so does the Green kernel's smooth remainder as
-a whole grid, which the package no longer stores. The whole-array
-references at the end keep the arithmetic the solver's cache-blocked
-sweeps must reproduce bit for bit, and the spectral disk masses the
-concentration scan's direct sums must reproduce to a few ulps.
+a whole grid, which the package no longer stores. The whole-grid kernel
+build and its whole-array Poisson solve keep the arithmetic that the build
+on the cutoff's support and the row-blocked solve must reproduce bit for
+bit. The whole-array references at the end keep the arithmetic the
+solver's cache-blocked sweeps must reproduce bit for bit, and the spectral
+disk masses the concentration scan's direct sums must reproduce to a few
+ulps.
 """
 
 import math
@@ -19,9 +22,9 @@ from scipy.integrate import quad
 
 from cmlab.continuation import ScanReport
 from cmlab.errors import CurvatureSignError
-from cmlab.green import _R1, _R2, _psi, _s4, cutoff, singular_part
+from cmlab.green import _R1, _R2, _node_log, _psi, _s4, cutoff, singular_part
 from cmlab.grids import (TorusChart, bilinear_torus, gauss_legendre, irfft2,
-                         laplacian_factors, poisson_mean_zero, rfft2, sample, torus_distance)
+                         laplacian_factors, rfft2, sample, torus_distance)
 from cmlab.measures import Divisor
 from cmlab.models import cap_profile
 from cmlab.solver import _CG_MAXITER, _CG_RTOL, CurvatureSpec, newton_solve
@@ -54,15 +57,36 @@ def lattice_green(x: float, y: float) -> float:
     return total
 
 
+def whole_grid_poisson(rhs: np.ndarray) -> np.ndarray:
+    """`poisson_mean_zero` in whole-array passes: the symbol k2 formed on the
+    whole half spectrum, the divide masked by k2 > 0, and the inverse
+    transform into a fresh array."""
+    n = rhs.shape[0]
+    k2 = np.add(*laplacian_factors(n))
+    rhat = rfft2(rhs)
+    np.divide(rhat, k2, out=rhat, where=k2 > 0)
+    rhat[0, 0] = 0.0
+    return irfft2(rhat, n)
+
+
 def green_remainder_grid(p, n: int) -> np.ndarray:
     """The n x n grid of G_p's smooth remainder R = G + (1/2 pi) chi log d,
-    solved and mean-pinned as the kernel build does, and kept whole."""
+    solved and mean-pinned as the kernel build does, and kept whole: psi on
+    every node, not only on the cutoff's support."""
     x = TorusChart().nodes(n)
     d = torus_distance(x[:, None], x[None, :], *p)
-    remainder = poisson_mean_zero(-1.0 - _psi(d))
+    remainder = whole_grid_poisson(-1.0 - _psi(d))
     remainder += (0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
                   + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64))
     return remainder
+
+
+def whole_grid_green(p, n: int) -> np.ndarray:
+    """The kernel's samples G = R - (1/2 pi) chi log d with the node log
+    subtracted on every node, the reference for the build on chi's support."""
+    x = TorusChart().nodes(n)
+    d = torus_distance(x[:, None], x[None, :], *p)
+    return green_remainder_grid(p, n) - _node_log(d, n)
 
 
 def fd_neg_laplacian_periodic(values: np.ndarray) -> np.ndarray:

@@ -271,6 +271,11 @@ def test_mollify_curvature():
     for lam in (0.0, 0.5, math.inf):
         with pytest.raises(ValueError, match="lam"):
             mollify_curvature(const, 3, lam)
+    # a negative k is refused before 4^{-k} is formed: -600 would overflow,
+    # -1 would smooth for time 4
+    for k in (-600, -1):
+        with pytest.raises(ValueError, match=f"k must satisfy k >= 0, got {k}"):
+            mollify_curvature(constant(-1.0, TorusChart(), 16), k, 2.0)
 
 
 def _unsolved(div: Divisor, curvature: float | Field, v: Field) -> Solution:

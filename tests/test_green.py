@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cmlab.grids import TAU, Field, TorusChart, bilinear_torus, sample, torus_distance
 from cmlab.green import green_kernel, green_torus, singular_part
 from cmlab.measures import Divisor, pairing
-from oracles import green_remainder_grid, lattice_green
+from oracles import green_remainder_grid, lattice_green, whole_grid_green
 
 # independently computed convergent series value, G_0(1/2, 1/2)
 G_HALF_HALF = -0.055158900038163
@@ -107,6 +107,19 @@ def test_cached_kernel_holds_one_grid():
     g = green_kernel((0.3, 0.7), n)
     arrays = [a for a in vars(g).values() if isinstance(a, np.ndarray)]
     assert [(a.shape, a.dtype) for a in arrays] == [((n, n), np.float64)]
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256])
+@pytest.mark.parametrize("p", [
+    (0.3, 0.7),
+    (0.0, 0.0),  # an atom on a node
+    (0.999, 0.001),  # the cutoff's support across both seams
+    (0.5, 0.25 + 0.3 / 128),
+])
+def test_kernel_build_on_the_support_is_the_whole_grid_build(p, n):
+    # psi and the node log evaluated only where d < 3/8, and the blocked
+    # Poisson solve, leave every bit of every sample as the whole-grid build
+    assert green_kernel(p, n).samples.tobytes() == whole_grid_green(p, n).tobytes()
 
 
 @pytest.mark.parametrize("p, n", [

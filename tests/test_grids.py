@@ -30,7 +30,7 @@ from cmlab.grids import (
     torus_distance,
     wrap_half,
 )
-from oracles import fd_neg_laplacian_periodic
+from oracles import fd_neg_laplacian_periodic, whole_grid_poisson
 
 
 def test_field_validation():
@@ -89,6 +89,16 @@ def test_poisson_mean_zero_manufactured():
     sol = poisson_mean_zero(f.values)
     assert np.abs(sol - g.values).max() < 1e-12
     assert abs(sol.mean()) < 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256])
+def test_poisson_mean_zero_is_the_whole_array_solve(n):
+    # the row-blocked divide and the inverse transform into the spectrum's
+    # own buffer (n(n + 2) doubles) keep the whole-array solve's bits
+    f = np.random.default_rng(n).standard_normal((n, n))
+    got = poisson_mean_zero(f)
+    assert got.tobytes() == whole_grid_poisson(f).tobytes()
+    assert got.base is not None and got.base.nbytes == 8 * n * (n + 2)
 
 
 def test_laplacian_symbol_is_rfft_width():
