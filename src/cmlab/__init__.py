@@ -22,22 +22,21 @@ _EXPORTS = {
     "bubbles": ("AreaIdentityReport", "BlowupSeq", "NeckLimitReport", "NeckReport",
                 "SyntheticFamily", "ThreeCircleReport", "ValidationReport",
                 "area_identity_check", "classify_pair", "list_fixtures", "load_fixture",
-                "neck_area_profile", "neck_curvature_limit", "plane_area", "rescale",
-                "three_circle_check", "validate_family"),
+                "neck_area_profile", "neck_curvature_limit", "plane_area", "three_circle_check",
+                "validate_family"),
     "continuation": ("ContinuationResult", "ContinuationSchedule", "ScanReport",
                      "ScheduleStep", "StageReport", "cusp_schedule", "mollify_curvature",
                      "no_bubble_scan", "run_continuation"),
     "errors": ("CmlabError", "ConfigError", "CurvatureSignError", "InfeasibleTopology",
                "NonConvergence", "NonStabilizingFlux", "ResidualOverflow", "StageFailure"),
     "green": ("SingularSplit", "TorusGreen", "green_kernel", "green_torus", "singular_part"),
-    "grids": ("TAU", "DiskChart", "Field", "LogPolarChart", "TorusChart", "bilinear_torus",
-              "constant", "integral", "interpolate", "neg_laplacian", "parse_descriptor",
-              "poisson_mean_zero", "sample", "torus_distance"),
+    "grids": ("TAU", "Field", "TorusChart", "bilinear_torus", "constant", "integral",
+              "interpolate", "neg_laplacian", "parse_descriptor", "poisson_mean_zero", "sample",
+              "torus_distance"),
     "io": ("canonical_json", "emit_plot_data", "read_field", "read_report", "write_csv",
            "write_field", "write_report"),
-    "measures": ("Divisor", "FluxProfile", "SignedMeasureSample", "euler_characteristic",
-                 "flux_profile", "kelvin_transform", "newtonian_potential", "pairing",
-                 "residue", "residue_profiled"),
+    "measures": ("Divisor", "FluxProfile", "euler_characteristic", "flux_profile",
+                 "kelvin_transform", "pairing", "residue", "residue_profiled"),
     "models": ("LinearCylinder", "cap_profile", "cusp_profile", "flat_neck_profile"),
     "solver": ("CurvatureSpec", "Solution", "UniquenessReport", "metric_area",
                "newton_solve", "radial_length", "random_smooth_field", "residual",

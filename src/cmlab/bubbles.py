@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import (TAU, DiskChart, Field, TorusChart, circle_points, gauss_legendre,
-                    interpolate, on_circles)
+from .grids import TAU, circle_points, gauss_legendre, on_circles
 from .io import ini_value, read_ini
 from .measures import FluxProfile, kelvin_transform, residue_profiled
 from .models import LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
@@ -98,26 +97,6 @@ class BlowupSeq:
 
     def __len__(self) -> int:
         return len(self.radii)
-
-
-def rescale(u: Field, x, r: float, window: float = 1.0,
-            n_out: int | None = None) -> Field:
-    """Zoomed field u(x + r .) + log r on the square window [-window, window]^2.
-
-    The shift by log r makes areas invariant:
-    Area(D_W, rescaled) = Area(D_{rW}(x), original).
-    """
-    n = n_out or u.n
-    chart_out = DiskChart(window)
-    X, Y = chart_out.mesh(n)
-    px = x[0] + r * X
-    py = x[1] + r * Y
-    if isinstance(u.chart, TorusChart):
-        if r * window > 0.5:
-            raise ValueError("rescale window exceeds the torus chart")
-    elif not isinstance(u.chart, DiskChart):
-        raise ValueError("rescale works on torus or disk charts")
-    return Field(interpolate(u, px, py) + math.log(r), chart_out)
 
 
 def _trend(vals) -> tuple:

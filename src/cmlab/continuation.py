@@ -201,8 +201,6 @@ def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
     constants are fixed points and the L^1 distance to the target
     decreases in k.
     """
-    if not isinstance(Ktarget.chart, TorusChart):
-        raise ValueError("mollification is defined on the torus chart")
     check_curvature_bounds(Ktarget)
     if not 1.0 <= lam < math.inf:
         raise ValueError(f"lam must satisfy 1 <= lam < inf, got {lam}")

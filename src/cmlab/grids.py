@@ -1,16 +1,8 @@
-"""Scalar sample grids on the three charts used throughout the laboratory.
+"""Scalar sample grids on the unit flat torus, the one chart of the laboratory.
 
 A Field is an n-by-n array of samples of a scalar (usually a log-conformal
-factor) together with a chart describing where the samples live:
-
-* ``TorusChart``    -- the unit flat torus [0,1)^2, periodic in both axes,
-  samples at (i/n, j/n); supports exact spectral calculus.
-* ``DiskChart``     -- a planar window [-R, R]^2, node-centered samples at
-  spacing h = 2R/(n-1); for even n the origin falls between nodes, so
-  fields with a log singularity at the origin stay finite.
-* ``LogPolarChart`` -- an annulus r_inner <= |x| <= r_outer sampled
-  uniformly in (log r, theta), rows including both radial endpoints.
-  This is the natural chart for inversions and neck diagnostics.
+factor) on the ``TorusChart``: the unit flat torus [0,1)^2, periodic in
+both axes, with samples at (i/n, j/n). It supports exact spectral calculus.
 
 All operations treat Field values as immutable.
 """
@@ -68,88 +60,33 @@ def irfft2(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-class _SquareMesh:
+@dataclass(frozen=True)
+class TorusChart:
+    """The unit flat torus, samples at (i/n, j/n); CMLGRID1 files name it ``torus``."""
+
+    def descriptor(self) -> str:
+        return "torus"
+
+    def nodes(self, n: int) -> np.ndarray:
+        return np.arange(n) / n
+
     def mesh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         x = self.nodes(n)
         return np.meshgrid(x, x, indexing="ij")
 
 
-@dataclass(frozen=True)
-class TorusChart(_SquareMesh):
-    def descriptor(self) -> str:
-        return "torus"
-
-    def spacing(self, n: int) -> float:
-        return 1.0 / n
-
-    def nodes(self, n: int) -> np.ndarray:
-        return np.arange(n) / n
-
-
-@dataclass(frozen=True)
-class DiskChart(_SquareMesh):
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("disk chart radius must be positive and finite")
-
-    def descriptor(self) -> str:
-        return f"disk {self.radius:.17g}"
-
-    def spacing(self, n: int) -> float:
-        return 2.0 * self.radius / (n - 1)
-
-    def nodes(self, n: int) -> np.ndarray:
-        return -self.radius + self.spacing(n) * np.arange(n)
-
-
-@dataclass(frozen=True)
-class LogPolarChart:
-    r_inner: float
-    r_outer: float
-
-    def __post_init__(self):
-        ok = 0 < self.r_inner < self.r_outer and math.isfinite(self.r_outer)
-        if not ok:
-            raise ValueError("log-polar chart needs 0 < r_inner < r_outer < inf")
-
-    def descriptor(self) -> str:
-        return f"logpolar {self.r_inner:.17g} {self.r_outer:.17g}"
-
-    def s_nodes(self, n: int) -> np.ndarray:
-        return np.linspace(math.log(self.r_inner), math.log(self.r_outer), n)
-
-    def theta_nodes(self, n: int) -> np.ndarray:
-        return TAU * np.arange(n) / n
-
-    def mesh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cartesian coordinates of the samples; values[i,j] at radius row i."""
-        s, th = np.meshgrid(self.s_nodes(n), self.theta_nodes(n), indexing="ij")
-        r = np.exp(s)
-        return r * np.cos(th), r * np.sin(th)
-
-
-Chart = TorusChart | DiskChart | LogPolarChart
-
-
-def parse_descriptor(line: str) -> Chart:
-    parts = line.strip().split()
-    if parts and parts[0] == "torus" and len(parts) == 1:
+def parse_descriptor(line: str) -> TorusChart:
+    if line.strip().split() == ["torus"]:
         return TorusChart()
-    if parts and parts[0] == "disk" and len(parts) == 2:
-        return DiskChart(float(parts[1]))
-    if parts and parts[0] == "logpolar" and len(parts) == 3:
-        return LogPolarChart(float(parts[1]), float(parts[2]))
     raise ValueError(f"unrecognized chart descriptor: {line!r}")
 
 
 @dataclass
 class Field:
-    """n-by-n scalar samples on a chart; n >= MIN_N and a power of two."""
+    """n-by-n scalar samples on the torus; n >= MIN_N and a power of two."""
 
     values: np.ndarray
-    chart: Chart
+    chart: TorusChart
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -167,13 +104,13 @@ class Field:
         return self.values.shape[0]
 
 
-def sample(func, chart: Chart, n: int) -> Field:
-    """Rasterize a callable u(x, y) on a chart."""
+def sample(func, chart: TorusChart, n: int) -> Field:
+    """Rasterize a callable u(x, y) on the torus nodes."""
     X, Y = chart.mesh(n)
     return Field(np.asarray(func(X, Y), dtype=float), chart)
 
 
-def constant(value: float, chart: Chart, n: int) -> Field:
+def constant(value: float, chart: TorusChart, n: int) -> Field:
     return Field(np.full((n, n), float(value)), chart)
 
 
@@ -254,23 +191,6 @@ def on_circles(u, center, r, x, y) -> np.ndarray:
 
 # -- interpolation ----------------------------------------------------------
 
-def _bilinear_periodic(corners, n: int, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
-    """Bilinear blend at fractional node indices (fi, fj), periodic with
-    period n, of the corner values corners(I, J): the values at the four
-    integer node-index pairs (I[k], J[k])."""
-    i0 = np.floor(fi).astype(int)
-    j0 = np.floor(fj).astype(int)
-    ti = fi - i0
-    tj = fj - j0
-    i0 %= n
-    j0 %= n
-    i1 = (i0 + 1) % n
-    j1 = (j0 + 1) % n
-    c00, c10, c01, c11 = corners((i0, i1, i0, i1), (j0, j0, j1, j1))
-    return (c00 * (1 - ti) * (1 - tj) + c10 * ti * (1 - tj)
-            + c01 * (1 - ti) * tj + c11 * ti * tj)
-
-
 def _gather(grid: np.ndarray):
     return lambda I, J: (grid[i, j] for i, j in zip(I, J))
 
@@ -296,42 +216,24 @@ def bilinear_torus(grid, x, y, n: int | None = None) -> np.ndarray:
         corners = grid
     else:
         corners, n = _gather(grid), grid.shape[0]
-    return _bilinear_periodic(corners, n, x * n, y * n)
+    fi, fj = x * n, y * n
+    i0 = np.floor(fi).astype(int)
+    j0 = np.floor(fj).astype(int)
+    ti = fi - i0
+    tj = fj - j0
+    i0 %= n
+    j0 %= n
+    i1 = (i0 + 1) % n
+    j1 = (j0 + 1) % n
+    c00, c10, c01, c11 = corners((i0, i1, i0, i1), (j0, j0, j1, j1))
+    return (c00 * (1 - ti) * (1 - tj) + c10 * ti * (1 - tj)
+            + c01 * (1 - ti) * tj + c11 * ti * tj)
 
 
 def interpolate(field: Field, x, y) -> np.ndarray:
-    """Bilinear interpolation in the chart's natural coordinates.
-
-    Each chart maps the points to fractional grid indices and all three
-    share the periodic kernel. A non-periodic index (both disk axes, the
-    log-polar s axis) is clipped to [0, n-1-1e-12], so its lower node is at
-    most n-2 and the kernel's wrap to node 0 never fires there: the result
-    is the plain bilinear value. Points within a relative 1e-12 of the
-    chart's edge are accepted, so every node can be read back. A
-    non-finite x or y raises a ValueError naming it.
-    """
-    c = field.chart
-    n = field.n
-    if isinstance(c, TorusChart):
-        return bilinear_torus(field.values, x, y)
-    x, y = _finite_points(x, y)
-    top = n - 1 - 1e-12
-    if isinstance(c, DiskChart):
-        reach = c.radius * (1 + 1e-12)
-        if np.any(np.abs(x) > reach) or np.any(np.abs(y) > reach):
-            raise ValueError("interpolation point outside the disk chart window")
-        h = c.spacing(n)
-        fi = np.clip((x + c.radius) / h, 0, top)
-        fj = np.clip((y + c.radius) / h, 0, top)
-    else:
-        r = np.hypot(x, y)
-        if np.any(r < c.r_inner * (1 - 1e-12)) or np.any(r > c.r_outer * (1 + 1e-12)):
-            raise ValueError("interpolation point outside the log-polar annulus")
-        s0 = math.log(c.r_inner)
-        ds = (math.log(c.r_outer) - s0) / (n - 1)
-        fi = np.clip((np.log(r) - s0) / ds, 0, top)
-        fj = (np.arctan2(y, x) % TAU) / (TAU / n)
-    return _bilinear_periodic(_gather(field.values), n, fi, fj)
+    """Periodic bilinear interpolation of a Field at points (x, y):
+    ``bilinear_torus`` of its samples."""
+    return bilinear_torus(field.values, x, y)
 
 
 # -- quadrature -------------------------------------------------------------
@@ -368,25 +270,6 @@ def gauss_legendre(f, edges, m: int) -> float:
     return total
 
 
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    return w
-
-
 def integral(field: Field) -> float:
-    """Integral of the sampled scalar over the chart domain.
-
-    Torus: exact mean (unit area). Disk: 2-D trapezoid over the window.
-    Log-polar: includes the r dr dtheta area element, trapezoid in log r.
-    """
-    c = field.chart
-    v = field.values
-    if isinstance(c, TorusChart):
-        return float(v.mean())
-    if isinstance(c, DiskChart):
-        w = _trapezoid_weights(field.n, c.spacing(field.n))
-        return float(w @ v @ w)
-    s = c.s_nodes(field.n)
-    ws = _trapezoid_weights(field.n, s[1] - s[0]) * np.exp(2.0 * s)
-    return float((ws @ v).sum() * (TAU / field.n))
+    """Integral of the sampled scalar over the torus: the exact mean (unit area)."""
+    return float(field.values.mean())

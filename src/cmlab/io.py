@@ -1,8 +1,8 @@
 """File formats: INI inputs, CMLGRID1 grids, canonical JSON reports, CSV series.
 
 CMLGRID1 layout: 8-byte magic ``CMLGRID1``, u32 little-endian resolution n,
-n*n float64 little-endian row-major samples, then one UTF-8 chart
-descriptor line.
+n*n float64 little-endian row-major samples, then the UTF-8 chart
+descriptor line ``torus``.
 
 JSON reports are emitted canonically by the json module: sorted keys, no
 spaces, and floats in Python's shortest round-trip repr, which is exact, so
@@ -72,9 +72,9 @@ def write_field(path, field: Field) -> None:
 def read_field(path) -> Field:
     """Read a CMLGRID1 file; every malformed file raises ``CmlabError``.
 
-    The descriptor line must be exactly what ``write_field`` writes for the
-    chart it names, newline included, so a cut or shifted tail is rejected
-    rather than read as a nearby chart.
+    The descriptor line must be exactly what ``write_field`` writes,
+    ``torus`` and its newline, so a cut or shifted tail is rejected, and so
+    is any other chart's descriptor.
     """
     path = Path(path)
     raw = path.read_bytes()

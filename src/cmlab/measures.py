@@ -4,8 +4,7 @@ The Gauss curvature of a conformal metric e^{2u}|dx|^2 with rough u is a
 signed measure: atoms sit at log singularities of u, the rest pairs against
 test functions through -u * Delta(phi). This module provides the weak
 pairing, circle-flux diagnostics (whose r -> 0 limits read off atom
-masses), the Kelvin transform for behavior at infinity, and log-kernel
-Newtonian potentials.
+masses) and the Kelvin transform for behavior at infinity.
 
 Flux convention: flux(r) = integral over the circle of radius r of the
 radial derivative of u, so an atom beta log|x - p| contributes 2 pi beta
@@ -20,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonStabilizingFlux
-from .grids import (TAU, DiskChart, Field, LogPolarChart, TorusChart, circle_points,
-                    finite_point, integral, interpolate, irfft2, neg_laplacian, on_circles,
-                    rfft2, torus_distance)
-
-# integral of ln|y| over the unit-spacing grid cell centered at the origin,
-# divided by the cell area: closed form -(ln 2)/2 - 3/2 + pi/4
-CELL_LOG_MEAN = -0.5 * math.log(2.0) - 1.5 + math.pi / 4.0
+from .grids import (TAU, Field, circle_points, finite_point, integral, interpolate,
+                    neg_laplacian, on_circles, torus_distance)
 
 
 @dataclass(frozen=True)
@@ -80,30 +74,6 @@ def euler_characteristic(div: Divisor) -> float:
     return div.beta_sum
 
 
-@dataclass(frozen=True)
-class SignedMeasureSample:
-    """Atoms plus an optional density grid, read against the area element."""
-
-    atoms: tuple = ()
-    density: Field | None = None
-
-    def __post_init__(self):
-        atoms = tuple(((float(p[0]), float(p[1])), float(m)) for p, m in self.atoms)
-        locations = [a[0] for a in atoms]
-        if len(set(locations)) != len(locations):
-            raise ValueError("atom locations must be distinct")
-        for _, m in atoms:
-            if not math.isfinite(m):
-                raise ValueError("atom masses must be finite")
-        object.__setattr__(self, "atoms", atoms)
-
-    def total_variation(self) -> float:
-        tv = sum(abs(m) for _, m in self.atoms)
-        if self.density is not None:
-            tv += integral(Field(np.abs(self.density.values), self.density.chart))
-        return float(tv)
-
-
 def _check_radii(radii) -> None:
     """Raise ValueError unless the radii are positive and strictly
     increasing (a NaN radius fails both)."""
@@ -128,27 +98,13 @@ class FluxProfile:
 
 # -- weak pairing ------------------------------------------------------------
 
-def _laplacian_fd(values: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian with zero boundary (test functions are supported
-    strictly inside the window)."""
-    lap = np.zeros_like(values)
-    lap[1:-1, 1:-1] = (values[2:, 1:-1] + values[:-2, 1:-1] + values[1:-1, 2:]
-                       + values[1:-1, :-2] - 4.0 * values[1:-1, 1:-1]) / (h * h)
-    return lap
-
-
 def pairing(u: Field, testfn: Field) -> float:
-    """Weak curvature pairing on a flat chart: the integral of -u Delta(phi).
-    The torus and disk charts carry no curvature of their own, so no
-    background term enters."""
-    if u.n != testfn.n or u.chart != testfn.chart:
-        raise ValueError("pairing requires matching grids and charts")
-    if isinstance(u.chart, TorusChart):
-        lap_phi = -neg_laplacian(testfn.values)
-    elif isinstance(u.chart, DiskChart):
-        lap_phi = _laplacian_fd(testfn.values, u.chart.spacing(u.n))
-    else:
-        raise ValueError("pairing is defined on torus and disk charts")
+    """Weak curvature pairing on the torus: the integral of -u Delta(phi).
+    The flat torus carries no curvature of its own, so no background term
+    enters."""
+    if u.n != testfn.n:
+        raise ValueError("pairing requires matching grids")
+    lap_phi = -neg_laplacian(testfn.values)
     return integral(Field(-u.values * lap_phi, u.chart))
 
 
@@ -156,17 +112,15 @@ def pairing(u: Field, testfn: Field) -> float:
 
 def _flux_reader(u, center):
     """(flux, floor, start, limit) of grad(u) about `center`, u a callable
-    or a Field: flux(r) through the circle of radius r, the smallest radius
-    resolved, residue's first radius, and limit(b, c), the r -> 0 flux from
-    the last two stabilized values.
+    or a torus Field: flux(r) through the circle of radius r, the smallest
+    radius resolved, residue's first radius, and limit(b, c), the r -> 0
+    flux from the last two stabilized values.
 
     A callable is read through `on_circles` and differenced in s = log r;
     its limit is Richardson-extrapolated in r^2 (the smooth part of the
-    flux is even in r). A Field takes a 5-point 4th-order radial stencil,
-    accurate on the log-singular part down to r = 8 cells: in s on
-    log-polar charts, elsewhere in r and scaled by r (d/ds = r d/dr).
-    Whether a stencil circle leaves a disk or log-polar chart is left to
-    `interpolate`.
+    flux is even in r). A Field takes a 5-point 4th-order stencil in r,
+    scaled by r (d/ds = r d/dr), accurate on the log-singular part down to
+    r = 8 cells; a stencil circle must stay within half a period.
     """
     if callable(u):
         def flux(r):
@@ -175,29 +129,17 @@ def _flux_reader(u, center):
             return float(((up - um) / 2e-5).mean() * TAU)
         return (flux, 1e-12 * (1.0 + abs(center[0]) + abs(center[1])), 0.125,
                 lambda b, c: (4.0 * c - b) / 3.0)
-    chart, n = u.chart, u.n
-    polar, torus = isinstance(chart, LogPolarChart), isinstance(chart, TorusChart)
-    if polar:
-        if center != (0.0, 0.0):
-            raise ValueError("log-polar flux circles must be centered at the origin")
-        s = chart.s_nodes(n)
-        h = s[1] - s[0]
-        floor, start = chart.r_inner * math.exp(2.0 * h), 0.5 * chart.r_outer
-    else:
-        h = chart.spacing(n)
-        floor = 8.0 * h
-        start = (min(0.25, 0.5 - 4.0 * h) if torus
-                 else 0.25 * (chart.radius - max(abs(center[0]), abs(center[1]))))
+    n = u.n
+    h = 1.0 / n
 
     def flux(r):
-        if torus and r + 2 * h >= 0.5:
+        if r + 2 * h >= 0.5:
             raise ValueError("flux radius exceeds the torus chart")
-        m, scale = (n, 1.0) if polar else (max(64, int(math.ceil(TAU * r / h))), r)
-        vals = [interpolate(u, *circle_points(
-            center, r * math.exp(k * h) if polar else r + k * h, m)) for k in (-2, -1, 1, 2)]
+        m = max(64, int(math.ceil(TAU * r / h)))
+        vals = [interpolate(u, *circle_points(center, r + k * h, m)) for k in (-2, -1, 1, 2)]
         d = (8.0 * (vals[2] - vals[1]) - (vals[3] - vals[0])) / (12.0 * h)
-        return float(d.mean() * TAU * scale)
-    return flux, floor, start, lambda b, c: c
+        return float(d.mean() * TAU * r)
+    return flux, 8.0 * h, min(0.25, 0.5 - 4.0 * h), lambda b, c: c
 
 
 def flux_profile(u, center, radii) -> FluxProfile:
@@ -276,7 +218,7 @@ def residue(u, center) -> float:
 
     Descends at most 48 dyadic radii from `_flux_reader`'s first radius
     (1/8 for a callable) until three consecutive flux values agree within
-    1e-3 * (1 + |flux|), or below its floor (8 cells on a disk or torus).
+    1e-3 * (1 + |flux|), or below its floor (8 cells on a Field).
     The limit is the last flux (for callables, Richardson-extrapolated in
     r^2 from the last two). Failing that, the Aitken limit of a geometric
     tail is taken, else NonStabilizingFlux is raised (with the measured
@@ -289,60 +231,13 @@ def residue(u, center) -> float:
 # -- Kelvin transform --------------------------------------------------------
 
 def kelvin_transform(u):
-    """Inversion u'(x') = u(x'/|x'|^2) - 2 log|x'|.
+    """Inversion u'(x') = u(x'/|x'|^2) - 2 log|x'| of a callable u(x, y),
+    transformed symbolically into another callable; anything else raises
+    ValueError."""
+    if not callable(u):
+        raise ValueError("kelvin_transform needs a callable u(x, y)")
 
-    For a log-polar Field on [r_in, r_out] the result lives on
-    [1/r_out, 1/r_in]; the sampled transform is an exact involution and
-    preserves the annulus area termwise under the chart quadrature.
-    A callable is transformed symbolically into another callable.
-    """
-    if callable(u):
-        def transformed(x, y):
-            r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2
-            return u(x / r2, y / r2) - np.log(r2)
-        return transformed
-    if not isinstance(u.chart, LogPolarChart):
-        raise ValueError("kelvin_transform needs a log-polar Field or a callable")
-    chart = u.chart
-    out_chart = LogPolarChart(1.0 / chart.r_outer, 1.0 / chart.r_inner)
-    s_out = out_chart.s_nodes(u.n)
-    values = u.values[::-1, :] - 2.0 * s_out[:, None]
-    return Field(values, out_chart)
-
-
-# -- Newtonian potential -----------------------------------------------------
-
-def newtonian_potential(mu: SignedMeasureSample, chart: DiskChart, n: int) -> Field:
-    """Log-kernel potential I_mu(x) = -(1/2 pi) integral of log|x-y| d mu(y).
-
-    Atoms are summed analytically; the density part is a zero-padded FFT
-    convolution with the log kernel, the singular self-cell replaced by its
-    analytic cell average. Evaluation grids that hit an atom are rejected.
-    """
-    if not isinstance(chart, DiskChart):
-        raise ValueError("newtonian_potential evaluates on a disk chart")
-    X, Y = chart.mesh(n)
-    h = chart.spacing(n)
-    out = np.zeros((n, n))
-    for (ax, ay), mass in mu.atoms:
-        d = np.hypot(X - ax, Y - ay)
-        if d.min() < 1e-9 * h:
-            raise ValueError(f"evaluation grid hits the atom at ({ax}, {ay})")
-        out -= mass / TAU * np.log(d)
-    if mu.density is not None:
-        dens = mu.density
-        if not (isinstance(dens.chart, DiskChart) and dens.chart == chart and dens.n == n):
-            raise ValueError("density grid must match the evaluation grid")
-        pad = 2 * n
-        off = (np.arange(pad) + n) % pad - n
-        ox, oy = np.meshgrid(off, off, indexing="ij")
-        d = h * np.hypot(ox, oy)
-        kernel = np.zeros((pad, pad))
-        nz = d > 0
-        kernel[nz] = np.log(d[nz])
-        kernel[0, 0] = math.log(h) + CELL_LOG_MEAN
-        rho = np.zeros((pad, pad))
-        rho[:n, :n] = dens.values
-        conv = irfft2(rfft2(kernel) * rfft2(rho), pad)[:n, :n]
-        out -= (h * h / TAU) * conv
-    return Field(out, chart)
+    def transformed(x, y):
+        r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2
+        return u(x / r2, y / r2) - np.log(r2)
+    return transformed

@@ -137,17 +137,6 @@ def fd_gauss_curvature(u, x: float, y: float, h: float = 1e-4) -> float:
     return -math.exp(-2.0 * u(x, y)) * lap
 
 
-def cell_log_mean_quad() -> float:
-    """Mean of log(hypot(x, y)) over the unit cell [-1/2, 1/2]^2 via nested
-    adaptive quadrature (for the FFT self-cell constant)."""
-    def inner(x):
-        val, _ = quad(lambda y: math.log(math.hypot(x, y)), 0.0, 0.5,
-                      limit=200, epsabs=1e-13, epsrel=1e-12)
-        return val
-    outer, _ = quad(inner, 0.0, 0.5, limit=200, epsabs=1e-12, epsrel=1e-11)
-    return 4.0 * outer
-
-
 # -- model closed forms ----------------------------------------------------------
 
 def cusp_flux(r: float) -> float:

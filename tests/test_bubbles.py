@@ -1,4 +1,4 @@
-"""Blowup sequences, rescaling, fixtures, necks, and the area identity."""
+"""Blowup sequences, fixtures, necks, and the area identity."""
 
 import math
 import re
@@ -16,14 +16,12 @@ from cmlab.bubbles import (
     neck_area_profile,
     neck_curvature_limit,
     plane_area,
-    rescale,
     three_circle_check,
     validate_family,
 )
 from cmlab.errors import ConfigError
-from cmlab.grids import DiskChart, Field, LogPolarChart, TorusChart, interpolate, sample
 from cmlab.measures import FluxProfile
-from cmlab.models import TAU, LinearCylinder, cap_profile, cusp_profile
+from cmlab.models import TAU, LinearCylinder, cusp_profile
 from oracles import cusp_annulus_area, standard_bubble
 
 FIXTURES = ["flat-neck", "hyperbolic-cusp", "no-bubble", "spherical-cap"]
@@ -78,46 +76,6 @@ def test_classify_pair_inconclusive_on_short_data():
     a = _seq([(0.5 + 1.0, 0.5) for k in ks], [1.0 / math.sqrt(k) for k in ks])
     b = _seq([(0.5, 0.5) for _ in ks], [1.0 / math.sqrt(k) for k in ks])
     assert classify_pair(a, b) == "inconclusive"
-
-
-@pytest.mark.parametrize("radius, n", [(1.0, 64), (0.7, 256)])
-def test_rescale_identity(radius, n):
-    # at radius 0.7 and n = 256 the last node's grid index rounds above n - 1
-    chart = DiskChart(radius)
-    u = sample(lambda x, y: 0.3 * x - 0.1 * y * y, chart, n)
-    out = rescale(u, (0.0, 0.0), 1.0, window=radius)
-    assert out.chart == chart
-    np.testing.assert_allclose(out.values, u.values, atol=1e-12)
-
-
-def test_rescale_zooms_cap_onto_standard_bubble():
-    # zooming a lam-cap at its own scale yields the unit bubble exactly
-    lam = 0.25
-    u = sample(cap_profile(lam, center=(0.5, 0.5)), TorusChart(), 512)
-    z = rescale(u, (0.5, 0.5), lam, window=1.0, n_out=128)
-    X, Y = z.chart.mesh(128)
-    want = standard_bubble()(X, Y)
-    assert float(np.abs(z.values - want).max()) < 5e-4
-
-
-def test_rescale_composition():
-    chart = DiskChart(1.0)
-    u = sample(lambda x, y: np.sin(1.1 * x) * np.cos(0.7 * y), chart, 256)
-    once = rescale(u, (0.1, -0.05), 0.5 * 0.4)
-    twice = rescale(rescale(u, (0.1, -0.05), 0.5), (0.0, 0.0), 0.4)
-    np.testing.assert_allclose(twice.values, once.values, atol=1e-3)
-
-
-def test_rescale_window_checks():
-    u = sample(lambda x, y: 0.0 * x, TorusChart(), 64)
-    with pytest.raises(ValueError):
-        rescale(u, (0.5, 0.5), 0.6)  # 0.6 > half period
-    d = sample(lambda x, y: 0.0 * x, DiskChart(1.0), 64)
-    with pytest.raises(ValueError):
-        rescale(d, (0.8, 0.0), 0.5)  # reach exceeds the disk
-    lp = Field(np.zeros((16, 16)), LogPolarChart(0.1, 1.0))
-    with pytest.raises(ValueError):
-        rescale(lp, (0.0, 0.0), 0.5)
 
 
 def test_fixture_corpus():

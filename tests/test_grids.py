@@ -11,12 +11,9 @@ from scipy.integrate import quad
 from cmlab.grids import (
     _QUAD_NODES,
     TAU,
-    DiskChart,
     Field,
-    LogPolarChart,
     TorusChart,
     bilinear_torus,
-    constant,
     gauss_legendre,
     integral,
     interpolate,
@@ -49,10 +46,12 @@ def test_field_validation():
 
 
 def test_descriptor_round_trip():
-    for chart in (TorusChart(), DiskChart(0.75), LogPolarChart(0.01, 2.0)):
-        assert parse_descriptor(chart.descriptor()) == chart
-    with pytest.raises(ValueError):
-        parse_descriptor("nonsense 1 2 3")
+    assert parse_descriptor(TorusChart().descriptor()) == TorusChart()
+    # the torus is the one chart: any other line is refused, a planar disk's
+    # or log-polar chart's among them
+    for line in ("nonsense 1 2 3", "disk 0.75", "logpolar 0.01 2"):
+        with pytest.raises(ValueError, match="unrecognized chart descriptor"):
+            parse_descriptor(line)
 
 
 def test_torus_mesh_and_distance():
@@ -186,30 +185,15 @@ def test_bilinear_torus_wraps():
     assert left == pytest.approx(right, abs=1e-14)
 
 
-def _cell_means(v, wrap_i, wrap_j):
-    """Mean of the 4 corners of every cell; a wrapped axis adds the cell n-1 -> 0."""
-    if wrap_i:
-        v = np.vstack([v, v[:1]])
-    if wrap_j:
-        v = np.hstack([v, v[:, :1]])
+def _cell_means(v):
+    """Mean of the 4 corners of every cell, the cells n-1 -> 0 included."""
+    v = np.pad(v, ((0, 1), (0, 1)), mode="wrap")
     return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
 
 
 def test_interpolate_charts():
-    disk = DiskChart(1.0)
-    f = sample(lambda x, y: x ** 2 + 0.5 * y, disk, 128)
-    assert interpolate(f, 0.3, -0.2) == pytest.approx(0.3 ** 2 - 0.1, abs=1e-3)
-    with pytest.raises(ValueError):
-        interpolate(f, 1.5, 0.0)
-    lp = LogPolarChart(0.1, 1.0)
-    g = sample(lambda x, y: np.log(np.hypot(x, y)), lp, 64)
-    assert interpolate(g, 0.5, 0.0) == pytest.approx(math.log(0.5), abs=1e-6)
-
-    # random samples: nodes read back, cell midpoints give the corner mean
-    # (the last torus row and column and the last theta column straddle a
-    # seam), and the far edge of a bounded axis reads the edge samples; the
-    # clip to n-1-1e-12 on a bounded axis leaves the last node a 1e-12
-    # weight on its neighbour
+    # random samples: nodes read back, and cell midpoints give the corner
+    # mean (the last row and column straddle the seam)
     for n in (8, 64):
         rng = np.random.default_rng(n)
         t = Field(rng.random((n, n)), TorusChart())
@@ -217,33 +201,9 @@ def test_interpolate_charts():
         np.testing.assert_array_equal(interpolate(t, X, Y), t.values)
         Xm, Ym = X + 0.5 / n, Y + 0.5 / n
         mid = interpolate(t, Xm, Ym)
-        np.testing.assert_allclose(mid, _cell_means(t.values, True, True), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mid, _cell_means(t.values), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(interpolate(t, Xm - 1.0, Ym + 1.0), mid)
         np.testing.assert_array_equal(mid, bilinear_torus(t.values, Xm, Ym))
-
-        disk = DiskChart(0.7)
-        d = Field(rng.random((n, n)), disk)
-        x = disk.nodes(n)
-        X, Y = disk.mesh(n)
-        np.testing.assert_allclose(interpolate(d, X, Y), d.values, rtol=0, atol=2e-12)
-        xm = 0.5 * (x[:-1] + x[1:])
-        Xm, Ym = np.meshgrid(xm, xm, indexing="ij")
-        np.testing.assert_allclose(interpolate(d, Xm, Ym), _cell_means(d.values, False, False),
-                                   rtol=0, atol=1e-12)
-        edge = np.full(n, 0.7)
-        np.testing.assert_allclose(interpolate(d, edge, x), d.values[-1], rtol=0, atol=2e-12)
-        np.testing.assert_allclose(interpolate(d, x, edge), d.values[:, -1], rtol=0, atol=2e-12)
-
-        lp = LogPolarChart(0.1, 2.0)
-        g = Field(rng.random((n, n)), lp)
-        X, Y = lp.mesh(n)
-        np.testing.assert_allclose(interpolate(g, X, Y), g.values, rtol=0, atol=2e-12)
-        s, th = lp.s_nodes(n), lp.theta_nodes(n)
-        R, TH = np.meshgrid(np.exp(0.5 * (s[:-1] + s[1:])), th + math.pi / n, indexing="ij")
-        np.testing.assert_allclose(interpolate(g, R * np.cos(TH), R * np.sin(TH)),
-                                   _cell_means(g.values, False, True), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(interpolate(g, 2.0 * np.cos(th), 2.0 * np.sin(th)),
-                                   g.values[-1], rtol=0, atol=2e-12)
 
 
 def test_integral_torus_vs_quadrature():
@@ -254,33 +214,13 @@ def test_integral_torus_vs_quadrature():
     assert integral(f) == pytest.approx(ref, abs=1e-12)
 
 
-def test_integral_disk_and_logpolar():
-    disk = DiskChart(1.0)
-    f = constant(0.0, disk, 256)
-    assert integral(Field(np.ones((256, 256)), disk)) == pytest.approx(4.0, abs=1e-12)
-    # conformal area of u = 0 on r in [a, b] is pi (b^2 - a^2);
-    # trapezoid in log r carries O(ds^2) error for this non-flat integrand
-    lp = LogPolarChart(0.25, 1.0)
-    u = constant(0.0, lp, 256)
-    assert integral(Field(np.exp(2.0 * u.values), lp)) == pytest.approx(
-        math.pi * (1.0 - 0.0625), rel=1e-4)
-
-
-def test_conformal_area_logpolar_closed_form():
-    # u = -log r: area of the annulus is 2 pi log(b/a)
-    lp = LogPolarChart(0.05, 0.8)
-    u = sample(lambda x, y: -np.log(np.hypot(x, y)), lp, 256)
-    assert integral(Field(np.exp(2.0 * u.values), lp)) == pytest.approx(
-        TAU * math.log(0.8 / 0.05), rel=1e-9)
-
-
 def test_sample_points_match_mesh():
     n = 16
-    chart = DiskChart(2.0)
+    chart = TorusChart()
     f = sample(lambda x, y: x + 10 * y, chart, n)
     X, Y = chart.mesh(n)
     assert np.allclose(f.values, X + 10 * Y)
-    assert X.min() == -2.0 and X.max() == 2.0
+    assert X.min() == 0.0 and X.max() == 1.0 - 1.0 / n
 
 
 @pytest.mark.parametrize("m", [1, 5, 20, 32, 64])

@@ -57,9 +57,13 @@ def test_cli_import_loads_every_module():
 
 
 def test_public_names_and_submodules():
-    assert len(cmlab.__all__) == len(set(cmlab.__all__)) == 84
+    assert len(cmlab.__all__) == len(set(cmlab.__all__)) == 79
     assert set(cmlab.__all__) <= set(dir(cmlab))
     assert cmlab.singular_part is sys.modules["cmlab.green"].singular_part
     assert "singular_part" not in vars(cmlab)  # resolved, not cached
     with pytest.raises(AttributeError, match="'conformal_area'"):
         cmlab.conformal_area
+    # the planar charts and the names that served only them are not public
+    for gone in ("DiskChart", "LogPolarChart", "SignedMeasureSample", "newtonian_potential",
+                 "rescale"):
+        assert not hasattr(cmlab, gone)

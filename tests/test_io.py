@@ -1,6 +1,7 @@
 """CMLGRID1 grids, canonical JSON reports, CSV plot series."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cmlab.errors import CmlabError
-from cmlab.grids import DiskChart, Field, LogPolarChart, TorusChart
+from cmlab.grids import Field, TorusChart
 from cmlab.io import (
     MAGIC,
     canonical_json,
@@ -22,18 +23,18 @@ from cmlab.io import (
 )
 
 
-def _random_field(chart, n=16, seed=0):
+def _random_field(n=16, seed=0):
     rng = np.random.default_rng(seed)
-    return Field(rng.normal(size=(n, n)), chart)
+    return Field(rng.normal(size=(n, n)), TorusChart())
 
 
-@pytest.mark.parametrize("chart", [TorusChart(), DiskChart(1.5), LogPolarChart(0.02, 1.0)])
-def test_field_round_trip(tmp_path, chart):
-    f = _random_field(chart)
+def test_field_round_trip(tmp_path):
+    f = _random_field()
     path = tmp_path / "f.cmlgrid"
     write_field(path, f)
+    assert path.read_bytes()[12 + 8 * 16 * 16:] == b"torus\n"
     g = read_field(path)
-    assert g.chart == chart
+    assert g.chart == TorusChart()
     assert np.array_equal(g.values, f.values)
 
 
@@ -45,7 +46,7 @@ def test_field_bad_magic(tmp_path):
 
 
 def test_field_truncated(tmp_path):
-    f = _random_field(TorusChart())
+    f = _random_field()
     path = tmp_path / "t.cmlgrid"
     write_field(path, f)
     raw = path.read_bytes()
@@ -59,20 +60,12 @@ def test_field_truncated(tmp_path):
 _PROPS = settings(derandomize=True, database=None, max_examples=25, deadline=None,
                   suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-_charts = st.one_of(
-    st.just(TorusChart()),
-    st.floats(1e-3, 1e3).map(DiskChart),
-    st.tuples(st.floats(1e-4, 1.0), st.floats(1.001, 1e3)).map(
-        lambda t: LogPolarChart(t[0], t[0] * t[1])),
-)
-
-
 @st.composite
 def _fields(draw, sizes=(8, 16, 32)):
     n = draw(st.sampled_from(sizes))
     values = draw(arrays(np.float64, (n, n),
                          elements=st.floats(allow_nan=False, allow_infinity=False)))
-    return Field(values, draw(_charts))
+    return Field(values, TorusChart())
 
 
 def _file_bytes(path, field):
@@ -115,8 +108,8 @@ def test_field_corrupt_resolution_is_rejected(tmp_path, f, n):
     _rejects(path, raw[:8] + struct.pack("<I", n) + raw[12:])
 
 
-# bytes that no canonical descriptor line contains (its closing newline aside)
-_FOREIGN = [b for b in range(256) if chr(b) not in "abcdefghijklmnopqrstuvwxyz0123456789.+- \n"]
+# bytes that the descriptor line "torus\n" does not contain
+_FOREIGN = [b for b in range(256) if chr(b) not in "torus\n"]
 
 
 @_PROPS
@@ -129,9 +122,8 @@ def test_field_corrupt_descriptor_is_rejected(tmp_path, f, data):
     byte = data.draw(st.sampled_from(_FOREIGN))
     _rejects(path, raw[:at] + bytes([byte]) + raw[at + 1:])
     kind = data.draw(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=9))
-    assume(kind not in ("torus", "disk", "logpolar"))
-    rest = f.chart.descriptor().partition(" ")[2]
-    _rejects(path, raw[:body] + f"{kind} {rest}".strip().encode() + b"\n")
+    assume(kind != "torus")
+    _rejects(path, raw[:body] + kind.encode() + b"\n")
 
 
 @_PROPS
@@ -147,13 +139,20 @@ def test_field_non_finite_samples_are_rejected(tmp_path, f, data):
 
 def test_field_bad_descriptor_messages(tmp_path):
     # the path is named whatever the fault, and the old messages stay
-    f = _random_field(DiskChart(1.5), n=8)
+    f = _random_field(n=8)
     path = tmp_path / "d.cmlgrid"
     raw = _file_bytes(path, f)
     body = 12 + 8 * 64
-    for tail in (b"\xff\xfe\n", b"sphere 1\n", b"disk -1\n", b"disk 1.50\n"):
+    for tail in (b"\xff\xfe\n", b"sphere 1\n", b"disk -1\n", b"disk 1.50\n", b"torus \n"):
         path.write_bytes(raw[:body] + tail)
         with pytest.raises(CmlabError, match="d.cmlgrid: bad CMLGRID1 file"):
+            read_field(path)
+    # files of the planar disk and log-polar charts, in the canonical
+    # spelling earlier versions wrote, are refused by their descriptor
+    for tail in (b"disk 1.5\n", b"logpolar 0.02 1\n"):
+        path.write_bytes(raw[:body] + tail)
+        with pytest.raises(CmlabError, match=re.escape(
+                f"bad CMLGRID1 file: unrecognized chart descriptor: {tail.decode()!r}")):
             read_field(path)
     path.write_bytes(MAGIC + b"\x08")
     with pytest.raises(CmlabError, match="d.cmlgrid: truncated"):
