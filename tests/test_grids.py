@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from cmlab.grids import (
@@ -212,6 +213,17 @@ def test_integral_torus_vs_quadrature():
     ref, _ = quad(lambda x: math.exp(math.sin(TAU * x)), 0.0, 1.0,
                   limit=200, epsabs=1e-13)
     assert integral(f) == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(0.25, 0.0), (1.0, 0.5), (0.5, -1.0)])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_conformal_area_on_the_torus_closed_form(n, a, b):
+    # the area of e^{2u}, u = a cos(2 pi x) + b sin(2 pi y), is I0(2a) I0(2b);
+    # the node mean of a periodic analytic integrand converges geometrically,
+    # and I_n(2) < 1e-13 for n >= 16
+    u = sample(lambda x, y: a * np.cos(TAU * x) + b * np.sin(TAU * y), TorusChart(), n)
+    area = integral(Field(np.exp(2.0 * u.values), u.chart))
+    assert area == pytest.approx(special.i0(2.0 * a) * special.i0(2.0 * b), rel=1e-12)
 
 
 def test_sample_points_match_mesh():

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cmlab.errors import NonStabilizingFlux
 from cmlab.green import singular_part
@@ -15,6 +16,7 @@ from cmlab.grids import (
     TorusChart,
     bilinear_torus,
     constant,
+    gauss_legendre,
     integral,
     interpolate,
     sample,
@@ -53,6 +55,13 @@ def test_flux_profile_validation():
 @pytest.mark.parametrize("call, message", [
     (lambda: flux_profile(constant(0.0, TorusChart(), 32), (0.5, 0.5), [0.45]),
      "flux radius exceeds the torus chart"),
+    # the outer stencil circle r + 2h = 1/2 reaches the antipode of the center
+    (lambda: flux_profile(constant(0.0, TorusChart(), 16), (0.3, 0.7), [0.375]),
+     "flux radius exceeds the torus chart"),
+    (lambda: pairing(constant(0.0, TorusChart(), 16), constant(1.0, TorusChart(), 32)),
+     "pairing requires matching grids"),
+    (lambda: kelvin_transform(constant(0.0, TorusChart(), 16)),
+     "kelvin_transform needs a callable u(x, y)"),
     # no flux circle fits: these raised NonStabilizingFlux after 0 radii
     (lambda: residue_profiled(constant(0.0, TorusChart(), 16), (0.3, 0.7)),
      "no flux circle fits about (0.3, 0.7): the first radius 0.25 is below "
@@ -80,6 +89,10 @@ _TORUS16 = constant(0.0, TorusChart(), 16)
 _SPLIT16 = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 16)
 
 
+def _ZERO_CORNERS(I, J):
+    return (np.zeros(np.shape(i)) for i in I)
+
+
 @pytest.mark.parametrize("call, message", [
     # interpolate returned nan with a RuntimeWarning from casting nan to int
     (lambda: interpolate(_TORUS16, math.nan, 0.5), "interpolation point x is not finite"),
@@ -94,6 +107,13 @@ _SPLIT16 = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 16)
     (lambda: singular_part(Divisor((), ()), 16).smooth_rest(None, math.nan, 0.5),
      "interpolation point x is not finite"),
     (lambda: bilinear_torus(_TORUS16.values, 0.5, math.nan), "interpolation point y is not finite"),
+    (lambda: bilinear_torus(_ZERO_CORNERS, math.nan, 0.5, n=16), "interpolation point x is not finite"),
+    (lambda: bilinear_torus(_ZERO_CORNERS, 0.5, [0.2, -math.inf], n=16),
+     "interpolation point y is not finite"),
+    (lambda: interpolate(_TORUS16, [[0.1, 0.2], [math.nan, 0.4]], np.zeros((2, 2))),
+     "interpolation point x is not finite"),
+    (lambda: flux_profile(_TORUS16, (math.nan, 0.5), [0.1]),
+     "center = (nan, 0.5) is not a finite point"),
     # residue raised "no flux circle fits" at n = 16, a cast warning at n = 64
     # and "profile is not finite on the circle of radius 0.125" for a callable
     (lambda: residue(_TORUS16, (math.nan, 0.0)), "center = (nan, 0.0) is not a finite point"),
@@ -129,6 +149,38 @@ def test_pairing_weak_identity_torus():
     assert pairing(combo, phi) == pytest.approx(lin, rel=1e-12, abs=1e-13)
     with pytest.raises(ValueError):
         pairing(u, sample(lambda x, y: x, chart, 32))
+
+
+@pytest.mark.parametrize("k", [(1, 0), (0, 2), (1, 1), (3, -2), (5, 4)])
+def test_pairing_of_a_plane_wave(k):
+    # u = cos(2 pi k.x + 0.4) has -Delta u = (2 pi |k|)^2 u and mean(u^2) = 1/2;
+    # pairing is symmetric, and a constant pairs to 0 (Delta phi has mean 0)
+    n = 32
+    chart = TorusChart()
+    u = sample(lambda x, y: np.cos(TAU * (k[0] * x + k[1] * y) + 0.4), chart, n)
+    phi = sample(lambda x, y: np.exp(np.sin(TAU * x)) * np.cos(TAU * y), chart, n)
+    assert pairing(u, u) == pytest.approx(0.5 * TAU ** 2 * (k[0] ** 2 + k[1] ** 2), rel=1e-13)
+    assert pairing(u, phi) == pytest.approx(pairing(phi, u), rel=1e-12, abs=1e-12)
+    assert pairing(constant(1.7, chart, n), phi) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5), (0.3, 0.7)])
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+def test_flux_circle_reaching_the_torus_edge(n, center):
+    # the largest radius on a whole step, r = 1/2 - 3h, keeps its outer stencil
+    # circle r + 2h inside half a period; r = 1/2 - 2h reaches it. For the plane
+    # wave u = cos(2 pi (x - cx)) the flux through |x - c| = r is the integral
+    # of Delta u over the disk, -4 pi^2 r J1(2 pi r); bilinear reads of a smooth
+    # Field differ by O(h) in the stencil's derivative
+    h = 1.0 / n
+    u = lambda x, y: np.cos(TAU * (x - center[0])) + 0.0 * y
+    field = sample(u, TorusChart(), n)
+    r = 0.5 - 3 * h
+    want = -4.0 * math.pi ** 2 * r * special.j1(TAU * r)
+    assert flux_profile(u, center, [r]).flux[0] == pytest.approx(want, abs=1e-8)
+    assert flux_profile(field, center, [r]).flux[0] == pytest.approx(want, abs=3.0 * h)
+    with pytest.raises(ValueError, match="flux radius exceeds the torus chart"):
+        flux_profile(field, center, [0.5 - 2 * h])
 
 
 def test_flux_matches_closed_forms():
@@ -200,6 +252,35 @@ def test_kelvin_callable_is_an_involution():
     np.testing.assert_allclose(back(x, y), u(x, y), rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="needs a callable"):
         kelvin_transform(constant(0.0, TorusChart(), 16))
+
+
+@pytest.mark.parametrize("u, area", [
+    (lambda x, y: 0.3 * x - 0.2 * y + 0.1 * np.log(np.hypot(x, y)), None),
+    (lambda x, y: 0.2 * np.sin(3.0 * x) * np.cos(2.0 * y), None),
+    # a cone of weight -1/2: e^{2u} = 1/r
+    (lambda x, y: -0.5 * np.log(np.hypot(x, y)), TAU * (0.8 - 0.05)),
+    # a cylinder end, u = -log r, is its own Kelvin transform
+    (lambda x, y: -np.log(np.hypot(x, y)), TAU * math.log(0.8 / 0.05)),
+    # the unit-sphere bubble, e^{2u} = 4 / (1 + r^2)^2
+    (lambda x, y: np.log(2.0 / (1.0 + x * x + y * y)),
+     2.0 * TAU * (1.0 / (1.0 + 0.05 ** 2) - 1.0 / (1.0 + 0.8 ** 2))),
+])
+def test_kelvin_transform_keeps_the_conformal_area(u, area):
+    # the inversion maps 0.05 < r < 0.8 onto 1.25 < r < 20, and the -log r^2
+    # term is its conformal factor, so the area of e^{2u} is the same on both;
+    # Gauss-Legendre in r on geometric panels, 256 angles per circle
+    th = TAU * np.arange(256) / 256
+
+    def area_of(f, inner, outer):
+        def ring(r):
+            R = r[:, None]
+            return np.exp(2.0 * f(R * np.cos(th), R * np.sin(th))).mean(axis=1) * TAU * r
+        return gauss_legendre(ring, np.geomspace(inner, outer, 33), 16)
+
+    here = area_of(u, 0.05, 0.8)
+    assert area_of(kelvin_transform(u), 1.25, 20.0) == pytest.approx(here, rel=1e-12)
+    if area is not None:
+        assert here == pytest.approx(area, rel=1e-12)
 
 
 def test_kelvin_of_flat_plane_is_double_pole():
