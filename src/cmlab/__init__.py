@@ -38,9 +38,8 @@ _EXPORTS = {
     "measures": ("Divisor", "FluxProfile", "euler_characteristic", "flux_profile",
                  "kelvin_transform", "pairing", "residue", "residue_profiled"),
     "models": ("LinearCylinder", "cap_profile", "cusp_profile", "flat_neck_profile"),
-    "solver": ("CurvatureSpec", "Solution", "UniquenessReport", "metric_area",
-               "newton_solve", "radial_length", "random_smooth_field", "residual",
-               "solve_divisor", "uniqueness_probe"),
+    "solver": ("CurvatureSpec", "Solution", "metric_area", "newton_solve", "radial_length",
+               "residual", "solve_divisor"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

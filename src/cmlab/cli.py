@@ -25,7 +25,7 @@ from .io import emit_plot_data, ini_value, read_ini, read_report, write_field, w
 from .measures import Divisor, euler_characteristic
 from .models import LinearCylinder
 from .green import singular_part
-from .solver import CurvatureSpec, check_curvature_bounds, newton_solve, uniqueness_probe
+from .solver import CurvatureSpec, check_curvature_bounds, newton_solve
 
 _DEFAULT_ATOMS = ((0.3, 0.7),)
 _DEFAULT_BETAS = (-0.5,)
@@ -39,7 +39,6 @@ class RunConfig:
     out_dir: Path
     n: int
     tol: float
-    seed: int
     options: dict
     report_path: str | None
 
@@ -48,8 +47,6 @@ class RunConfig:
             raise ConfigError(f"grid resolution {self.n} is not a power of two >= {MIN_N}")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def _parse_pairs(text: str):
@@ -77,10 +74,8 @@ def load_config(command: str, args) -> RunConfig:
     run = sections.get("run", {}) | {k: flags[k] for k in run_keys if flags[k] is not None}
     n = ini_value(run, "grid", int, 256)
     tol = ini_value(run, "tol", float, 1e-10)
-    seed = ini_value(run, "seed", int, 0)
     return RunConfig(command=command, out_dir=Path(args.out), n=n, tol=tol,
-                     seed=seed, options=sections.get(command, {}),
-                     report_path=flags.get("report_path"))
+                     options=sections.get(command, {}), report_path=flags.get("report_path"))
 
 
 def _report_fields(result, *omit) -> dict:
@@ -125,16 +120,9 @@ def _solved(cfg: RunConfig):
 
 
 def _cmd_solve(cfg: RunConfig):
-    trials = ini_value(cfg.options, "uniqueness_trials", int, 0)
-    if trials < 0:
-        raise ConfigError(f"uniqueness_trials = {trials} is negative; 0 means no probe")
     sol, report = _solved(cfg)
     report.update(_report_fields(sol, "split", "spec", "v", "grid_area"),
                   chi=euler_characteristic(sol.split.divisor))
-    if trials > 0:
-        probe = uniqueness_probe(sol.spec, sol.split, trials, seed=cfg.seed, tol=cfg.tol)
-        report["uniqueness"] = dict(_report_fields(probe, "max_pairwise"),
-                                    maxPairwiseSup=probe.max_pairwise)
     fields = {"u.cmlgrid": Field(sol.u_values, TorusChart()), "v.cmlgrid": sol.v}
     return report, fields, 0
 
@@ -235,7 +223,7 @@ def _cmd_report(cfg: RunConfig):
 # name -> (handler, help, keys of its config section, the [run] keys it reads)
 _COMMANDS = {
     "solve": (_cmd_solve, "solve the prescribed-curvature problem for one divisor",
-              {"atoms", "betas", "curvature", "uniqueness_trials"}, {"grid", "tol", "seed"}),
+              {"atoms", "betas", "curvature"}, {"grid", "tol"}),
     "continue-cusp": (_cmd_continue, "run the cone-to-cusp continuation schedule",
                       {"atoms", "betas", "k_max", "curvature", "scan_radius"},
                       {"grid", "tol"}),
@@ -249,8 +237,7 @@ _COMMANDS = {
                       {"fixture", "window"}, set()),
     "report": (_cmd_report, "re-emit plot CSVs from an existing report.json", set(), set()),
 }
-_RUN_HELP = {"grid": "grid resolution (power of two)", "tol": "solver tolerance",
-             "seed": "seed for random probes"}
+_RUN_HELP = {"grid": "grid resolution (power of two)", "tol": "solver tolerance"}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -649,50 +649,7 @@ def metric_area(split: SingularSplit, v: Field, e2u: np.ndarray) -> tuple:
     return area, grid_area, rejected
 
 
-# -- probes -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    trials: int
-    max_pairwise: float
-    residual_norms: tuple
-
-
-def random_smooth_field(n: int, rng: np.random.Generator,
-                        amplitude: float = 2.0) -> Field:
-    """Random periodic field of modes |kx|, |ky| <= 3 with sup-norm <= amplitude."""
-    X, Y = TorusChart().mesh(n)
-    out = np.zeros((n, n))
-    for _ in range(6):
-        kx, ky = (int(q) for q in rng.integers(-3, 4, size=2))
-        out += (rng.normal() * np.cos(TAU * (kx * X + ky * Y))
-                + rng.normal() * np.sin(TAU * (kx * X + ky * Y)))
-    sup = float(np.abs(out).max())
-    if sup > 0:
-        out *= amplitude * float(rng.uniform(0.25, 1.0)) / sup
-    return Field(out, TorusChart())
-
-
-def uniqueness_probe(spec: CurvatureSpec, split: SingularSplit, trials: int,
-                     seed: int = 0, tol: float = 1e-10) -> UniquenessReport:
-    """Solve from `trials` random starts (sup <= 2); report max pairwise sup distance."""
-    if trials < 1:
-        raise ValueError(f"uniqueness probe needs at least one trial, got {trials}")
-    rng = np.random.default_rng(seed)
-    sols = []
-    norms = []
-    for _ in range(trials):
-        v0 = random_smooth_field(split.n, rng)
-        sol = newton_solve(spec, split, v0=v0, tol=tol)
-        sols.append(sol.v.values)
-        norms.append(sol.residual_norm)
-    worst = 0.0
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            worst = max(worst, float(np.abs(sols[i] - sols[j]).max()))
-    return UniquenessReport(trials=len(sols), max_pairwise=worst,
-                            residual_norms=tuple(norms))
-
+# -- lengths -----------------------------------------------------------------
 
 def radial_length(u, p, delta: float, r0: float) -> float:
     """Length of the ray segment s in [delta, r0] from p along +x in the

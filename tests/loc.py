@@ -12,6 +12,10 @@ assignment whose name has no leading underscore, or a `def` with no
 leading underscore directly in the body of such a class. `__init__.py`
 only re-exports names, so its public names are not counted.
 
+A last line counts the CLI's settable values: over `cli._COMMANDS`, each
+command's config-section keys plus its `[run]` keys. A flag is the same
+value as its `[run]` key, so it counts once.
+
 pytest does not collect this file. Run it from anywhere:
 
     python tests/loc.py
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -67,6 +72,12 @@ def public_names(text: str) -> int:
     return count
 
 
+def settable_values() -> int:
+    sys.path.insert(0, str(SRC.parent))
+    from cmlab.cli import _COMMANDS
+    return sum(len(own) + len(run) for _, _, own, run in _COMMANDS.values())
+
+
 def main() -> None:
     rows = []
     for path in SRC.glob("*.py"):
@@ -78,6 +89,7 @@ def main() -> None:
     for name, lines, code, public in rows:
         print(f"| `{name}` | {lines} | {code} | {public} |")
     print("| total | " + " | ".join(str(sum(r[i] for r in rows)) for i in (1, 2, 3)) + " |")
+    print(f"\nsettable values: {settable_values()}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ on the cutoff's support and the row-blocked solve must reproduce bit for
 bit. The whole-array references at the end keep the arithmetic the
 solver's cache-blocked sweeps must reproduce bit for bit, and the spectral
 disk masses the concentration scan's direct sums must reproduce to a few
-ulps.
+ulps. The random smooth field that tests solve from, perturb by or take
+as a curvature is drawn here as well.
 """
 
 import math
@@ -23,7 +24,7 @@ from scipy.integrate import quad
 from cmlab.continuation import ScanReport
 from cmlab.errors import CurvatureSignError
 from cmlab.green import _R1, _R2, _node_log, _psi, _s4, cutoff, singular_part
-from cmlab.grids import (TorusChart, bilinear_torus, gauss_legendre, irfft2,
+from cmlab.grids import (Field, TorusChart, bilinear_torus, gauss_legendre, irfft2,
                          laplacian_factors, rfft2, sample, torus_distance)
 from cmlab.measures import Divisor
 from cmlab.models import cap_profile
@@ -183,6 +184,23 @@ def flat_neck_inner_radius(k: int) -> float:
 def flat_neck_annulus_area(k: int, s: float, t: float) -> float:
     """Area of s < r < t: (2 pi / k^2) log(t/s); every e-fold gives 2 pi/k^2."""
     return TAU / float(k) ** 2 * math.log(t / s)
+
+
+# -- random smooth fields --------------------------------------------------------
+
+def random_smooth_field(n: int, rng: np.random.Generator,
+                        amplitude: float = 2.0) -> Field:
+    """Random periodic field of modes |kx|, |ky| <= 3 with sup-norm <= amplitude."""
+    X, Y = TorusChart().mesh(n)
+    out = np.zeros((n, n))
+    for _ in range(6):
+        kx, ky = (int(q) for q in rng.integers(-3, 4, size=2))
+        out += (rng.normal() * np.cos(TAU * (kx * X + ky * Y))
+                + rng.normal() * np.sin(TAU * (kx * X + ky * Y)))
+    sup = float(np.abs(out).max())
+    if sup > 0:
+        out *= amplitude * float(rng.uniform(0.25, 1.0)) / sup
+    return Field(out, TorusChart())
 
 
 # -- translation spread ----------------------------------------------------------

@@ -53,18 +53,6 @@ def test_solve_writes_artifacts(tmp_path, capsys):
         json.loads(fh.read())  # canonical output is plain JSON
 
 
-def test_solve_with_config_and_uniqueness(tmp_path):
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[run]\ngrid = 64\n\n[solve]\n"
-                   "atoms = 0.3,0.7\nbetas = -0.5\nuniqueness_trials = 2\n")
-    out = tmp_path / "out"
-    code = run_cli(["solve", "--config", str(cfg), "--out", str(out)])
-    assert code == 0
-    rep = read_report(out / "report.json")
-    assert rep["uniqueness"]["trials"] == 2
-    assert rep["uniqueness"]["maxPairwiseSup"] < 1e-8
-
-
 def test_infeasible_problem_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[solve]\nbetas = 0.5\n")
@@ -188,10 +176,11 @@ def test_unknown_ini_section_or_key_is_named(tmp_path, target, name, where):
 
 
 # the [run] keys each command does not read; each key was once settable on
-# every command, as a flag and in [run], and ignored where it is listed here
+# every command, as a flag and in [run], and ignored where it is listed here,
+# but for solve's seed, which fed a random-start uniqueness probe now gone
 _UNREAD = {"three-circle": ("grid", "tol", "seed"), "neck": ("grid", "tol", "seed"),
            "area-identity": ("grid", "tol", "seed"), "report": ("grid", "tol", "seed"),
-           "continue-cusp": ("seed",), "scan": ("seed",)}
+           "solve": ("seed",), "continue-cusp": ("seed",), "scan": ("seed",)}
 _VALID = {"grid": "64", "tol": "1e-3", "seed": "9"}
 
 
@@ -241,7 +230,7 @@ def test_report_takes_no_config(tmp_path, capsys):
     assert run_cli(["report", str(src), "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("key, value", [("grid", "abc"), ("tol", "fine"), ("seed", "1.5")])
+@pytest.mark.parametrize("key, value", [("grid", "abc"), ("tol", "fine")])
 def test_a_flag_and_its_run_key_share_one_conversion(tmp_path, capsys, key, value):
     # --grid abc used to exit 2 on argparse's message, [run] grid = abc 1 on this one
     cfg = tmp_path / "cfg.ini"
@@ -275,7 +264,8 @@ def test_help_exits_0(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
-    assert "--seed" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--grid" in out and "--seed" not in out
 
 
 @pytest.mark.parametrize("command, section", [
@@ -317,8 +307,8 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     ("three-circle", "b = 40", "a segment area overflows double precision"),
     ("three-circle", "a = 400", "a segment area overflows double precision"),
     ("three-circle", "b = 20", "a segment area overflows double precision"),
-    # 0 means no probe; a negative count used to skip it silently
-    ("solve", "uniqueness_trials = -3", "uniqueness_trials = -3 is negative"),
+    # the random-start probe this count drove is gone
+    ("solve", "uniqueness_trials = 5", "unknown keys ['uniqueness_trials'] in section [solve]"),
     # a negative radius scans empty disks and can never flag; one of 1/2 or
     # more wraps the torus, and at 0.7 atoms exclude every center
     ("scan", "radius = -0.1", "scan radius -0.1 is outside (0, 1/2)"),
@@ -607,26 +597,10 @@ def test_fixture_index_below_1_is_rejected(tmp_path, capsys, kind, sign, k_min):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
-def test_negative_seed_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
-    # it used to run the whole solve, then fail in numpy's default_rng
-    # with a message that named neither the seed nor the option
-    solves = []
-    monkeypatch.setattr(cmlab.cli, "newton_solve", lambda *a, **kw: solves.append(a))
-    cfg = tmp_path / "cfg.ini"
-    for run, flag in (("", ["--seed", "-1"]), ("[run]\nseed = -1\n", [])):
-        cfg.write_text(f"{run}[solve]\nuniqueness_trials = 1\n")
-        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), *flag]
-        assert run_cli(argv) == 1
-        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
-    assert solves == []
-    assert not (tmp_path / "o" / "report.json").exists()
-
-
 @pytest.mark.parametrize("command, section, keys, nested", [
-    ("solve", "uniqueness_trials = 1",
+    ("solve", "",
      "area atoms betas cgCapped cgIters chi command curvature gbDefect grid "
-     "newtonIters residualNorm ringsOverlapping ringsRejected tol uniqueness",
-     {"uniqueness": "maxPairwiseSup residualNorms trials"}),
+     "newtonIters residualNorm ringsOverlapping ringsRejected tol", {}),
     ("continue-cusp", "k_max = 2",
      "atoms command curvature extrapolatedArea grid kMax stages targetBetas tol",
      {"stages": "area betas cgCapped cgIters chi gbDefect k maxLocalMass "

@@ -23,9 +23,8 @@ from cmlab.green import singular_part
 from cmlab.grids import TAU, Field, TorusChart, constant, sample
 from cmlab.measures import Divisor
 from cmlab.models import cap_profile
-from cmlab.solver import (CurvatureSpec, Solution, newton_solve, random_smooth_field,
-                          solve_divisor)
-from oracles import cap_disk_area, convolution_scan
+from cmlab.solver import CurvatureSpec, Solution, newton_solve, solve_divisor
+from oracles import cap_disk_area, convolution_scan, random_smooth_field
 
 
 def test_cusp_schedule_weights():

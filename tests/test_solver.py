@@ -1,4 +1,4 @@
-"""Newton-CG solver, area quadrature, uniqueness and length probes."""
+"""Newton-CG solver, its starts, area quadrature and radial lengths."""
 
 import math
 import re
@@ -22,15 +22,14 @@ from cmlab.solver import (
     metric_area,
     newton_solve,
     radial_length,
-    random_smooth_field,
     residual,
     solve_divisor,
-    uniqueness_probe,
 )
 from oracles import (
     cone_radial_length,
     cusp_radial_length,
     quad_ray_length_cells,
+    random_smooth_field,
     translation_spread,
     whole_array_cg,
     whole_grid_blended_sum,
@@ -240,14 +239,6 @@ def test_non_finite_points_are_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
     assert _green_cached.cache_info() == before  # nothing built, nothing cached
-
-
-def test_uniqueness_probe_quick():
-    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
-    rep = uniqueness_probe(CurvatureSpec(-1.0), split, trials=2, seed=3)
-    assert rep.trials == 2
-    assert rep.max_pairwise < 1e-8
-    assert all(r < 1e-10 for r in rep.residual_norms)
 
 
 def test_random_smooth_field_bounds():
@@ -664,13 +655,6 @@ def test_atom_free_forced_solve_starts_from_zero():
     assert float(np.abs(sol.v.values - v_exact.values).max()) < 1e-8
 
 
-def test_uniqueness_probe_rejects_no_trials():
-    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 32)
-    for trials in (0, -1):
-        with pytest.raises(ValueError):
-            uniqueness_probe(CurvatureSpec(-1.0), split, trials=trials)
-
-
 def _newton_loops(monkeypatch, fail_at=None, counts=None):
     """Operators of the Newton loops the solver runs from now on, one per
     level, in the order the loops start: a level's n/4 loop, which builds
@@ -869,10 +853,13 @@ def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
     assert sol.area == pytest.approx(plain.area, rel=1e-12)
 
 
-def test_uniqueness_probe_keeps_fine_starts(monkeypatch):
-    # random starts must begin on the fine grid, or the probe tests less
-    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 512)
+def test_a_given_start_solves_on_the_fine_grid_alone(monkeypatch):
+    # a start the caller gives, however far from the answer, begins on the
+    # fine grid, or criterion 3's far starts test less: only the cold start
+    # nests through the n/4 grids
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
     ops = _newton_loops(monkeypatch)
-    rep = uniqueness_probe(CurvatureSpec(-1.0), split, trials=2, seed=3)
-    assert [op.n for op in ops] == [512, 512]
-    assert rep.max_pairwise < 1e-8
+    sol = newton_solve(CurvatureSpec(-1.0), split,
+                       v0=random_smooth_field(64, np.random.default_rng(3)))
+    assert [op.n for op in ops] == [64]
+    assert sol.residual_norm <= 1e-10
