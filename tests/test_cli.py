@@ -53,6 +53,20 @@ def test_solve_writes_artifacts(tmp_path, capsys):
         json.loads(fh.read())  # canonical output is plain JSON
 
 
+def test_solve_with_config(tmp_path):
+    # [run] grid and the [solve] section set the problem; no report key is
+    # left of the random-start probe the section could once ask for
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[run]\ngrid = 64\n\n[solve]\natoms = 0.3,0.7\nbetas = -0.5\n")
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = read_report(out / "report.json")
+    assert rep["grid"] == 64
+    assert rep["atoms"] == [[0.3, 0.7]] and rep["betas"] == [-0.5]
+    assert rep["residualNorm"] <= 1e-10
+    assert "uniqueness" not in rep
+
+
 def test_infeasible_problem_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[solve]\nbetas = 0.5\n")

@@ -863,3 +863,38 @@ def test_a_given_start_solves_on_the_fine_grid_alone(monkeypatch):
                        v0=random_smooth_field(64, np.random.default_rng(3)))
     assert [op.n for op in ops] == [64]
     assert sol.residual_norm <= 1e-10
+
+
+def test_far_starts_reach_one_solution():
+    # criterion 3 at n = 64: far starts and the cold start end within
+    # round-off of one another
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
+    rng = np.random.default_rng(3)
+    sols = [newton_solve(CurvatureSpec(-1.0), split),
+            *(newton_solve(CurvatureSpec(-1.0), split, v0=random_smooth_field(64, rng))
+              for _ in range(2))]
+    assert all(s.residual_norm <= 1e-10 for s in sols)
+    for s in sols[1:]:
+        assert float(np.abs(s.v.values - sols[0].v.values).max()) < 1e-8
+
+
+def test_a_loose_solve_lies_within_its_monotonicity_bound():
+    # with K = -1, <F(v) - F(v*), v - v*> >= m |v - v*|^2 on the grid, where
+    # m = min 2 min(e^{2u}, e^{2u*}) (-Delta is positive semidefinite and
+    # e^{2u} is monotone), so rms(v - v*) <= (rms F(v) + rms F(v*)) / m: the
+    # bound criterion 3 reads off a converged solve, here on solves from far
+    # starts stopped at tol 1e-3, which end 4e-9 to 1e-8 from v*
+    spec = CurvatureSpec(-1.0)
+    split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
+    star = newton_solve(spec, split)
+    rms = lambda a: float(np.sqrt(np.mean(np.square(a))))
+    f_star = rms(residual(star.v, spec, split).values)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        loose = newton_solve(spec, split, v0=random_smooth_field(64, rng), tol=1e-3)
+        assert loose.residual_norm <= 1e-3
+        u = split.S.values + loose.v.values
+        m = float((2.0 * np.exp(2.0 * np.minimum(u, star.u_values))).min())
+        dist = rms(loose.v.values - star.v.values)
+        assert dist > 0.0
+        assert dist <= (rms(residual(loose.v, spec, split).values) + f_star) / m
