@@ -19,20 +19,18 @@ from importlib import import_module
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "bubbles": ("AreaIdentityReport", "BlowupSeq", "NeckLimitReport", "NeckReport",
-                "SyntheticFamily", "ThreeCircleReport", "ValidationReport",
-                "area_identity_check", "classify_pair", "list_fixtures", "load_fixture",
-                "neck_area_profile", "neck_curvature_limit", "plane_area", "three_circle_check",
-                "validate_family"),
+    "bubbles": ("AreaIdentityReport", "NeckLimitReport", "NeckReport", "SyntheticFamily",
+                "ThreeCircleReport", "ValidationReport", "area_identity_check",
+                "list_fixtures", "load_fixture", "neck_area_profile", "neck_curvature_limit",
+                "three_circle_check", "validate_family"),
     "continuation": ("ContinuationResult", "ContinuationSchedule", "ScanReport",
-                     "ScheduleStep", "StageReport", "cusp_schedule", "mollify_curvature",
-                     "no_bubble_scan", "run_continuation"),
+                     "ScheduleStep", "StageReport", "cusp_schedule", "no_bubble_scan",
+                     "run_continuation"),
     "errors": ("CmlabError", "ConfigError", "CurvatureSignError", "InfeasibleTopology",
                "NonConvergence", "NonStabilizingFlux", "ResidualOverflow", "StageFailure"),
     "green": ("SingularSplit", "TorusGreen", "green_kernel", "green_torus", "singular_part"),
-    "grids": ("TAU", "Field", "TorusChart", "bilinear_torus", "constant", "integral",
-              "interpolate", "neg_laplacian", "parse_descriptor", "poisson_mean_zero", "sample",
-              "torus_distance"),
+    "grids": ("TAU", "Field", "bilinear_torus", "constant", "integral", "interpolate",
+              "neg_laplacian", "poisson_mean_zero", "sample", "torus_distance"),
     "io": ("canonical_json", "emit_plot_data", "read_field", "read_report", "write_csv",
            "write_field", "write_report"),
     "measures": ("Divisor", "FluxProfile", "euler_characteristic", "flux_profile",

@@ -1,6 +1,5 @@
-"""Rescaling diagnostics on synthetic families: blowup classification,
-3-circle decay checks, neck-area profiles, and the bubble-tree area
-identity.
+"""Rescaling diagnostics on synthetic families: 3-circle decay checks,
+neck-area profiles, and the bubble-tree area identity.
 
 Families are closed-form planar generators (spherical caps, smooth
 perturbations, flat necks, hyperbolic cusps) evaluable at any resolution,
@@ -54,97 +53,6 @@ def _disk_area(u, x0, R: float, inner: float | None = None) -> float:
     if rc < R:
         core += _annulus_area(u, x0, rc, R)
     return core
-
-
-def plane_area(u) -> float:
-    """Total area of e^{2u} over the plane: quadrature over the unit disk
-    at the origin, then annuli R < |x| < 2R with R doubling until an
-    increment drops below 1e-6; raises ValueError after 40 doublings."""
-    total = _disk_area(u, (0.0, 0.0), 1.0)
-    r = 1.0
-    for _ in range(40):
-        inc = _annulus_area(u, (0.0, 0.0), r, 2.0 * r)
-        total += inc
-        r *= 2.0
-        if inc < 1e-6:
-            return total
-    raise ValueError(f"plane area did not converge within R = {r:g}")
-
-
-# -- blowup sequences and their classification -------------------------------
-
-@dataclass(frozen=True)
-class BlowupSeq:
-    """Finite (center, radius) tail of a blowup sequence; radii shrink."""
-
-    centers: tuple
-    radii: tuple
-
-    def __post_init__(self):
-        centers = tuple((float(x), float(y)) for x, y in self.centers)
-        radii = tuple(float(r) for r in self.radii)
-        if len(centers) != len(radii):
-            raise ValueError("centers and radii must have equal length")
-        if len(radii) < 8:
-            raise ValueError("a blowup sequence needs at least 8 entries")
-        if any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
-        tail = radii[len(radii) // 2:]
-        if any(b > a * (1 + 1e-12) for a, b in zip(tail, tail[1:])):
-            raise ValueError("radii must be non-increasing over the tail")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radii", radii)
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-
-def _trend(vals) -> tuple:
-    """Tail verdict: ('inf',), ('zero',), ('limit', value) or ('indet',).
-
-    'Blew up' means the last sample at least doubled the first and exceeds
-    1e3; 'vanished' is the mirror image. A limit needs the last-half spread
-    within 25 percent. Anything else is indeterminate.
-    """
-    v = np.asarray(vals, dtype=float)
-    first, last = v[0], v[-1]
-    if last >= 2.0 * first and last > 1e3:
-        return ("inf", None)
-    if last <= 0.5 * first and last < 1e-3:
-        return ("zero", None)
-    tail = v[len(v) // 2:]
-    lo, hi = float(tail.min()), float(tail.max())
-    if hi <= 1.25 * lo + 1e-12:
-        return ("limit", float(tail.mean()))
-    return ("indet", None)
-
-
-def classify_pair(a: BlowupSeq, b: BlowupSeq) -> str:
-    """Mutual position of two blowup sequences over their common tail.
-
-    Returns one of 'essentially-same', 'on-top(a<b)', 'on-top(b<a)',
-    'disjoint', 'inconclusive'. Finite data cannot certify asymptotics;
-    inconclusive is an honest verdict, not an error.
-    """
-    m = min(len(a), len(b))  # BlowupSeq holds at least 8 entries
-    ca = np.asarray(a.centers[-m:], dtype=float)
-    cb = np.asarray(b.centers[-m:], dtype=float)
-    ra = np.asarray(a.radii[-m:], dtype=float)
-    rb = np.asarray(b.radii[-m:], dtype=float)
-    sep = np.hypot(*(ca - cb).T)
-    t_sep = _trend(sep / (ra + rb))
-    if t_sep[0] == "inf":
-        return "disjoint"
-    t_ratio = _trend(ra / rb)
-    t_off_b = _trend(sep / rb)
-    t_off_a = _trend(sep / ra)
-    if t_ratio[0] == "zero" and t_off_b[0] in ("zero", "limit"):
-        return "on-top(a<b)"
-    if t_ratio[0] == "inf" and t_off_a[0] in ("zero", "limit"):
-        return "on-top(b<a)"
-    if t_ratio[0] == "limit" and t_off_b[0] in ("zero", "limit"):
-        return "essentially-same"
-    return "inconclusive"
 
 
 # -- synthetic families -------------------------------------------------------

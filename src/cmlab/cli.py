@@ -20,7 +20,7 @@ from pathlib import Path
 from .bubbles import area_identity_check, load_fixture, neck_area_profile, three_circle_check
 from .continuation import check_scan, cusp_schedule, no_bubble_scan, run_continuation
 from .errors import CmlabError, ConfigError
-from .grids import MIN_N, Field, TorusChart
+from .grids import MIN_N, Field
 from .io import emit_plot_data, ini_value, read_ini, read_report, write_field, write_report
 from .measures import Divisor, euler_characteristic
 from .models import LinearCylinder
@@ -123,7 +123,7 @@ def _cmd_solve(cfg: RunConfig):
     sol, report = _solved(cfg)
     report.update(_report_fields(sol, "split", "spec", "v", "grid_area"),
                   chi=euler_characteristic(sol.split.divisor))
-    fields = {"u.cmlgrid": Field(sol.u_values, TorusChart()), "v.cmlgrid": sol.v}
+    fields = {"u.cmlgrid": Field(sol.u_values), "v.cmlgrid": sol.v}
     return report, fields, 0
 
 
@@ -139,7 +139,7 @@ def _cmd_continue(cfg: RunConfig):
         "kMax": k_max, "curvature": curvature, **_report_fields(result, "final"),
     }
     fields = {
-        "u_final.cmlgrid": Field(result.final.u_values, TorusChart()),
+        "u_final.cmlgrid": Field(result.final.u_values),
         "v_final.cmlgrid": result.final.v,
     }
     return report, fields, 0
@@ -157,7 +157,7 @@ def _cmd_scan(cfg: RunConfig):
                   maxLocalArea=scan.max_area,
                   flags=[{"center": list(c), "r": r, "mass": m}
                          for c, r, m in scan.flags])
-    fields = {"u.cmlgrid": Field(sol.u_values, TorusChart())}
+    fields = {"u.cmlgrid": Field(sol.u_values)}
     return report, fields, 2 if scan.flags else 0
 
 

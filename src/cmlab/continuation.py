@@ -2,11 +2,11 @@
 
 A cusp (beta = -1) has a non-grid-integrable conformal factor, so it is
 never solved directly. Instead a schedule of strictly conical stages
-beta^k > -1 descends toward the target divisor while the curvature may be
-mollified toward a rough target. The remainder v moves smoothly with the
-weights, so each stage from the third on starts its Newton solve from the
-cubic in chi through the four stages before it (fewer while fewer are
-solved; Allgower & Georg, Numerical Continuation Methods, 1990). On the
+beta^k > -1 descends toward the target divisor, each stage at its own
+curvature. The remainder v moves smoothly with the weights, so each stage
+from the third on starts its Newton solve from the cubic in chi through
+the four stages before it (fewer while fewer are solved; Allgower &
+Georg, Numerical Continuation Methods, 1990). On the
 n = 256 one-cusp ladder of ten stages this takes 130 CG iterations where
 the secant through two stages took 172. The first two stages start cold,
 from the solver's own start, the nested n/4 solve; stage 1 alone is a
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InfeasibleTopology, StageFailure
 from .green import singular_part
-from .grids import Field, TorusChart, irfft2, laplacian_factors, rfft2, torus_distance
+from .grids import Field, torus_distance
 from .measures import Divisor, euler_characteristic
 from .solver import CurvatureSpec, Solution, check_curvature_bounds, newton_solve
 
@@ -189,30 +189,7 @@ def _extrapolated_start(solved: list, chi_k: float) -> Field | None:
     for chi_j, vj in nodes.items():
         out += math.prod((chi_k - chi_i) / (chi_j - chi_i)
                          for chi_i in nodes if chi_i != chi_j) * vj
-    return Field(out, TorusChart())
-
-
-def mollify_curvature(Ktarget: Field, k: int, lam: float) -> Field:
-    """Heat-semigroup smoothing of K at time 4^{-k}, k >= 0, clamped to
-    [-lam, -1/lam], for a negative K in [-lam, -1/lam] (up to 1e-12) and
-    1 <= lam < inf.
-
-    The semigroup is an exact spectral multiplier on the torus, so
-    constants are fixed points and the L^1 distance to the target
-    decreases in k.
-    """
-    check_curvature_bounds(Ktarget)
-    if not 1.0 <= lam < math.inf:
-        raise ValueError(f"lam must satisfy 1 <= lam < inf, got {lam}")
-    if not k >= 0:
-        raise ValueError(f"k must satisfy k >= 0, got {k}")
-    if Ktarget.values.min() < -lam - 1e-12 or Ktarget.values.max() > -1.0 / lam + 1e-12:
-        raise ValueError(f"curvature exits its bounds [{-lam:g}, {-1.0 / lam:g}]")
-    t = 4.0 ** (-k)
-    n = Ktarget.n
-    mult = np.exp(-np.add(*laplacian_factors(n)) * t)
-    smoothed = irfft2(mult * rfft2(Ktarget.values), n)
-    return Field(np.clip(smoothed, -lam, -1.0 / lam), TorusChart())
+    return Field(out)
 
 
 def check_scan(radii, threshold: float = 1.0) -> None:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import (TAU, Field, TorusChart, _finite_points, bilinear_torus, finite_point,
+from .grids import (TAU, Field, _finite_points, bilinear_torus, finite_point,
                     gauss_legendre, poisson_mean_zero, torus_distance)
 from .measures import Divisor
 
@@ -102,7 +102,7 @@ class TorusGreen:
 # ladder stage rebuilds every kernel
 @lru_cache(maxsize=16)
 def _green_cached(px: float, py: float, n: int) -> TorusGreen:
-    x = TorusChart().nodes(n)
+    x = np.arange(n) / n
     d = torus_distance(x[:, None], x[None, :], px, py).reshape(-1)
     # psi and the node log vanish off chi's support d < 3/8 (44% of the nodes),
     # so they are evaluated there alone and scattered: off it -1 - psi is -1,
@@ -129,7 +129,7 @@ def green_kernel(p, n: int) -> TorusGreen:
 
 def green_torus(p, n: int) -> Field:
     """Grid samples of the mean-zero kernel G_p on an n x n torus grid."""
-    return Field(np.array(green_kernel(p, n).samples), TorusChart())
+    return Field(np.array(green_kernel(p, n).samples))
 
 
 def _atom_on_node(p, n: int) -> bool:
@@ -186,4 +186,4 @@ def singular_part(div: Divisor, n: int) -> SingularSplit:
     S = np.zeros((n, n))
     for beta, g in zip(div.betas, greens):
         S = S - TAU * beta * g.samples
-    return SingularSplit(div, Field(S, TorusChart()), greens)
+    return SingularSplit(div, Field(S), greens)

@@ -1,8 +1,8 @@
 """Scalar sample grids on the unit flat torus, the one chart of the laboratory.
 
 A Field is an n-by-n array of samples of a scalar (usually a log-conformal
-factor) on the ``TorusChart``: the unit flat torus [0,1)^2, periodic in
-both axes, with samples at (i/n, j/n). It supports exact spectral calculus.
+factor) on the unit flat torus [0,1)^2, periodic in both axes, with
+samples at (i/n, j/n). It supports exact spectral calculus.
 
 All operations treat Field values as immutable.
 """
@@ -60,33 +60,11 @@ def irfft2(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TorusChart:
-    """The unit flat torus, samples at (i/n, j/n); CMLGRID1 files name it ``torus``."""
-
-    def descriptor(self) -> str:
-        return "torus"
-
-    def nodes(self, n: int) -> np.ndarray:
-        return np.arange(n) / n
-
-    def mesh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        x = self.nodes(n)
-        return np.meshgrid(x, x, indexing="ij")
-
-
-def parse_descriptor(line: str) -> TorusChart:
-    if line.strip().split() == ["torus"]:
-        return TorusChart()
-    raise ValueError(f"unrecognized chart descriptor: {line!r}")
-
-
 @dataclass
 class Field:
     """n-by-n scalar samples on the torus; n >= MIN_N and a power of two."""
 
     values: np.ndarray
-    chart: TorusChart
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -104,14 +82,15 @@ class Field:
         return self.values.shape[0]
 
 
-def sample(func, chart: TorusChart, n: int) -> Field:
-    """Rasterize a callable u(x, y) on the torus nodes."""
-    X, Y = chart.mesh(n)
-    return Field(np.asarray(func(X, Y), dtype=float), chart)
+def sample(func, n: int) -> Field:
+    """Rasterize a callable u(x, y) on the torus nodes (i/n, j/n)."""
+    x = np.arange(n) / n
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return Field(np.asarray(func(X, Y), dtype=float))
 
 
-def constant(value: float, chart: TorusChart, n: int) -> Field:
-    return Field(np.full((n, n), float(value)), chart)
+def constant(value: float, n: int) -> Field:
+    return Field(np.full((n, n), float(value)))
 
 
 # -- spectral helpers on the torus -----------------------------------------

@@ -1,8 +1,8 @@
 """File formats: INI inputs, CMLGRID1 grids, canonical JSON reports, CSV series.
 
 CMLGRID1 layout: 8-byte magic ``CMLGRID1``, u32 little-endian resolution n,
-n*n float64 little-endian row-major samples, then the UTF-8 chart
-descriptor line ``torus``.
+n*n float64 little-endian row-major samples, then the chart descriptor
+line ``torus``, the one chart a Field lives on.
 
 JSON reports are emitted canonically by the json module: sorted keys, no
 spaces, and floats in Python's shortest round-trip repr, which is exact, so
@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CmlabError, ConfigError
-from .grids import Field, parse_descriptor
+from .grids import Field
 
 MAGIC = b"CMLGRID1"
+_DESCRIPTOR = b"torus\n"  # the tail of every CMLGRID1 file
 
 
 def read_ini(text: str, source, keys: dict) -> dict:
@@ -32,7 +33,7 @@ def read_ini(text: str, source, keys: dict) -> dict:
     or key, and any text configparser cannot parse, raises ConfigError
     naming `source`.
     """
-    parser = ConfigParser()
+    parser = ConfigParser(default_section="")  # [DEFAULT] is checked like any section
     try:
         parser.read_string(text, source=str(source))
         sections = {sec: dict(parser[sec]) for sec in parser.sections()}
@@ -66,13 +67,13 @@ def write_field(path, field: Field) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", field.n))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-        fh.write((field.chart.descriptor() + "\n").encode("utf-8"))
+        fh.write(_DESCRIPTOR)
 
 
 def read_field(path) -> Field:
     """Read a CMLGRID1 file; every malformed file raises ``CmlabError``.
 
-    The descriptor line must be exactly what ``write_field`` writes,
+    The tail after the samples must be exactly what ``write_field`` writes,
     ``torus`` and its newline, so a cut or shifted tail is rejected, and so
     is any other chart's descriptor.
     """
@@ -86,13 +87,13 @@ def read_field(path) -> Field:
     body = 12 + 8 * n * n
     if len(raw) < body + 1 or raw[-1:] != b"\n":
         raise CmlabError(f"{path}: truncated CMLGRID1 payload")
+    tail = raw[body:]
+    if tail != _DESCRIPTOR:
+        raise CmlabError(f"{path}: bad CMLGRID1 file: unrecognized chart descriptor: "
+                         f"{tail.decode('utf-8', 'replace')!r}")
     try:
-        chart = parse_descriptor(raw[body:].decode("utf-8"))
-        if raw[body:] != (chart.descriptor() + "\n").encode("utf-8"):
-            raise ValueError(f"non-canonical chart descriptor: {raw[body:]!r}")
-        values = np.frombuffer(raw[12:body], dtype="<f8").reshape(n, n).copy()
-        return Field(values, chart)
-    except ValueError as exc:  # UnicodeDecodeError included
+        return Field(np.frombuffer(raw[12:body], dtype="<f8").reshape(n, n).copy())
+    except ValueError as exc:
         raise CmlabError(f"{path}: bad CMLGRID1 file: {exc}") from exc
 
 

@@ -105,7 +105,7 @@ def pairing(u: Field, testfn: Field) -> float:
     if u.n != testfn.n:
         raise ValueError("pairing requires matching grids")
     lap_phi = -neg_laplacian(testfn.values)
-    return integral(Field(-u.values * lap_phi, u.chart))
+    return integral(Field(-u.values * lap_phi))
 
 
 # -- circle flux -------------------------------------------------------------

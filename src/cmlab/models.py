@@ -68,13 +68,3 @@ class LinearCylinder:
             return TAU * L * math.exp(2.0 * self.A)
         return (math.pi / self.B * math.exp(2.0 * self.A + 2.0 * self.B * (i - 1) * L)
                 * (math.exp(2.0 * self.B * L) - 1.0))
-
-    def annulus_profile(self):
-        """The same metric in annulus coordinates r = e^{-t}.
-
-        e^{2v}(dt^2 + dtheta^2) = e^{2u}|dz|^2 with u = v(-log r) - log r.
-        """
-        def u(x, y):
-            r = np.hypot(x, y)
-            return self.A - (self.B + 1.0) * np.log(r)
-        return u

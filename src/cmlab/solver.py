@@ -108,7 +108,7 @@ import numpy as np
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
 from .green import SingularSplit, _s4, singular_part
-from .grids import (MIN_N, TAU, Field, TorusChart, _blocks, circle_points, finite_point,
+from .grids import (MIN_N, TAU, Field, _blocks, circle_points, finite_point,
                     gauss_legendre, interpolate, irfft2, laplacian_factors, neg_laplacian,
                     rfft2, torus_distance)
 from .measures import Divisor, euler_characteristic
@@ -261,7 +261,7 @@ def residual(v: Field, spec: CurvatureSpec, split: SingularSplit) -> Field:
     """
     vv = _samples(v, split)
     op = _operator(spec, split)
-    return Field(op.residual(neg_laplacian(vv), _exp2u(op.S, vv)), TorusChart())
+    return Field(op.residual(neg_laplacian(vv), _exp2u(op.S, vv)))
 
 
 def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
@@ -565,7 +565,7 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     op = _operator(spec, split)
     v, e2u, norm, it, cg_total, cg_capped = _newton_loop(op, _start(op, v0, tol), tol)
 
-    v_field = Field(v, TorusChart())
+    v_field = Field(v)
     area, grid_area, rejected = metric_area(split, v_field, e2u)
     np.multiply(op.K, e2u, out=e2u)  # the Gauss-Bonnet defect, over e^{2u}
     e2u += op.rho

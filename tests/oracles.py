@@ -24,13 +24,24 @@ from scipy.integrate import quad
 from cmlab.continuation import ScanReport
 from cmlab.errors import CurvatureSignError
 from cmlab.green import _R1, _R2, _node_log, _psi, _s4, cutoff, singular_part
-from cmlab.grids import (Field, TorusChart, bilinear_torus, gauss_legendre, irfft2,
+from cmlab.grids import (Field, bilinear_torus, gauss_legendre, irfft2,
                          laplacian_factors, rfft2, sample, torus_distance)
 from cmlab.measures import Divisor
 from cmlab.models import cap_profile
 from cmlab.solver import _CG_MAXITER, _CG_RTOL, CurvatureSpec, newton_solve
 
 TAU = 2.0 * math.pi
+
+
+def torus_nodes(n: int) -> np.ndarray:
+    """The grid coordinates i/n, 0 <= i < n, of an n x n torus grid."""
+    return np.arange(n) / n
+
+
+def torus_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) of the torus nodes (i/n, j/n), indexed [i, j]."""
+    x = torus_nodes(n)
+    return np.meshgrid(x, x, indexing="ij")
 
 
 def lattice_green(x: float, y: float) -> float:
@@ -74,7 +85,7 @@ def green_remainder_grid(p, n: int) -> np.ndarray:
     """The n x n grid of G_p's smooth remainder R = G + (1/2 pi) chi log d,
     solved and mean-pinned as the kernel build does, and kept whole: psi on
     every node, not only on the cutoff's support."""
-    x = TorusChart().nodes(n)
+    x = torus_nodes(n)
     d = torus_distance(x[:, None], x[None, :], *p)
     remainder = whole_grid_poisson(-1.0 - _psi(d))
     remainder += (0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
@@ -85,7 +96,7 @@ def green_remainder_grid(p, n: int) -> np.ndarray:
 def whole_grid_green(p, n: int) -> np.ndarray:
     """The kernel's samples G = R - (1/2 pi) chi log d with the node log
     subtracted on every node, the reference for the build on chi's support."""
-    x = TorusChart().nodes(n)
+    x = torus_nodes(n)
     d = torus_distance(x[:, None], x[None, :], *p)
     return green_remainder_grid(p, n) - _node_log(d, n)
 
@@ -191,7 +202,7 @@ def flat_neck_annulus_area(k: int, s: float, t: float) -> float:
 def random_smooth_field(n: int, rng: np.random.Generator,
                         amplitude: float = 2.0) -> Field:
     """Random periodic field of modes |kx|, |ky| <= 3 with sup-norm <= amplitude."""
-    X, Y = TorusChart().mesh(n)
+    X, Y = torus_mesh(n)
     out = np.zeros((n, n))
     for _ in range(6):
         kx, ky = (int(q) for q in rng.integers(-3, 4, size=2))
@@ -200,7 +211,7 @@ def random_smooth_field(n: int, rng: np.random.Generator,
     sup = float(np.abs(out).max())
     if sup > 0:
         out *= amplitude * float(rng.uniform(0.25, 1.0)) / sup
-    return Field(out, TorusChart())
+    return Field(out)
 
 
 # -- translation spread ----------------------------------------------------------
@@ -221,14 +232,14 @@ def translation_spread(beta: float, f: float, n: int,
     """
     p = ((round(0.3 * n) + 0.21) / n, (round(0.7 * n) + 0.33) / n)
     problems = ((p, K), ((p[0] + f / n, p[1]), lambda x, y: K(x - f / n, y)))
-    v1, v2 = (newton_solve(CurvatureSpec(sample(k, TorusChart(), n)),
+    v1, v2 = (newton_solve(CurvatureSpec(sample(k, n)),
                            singular_part(Divisor((a,), (beta,)), n)).v.values
               for a, k in problems)
     kx = np.fft.fftfreq(n, 1.0 / n)
     spec = np.fft.rfft2(v1) * np.exp(-2j * math.pi * kx[:, None] * f / n)
     spec[n // 2, :] = 0.0
     spec[:, n // 2] = 0.0
-    x = TorusChart().nodes(n)
+    x = torus_nodes(n)
     far = torus_distance(x[:, None], x[None, :], *p) > 0.1
     return float(np.abs(v2 - np.fft.irfft2(spec, s=(n, n)))[far].max())
 
@@ -276,7 +287,7 @@ def whole_grid_blended_sum(u2, px: float, py: float) -> float:
     distances over the whole grid."""
     n = u2.shape[0]
     r_na, r_bl = 4.0 / n, 8.0 / n
-    X, Y = TorusChart().mesh(n)
+    X, Y = torus_mesh(n)
     d = torus_distance(X, Y, px, py)
     near = d < r_bl
     blend = _s4((d[near] - r_na) / (r_bl - r_na))
@@ -294,7 +305,7 @@ def convolution_scan(sol, radii, threshold: float = 1.0):
     e2u = np.exp(2.0 * u)
     mass_hat = rfft2(np.abs(K) * e2u / (n * n))
     area_hat = rfft2(e2u / (n * n))
-    x = TorusChart().nodes(n)
+    x = torus_nodes(n)
     d0 = torus_distance(x[:, None], x[None, :], 0.0, 0.0)
     idx = np.arange(0, n, max(1, n // 16))
     cx, cy = np.meshgrid(idx, idx, indexing="ij")

@@ -19,7 +19,7 @@ from cmlab.bubbles import (
 )
 from cmlab.cli import main as cli_main
 from cmlab.continuation import cusp_schedule, run_continuation
-from cmlab.grids import TAU, Field, TorusChart, sample
+from cmlab.grids import TAU, Field, sample
 from cmlab.green import green_torus, singular_part
 from cmlab.measures import Divisor, kelvin_transform, pairing, residue
 from cmlab.models import LinearCylinder, cusp_profile
@@ -51,7 +51,7 @@ def test_criterion_1_conical_solve_area_and_order():
     _line(1, f"n=512 runtime {elapsed:.1f}s (limit 60s)", elapsed <= 60.0)
     # with constant K the area is pinned whatever weight S carries; the
     # measured residue at the atom sees the cone's weight
-    res = residue(Field(sol.u_values, TorusChart()), ATOM)
+    res = residue(Field(sol.u_values), ATOM)
     _line(1, f"n=512 residue at the atom {res:.4f} (want -0.5 within 1e-2)",
           abs(res + 0.5) <= 1e-2)
     errs = [abs(solve_divisor((ATOM,), (-0.5,), n=n).area - math.pi) / math.pi
@@ -197,7 +197,7 @@ def test_criterion_8_measure_core_identities():
     errs = []
     for n in (64, 128, 256):
         g = green_torus(ATOM, n)
-        phi = sample(phi_fn, TorusChart(), n)
+        phi = sample(phi_fn, n)
         errs.append(abs(pairing(g, phi) - (phi_fn(*ATOM) - phi.values.mean())))
     ok = all(e <= 0.5 / n for e, n in zip(errs, (64, 128, 256)))
     ok = ok and errs[2] < errs[1] < errs[0]
@@ -255,10 +255,10 @@ def test_criterion_10_square_torus_symmetries():
     n = 128
     atoms, betas = ((0.3037, 0.7121), (0.6113, 0.1847)), (-0.5, -0.3)
     K = sample(lambda x, y: -1.0 - 0.4 * np.sin(TAU * x) * np.cos(TAU * y)
-               - 0.2 * np.cos(2.0 * TAU * y), TorusChart(), n).values
+               - 0.2 * np.cos(2.0 * TAU * y), n).values
 
     def solve(points, curvature):
-        spec = CurvatureSpec(Field(np.ascontiguousarray(curvature), TorusChart()))
+        spec = CurvatureSpec(Field(np.ascontiguousarray(curvature)))
         return newton_solve(spec, singular_part(Divisor(points, betas), n))
 
     base = solve(atoms, K)

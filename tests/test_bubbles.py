@@ -1,4 +1,4 @@
-"""Blowup sequences, fixtures, necks, and the area identity."""
+"""Fixtures, necks, and the area identity."""
 
 import math
 import re
@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from cmlab.bubbles import (
-    BlowupSeq,
     SyntheticFamily,
     area_identity_check,
-    classify_pair,
     list_fixtures,
     load_fixture,
     neck_area_profile,
     neck_curvature_limit,
-    plane_area,
     three_circle_check,
     validate_family,
 )
@@ -25,57 +22,6 @@ from cmlab.models import TAU, LinearCylinder, cusp_profile
 from oracles import cusp_annulus_area, standard_bubble
 
 FIXTURES = ["flat-neck", "hyperbolic-cusp", "no-bubble", "spherical-cap"]
-
-
-def test_blowup_seq_validation():
-    good = BlowupSeq(tuple((0.0, 0.0) for _ in range(8)),
-                     tuple(2.0 ** -k for k in range(8)))
-    assert len(good) == 8
-    with pytest.raises(ValueError):
-        BlowupSeq(((0.0, 0.0),) * 7, tuple(2.0 ** -k for k in range(7)))
-    with pytest.raises(ValueError):
-        BlowupSeq(((0.0, 0.0),) * 8, tuple(2.0 ** -k for k in range(7)))
-    with pytest.raises(ValueError):
-        BlowupSeq(((0.0, 0.0),) * 8, (1.0,) * 7 + (0.0,))
-    with pytest.raises(ValueError):
-        BlowupSeq(((0.0, 0.0),) * 8, (1.0,) * 6 + (0.5, 1.0))  # growing tail
-
-
-def _seq(centers, radii):
-    return BlowupSeq(tuple(centers), tuple(radii))
-
-
-def test_classify_pair_on_top():
-    # a shrinks quadratically inside b, with centers merging at rate 1/k
-    ks = range(1, 2049)
-    a = _seq([(0.3 + 0.5 / k, 0.7) for k in ks], [1.0 / k ** 2 for k in ks])
-    b = _seq([(0.3, 0.7) for _ in ks], [1.0 / k for k in ks])
-    assert classify_pair(a, b) == "on-top(a<b)"
-    assert classify_pair(b, a) == "on-top(b<a)"
-
-
-def test_classify_pair_essentially_same():
-    ks = range(1, 65)
-    a = _seq([(0.5, 0.5) for _ in ks], [1.0 / k for k in ks])
-    b = _seq([(0.5, 0.5) for _ in ks], [1.5 / k for k in ks])
-    assert classify_pair(a, a) == "essentially-same"
-    assert classify_pair(a, b) == "essentially-same"
-    assert classify_pair(b, a) == "essentially-same"
-
-
-def test_classify_pair_disjoint():
-    ks = range(1, 17)
-    a = _seq([(0.2, 0.2) for _ in ks], [2.0 ** -k for k in ks])
-    b = _seq([(0.8, 0.8) for _ in ks], [2.0 ** -k for k in ks])
-    assert classify_pair(a, b) == "disjoint"
-
-
-def test_classify_pair_inconclusive_on_short_data():
-    # sqrt-rate separation neither merges nor diverges over a short range
-    ks = range(1, 17)
-    a = _seq([(0.5 + 1.0, 0.5) for k in ks], [1.0 / math.sqrt(k) for k in ks])
-    b = _seq([(0.5, 0.5) for _ in ks], [1.0 / math.sqrt(k) for k in ks])
-    assert classify_pair(a, b) == "inconclusive"
 
 
 def test_fixture_corpus():
@@ -279,12 +225,6 @@ def test_neck_curvature_limit():
     rep2 = neck_curvature_limit(cone, standard_bubble(), (0.0, 0.0))
     assert rep2.value == pytest.approx(-TAU * 1.5, abs=1e-6)
     assert rep2.res_outer == pytest.approx(-0.5, abs=1e-7)
-
-
-def test_plane_area_of_bubble():
-    assert plane_area(standard_bubble()) == pytest.approx(4.0 * math.pi, rel=1e-6)
-    with pytest.raises(ValueError):
-        plane_area(lambda x, y: 0.0 * np.asarray(x))  # flat: never converges
 
 
 def test_area_identity_spherical_cap():

@@ -11,14 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import cmlab.cli
 import cmlab.continuation
 from cmlab.bubbles import _FIXTURE_KEYS, _KINDS, load_fixture
 from cmlab.cli import _COMMANDS, build_parser, load_config, main
 from cmlab.errors import ConfigError
-from cmlab.grids import TAU, TorusChart
+from cmlab.grids import TAU
 from cmlab.io import read_field, read_report
 
 
@@ -44,8 +44,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert rep["gbDefect"] < 1e-9
     u = read_field(out / "u.cmlgrid")
     v = read_field(out / "v.cmlgrid")
-    assert u.chart == TorusChart() and u.n == 64
-    assert v.chart == TorusChart() and v.n == 64
+    assert u.n == 64 and v.n == 64
     assert np.isfinite(u.values).all()
     # u = S + v, and S has spikes at the atom that v does not
     assert float(np.abs(u.values - v.values).max()) > 1.0
@@ -165,9 +164,12 @@ def test_a_value_that_does_not_convert_names_its_key(tmp_path, capsys, command,
 @given(target=st.sampled_from([*sorted(set(_COMMANDS) - {"report"}), "fixture"]),
        name=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
        where=st.sampled_from(["section", "run", "own"]))
+@example(target="solve", name="DEFAULT", where="section")
+@example(target="fixture", name="DEFAULT", where="section")
 def test_unknown_ini_section_or_key_is_named(tmp_path, target, name, where):
     # run configs and fixture files go through one reader; a fixture file's
-    # only section is [family], which takes every kind's parameters
+    # only section is [family], which takes every kind's parameters. A
+    # [DEFAULT] section is one more unknown section, not defaults for the rest
     if target == "fixture":
         own, keys = "family", {"family": _FIXTURE_KEYS.union(
             *(kind.params for kind in _KINDS.values()))}

@@ -1,8 +1,7 @@
-"""Weight continuation toward cusps, mollification, concentration scans."""
+"""Weight continuation toward cusps and concentration scans."""
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,13 +13,12 @@ from cmlab.continuation import (
     ScheduleStep,
     _extrapolated_start,
     cusp_schedule,
-    mollify_curvature,
     no_bubble_scan,
     run_continuation,
 )
 from cmlab.errors import InfeasibleTopology, NonConvergence, StageFailure
 from cmlab.green import singular_part
-from cmlab.grids import TAU, Field, TorusChart, constant, sample
+from cmlab.grids import TAU, Field, constant, sample
 from cmlab.measures import Divisor
 from cmlab.models import cap_profile
 from cmlab.solver import CurvatureSpec, Solution, newton_solve, solve_divisor
@@ -69,8 +67,8 @@ def test_schedule_validation():
 def test_schedules_without_lam_still_check_the_sign():
     # a Field stage is held to sup K < 0 when it is built
     target = Divisor(((0.3, 0.7),), (-1.0,))
-    k = sample(lambda x, y: -0.5 + np.cos(TAU * x), TorusChart(), 32)
-    for field in (k, constant(0.0, TorusChart(), 32)):
+    k = sample(lambda x, y: -0.5 + np.cos(TAU * x), 32)
+    for field in (k, constant(0.0, 32)):
         with pytest.raises(ValueError, match="curvature must be finite and negative"):
             ContinuationSchedule(target, (ScheduleStep((-0.5,), field),))
 
@@ -140,7 +138,7 @@ def test_extrapolated_start():
         return coef[0] + chi * (coef[1] + chi * (coef[2] + chi * coef[3]))
 
     chis = [-1.0 + 2.0 ** -k for k in range(1, 6)]
-    solved = [(c, Field(v(c), TorusChart())) for c in chis[:4]]
+    solved = [(c, Field(v(c))) for c in chis[:4]]
     np.testing.assert_allclose(_extrapolated_start(solved, chis[4]).values, v(chis[4]),
                                rtol=0, atol=1e-13)
     # one earlier stage: a cold start, unless the weights stand still
@@ -241,40 +239,6 @@ def test_stage_checks_raise_at_their_stage(monkeypatch, field, value, message):
     assert [r.k for r in exc.value.reports] == [1]
 
 
-def test_mollify_curvature():
-    n = 128
-    const = constant(-1.0, TorusChart(), n)
-    out = mollify_curvature(const, 3, 2.0)
-    np.testing.assert_allclose(out.values, -1.0, atol=1e-13)
-
-    K = sample(lambda x, y: -1.0 + 0.4 * np.cos(TAU * x) * np.cos(TAU * y),
-               TorusChart(), n)
-    dists = []
-    for k in range(2, 7):
-        m = mollify_curvature(K, k, 2.0)
-        assert m.values.min() >= -2.0 and m.values.max() <= -0.5
-        dists.append(float(np.abs(m.values - K.values).mean()))
-    assert all(b < a for a, b in zip(dists, dists[1:]))
-    # heat time 4^{-k} gives an asymptotic quartering per step
-    assert dists[-1] / dists[-2] < 0.35 and dists[-2] / dists[-3] < 0.35
-
-    # the sign is checked before lam; the clamp range on both sides
-    with pytest.raises(ValueError, match="finite and negative, got max 0.0"):
-        mollify_curvature(constant(0.0, TorusChart(), n), 3, 0.5)
-    with pytest.raises(ValueError, match=re.escape("exits its bounds [-2, -0.5]")):
-        mollify_curvature(constant(-3.0, TorusChart(), n), 3, 2.0)
-    with pytest.raises(ValueError, match=re.escape("exits its bounds [-1.5, -0.666667]")):
-        mollify_curvature(constant(-0.5, TorusChart(), 64), 3, 1.5)
-    for lam in (0.0, 0.5, math.inf):
-        with pytest.raises(ValueError, match="lam"):
-            mollify_curvature(const, 3, lam)
-    # a negative k is refused before 4^{-k} is formed: -600 would overflow,
-    # -1 would smooth for time 4
-    for k in (-600, -1):
-        with pytest.raises(ValueError, match=f"k must satisfy k >= 0, got {k}"):
-            mollify_curvature(constant(-1.0, TorusChart(), 16), k, 2.0)
-
-
 def _unsolved(div: Divisor, curvature: float | Field, v: Field) -> Solution:
     """A Solution holding `v` as given, for scans of a chosen field."""
     return Solution(split=singular_part(div, v.n), spec=CurvatureSpec(curvature), v=v,
@@ -287,7 +251,7 @@ def test_no_bubble_scan_flags_concentration():
     # a lam = 0.05 spherical bump inside a 1/8 disk carries curvature mass
     # 4 pi r^2 / (lam^2 + r^2), far above the threshold
     lam = 0.05
-    cap = sample(cap_profile(lam, center=(0.5, 0.5)), TorusChart(), 256)
+    cap = sample(cap_profile(lam, center=(0.5, 0.5)), 256)
     rep = no_bubble_scan(_unsolved(Divisor((), ()), 1.0, cap), radii=(0.125,))
     want = cap_disk_area(lam, 0.125)
     assert rep.max_mass == pytest.approx(want, rel=2e-2)
@@ -313,7 +277,7 @@ def test_no_bubble_scan_clean_solution():
 def test_no_bubble_scan_needs_a_center():
     # at r = 0.3 every center lies within r + 8/n of one of the four atoms
     pts = ((0.01, 0.01), (0.51, 0.01), (0.01, 0.51), (0.51, 0.51))
-    sol = _unsolved(Divisor(pts, (-0.5,) * 4), -1.0, constant(0.0, TorusChart(), 64))
+    sol = _unsolved(Divisor(pts, (-0.5,) * 4), -1.0, constant(0.0, 64))
     with pytest.raises(ValueError, match="atoms exclude every scan center at radius 0.3"):
         no_bubble_scan(sol, radii=(0.3,))
 
@@ -329,7 +293,7 @@ def test_no_bubble_scan_matches_the_convolution(n, atoms, radii):
     # nodes exactly on the rim. Centers and flags agree, masses and areas to
     # 4 ulp (the convolution's own rounding)
     rng = np.random.default_rng(n)
-    K = Field(-1.0 - rng.random((n, n)), TorusChart())
+    K = Field(-1.0 - rng.random((n, n)))
     sol = _unsolved(Divisor(atoms, (-0.5,) * len(atoms)), K, random_smooth_field(n, rng))
     threshold = 0.5 * convolution_scan(sol, radii).max_mass
     got = no_bubble_scan(sol, radii, threshold=threshold)
@@ -351,9 +315,10 @@ def test_no_bubble_scan_makes_no_transform(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no_bubble_scan made a transform")
 
-    for module in (cmlab.continuation, cmlab.grids):
-        monkeypatch.setattr(module, "rfft2", refuse)
-        monkeypatch.setattr(module, "irfft2", refuse)
+    # continuation binds no transform of its own; every one is grids'
+    for name in ("rfft2", "irfft2"):
+        assert not hasattr(cmlab.continuation, name)
+        monkeypatch.setattr(cmlab.grids, name, refuse)
     rep = no_bubble_scan(sol, radii=(1.0 / 16.0, 1.0 / 32.0))
     assert rep.centers_scanned > 0
     assert rep.max_mass < 1.0

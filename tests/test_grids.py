@@ -1,4 +1,4 @@
-"""Charts, fields, spectral calculus, interpolation, and quadrature."""
+"""Fields, spectral calculus, interpolation, and quadrature."""
 
 import math
 
@@ -13,7 +13,6 @@ from cmlab.grids import (
     _QUAD_NODES,
     TAU,
     Field,
-    TorusChart,
     bilinear_torus,
     gauss_legendre,
     integral,
@@ -21,42 +20,32 @@ from cmlab.grids import (
     irfft2,
     laplacian_factors,
     neg_laplacian,
-    parse_descriptor,
     poisson_mean_zero,
     rfft2,
     sample,
     torus_distance,
     wrap_half,
 )
-from oracles import fd_neg_laplacian_periodic, whole_grid_poisson
+from oracles import fd_neg_laplacian_periodic, torus_mesh, whole_grid_poisson
 
 
 def test_field_validation():
     with pytest.raises(ValueError):
-        Field(np.zeros((8, 9)), TorusChart())
+        Field(np.zeros((8, 9)))
     with pytest.raises(ValueError):
-        Field(np.zeros((12, 12)), TorusChart())
+        Field(np.zeros((12, 12)))
     with pytest.raises(ValueError):
-        Field(np.zeros((4, 4)), TorusChart())
+        Field(np.zeros((4, 4)))
     bad = np.zeros((8, 8))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        Field(bad, TorusChart())
-    f = Field(np.zeros((16, 16)), TorusChart())
+        Field(bad)
+    f = Field(np.zeros((16, 16)))
     assert f.n == 16
 
 
-def test_descriptor_round_trip():
-    assert parse_descriptor(TorusChart().descriptor()) == TorusChart()
-    # the torus is the one chart: any other line is refused, a planar disk's
-    # or log-polar chart's among them
-    for line in ("nonsense 1 2 3", "disk 0.75", "logpolar 0.01 2"):
-        with pytest.raises(ValueError, match="unrecognized chart descriptor"):
-            parse_descriptor(line)
-
-
 def test_torus_mesh_and_distance():
-    X, Y = TorusChart().mesh(8)
+    X = sample(lambda x, y: x, 8).values
     assert X[0, 0] == 0.0 and X[1, 0] == 0.125
     assert wrap_half(0.75) == -0.25
     assert torus_distance(0.9, 0.0, 0.1, 0.0) == pytest.approx(0.2, abs=1e-15)
@@ -66,7 +55,7 @@ def test_torus_mesh_and_distance():
 
 def test_spectral_laplacian_matches_fd():
     n = 128
-    f = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), TorusChart(), n)
+    f = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), n)
     spec = neg_laplacian(f.values)
     fd = fd_neg_laplacian_periodic(f.values)
     # FD is 2nd order; the spectral result is exact for band-limited data
@@ -74,7 +63,7 @@ def test_spectral_laplacian_matches_fd():
     assert np.abs(spec - exact).max() < 1e-9
     assert np.abs(fd - exact).max() < 0.5
     n2 = 256
-    f2 = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), TorusChart(), n2)
+    f2 = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), n2)
     fd2 = fd_neg_laplacian_periodic(f2.values)
     exact2 = (TAU ** 2 + (2 * TAU) ** 2) * f2.values
     ratio = np.abs(fd2 - exact2).max() / np.abs(fd - exact).max()
@@ -84,8 +73,8 @@ def test_spectral_laplacian_matches_fd():
 def test_poisson_mean_zero_manufactured():
     # g = sin(2 pi x) cos(4 pi y): -Delta g = (2pi)^2 (1 + 4) g, analytically
     n = 64
-    g = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), TorusChart(), n)
-    f = Field((TAU ** 2 * 5.0) * g.values, TorusChart())
+    g = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), n)
+    f = Field((TAU ** 2 * 5.0) * g.values)
     sol = poisson_mean_zero(f.values)
     assert np.abs(sol - g.values).max() < 1e-12
     assert abs(sol.mean()) < 1e-14
@@ -178,7 +167,7 @@ def test_irfft2_out_may_alias_its_input(n):
 
 def test_bilinear_torus_wraps():
     n = 32
-    f = sample(lambda x, y: np.cos(TAU * x) + np.sin(TAU * y), TorusChart(), n)
+    f = sample(lambda x, y: np.cos(TAU * x) + np.sin(TAU * y), n)
     # exact at nodes, periodic across the seam
     assert bilinear_torus(f.values, 0.0, 0.0) == pytest.approx(f.values[0, 0])
     left = bilinear_torus(f.values, -0.015625, 0.25)
@@ -197,8 +186,8 @@ def test_interpolate_charts():
     # mean (the last row and column straddle the seam)
     for n in (8, 64):
         rng = np.random.default_rng(n)
-        t = Field(rng.random((n, n)), TorusChart())
-        X, Y = t.chart.mesh(n)
+        t = Field(rng.random((n, n)))
+        X, Y = torus_mesh(n)
         np.testing.assert_array_equal(interpolate(t, X, Y), t.values)
         Xm, Ym = X + 0.5 / n, Y + 0.5 / n
         mid = interpolate(t, Xm, Ym)
@@ -209,7 +198,7 @@ def test_interpolate_charts():
 
 def test_integral_torus_vs_quadrature():
     n = 256
-    f = sample(lambda x, y: np.exp(np.sin(TAU * x)) + 0.0 * y, TorusChart(), n)
+    f = sample(lambda x, y: np.exp(np.sin(TAU * x)) + 0.0 * y, n)
     ref, _ = quad(lambda x: math.exp(math.sin(TAU * x)), 0.0, 1.0,
                   limit=200, epsabs=1e-13)
     assert integral(f) == pytest.approx(ref, abs=1e-12)
@@ -221,17 +210,16 @@ def test_conformal_area_on_the_torus_closed_form(n, a, b):
     # the area of e^{2u}, u = a cos(2 pi x) + b sin(2 pi y), is I0(2a) I0(2b);
     # the node mean of a periodic analytic integrand converges geometrically,
     # and I_n(2) < 1e-13 for n >= 16
-    u = sample(lambda x, y: a * np.cos(TAU * x) + b * np.sin(TAU * y), TorusChart(), n)
-    area = integral(Field(np.exp(2.0 * u.values), u.chart))
+    u = sample(lambda x, y: a * np.cos(TAU * x) + b * np.sin(TAU * y), n)
+    area = integral(Field(np.exp(2.0 * u.values)))
     assert area == pytest.approx(special.i0(2.0 * a) * special.i0(2.0 * b), rel=1e-12)
 
 
 def test_sample_points_match_mesh():
     n = 16
-    chart = TorusChart()
-    f = sample(lambda x, y: x + 10 * y, chart, n)
-    X, Y = chart.mesh(n)
-    assert np.allclose(f.values, X + 10 * Y)
+    f = sample(lambda x, y: x + 10 * y, n)
+    X, Y = torus_mesh(n)
+    assert np.array_equal(f.values, X + 10 * Y)
     assert X.min() == 0.0 and X.max() == 1.0 - 1.0 / n
 
 

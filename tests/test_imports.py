@@ -57,7 +57,7 @@ def test_cli_import_loads_every_module():
 
 
 def test_public_names_and_submodules():
-    assert len(cmlab.__all__) == len(set(cmlab.__all__)) == 76
+    assert len(cmlab.__all__) == len(set(cmlab.__all__)) == 70
     assert set(cmlab.__all__) <= set(dir(cmlab))
     assert cmlab.singular_part is sys.modules["cmlab.green"].singular_part
     assert "singular_part" not in vars(cmlab)  # resolved, not cached
@@ -69,4 +69,9 @@ def test_public_names_and_submodules():
         assert not hasattr(cmlab, gone)
     # nor the random-start uniqueness probe; criterion 3 solves from far starts
     for gone in ("UniquenessReport", "random_smooth_field", "uniqueness_probe"):
+        assert not hasattr(cmlab, gone)
+    # nor the chart object, which had one value, nor names only their own
+    # tests called
+    for gone in ("TorusChart", "parse_descriptor", "mollify_curvature", "BlowupSeq",
+                 "classify_pair", "plane_area"):
         assert not hasattr(cmlab, gone)

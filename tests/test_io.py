@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cmlab.errors import CmlabError
-from cmlab.grids import Field, TorusChart
+from cmlab.grids import Field
 from cmlab.io import (
     MAGIC,
     canonical_json,
@@ -25,7 +25,7 @@ from cmlab.io import (
 
 def _random_field(n=16, seed=0):
     rng = np.random.default_rng(seed)
-    return Field(rng.normal(size=(n, n)), TorusChart())
+    return Field(rng.normal(size=(n, n)))
 
 
 def test_field_round_trip(tmp_path):
@@ -33,9 +33,7 @@ def test_field_round_trip(tmp_path):
     path = tmp_path / "f.cmlgrid"
     write_field(path, f)
     assert path.read_bytes()[12 + 8 * 16 * 16:] == b"torus\n"
-    g = read_field(path)
-    assert g.chart == TorusChart()
-    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(read_field(path).values, f.values)
 
 
 def test_field_bad_magic(tmp_path):
@@ -65,7 +63,7 @@ def _fields(draw, sizes=(8, 16, 32)):
     n = draw(st.sampled_from(sizes))
     values = draw(arrays(np.float64, (n, n),
                          elements=st.floats(allow_nan=False, allow_infinity=False)))
-    return Field(values, TorusChart())
+    return Field(values)
 
 
 def _file_bytes(path, field):
@@ -84,9 +82,7 @@ def _rejects(path, raw):
 def test_field_round_trip_property(tmp_path, f):
     path = tmp_path / "f.cmlgrid"
     write_field(path, f)
-    g = read_field(path)
-    assert g.chart == f.chart
-    assert g.values.tobytes() == f.values.tobytes()
+    assert read_field(path).values.tobytes() == f.values.tobytes()
 
 
 # n = 8 only: every cut is a file write, and larger n add only payload cuts
@@ -138,14 +134,16 @@ def test_field_non_finite_samples_are_rejected(tmp_path, f, data):
 
 
 def test_field_bad_descriptor_messages(tmp_path):
-    # the path is named whatever the fault, and the old messages stay
+    # the path is named whatever the fault; any tail but ``torus`` and its
+    # newline is one unrecognized descriptor, undecodable bytes included
     f = _random_field(n=8)
     path = tmp_path / "d.cmlgrid"
     raw = _file_bytes(path, f)
     body = 12 + 8 * 64
     for tail in (b"\xff\xfe\n", b"sphere 1\n", b"disk -1\n", b"disk 1.50\n", b"torus \n"):
         path.write_bytes(raw[:body] + tail)
-        with pytest.raises(CmlabError, match="d.cmlgrid: bad CMLGRID1 file"):
+        with pytest.raises(CmlabError, match="d.cmlgrid: bad CMLGRID1 file: "
+                           "unrecognized chart descriptor"):
             read_field(path)
     # files of the planar disk and log-polar charts, in the canonical
     # spelling earlier versions wrote, are refused by their descriptor

@@ -13,7 +13,6 @@ from cmlab.green import singular_part
 from cmlab.grids import (
     TAU,
     Field,
-    TorusChart,
     bilinear_torus,
     constant,
     gauss_legendre,
@@ -53,20 +52,20 @@ def test_flux_profile_validation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: flux_profile(constant(0.0, TorusChart(), 32), (0.5, 0.5), [0.45]),
+    (lambda: flux_profile(constant(0.0, 32), (0.5, 0.5), [0.45]),
      "flux radius exceeds the torus chart"),
     # the outer stencil circle r + 2h = 1/2 reaches the antipode of the center
-    (lambda: flux_profile(constant(0.0, TorusChart(), 16), (0.3, 0.7), [0.375]),
+    (lambda: flux_profile(constant(0.0, 16), (0.3, 0.7), [0.375]),
      "flux radius exceeds the torus chart"),
-    (lambda: pairing(constant(0.0, TorusChart(), 16), constant(1.0, TorusChart(), 32)),
+    (lambda: pairing(constant(0.0, 16), constant(1.0, 32)),
      "pairing requires matching grids"),
-    (lambda: kelvin_transform(constant(0.0, TorusChart(), 16)),
+    (lambda: kelvin_transform(constant(0.0, 16)),
      "kelvin_transform needs a callable u(x, y)"),
     # no flux circle fits: these raised NonStabilizingFlux after 0 radii
-    (lambda: residue_profiled(constant(0.0, TorusChart(), 16), (0.3, 0.7)),
+    (lambda: residue_profiled(constant(0.0, 16), (0.3, 0.7)),
      "no flux circle fits about (0.3, 0.7): the first radius 0.25 is below "
      "the smallest resolved radius 0.5"),
-    (lambda: residue(constant(0.0, TorusChart(), 8), (0.3, 0.7)),
+    (lambda: residue(constant(0.0, 8), (0.3, 0.7)),
      "the first radius 0 is below the smallest resolved radius 1"),
     # a callable that is not finite on a flux circle: these returned nan
     # with a RuntimeWarning, and ran 37 radii of nan into NonStabilizingFlux
@@ -85,7 +84,7 @@ def test_chart_and_flux_inputs_outside_their_domain_are_rejected(call, message):
         call()
 
 
-_TORUS16 = constant(0.0, TorusChart(), 16)
+_TORUS16 = constant(0.0, 16)
 _SPLIT16 = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 16)
 
 
@@ -117,7 +116,7 @@ def _ZERO_CORNERS(I, J):
     # residue raised "no flux circle fits" at n = 16, a cast warning at n = 64
     # and "profile is not finite on the circle of radius 0.125" for a callable
     (lambda: residue(_TORUS16, (math.nan, 0.0)), "center = (nan, 0.0) is not a finite point"),
-    (lambda: residue(constant(0.0, TorusChart(), 64), (math.nan, 0.0)),
+    (lambda: residue(constant(0.0, 64), (math.nan, 0.0)),
      "center = (nan, 0.0) is not a finite point"),
     (lambda: residue(cone_profile(-0.5), (math.nan, 0.0)),
      "center = (nan, 0.0) is not a finite point"),
@@ -137,18 +136,17 @@ def test_pairing_weak_identity_torus():
     # u with analytic -Delta u = 5 (2 pi)^2 u; pairing against phi must
     # reproduce the integral of phi * (-Delta u) by self-adjointness
     n = 64
-    chart = TorusChart()
-    u = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), chart, n)
-    phi = sample(lambda x, y: np.cos(TAU * x) * np.cos(TAU * y) + 0.3, chart, n)
-    want = integral(Field(5.0 * TAU ** 2 * u.values * phi.values, chart))
+    u = sample(lambda x, y: np.sin(TAU * x) * np.cos(2 * TAU * y), n)
+    phi = sample(lambda x, y: np.cos(TAU * x) * np.cos(TAU * y) + 0.3, n)
+    want = integral(Field(5.0 * TAU ** 2 * u.values * phi.values))
     assert pairing(u, phi) == pytest.approx(want, abs=1e-9)
     # linearity in the conformal factor
-    w = sample(lambda x, y: np.cos(3 * TAU * x), chart, n)
-    combo = Field(2.0 * u.values - 0.5 * w.values, chart)
+    w = sample(lambda x, y: np.cos(3 * TAU * x), n)
+    combo = Field(2.0 * u.values - 0.5 * w.values)
     lin = 2.0 * pairing(u, phi) - 0.5 * pairing(w, phi)
     assert pairing(combo, phi) == pytest.approx(lin, rel=1e-12, abs=1e-13)
     with pytest.raises(ValueError):
-        pairing(u, sample(lambda x, y: x, chart, 32))
+        pairing(u, sample(lambda x, y: x, 32))
 
 
 @pytest.mark.parametrize("k", [(1, 0), (0, 2), (1, 1), (3, -2), (5, 4)])
@@ -156,12 +154,11 @@ def test_pairing_of_a_plane_wave(k):
     # u = cos(2 pi k.x + 0.4) has -Delta u = (2 pi |k|)^2 u and mean(u^2) = 1/2;
     # pairing is symmetric, and a constant pairs to 0 (Delta phi has mean 0)
     n = 32
-    chart = TorusChart()
-    u = sample(lambda x, y: np.cos(TAU * (k[0] * x + k[1] * y) + 0.4), chart, n)
-    phi = sample(lambda x, y: np.exp(np.sin(TAU * x)) * np.cos(TAU * y), chart, n)
+    u = sample(lambda x, y: np.cos(TAU * (k[0] * x + k[1] * y) + 0.4), n)
+    phi = sample(lambda x, y: np.exp(np.sin(TAU * x)) * np.cos(TAU * y), n)
     assert pairing(u, u) == pytest.approx(0.5 * TAU ** 2 * (k[0] ** 2 + k[1] ** 2), rel=1e-13)
     assert pairing(u, phi) == pytest.approx(pairing(phi, u), rel=1e-12, abs=1e-12)
-    assert pairing(constant(1.7, chart, n), phi) == pytest.approx(0.0, abs=1e-12)
+    assert pairing(constant(1.7, n), phi) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("center", [(0.5, 0.5), (0.3, 0.7)])
@@ -174,7 +171,7 @@ def test_flux_circle_reaching_the_torus_edge(n, center):
     # Field differ by O(h) in the stencil's derivative
     h = 1.0 / n
     u = lambda x, y: np.cos(TAU * (x - center[0])) + 0.0 * y
-    field = sample(u, TorusChart(), n)
+    field = sample(u, n)
     r = 0.5 - 3 * h
     want = -4.0 * math.pi ** 2 * r * special.j1(TAU * r)
     assert flux_profile(u, center, [r]).flux[0] == pytest.approx(want, abs=1e-8)
@@ -218,7 +215,7 @@ def test_residue_callable_cone_plus_smooth():
 
 def test_residue_grid_solution():
     sol = solve_divisor(((0.3, 0.7),), (-0.5,), n=128)
-    f = Field(sol.u_values, TorusChart())
+    f = Field(sol.u_values)
     assert residue(f, (0.3, 0.7)) == pytest.approx(-0.5, abs=2e-2)
 
 
@@ -251,7 +248,7 @@ def test_kelvin_callable_is_an_involution():
     back = kelvin_transform(kelvin_transform(u))
     np.testing.assert_allclose(back(x, y), u(x, y), rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="needs a callable"):
-        kelvin_transform(constant(0.0, TorusChart(), 16))
+        kelvin_transform(constant(0.0, 16))
 
 
 @pytest.mark.parametrize("u, area", [

@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from cmlab.models import TAU, LinearCylinder, cap_profile, cusp_profile, flat_neck_profile
-from cmlab.measures import flux_profile
 from oracles import (
     cap_disk_area,
     cone_profile,
@@ -110,17 +109,3 @@ def test_linear_cylinder_closed_forms():
         want, _ = quad(lambda t: TAU * math.exp(2.0 * (0.3 - 0.8 * t)),
                        (i - 1) * L, i * L, epsabs=1e-14, epsrel=1e-13)
         assert cyl.segment_area(i, L) == pytest.approx(want, rel=1e-12)
-
-
-def test_linear_cylinder_annulus_coordinates():
-    # r = e^{-t} turns u(t) = A + B t into A - (B+1) log r; the circle flux
-    # of that profile is the cone value -2 pi (B+1)
-    cyl = LinearCylinder(A=0.0, B=-1.5)
-    u = cyl.annulus_profile()
-    prof = flux_profile(u, (0.0, 0.0), [0.1, 0.3])
-    for f in prof.flux:
-        assert f == pytest.approx(-TAU * (-1.5 + 1.0), abs=1e-9)
-    # segment areas agree with annulus areas between r_i = e^{-iL}
-    L = 0.7
-    got = quad_radial_area(_radial(u), math.exp(-2.0 * L), math.exp(-L))
-    assert cyl.segment_area(2, L) == pytest.approx(got, rel=1e-10)

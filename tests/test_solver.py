@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cmlab.solver
 from cmlab.continuation import check_curvature_bounds, cusp_schedule, run_continuation
 from cmlab.errors import InfeasibleTopology, NonConvergence, ResidualOverflow
-from cmlab.grids import (MIN_N, TAU, Field, TorusChart, constant, neg_laplacian, rfft2,
+from cmlab.grids import (MIN_N, TAU, Field, constant, neg_laplacian, rfft2,
                          sample, torus_distance)
 from cmlab.green import _green_cached, green_kernel, singular_part
 from cmlab.measures import Divisor, residue
@@ -30,6 +30,7 @@ from oracles import (
     cusp_radial_length,
     quad_ray_length_cells,
     random_smooth_field,
+    torus_mesh,
     translation_spread,
     whole_array_cg,
     whole_grid_blended_sum,
@@ -39,8 +40,7 @@ from oracles import (
 def test_manufactured_forcing_recovers_exact_solution():
     n = 64
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
-    v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y),
-                     TorusChart(), n)
+    v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y), n)
     base = CurvatureSpec(-1.0)
     forcing = residual(v_exact, base, split)
     spec = CurvatureSpec(-1.0, forcing=forcing)
@@ -75,20 +75,20 @@ def test_solver_validation():
             solve_divisor(((0.3, 0.7),), (-0.5,), n=64, tol=tol)
     with pytest.raises(ValueError):
         newton_solve(CurvatureSpec(-1.0), split,
-                     v0=constant(0.0, TorusChart(), 32))
+                     v0=constant(0.0, 32))
     with pytest.raises(ValueError, match="forcing grid"):
-        newton_solve(CurvatureSpec(-1.0, forcing=constant(0.0, TorusChart(), 32)), split)
+        newton_solve(CurvatureSpec(-1.0, forcing=constant(0.0, 32)), split)
     with pytest.raises(ValueError, match="v grid"):
-        residual(constant(0.0, TorusChart(), 32), CurvatureSpec(-1.0), split)
+        residual(constant(0.0, 32), CurvatureSpec(-1.0), split)
 
 
 def test_curvature_spec_bounds():
-    # the hypothesis is the sign alone; mollify_curvature checks its clamp range
+    # the hypothesis is the sign alone, with no clamp range
     check_curvature_bounds(-3.0)
-    check_curvature_bounds(constant(-0.5, TorusChart(), 64))
+    check_curvature_bounds(constant(-0.5, 64))
     with pytest.raises(ValueError, match=re.escape("finite and negative, got max 0.0")):
-        check_curvature_bounds(constant(0.0, TorusChart(), 64))
-    k = constant(-1.0, TorusChart(), 64)
+        check_curvature_bounds(constant(0.0, 64))
+    k = constant(-1.0, 64)
     with pytest.raises(ValueError):
         CurvatureSpec(k).values(128)  # grid mismatch
 
@@ -106,7 +106,7 @@ def test_residual_overflow():
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), 64)
     with pytest.raises(ResidualOverflow):
         newton_solve(CurvatureSpec(-1.0), split,
-                     v0=constant(400.0, TorusChart(), 64))
+                     v0=constant(400.0, 64))
 
 
 def test_curvature_scaling_law():
@@ -128,7 +128,7 @@ def test_solved_cone_weight_is_measured_at_each_atom(points, betas):
     # with constant K the area is pinned whatever weight S carries, so only
     # the measured residue sees a cone built with the wrong weight
     sol = solve_divisor(points, betas, n=256)
-    u = Field(sol.u_values, TorusChart())
+    u = Field(sol.u_values)
     for p, beta in zip(points, betas):
         assert abs(residue(u, p) - beta) < 1e-2
 
@@ -143,8 +143,7 @@ def test_solution_area_and_gauss_bonnet():
 
 def test_variable_curvature_solve():
     n = 64
-    k = sample(lambda x, y: -1.0 - 0.5 * np.cos(TAU * x) * np.sin(TAU * y),
-               TorusChart(), n)
+    k = sample(lambda x, y: -1.0 - 0.5 * np.cos(TAU * x) * np.sin(TAU * y), n)
     spec = CurvatureSpec(k)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
     sol = newton_solve(spec, split)
@@ -164,8 +163,8 @@ def test_jacobian_matches_finite_differences():
     errs = []
     steps = (1e-3, 1e-4)
     for h in steps:
-        fp = residual(Field(v.values + h * w, TorusChart()), spec, split).values
-        fm = residual(Field(v.values - h * w, TorusChart()), spec, split).values
+        fp = residual(Field(v.values + h * w), spec, split).values
+        fm = residual(Field(v.values - h * w), spec, split).values
         errs.append(float(np.abs((fp - fm) / (2.0 * h) - jw).max()))
     order = math.log(errs[0] / errs[1]) / math.log(steps[0] / steps[1])
     assert 1.5 < order < 2.5
@@ -320,8 +319,7 @@ def test_block_partials_sum_to_the_whole_array_bits(n):
 
 def _default_start(spec, split):
     """The un-nested start: the constant default guess on the solve's grid."""
-    return Field(cmlab.solver._default_guess(cmlab.solver._operator(spec, split)),
-                 TorusChart())
+    return Field(cmlab.solver._default_guess(cmlab.solver._operator(spec, split)))
 
 
 def _complex_neg_laplacian(values):
@@ -340,10 +338,10 @@ def _rel_err(got, want):
 def test_operator_matches_complex_fft_reference(n):
     rng = np.random.default_rng(n)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
-    K = Field(-1.0 - 0.5 * rng.random((n, n)), TorusChart())
-    forcing = Field(rng.normal(size=(n, n)), TorusChart())
+    K = Field(-1.0 - 0.5 * rng.random((n, n)))
+    forcing = Field(rng.normal(size=(n, n)))
     spec = CurvatureSpec(K, forcing=forcing)
-    v = Field(rng.normal(scale=0.5, size=(n, n)), TorusChart())
+    v = Field(rng.normal(scale=0.5, size=(n, n)))
     w = rng.normal(size=(n, n))
     e2u = np.exp(2.0 * (split.S.values + v.values))
 
@@ -548,12 +546,12 @@ def test_comparison_principle_with_variable_curvature(seed):
     split = singular_part(Divisor(((0.3037, 0.7121), (0.6113, 0.1847)), (-0.5, -0.3)), 64)
 
     def solved_v(K):
-        spec = CurvatureSpec(K if np.isscalar(K) else Field(K, TorusChart()))
+        spec = CurvatureSpec(K if np.isscalar(K) else Field(K))
         return newton_solve(spec, split).v.values
 
     rng = np.random.default_rng(seed)
     K = -1.0 + 0.6 * random_smooth_field(64, rng, amplitude=1.0).values  # in [-1.6, -0.4]
-    X, Y = TorusChart().mesh(64)
+    X, Y = torus_mesh(64)
     d = torus_distance(X, Y, *rng.uniform(0.0, 1.0, 2))
     bumped = K + np.where(d < 0.1, 0.3 * np.cos(math.pi * d / 0.2) ** 2, 0.0)
     v = solved_v(K)
@@ -647,8 +645,7 @@ def test_atom_free_forced_solve_starts_from_zero():
     # makes the chi = 0 equation solvable
     n = 32
     split = singular_part(Divisor((), ()), n)
-    v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y),
-                     TorusChart(), n)
+    v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y), n)
     spec = CurvatureSpec(-1.0, forcing=residual(v_exact, CurvatureSpec(-1.0), split))
     assert not _default_start(spec, split).values.any()
     sol = newton_solve(spec, split, tol=1e-12)
@@ -825,11 +822,9 @@ def test_coarse_start_falls_back_when_the_coarse_newton_does_not_converge(monkey
 def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
     # S, Field curvature and forcing reach the n/4 grid by injection
     n = 512
-    k = sample(lambda x, y: -1.0 - 0.5 * np.cos(TAU * x) * np.sin(TAU * y),
-               TorusChart(), n)
+    k = sample(lambda x, y: -1.0 - 0.5 * np.cos(TAU * x) * np.sin(TAU * y), n)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
-    v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y),
-                     TorusChart(), n)
+    v_exact = sample(lambda x, y: 0.3 * np.sin(TAU * x) * np.cos(TAU * y), n)
     spec = CurvatureSpec(k, forcing=residual(v_exact, CurvatureSpec(k), split))
     ops = _newton_loops(monkeypatch)
     sol = newton_solve(spec, split)
