@@ -120,6 +120,29 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, config, family", [
+    # each of these once ran: the first at grid 256, the second naming [run]
+    # for the key that [DEFAULT] holds, the third with k_max = 3
+    ("solve", "[DEFAULT]\ngrid = 64\n", None),
+    ("solve", "[DEFAULT]\nfoo = 1\n\n[run]\ngrid = 64\n", None),
+    ("neck", "[neck]\nfixture = {fixture}\n",
+     "[DEFAULT]\nk_max = 3\n\n[family]\nkind = flat-neck\nsign = positive\n"),
+], ids=["solve-grid", "solve-beside-run", "fixture-k_max"])
+def test_a_default_section_exits_1_and_writes_no_report(tmp_path, capsys, command,
+                                                        config, family):
+    fixture = tmp_path / "fam.ini"
+    if family is not None:
+        fixture.write_text(family)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(config.format(fixture=fixture))
+    named = str(fixture if family is not None else cfg)
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"section [DEFAULT] of {named!r} is not recognized" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 @pytest.mark.parametrize("key", ["mass_bound", "gradient_bound"])
 def test_a_fixture_that_sets_a_hypothesis_bound_exits_1(tmp_path, capsys, key):
     # the hypothesis check's bounds are constants, not fixture keys

@@ -36,6 +36,37 @@ def test_field_round_trip(tmp_path):
     assert np.array_equal(read_field(path).values, f.values)
 
 
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_a_file_built_from_the_layout_reads_back_and_rewrites_the_same_bytes(tmp_path, n):
+    # the bytes come from the documented layout, not from write_field:
+    # sample (i, j) is the (i n + j)-th little-endian double, and the tail
+    # is the torus line
+    values = np.random.default_rng(n).normal(size=n * n)
+    raw = MAGIC + struct.pack("<I", n) + struct.pack(f"<{n * n}d", *values) + b"torus\n"
+    path = tmp_path / "hand.cmlgrid"
+    path.write_bytes(raw)
+    f = read_field(path)
+    assert f.n == n
+    for i, j in ((0, 0), (0, 1), (1, 0), (n - 1, n - 2)):
+        assert f.values[i, j] == values[i * n + j]
+    out = tmp_path / "again.cmlgrid"
+    write_field(out, f)
+    assert out.read_bytes() == raw
+
+
+@pytest.mark.parametrize("tail", [b"torus\r\n", b"Torus\n", b"torus\n\n", b"torus\x00\n"])
+def test_a_tail_one_byte_off_the_torus_line_is_refused(tmp_path, tail):
+    # the tail is compared as bytes, so no case, line-ending or padding
+    # variant of the torus line reads; the message shows the tail as read
+    raw = _file_bytes(tmp_path / "f.cmlgrid", _random_field(n=8))
+    path = tmp_path / "near.cmlgrid"
+    path.write_bytes(raw[:12 + 8 * 64] + tail)
+    with pytest.raises(CmlabError, match=re.escape(
+            f"near.cmlgrid: bad CMLGRID1 file: unrecognized chart descriptor: "
+            f"{tail.decode()!r}")):
+        read_field(path)
+
+
 def test_field_bad_magic(tmp_path):
     path = tmp_path / "bad.cmlgrid"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
