@@ -14,7 +14,10 @@ samples have the bits of a build over the whole grid.
 
 The singular part of a conformal factor for a divisor is
 S = -2 pi * sum_i beta_i G_{p_i}, so that -Delta S has atoms
--2 pi beta_i delta_{p_i} plus the constant 2 pi sum_i beta_i.
+-2 pi beta_i delta_{p_i} plus the constant 2 pi sum_i beta_i. S is not
+stored: a split keeps the cached kernels, and S is formed where it is read,
+a row block at a time by ``_singular_rows`` (the solver's sweeps form each
+block inside e^{2u}'s own), so a split holds no n-by-n array of its own.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import (TAU, Field, _finite_points, bilinear_torus, finite_point,
-                    gauss_legendre, poisson_mean_zero, torus_distance)
+from .grids import (TAU, Field, _blocks, _finite_points, bilinear_torus, finite_point,
+                    poisson_mean_zero, torus_distance)
 from .measures import Divisor
 
 _R1 = 0.125
@@ -93,6 +96,14 @@ class TorusGreen:
         return R - cutoff(d) * np.log(d) / TAU
 
 
+# pins the continuum mean of G to zero: mean(R) = (1/2pi) int chi log d, the
+# disk d <= 1/8 analytic and the cutoff band int chi(r) r log r dr over
+# [1/8, 3/8] written out as its 64-node Gauss-Legendre value (the tests pin
+# the two together), so a kernel build runs no quadrature
+_BAND = -0.039072642211540484
+_MEAN_PIN = 0.5 * _R1 ** 2 * (math.log(_R1) - 0.5) + _BAND
+
+
 # 16 kernels hold 128 MiB at n = 1024, one 8 MiB grid each (the head of a
 # buffer of n(n + 2) doubles, the spectrum its Poisson solve transformed
 # back into). A solve reads one key per atom, its own grid's (its n/4
@@ -113,10 +124,7 @@ def _green_cached(px: float, py: float, n: int) -> TorusGreen:
     rhs.reshape(-1)[near] -= _psi(d)
     # the smooth remainder R, formed only to build the samples G = R - node log
     samples = poisson_mean_zero(rhs)
-    # pin the continuum mean of G to zero: mean(R) = (1/2pi) int chi log d,
-    # the disk d <= 1/8 analytic and the cutoff band by 64-node Gauss-Legendre
-    samples += (0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
-                + gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64))
+    samples += _MEAN_PIN
     samples.reshape(-1)[near] -= _node_log(d, n)
     samples.setflags(write=False)
     return TorusGreen((px, py), n, samples)
@@ -138,21 +146,54 @@ def _atom_on_node(p, n: int) -> bool:
     return max(fx, fy) < 1e-8
 
 
+def _singular_rows(terms: tuple, s: slice, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Rows `s` of S = (0 - c_1 G_1) - c_2 G_2 - ... from the terms
+    (c_i, G_i samples), c_i = 2 pi beta_i, written into `out`; `tmp`, of
+    out's shape, takes the products. 0 - x = -x and (-c) G = -(c G) in
+    floating point, so the first term is one product and every bit is that
+    of the sum in this order (but for the sign of a zero product)."""
+    if not terms:
+        out.fill(0.0)
+        return out
+    (c, G), *rest = terms
+    np.multiply(G[s], -c, out=out)
+    for c, G in rest:
+        out -= np.multiply(G[s], c, out=tmp)
+    return out
+
+
+def _singular_sum(terms: tuple, n: int) -> np.ndarray:
+    """S on the whole n x n grid from its terms, formed a row block at a time."""
+    blocks = _blocks(n)
+    S, tmp = np.empty((n, n)), np.empty((blocks[0].stop, n))
+    for s in blocks:
+        _singular_rows(terms, s, S[s], tmp)
+    return S
+
+
 @dataclass(frozen=True)
 class SingularSplit:
-    """Decomposition u = S + v: S carries the divisor's log singularities."""
+    """Decomposition u = S + v: S carries the divisor's log singularities.
+    The split keeps the divisor, the cached kernels and the grid; S is
+    formed from them where it is read."""
 
     divisor: Divisor
-    S: Field
     greens: tuple
+    n: int
 
     @property
     def beta_sum(self) -> float:
         return self.divisor.beta_sum
 
     @property
-    def n(self) -> int:
-        return self.S.n
+    def terms(self) -> tuple:
+        """(2 pi beta_i, G_i samples) per atom: S = -sum_i 2 pi beta_i G_i."""
+        return tuple((TAU * b, g.samples) for b, g in zip(self.divisor.betas, self.greens))
+
+    @property
+    def S(self) -> Field:
+        """S on the grid, formed afresh (an n x n array per read)."""
+        return Field(_singular_sum(self.terms, self.n))
 
     def smooth_rest(self, i: int | None, x, y) -> np.ndarray:
         """S - beta_i log|x - p_i|, evaluated stably near atom i; S if i is None.
@@ -176,14 +217,19 @@ def singular_part(div: Divisor, n: int) -> SingularSplit:
     """S = -2 pi sum_i beta_i G_{p_i} with per-atom kernels retained.
 
     Atoms must not coincide with grid nodes: e^{2S} is unbounded there for
-    negative weights and the sampled equation would be meaningless.
+    negative weights and the sampled equation would be meaningless. A
+    weight that makes S overflow is refused as well.
     """
     for p in div.points:
         if _atom_on_node(p, n):
             raise ValueError(
                 f"atom {p} lies on a grid node at n={n}; perturb it or change n")
     greens = tuple(green_kernel(p, n) for p in div.points)
-    S = np.zeros((n, n))
-    for beta, g in zip(div.betas, greens):
-        S = S - TAU * beta * g.samples
-    return SingularSplit(div, Field(S), greens)
+    split = SingularSplit(div, greens, n)
+    # S is checked a row block at a time, as it is formed wherever it is read
+    blocks, terms = _blocks(n), split.terms
+    block, tmp = (np.empty((blocks[0].stop, n)) for _ in range(2))
+    for s in blocks:
+        if not np.isfinite(np.abs(_singular_rows(terms, s, block, tmp), out=tmp).max()):
+            raise ValueError(f"Field values must be finite: S overflows at weights {div.betas}")
+    return split

@@ -29,17 +29,20 @@ off CG's recurrence residual r. One CG iteration therefore costs
 exactly two transforms, rfft2(r) for the preconditioner and irfft2(z^) for
 z, and a solve from a given start spectrum costs 2 more, for v and lv.
 
-The loop keeps only the 9 n-by-n arrays it cannot rebuild, which its
+The loop keeps only the 8 n-by-n arrays it cannot rebuild, which its
 inner solves and Armijo trials reuse, so no step allocates an n-by-n
-array: S, v, lv, W (over e^{2u}) and F, CG's p, lp and x, and z^ (n(n + 2)
-doubles). CG solves in place on its right-hand side -F, so F's array
-becomes CG's r; b = -F is rebuilt afterwards from lv and K e^{2u} = W / -2,
-which is exact, since scaling by a power of two commutes with rounding.
+array: v, lv, W (over e^{2u}) and F, CG's p, lp and x, and z^ (n(n + 2)
+doubles). S is not among them: the operator holds its terms, the cached
+kernels, and each residual sweep forms a row block of S in the block of
+e^{2u} it writes (one product per atom, outside CG). CG solves in place
+on its right-hand side -F, so F's array becomes CG's r; b = -F is rebuilt
+afterwards from lv and K e^{2u} = W / -2, which is exact, since scaling by
+a power of two commutes with rounding.
 z, A p and -Delta x live in w, the first n^2 doubles of z^'s buffer,
 which ``grids.irfft2`` may write while it reads z^. The symbol k2
 of -Delta is held as its two 1-D factors, and CG forms 1/(k2 + c) a row
-block at a time. At n = 1024 the warm solve's tracemalloc peak is 72.7 MiB,
-at n = 512 18.7 MiB.
+block at a time. At n = 1024 the warm solve's tracemalloc peak is 64.7 MiB,
+at n = 512 16.6 MiB.
 
 Between two transforms or two reductions, the elementwise work runs as one
 sweep over the row blocks of ``grids._blocks``, 2^15 elements each
@@ -86,9 +89,10 @@ begins from the same problem solved at n/4 (nested iteration; Brandt,
 Math. Comp. 31, 1977), which starts the same way. The levels are
 1024 -> 256 -> 64 -> 16 and 512 -> 128 -> 32 -> 8, and only the last, an
 8- or 16-point grid, starts from the constant default guess. The n/4
-level is the fine operator injected (S, K and the forcing at every fourth
-node), so it builds no Green kernel; it runs the same start and Newton
-loop, but no area quadrature and no Solution: only its final v is read.
+level is the fine operator injected (each kernel of S, K and the forcing
+at every fourth node), so it builds no Green kernel; it runs the same
+start and Newton loop, but no area quadrature and no Solution: only its
+final v is read.
 The solution is unique, so the start changes the cost, not the answer:
 one cone takes 3 fine Newton steps and 10 CG iterations at n = 1024
 instead of 4 and 18 from the default guess, 3 and 11 at n = 256 instead
@@ -107,7 +111,7 @@ import numpy as np
 
 from .errors import (CurvatureSignError, InfeasibleTopology, NonConvergence,
                      ResidualOverflow)
-from .green import SingularSplit, _s4, singular_part
+from .green import SingularSplit, _s4, _singular_rows, _singular_sum, singular_part
 from .grids import (MIN_N, TAU, Field, _blocks, circle_points, finite_point,
                     gauss_legendre, interpolate, irfft2, laplacian_factors, neg_laplacian,
                     rfft2, torus_distance)
@@ -162,11 +166,14 @@ class Solution:
 
     @property
     def u_values(self) -> np.ndarray:
-        return self.split.S.values + self.v.values
+        u = self.split.S.values
+        u += self.v.values
+        return u
 
 
-def _exp2u(S: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.add(S, v)
+def _exp2u(S: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{2(S+v)}, written into `out` when given (it may be S)."""
+    out = np.add(S, v, out=out)
     out *= 2.0
     if out.max() > _EXP_LIMIT:
         raise ResidualOverflow("e^{2u} overflows double precision")
@@ -194,10 +201,12 @@ def _rows(a: float | np.ndarray, s: slice) -> float | np.ndarray:
 @dataclass(frozen=True)
 class _Operator:
     """F(v) = -Delta v - K e^{2(S+v)} + const - rho and the weight
-    W = -2K e^{2(S+v)} of its Jacobian -Delta + W; kx2 + ky2 is the symbol
-    of -Delta on the half spectrum (``grids.laplacian_factors``)."""
+    W = -2K e^{2(S+v)} of its Jacobian -Delta + W; S = -sum_i c_i G_i is
+    held as its terms (c_i, G_i), ``SingularSplit.terms``, and formed where
+    it is read; kx2 + ky2 is the symbol of -Delta on the half spectrum
+    (``grids.laplacian_factors``)."""
 
-    S: np.ndarray
+    terms: tuple
     K: float | np.ndarray
     const: float
     rho: float | np.ndarray
@@ -206,7 +215,11 @@ class _Operator:
 
     @property
     def n(self) -> int:
-        return self.S.shape[0]
+        return self.kx2.shape[0]
+
+    def S(self) -> np.ndarray:
+        """S on the whole grid, formed afresh."""
+        return _singular_sum(self.terms, self.n)
 
     def residual(self, lv: np.ndarray, e2u: np.ndarray, s: slice = slice(None),
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -241,7 +254,7 @@ def _operator(spec: CurvatureSpec, split: SingularSplit) -> _Operator:
         if spec.forcing.n != n:
             raise ValueError("forcing grid does not match the solve grid")
         rho = spec.forcing.values
-    return _Operator(split.S.values, spec.values(n), TAU * split.beta_sum, rho,
+    return _Operator(split.terms, spec.values(n), TAU * split.beta_sum, rho,
                      *laplacian_factors(n))
 
 
@@ -261,7 +274,8 @@ def residual(v: Field, spec: CurvatureSpec, split: SingularSplit) -> Field:
     """
     vv = _samples(v, split)
     op = _operator(spec, split)
-    return Field(op.residual(neg_laplacian(vv), _exp2u(op.S, vv)))
+    S = op.S()
+    return Field(op.residual(neg_laplacian(vv), _exp2u(S, vv, out=S)))
 
 
 def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
@@ -270,7 +284,8 @@ def jacobian_apply(spec: CurvatureSpec, split: SingularSplit,
     vv = _samples(v, split)
     op = _operator(spec, split)
     w = np.asarray(w, dtype=float)
-    return neg_laplacian(w) + op.weight(_exp2u(op.S, vv)) * w
+    S = op.S()
+    return neg_laplacian(w) + op.weight(_exp2u(S, vv, out=S)) * w
 
 
 def _cg_work(n: int) -> list:
@@ -305,9 +320,11 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, r: np.ndarray,
     Between the transforms the work runs as block sweeps (module docstring),
     in the bits of whole-array passes: 1/(k2 + shift) from the factors of
     k2, a row block at a time, and z^ times it; r.z; p, lp, A p = W p + lp
-    and p.Ap; x, r and ||r||^2. The first iteration, from p = lp = 0 and
-    beta = 0, sets p = z and lp = r - shift z. z^ * (1/(k2 + shift)) has the
-    bits of numpy's complex-by-real division z^ / (k2 + shift).
+    and p.Ap; x, r and ||r||^2. The first iteration, beta = 0 from
+    p = lp = x = 0, writes p = z, lp = r - shift z and x = alpha p
+    directly, so the work arrays are never zero-filled (the bits of the
+    recurrence from zero, but for the sign of a zero). z^ * (1/(k2 + shift))
+    has the bits of numpy's complex-by-real division z^ / (k2 + shift).
 
     CG allocates nothing but `work` (from `_cg_work`): the transforms write
     into z^ and into w, the head of z^'s buffer (``grids.irfft2``), which
@@ -324,8 +341,6 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, r: np.ndarray,
     n = op.n
     blocks = _blocks(n)
     p, lp, x, w, zhat, pre, tmp = work
-    for a in (p, lp, x):
-        a.fill(0.0)
     stop = max(_CG_RTOL * math.sqrt(_dot(r, r, blocks, tmp)), 0.5 * tol)
     rz = math.inf  # beta = 0 on the first iteration
     capped = True
@@ -342,12 +357,16 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, r: np.ndarray,
         pAp = []
         for s in blocks:  # p = z + beta p, lp = (r - shift z) + beta lp, A p
             pb, lpb, zb = p[s], lp[s], z[s]
-            pb *= beta
-            pb += zb
-            zb *= shift  # z is read for the last time: it becomes r - shift z
-            np.subtract(r[s], zb, out=zb)
-            lpb *= beta
-            lpb += zb
+            if iters == 1:  # beta = 0: p = z, lp = r - shift z
+                np.copyto(pb, zb)
+                np.subtract(r[s], np.multiply(zb, shift, out=zb), out=lpb)
+            else:
+                pb *= beta
+                pb += zb
+                zb *= shift  # z is read for the last time: it becomes r - shift z
+                np.subtract(r[s], zb, out=zb)
+                lpb *= beta
+                lpb += zb
             Ap = np.multiply(W[s], pb, out=zb)
             Ap += lpb
             pAp.append(np.multiply(pb, Ap, out=tmp).sum())
@@ -358,9 +377,12 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, r: np.ndarray,
                 "operator is not definite")
         alpha = rz / pAp
         rr = []
-        for s in blocks:  # x += alpha p, r -= alpha A p
+        for s in blocks:  # x += alpha p (x = alpha p at first), r -= alpha A p
             xb, rb, Ap = x[s], r[s], w[s]
-            xb += np.multiply(p[s], alpha, out=tmp)
+            if iters == 1:
+                np.multiply(p[s], alpha, out=xb)
+            else:
+                xb += np.multiply(p[s], alpha, out=tmp)
             Ap *= alpha
             rb -= Ap
             rr.append(np.multiply(rb, rb, out=tmp).sum())
@@ -377,7 +399,7 @@ def _default_guess(op: _Operator) -> np.ndarray:
     if op.const == 0.0:
         return np.zeros((n, n))
     with np.errstate(over="ignore"):
-        mean = float((np.abs(K) * np.exp(2.0 * op.S)).mean())
+        mean = float((np.abs(K) * np.exp(2.0 * op.S())).mean())
     c = 0.5 * math.log(abs(op.const) / mean) if 0.0 < mean < math.inf else math.nan
     if not math.isfinite(c):
         what = "field" if isinstance(K, np.ndarray) else f"{K:g}"
@@ -389,7 +411,8 @@ def _default_guess(op: _Operator) -> np.ndarray:
 def _residual_sweep(op: _Operator, v: np.ndarray, lv: np.ndarray, e2u: np.ndarray,
                     F: np.ndarray, tmp: np.ndarray, trial: tuple | None = None) -> tuple:
     """Write e^{2(S+v)} and F into e2u and F, one row block at a time, and
-    return (||F||_2^2, sup |F|); the products go through the block tmp.
+    return (||F||_2^2, sup |F|); each block of S is formed in e^{2u}'s own
+    block, and the products go through the block tmp.
 
     With `trial` = (v0, lv0, d, ld, t) the same sweep first writes the
     Armijo trial v0 + t d and lv0 + t ld into v and lv. A block whose
@@ -404,8 +427,7 @@ def _residual_sweep(op: _Operator, v: np.ndarray, lv: np.ndarray, e2u: np.ndarra
             vb += v0[s]
             np.multiply(ld[s], t, out=lvb)
             lvb += lv0[s]
-        eb = e2u[s]
-        eb[...] = _exp2u(op.S[s], vb)
+        eb = _exp2u(_singular_rows(op.terms, s, e2u[s], tmp), vb, out=e2u[s])
         Fb = op.residual(lvb, eb, s, out=F[s])
         sq.append(np.multiply(Fb, Fb, out=tmp).sum())
         sup.append(np.abs(Fb, out=tmp).max())
@@ -500,12 +522,12 @@ def _inject(a: float | np.ndarray) -> float | np.ndarray:
 def _coarse_start(op: _Operator, tol: float) -> np.ndarray | None:
     """Half spectrum of the n/4 solution of v, zero-padded to n, or None
     when the n/4 Newton loop does not converge. The n/4 operator is `op`
-    injected: S, K and rho at every fourth node, the constant as it is.
-    The factor 16 = (n/m)^2 carries the unnormalized forward transform
-    across grid sizes."""
+    injected: each kernel of S, K and rho at every fourth node, the
+    constant as it is. The factor 16 = (n/m)^2 carries the unnormalized
+    forward transform across grid sizes."""
     n, m = op.n, op.n // 4
-    coarse = _Operator(_inject(op.S), _inject(op.K), op.const, _inject(op.rho),
-                       *laplacian_factors(m))
+    coarse = _Operator(tuple((c, _inject(G)) for c, G in op.terms), _inject(op.K),
+                       op.const, _inject(op.rho), *laplacian_factors(m))
     try:
         chat = rfft2(_newton_loop(coarse, _start(coarse, None, tol), tol)[0])
     except NonConvergence:

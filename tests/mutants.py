@@ -41,8 +41,8 @@ MUTANTS = [
      "greens = tuple(green_kernel(p, n) for p in div.points)",
      "greens = tuple(green_kernel((p[0] + 2.0 / n, p[1]), n) for p in div.points)"),
     ("S with weight 0.9β (the constant keeps β)", "green.py",
-     "S = S - TAU * beta * g.samples",
-     "S = S - TAU * 0.9 * beta * g.samples"),
+     "return tuple((TAU * b, g.samples) for b, g in zip(self.divisor.betas, self.greens))",
+     "return tuple((TAU * 0.9 * b, g.samples) for b, g in zip(self.divisor.betas, self.greens))"),
     ("`green_kernel` at p + 0.5/n for every caller", "green.py",
      "return _green_cached(px, py, int(n))",
      "return _green_cached(px + 0.5 / n, py + 0.5 / n, int(n))"),

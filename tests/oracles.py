@@ -246,6 +246,15 @@ def translation_spread(beta: float, f: float, n: int,
 
 # -- whole-array references for the solver's block sweeps ------------------------
 
+def whole_array_singular(split) -> np.ndarray:
+    """S = -2 pi sum_i beta_i G_i summed from zero over whole arrays, in the
+    divisor's order: the reference for S formed a row block at a time."""
+    S = np.zeros((split.n, split.n))
+    for beta, g in zip(split.divisor.betas, split.greens):
+        S = S - TAU * beta * g.samples
+    return S
+
+
 def whole_array_cg(op, W, shift, b, tol):
     """The solver's preconditioned CG with every pass over whole arrays:
     (x, -Delta x, iterations, capped), the reference for the blocked `_cg`."""

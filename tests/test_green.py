@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cmlab.grids import TAU, bilinear_torus, sample, torus_distance
-from cmlab.green import green_kernel, green_torus, singular_part
+import cmlab.green
+from cmlab.grids import TAU, bilinear_torus, gauss_legendre, sample, torus_distance
+from cmlab.green import _R1, _R2, cutoff, green_kernel, green_torus, singular_part
 from cmlab.measures import Divisor, pairing
-from oracles import green_remainder_grid, lattice_green, torus_nodes, whole_grid_green
+from oracles import (green_remainder_grid, lattice_green, torus_nodes, whole_array_singular,
+                     whole_grid_green)
 
 # independently computed convergent series value, G_0(1/2, 1/2)
 G_HALF_HALF = -0.055158900038163
@@ -102,6 +104,15 @@ def test_green_log_split_bounded_near_atom():
     assert raw[-1] > raw[0]  # while G itself grows
 
 
+def test_mean_pin_is_the_64_node_band_quadrature():
+    # the kernel build adds a constant; its band term is the 64-node
+    # Gauss-Legendre value of int chi(r) r log r dr over [1/8, 3/8], bit for bit
+    band = float(gauss_legendre(lambda r: cutoff(r) * r * np.log(r), (_R1, _R2), 64))
+    assert cmlab.green._BAND.hex() == band.hex()
+    disk = 0.5 * _R1 ** 2 * (math.log(_R1) - 0.5)
+    assert cmlab.green._MEAN_PIN.hex() == (disk + band).hex()
+
+
 def test_cached_kernel_holds_one_grid():
     n = 64
     g = green_kernel((0.3, 0.7), n)
@@ -160,6 +171,27 @@ def test_singular_part_assembles_weighted_greens():
     g2 = green_torus((0.11, 0.23), 128)
     manual = TAU * 0.5 * g1.values - TAU * 0.25 * g2.values
     assert np.abs(split.S.values - manual).max() < 1e-12
+
+
+ATOMS = ((0.3, 0.7), (0.11, 0.23), (0.77, 0.61))
+WEIGHTS = (-0.5, -0.3, 0.2)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("atoms", [0, 1, 3])
+def test_s_formed_by_blocks_is_the_whole_array_sum(atoms, n):
+    # S is formed a row block at a time, its first term one product: the
+    # bytes of the sum from zero over whole arrays
+    split = singular_part(Divisor(ATOMS[:atoms], WEIGHTS[:atoms]), n)
+    assert split.S.values.tobytes() == whole_array_singular(split).tobytes()
+
+
+@pytest.mark.parametrize("beta", [math.inf, 1e308])
+def test_singular_part_refuses_a_weight_that_makes_s_infinite(beta):
+    # 2 pi beta overflows, so S is not finite: refused before the split is
+    # returned, as when the split stored S as a Field
+    with pytest.raises(ValueError, match="Field values must be finite"):
+        singular_part(Divisor(((0.3, 0.7),), (beta,)), 16)
 
 
 def test_singular_part_behaves_like_beta_log():

@@ -56,6 +56,18 @@ def test_cli_import_loads_every_module():
     assert _loaded_after("import cmlab.cli") == [MODULES]
 
 
+def test_a_kernel_build_imports_no_quadrature():
+    # the kernel's mean pin is a constant, so a build runs no Gauss-Legendre
+    # rule and does not import numpy.polynomial; imported during the build,
+    # it pinned an 8 MiB heap hole and raised the n = 1024 solve's peak RSS
+    code = ("import sys; from cmlab.green import green_kernel; "
+            "green_kernel((0.3, 0.7), 64); print('numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cmlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["False"]
+
+
 def test_public_names_and_submodules():
     assert len(cmlab.__all__) == len(set(cmlab.__all__)) == 70
     assert set(cmlab.__all__) <= set(dir(cmlab))

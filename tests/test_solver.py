@@ -33,6 +33,7 @@ from oracles import (
     torus_mesh,
     translation_spread,
     whole_array_cg,
+    whole_array_singular,
     whole_grid_blended_sum,
 )
 
@@ -462,22 +463,83 @@ def test_cg_work_holds_no_half_spectrum_real_array(n):
     assert w.shape == (n, n) and np.shares_memory(w, zhat)
 
 
-def test_newton_solve_working_set():
-    # the n = 512 solve with its kernels cached, under tracemalloc: 18.65 MiB
-    # measured, 9 arrays of n^2 doubles on the fine level (S, v, lv, W, F,
-    # p, lp, x, and z^ with w at its head); 23.5 MiB when CG also held r, w
-    # and 1/(k2 + shift) and the symbol k2 was cached, 25.1 MiB when CG's
-    # products went through a whole-grid array, and 35.0 MiB when the state
-    # was a half spectrum, every Armijo trial transformed and the loop held
-    # the previous step
-    solve_divisor(((0.3, 0.7),), (-0.5,), n=512)
+def _traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one call."""
     tracemalloc.start()
     try:
-        solve_divisor(((0.3, 0.7),), (-0.5,), n=512)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2 ** 20
+
+
+def test_newton_solve_working_set():
+    # the n = 512 solve with its kernels cached, under tracemalloc: 16.65 MiB
+    # measured, 8 arrays of n^2 doubles on the fine level (v, lv, W, F, p,
+    # lp, x, and z^ with w at its head); 18.65 MiB when the split stored S,
+    # 23.5 MiB when CG also held r, w and 1/(k2 + shift) and the symbol k2
+    # was cached, 25.1 MiB when CG's products went through a whole-grid
+    # array, and 35.0 MiB when the state was a half spectrum, every Armijo
+    # trial transformed and the loop held the previous step
+    solve_divisor(((0.3, 0.7),), (-0.5,), n=512)
+    assert _traced_peak(lambda: solve_divisor(((0.3, 0.7),), (-0.5,), n=512)) <= 17 * 2 ** 20
+
+
+def test_warm_solve_peaks_at_eight_grid_arrays_and_the_row_blocks():
+    # n = 256, kernel cached: the 8 arrays (z^ is n(n + 2) doubles), CG's
+    # row blocks of 1/(k2 + shift) and of products, and the copy of z^'s
+    # overlapping row block that irfft2's row pass makes (complex), one
+    # block of 128 rows here, and 32 KiB for small objects (7.6 KiB
+    # measured): 4.64 MiB measured, 5.14 MiB when the split stored S as a
+    # ninth array
+    n = 256
+    rows = cmlab.solver._blocks(n)[0].stop
+    arrays = 7 * n * n + n * (n + 2)
+    blocks = rows * (n // 2 + 1) + rows * n + 2 * rows * (n // 2 + 1)
+    solve_divisor(((0.3, 0.7),), (-0.5,), n=n)
+    peak = _traced_peak(lambda: solve_divisor(((0.3, 0.7),), (-0.5,), n=n))
+    assert peak <= 8 * (arrays + blocks) + 2 ** 15
+
+
+def test_singular_part_allocates_no_grid_array():
+    # a cached 3-atom divisor at n = 512: S is formed and checked two row
+    # blocks at a time (2 x 256 KiB, 0.25 n^2 doubles), never as a grid
+    n = 512
+    div = Divisor(((0.3, 0.7), (0.11, 0.23), (0.77, 0.61)), (-0.5, -0.3, 0.2))
+    singular_part(div, n)
+    peak = _traced_peak(lambda: singular_part(div, n))
+    rows = cmlab.solver._blocks(n)[0].stop
+    assert peak <= 8 * 2 * rows * n + 2 ** 14 < 8 * n * n
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("atoms", [0, 1, 3])
+def test_residual_sweep_forms_the_rows_of_the_whole_array_s(monkeypatch, atoms, n):
+    # the sweep forms each row block of S in e^{2u}'s own block (1, 4 and
+    # 64 blocks here); every block is those rows of the whole-array sum, and
+    # e^{2u} is the whole-array exp(2 (S + v)), bit for bit
+    monkeypatch.setattr(cmlab.grids, "_BLOCK", 2 ** 10)
+    points = ((0.3, 0.7), (0.11, 0.23), (0.77, 0.61))[:atoms]
+    split = singular_part(Divisor(points, (-0.5, -0.3, 0.2)[:atoms]), n)
+    want = whole_array_singular(split)
+    seen = []
+    real = cmlab.solver._singular_rows
+
+    def kept(terms, s, out, tmp):
+        seen.append((s, real(terms, s, out, tmp).copy()))
+        return out
+
+    monkeypatch.setattr(cmlab.solver, "_singular_rows", kept)
+    op = cmlab.solver._operator(CurvatureSpec(-1.0), split)
+    v = random_smooth_field(n, np.random.default_rng(n)).values
+    e2u, F = np.empty_like(v), np.empty_like(v)
+    blocks = cmlab.solver._blocks(n)
+    cmlab.solver._residual_sweep(op, v, neg_laplacian(v), e2u, F,
+                                 np.empty((blocks[0].stop, n)))
+    assert [s for s, _ in seen] == blocks
+    for s, rows in seen:
+        assert rows.tobytes() == want[s].tobytes()
+    assert e2u.tobytes() == np.exp(2.0 * (want + v)).tobytes()
 
 
 _SHIFT_N = 32
@@ -627,11 +689,11 @@ def test_overflowing_line_search_trial_halves_the_step(monkeypatch):
     calls = []
     exp2u = cmlab.solver._exp2u
 
-    def first_trial_overflows(S, v):
+    def first_trial_overflows(S, v, out=None):
         calls.append(None)
         if len(calls) == 2:  # call 1 evaluates the start, call 2 the first trial
             raise ResidualOverflow("e^{2u} overflows double precision")
-        return exp2u(S, v)
+        return exp2u(S, v, out=out)
 
     monkeypatch.setattr(cmlab.solver, "_exp2u", first_trial_overflows)
     sol = newton_solve(CurvatureSpec(-1.0), split)
@@ -820,7 +882,8 @@ def test_coarse_start_falls_back_when_the_coarse_newton_does_not_converge(monkey
 
 
 def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
-    # S, Field curvature and forcing reach the n/4 grid by injection
+    # S (each of its kernels), Field curvature and forcing reach the n/4
+    # grid by injection
     n = 512
     k = sample(lambda x, y: -1.0 - 0.5 * np.cos(TAU * x) * np.sin(TAU * y), n)
     split = singular_part(Divisor(((0.3, 0.7),), (-0.5,)), n)
@@ -831,7 +894,8 @@ def test_coarse_start_with_variable_curvature_and_forcing(monkeypatch):
     assert [op.n for op in ops] == [8, 32, 128, 512]
     fine = ops[-1]
     for level, step in zip(ops, (64, 16, 4)):
-        for name in ("S", "K", "rho"):
+        np.testing.assert_array_equal(level.S(), fine.S()[::step, ::step])
+        for name in ("K", "rho"):
             np.testing.assert_array_equal(getattr(level, name),
                                           getattr(fine, name)[::step, ::step])
         assert level.const == fine.const
