@@ -39,24 +39,31 @@ def rfft2(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(out, axis=0, out=out)
 
 
-def irfft2(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def irfft2(a: np.ndarray, n: int, out: np.ndarray | None = None,
+           block: np.ndarray | None = None) -> np.ndarray:
     """Real n-by-n array from its half spectrum (inverse of ``rfft2``).
 
     A real n-by-n `out` receives the result; then the column pass runs in
-    place on `a`, which is overwritten, and the call allocates no n-by-n
-    array. The row pass then runs over the increasing row blocks of
-    `_blocks(n)`, so `out` may alias the head of `a`'s buffer (its first n^2 of
-    n(n + 2) doubles): row block [i, i + B) of `out` ends at (i + B) n
-    doubles, before row i + B of `a` starts at (i + B)(n + 2), so every
-    row is read before it is overwritten, and numpy copies the one
-    overlapping input block itself. The result is the same bit for bit
-    either way.
+    place on `a`, which is overwritten. The row pass then runs over the
+    increasing row blocks of `_blocks(n)`, each transformed into `block`, a
+    real array of one block's shape (allocated once when not given), and
+    copied into `out`; with `block` given the call allocates nothing. So
+    `out` may alias the head of `a`'s buffer (its first n^2 of n(n + 2)
+    doubles): row block [i, i + B) of `out` ends at (i + B) n doubles,
+    before row i + B of `a` starts at (i + B)(n + 2), so every row is read
+    before it is overwritten. Unstaged, numpy would copy each input block
+    that overlaps its output block: every block when `out` is at `a`'s
+    head, 257.9 KiB a block at n = 1024. The result is the same bit for
+    bit either way.
     """
     if out is None:
         return np.fft.irfft(np.fft.ifft(a, axis=0), n, axis=1)
     np.fft.ifft(a, axis=0, out=a)
-    for s in _blocks(n):
-        np.fft.irfft(a[s], n, axis=1, out=out[s])
+    blocks = _blocks(n)
+    if block is None:
+        block = np.empty((blocks[0].stop, n))
+    for s in blocks:
+        np.copyto(out[s], np.fft.irfft(a[s], n, axis=1, out=block))
     return out
 
 

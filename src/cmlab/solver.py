@@ -41,8 +41,8 @@ a power of two commutes with rounding.
 z, A p and -Delta x live in w, the first n^2 doubles of z^'s buffer,
 which ``grids.irfft2`` may write while it reads z^. The symbol k2
 of -Delta is held as its two 1-D factors, and CG forms 1/(k2 + c) a row
-block at a time. At n = 1024 the warm solve's tracemalloc peak is 64.7 MiB,
-at n = 512 16.6 MiB.
+block at a time. At n = 1024 the warm solve's tracemalloc peak is 64.5 MiB,
+at n = 512 16.5 MiB.
 
 Between two transforms or two reductions, the elementwise work runs as one
 sweep over the row blocks of ``grids._blocks``, 2^15 elements each
@@ -69,20 +69,31 @@ Newton step, as it would anyway. This is the inexact-Newton stop of
 Dembo, Eisenstat & Steihaug (SIAM J. Numer. Anal. 1982) with no tuned
 forcing constant. It moved no Newton count on the cone and ladder solves
 measured; only where F's round-off floor nears tol (an atom within about
-1e-3 of a cell of a node) can it cost a Newton step. It binds on the
-last step, whose right-hand side is already near tol: at
-n = 1024 the fine level's third step takes 1 CG iteration instead of 5,
-and the fine level makes 22 transforms (25 more at n/4, 25 at n/16 and
-36 at n/64).
+1e-3 of a cell of a node) can it cost a Newton step. It binds on a
+last step whose right-hand side is already near tol: with the mean(W)
+shift, the n = 1024 cone's third fine step took 1 CG iteration instead
+of 5. With the median shift below, that fine level ends after two steps
+(4 and 5 CG) at sup |F| = 2.5e-11, and makes 20 transforms (21 more at
+n/4, 25 at n/16 and 38 at n/64).
 
 The preconditioner is the spectral inverse (-Delta + c)^-1 with the shift
-c = mean(W). -Delta does not see the constant mode, and mean(W) is the
-Rayleigh quotient of the Jacobian on that mode, so the preconditioner is
-exact there; at a solution without forcing, Gauss-Bonnet makes it the
-topological constant 4 pi |chi|. W = -2K e^{2u} spikes at the atoms (up to
-~6e4 near a cusp stage at n = 256) while it stays near its mean elsewhere,
-so a shift that follows the spike, such as sqrt(min W max W), mismatches
-the low modes where CG spends its iterations.
+c = the median of W on the n/4 sublattice W[::4, ::4] (the nodes
+``_coarse_start`` injects; ``_shift``). W = -2K e^{2u} spikes at the
+atoms (up to ~6e4 near a cusp stage at n = 256, W_max / mean(W) about
+4700) while it stays near its bulk elsewhere, and the bulk is where CG's
+slow low modes live, so the constant-coefficient preconditioner is taken
+from the bulk of the coefficient (Concus & Golub, SIAM J. Numer. Anal.
+10, 1973). A shift that follows the spike mismatches those modes: on
+the n = 64 one-cusp ladder sqrt(min W max W) took 299 CG iterations
+where mean(W) then took 136; today mean(W), which the spikes pull above
+the bulk, takes 93 there and the median 84. On the two n = 256 cusp
+ladders the fine levels take 233 CG iterations with the median against
+269 with mean(W). min(W) also took 233 there, but beside a positive
+weight (beta = 0.9 at 1e-4 of a cell off a node) W falls to 2e-11 at one
+node, and min(W) took 24 CG against 20 for mean(W) and 16 for the
+median. The median of the whole
+grid gives the same counts at 15 ms a Newton step at n = 1024, where the
+sublattice takes under 1 ms.
 
 Every solve given no start nests while n/4 is a grid (n/4 >= MIN_N): it
 begins from the same problem solved at n/4 (nested iteration; Brandt,
@@ -94,9 +105,9 @@ at every fourth node), so it builds no Green kernel; it runs the same
 start and Newton loop, but no area quadrature and no Solution: only its
 final v is read.
 The solution is unique, so the start changes the cost, not the answer:
-one cone takes 3 fine Newton steps and 10 CG iterations at n = 1024
-instead of 4 and 18 from the default guess, 3 and 11 at n = 256 instead
-of 4 and 18, and 3 and 11 at n = 64 instead of 4 and 17. The half
+one cone takes 2 fine Newton steps and 9 CG iterations at n = 1024
+instead of 4 and 18 from the default guess, 2 and 9 at n = 256 instead
+of 4 and 17, and 3 and 11 at n = 64 instead of 4 and 17. The half
 spectrum of the coarse solution is zero-padded into the fine one, its
 Nyquist row and column dropped and its coefficients scaled by 16. When
 the coarse Newton does not converge, the default guess is used instead.
@@ -326,10 +337,13 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, r: np.ndarray,
     recurrence from zero, but for the sign of a zero). z^ * (1/(k2 + shift))
     has the bits of numpy's complex-by-real division z^ / (k2 + shift).
 
-    CG allocates nothing but `work` (from `_cg_work`): the transforms write
-    into z^ and into w, the head of z^'s buffer (``grids.irfft2``), which
-    holds z and -Delta z and then A p in turn, and the products go through
-    the blocks. The Newton loop hands one work set to all its inner solves.
+    CG allocates no array of its own beyond `work` (from `_cg_work`): the
+    transforms write into z^ and into w, the head of z^'s buffer, which
+    holds z and -Delta z and then A p in turn; ``grids.irfft2`` stages each
+    row block in the product block, and the products go through the
+    blocks. The one allocation left is numpy's casting buffer for z^ times
+    the real 1/(k2 + shift), np.getbufsize() complex (128 KiB). The Newton
+    loop hands one work set to all its inner solves.
     Arrays freed and reallocated are page-faulted in again whenever the
     allocator has handed them back to the system (the n = 256 ladder ran
     about 7% slower that way), and freed arrays of three sizes leave heap
@@ -350,7 +364,7 @@ def _cg(op: _Operator, W: np.ndarray, shift: float, r: np.ndarray,
             inv = np.add(op.kx2[s], op.ky2, out=pre)
             inv += shift
             zhat[s] *= np.divide(1.0, inv, out=inv)
-        z = irfft2(zhat, n, out=w)
+        z = irfft2(zhat, n, out=w, block=tmp)
         rz_next = _dot(r, z, blocks, tmp)
         beta = rz_next / rz
         rz = rz_next
@@ -434,6 +448,19 @@ def _residual_sweep(op: _Operator, v: np.ndarray, lv: np.ndarray, e2u: np.ndarra
     return _tree_sum(sq), float(np.max(sup))
 
 
+def _shift(W: np.ndarray, spare: np.ndarray) -> float:
+    """CG's preconditioner shift: the median of W on the n/4 sublattice
+    W[::4, ::4], the nodes ``_coarse_start`` injects, with the bits of
+    ``np.median``. The (n/4)^2 samples are partitioned in the head of the
+    spent n-by-n array `spare`, so no grid array is allocated."""
+    m = W.shape[0] // 4
+    half = m * m // 2
+    sub = spare.reshape(-1)[:m * m]
+    np.copyto(sub.reshape(m, m), W[::4, ::4])
+    sub.partition((half - 1, half))
+    return float((sub[half - 1] + sub[half]) / 2.0)
+
+
 def _stalled(what: str, norm: float, wmax: float) -> NonConvergence:
     """NonConvergence naming the residual and the round-off floor of F,
     eps max |K| e^{2u} = eps max W / 2, at the last Newton step's start."""
@@ -463,15 +490,12 @@ def _newton_loop(op: _Operator, vhat: np.ndarray, tol: float) -> tuple:
     for it in range(_MAX_NEWTON):
         if norm <= tol:
             break
-        wsum, peaks = [], []
+        peaks = []
         for s in blocks:  # W over e2u, CG's right-hand side -F over F
-            Wb = op.weight(e2u[s], s)
-            wsum.append(Wb.sum())
-            peaks.append(Wb.max())
+            peaks.append(op.weight(e2u[s], s).max())
             np.negative(F[s], out=F[s])
-        shift = _tree_sum(wsum) / n ** 2  # mean(W), the bits of W.mean()
         wmax = float(max(peaks))
-        d, inner, capped = _cg(op, e2u, shift, F, tol, work)
+        d, inner, capped = _cg(op, e2u, _shift(e2u, work[2]), F, tol, work)
         cg_total += inner
         cg_capped += capped
         for s in blocks:  # -Delta d = b - r - W d, b = -F rebuilt, CG's r over F
@@ -549,10 +573,12 @@ def newton_solve(spec: CurvatureSpec, split: SingularSplit,
     (beta > -1; cusps are reached through continuation), and sup K < 0.
     At most 60 Newton steps solve (-Delta + W) delta = -F, W = -2K e^{2u},
     by CG to relative residual 1e-6, or until its 2-norm is under tol/2,
-    preconditioned with (-Delta + mean(W))^-1, which is exact on the
-    constant mode (sup K < 0 makes W and its mean positive); step lengths
-    come from Armijo backtracking on ||F||_2^2 with factor 1/2, slope 1e-4
-    and floor 2^-30.
+    preconditioned with (-Delta + c)^-1, c the median of W on the n/4
+    sublattice (sup K < 0 makes W and c positive). c sits at the bulk of
+    W: mean(W) is pulled above it by the spikes at negative weights, and
+    min(W) falls to the near-zero W beside a positive weight, so both cost
+    CG iterations (module docstring). Step lengths come from Armijo
+    backtracking on ||F||_2^2 with factor 1/2, slope 1e-4 and floor 2^-30.
     An inner solve that reaches 2000 iterations keeps its last iterate and
     is counted in `cg_capped`.
 

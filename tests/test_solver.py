@@ -94,13 +94,61 @@ def test_curvature_spec_bounds():
         CurvatureSpec(k).values(128)  # grid mismatch
 
 
-def test_preconditioner_shift_is_exact_on_constants():
-    # the CG preconditioner shift is mean(W), W = -2K e^{2u}; at a solution
-    # the mean of the residual vanishes, so by Gauss-Bonnet the shift equals
-    # 4 pi |chi| and the preconditioner matches the Jacobian on constants
+def test_solution_weight_mean_is_the_gauss_bonnet_constant():
+    # W = -2K e^{2u}; at a solution the mean of the residual vanishes, so by
+    # Gauss-Bonnet mean(W) = 4 pi |chi|. (mean(W) was CG's preconditioner
+    # shift until the median of W on the n/4 sublattice replaced it.)
     sol = solve_divisor(((0.3, 0.7),), (-0.99,), n=64)
     mean_w = float((2.0 * np.exp(2.0 * sol.u_values)).mean())
     assert mean_w == pytest.approx(2.0 * TAU * 0.99, rel=1e-9)
+
+
+def _shifts(monkeypatch) -> list:
+    """Record (W, shift) of every inner CG solve."""
+    seen = []
+    cg = cmlab.solver._cg
+
+    def kept(op, W, shift, *args):
+        seen.append((W.copy(), shift))
+        return cg(op, W, shift, *args)
+
+    monkeypatch.setattr(cmlab.solver, "_cg", kept)
+    return seen
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_preconditioner_shift_is_the_sublattice_median_of_w(monkeypatch, n):
+    # every level's shift, n/4 levels and the smallest grid (2 x 2 samples at
+    # n = 8) included, is np.median of W[::4, ::4] bit for bit, and lies in W's range
+    seen = _shifts(monkeypatch)
+    sol = solve_divisor(((0.3, 0.7), (0.7, 0.3)), (-0.9, -0.5), n=n)
+    assert sol.residual_norm <= 1e-10
+    assert {W.shape[0] for W, _ in seen} == {n >> k for k in range(0, 6, 2) if n >> k >= 8}
+    for W, shift in seen:
+        assert shift == float(np.median(W[::4, ::4]))
+        assert W.min() <= shift <= W.max()
+
+
+def test_shift_stays_at_the_bulk_of_w_beside_a_positive_weight(monkeypatch):
+    # beta = 0.9 at 1e-4 of a cell off a node sends W at that node to about
+    # 2e-11, while the median stays at 0.15-0.26 and a beta = -0.95 atom
+    # lifts the mean to 0.63-0.80. Fine-level CG: 16 with the median, 20
+    # with mean(W) and 24 with min(W), which follows the near-zero node; so
+    # the shift is not min(W). A change that moves a count on purpose
+    # updates them and says so
+    n = 1024
+    points, betas = (((256 + 1e-4) / n, 0.25), (0.7, 0.6)), (0.9, -0.95)
+    seen = _shifts(monkeypatch)
+    median = solve_divisor(points, betas, n=n)
+    fine = [(W.min(), shift, W.mean()) for W, shift in seen if W.shape[0] == n]
+    assert all(1e9 * lo < shift < mean for lo, shift, mean in fine)
+    cg = {}
+    for rule in ("mean", "min"):
+        monkeypatch.setattr(cmlab.solver, "_shift",
+                            lambda W, spare, rule=rule: float(getattr(W, rule)()))
+        cg[rule] = solve_divisor(points, betas, n=n).cg_iters
+    assert median.residual_norm <= 1e-10
+    assert (median.cg_iters, cg["mean"], cg["min"]) == (16, 20, 24)
 
 
 def test_residual_overflow():
@@ -474,9 +522,10 @@ def _traced_peak(call) -> int:
 
 
 def test_newton_solve_working_set():
-    # the n = 512 solve with its kernels cached, under tracemalloc: 16.65 MiB
+    # the n = 512 solve with its kernels cached, under tracemalloc: 16.52 MiB
     # measured, 8 arrays of n^2 doubles on the fine level (v, lv, W, F, p,
-    # lp, x, and z^ with w at its head); 18.65 MiB when the split stored S,
+    # lp, x, and z^ with w at its head); 16.65 MiB when irfft2 let numpy
+    # copy z^'s aliased row blocks, 18.65 MiB when the split stored S,
     # 23.5 MiB when CG also held r, w and 1/(k2 + shift) and the symbol k2
     # was cached, 25.1 MiB when CG's products went through a whole-grid
     # array, and 35.0 MiB when the state was a half spectrum, every Armijo
@@ -487,15 +536,16 @@ def test_newton_solve_working_set():
 
 def test_warm_solve_peaks_at_eight_grid_arrays_and_the_row_blocks():
     # n = 256, kernel cached: the 8 arrays (z^ is n(n + 2) doubles), CG's
-    # row blocks of 1/(k2 + shift) and of products, and the copy of z^'s
-    # overlapping row block that irfft2's row pass makes (complex), one
-    # block of 128 rows here, and 32 KiB for small objects (7.6 KiB
-    # measured): 4.64 MiB measured, 5.14 MiB when the split stored S as a
-    # ninth array
+    # row blocks of 1/(k2 + shift) and of products, numpy's casting buffer
+    # for z^ times the real 1/(k2 + shift) (np.getbufsize() complex, 128
+    # KiB), and 32 KiB for small objects (8.9 KiB measured): 4.51 MiB
+    # measured, 4.64 MiB when irfft2's row pass let numpy copy z^'s
+    # overlapping row blocks, 5.14 MiB when the split stored S as a ninth
+    # array
     n = 256
     rows = cmlab.solver._blocks(n)[0].stop
     arrays = 7 * n * n + n * (n + 2)
-    blocks = rows * (n // 2 + 1) + rows * n + 2 * rows * (n // 2 + 1)
+    blocks = rows * (n // 2 + 1) + rows * n + 2 * np.getbufsize()
     solve_divisor(((0.3, 0.7),), (-0.5,), n=n)
     peak = _traced_peak(lambda: solve_divisor(((0.3, 0.7),), (-0.5,), n=n))
     assert peak <= 8 * (arrays + blocks) + 2 ** 15
@@ -758,20 +808,20 @@ def test_per_level_counts_of_the_benchmark_divisors(monkeypatch):
     counts = []
     _newton_loops(monkeypatch, counts=counts)
     solve_divisor(((0.3, 0.7),), (-0.5,), n=256)
-    assert counts == [(16, 4, 16), (64, 3, 11), (256, 3, 11)]
+    assert counts == [(16, 4, 17), (64, 3, 11), (256, 2, 9)]
     counts.clear()
     run_continuation(cusp_schedule(Divisor(((0.3, 0.7),), (-1.0,)), k_max=10), n=256)
-    assert counts == [(16, 4, 16), (64, 3, 11), (256, 3, 11),
-                      (16, 4, 22), (64, 4, 18), (256, 4, 17),
-                      (256, 4, 24), (256, 3, 19), (256, 3, 15), (256, 2, 12),
-                      (256, 2, 10), (256, 2, 9), (256, 2, 7), (256, 1, 6)]
+    assert counts == [(16, 4, 17), (64, 3, 11), (256, 2, 9),
+                      (16, 4, 21), (64, 4, 17), (256, 3, 15),
+                      (256, 4, 20), (256, 3, 17), (256, 3, 13), (256, 2, 10),
+                      (256, 2, 9), (256, 2, 8), (256, 1, 6), (256, 1, 6)]
     counts.clear()
     run_continuation(cusp_schedule(Divisor(((0.3, 0.7), (0.7, 0.3)), (-1.0, -1.0)),
                                    k_max=10), n=256)
-    assert counts == [(16, 4, 17), (64, 3, 13), (256, 3, 13),
-                      (16, 4, 23), (64, 4, 20), (256, 3, 18),
-                      (256, 4, 24), (256, 3, 21), (256, 3, 15), (256, 2, 13),
-                      (256, 2, 12), (256, 2, 9), (256, 1, 7), (256, 1, 7)]
+    assert counts == [(16, 4, 17), (64, 3, 12), (256, 3, 11),
+                      (16, 4, 22), (64, 4, 18), (256, 4, 17),
+                      (256, 4, 20), (256, 3, 18), (256, 3, 13), (256, 2, 11),
+                      (256, 2, 10), (256, 2, 8), (256, 1, 6), (256, 1, 6)]
 
 
 def test_coarse_start_gives_the_default_start_answer(monkeypatch):
@@ -846,12 +896,13 @@ def test_coarse_start_nests_an_atom_the_coarse_on_node_test_refuses(monkeypatch)
     # The n/4 level injects the fine S, so the solve nests all the same.
     # This atom sits on F's round-off floor: W reaches 2.4e5 at that node,
     # where -Delta v and K e^{2u} nearly cancel. The default-guess solve
-    # ends at 9.24e-11 against tol = 1e-10 (5 Newton steps, 24 CG), a margin
-    # of 8%, and the nested one at 8.22e-11 (6 and 26). Any change to CG's
-    # rounding can tip either into NonConvergence (reductions through
-    # einsum end the default-guess solve at 1.11e-10), so it is a sentinel
-    # for that arithmetic: a failure here means CG's rounding moved, not
-    # that the test is too strict
+    # ends at 9.244e-11 against tol = 1e-10 (7 Newton steps, 24 CG), a
+    # margin of 8%, and the nested one at 8.218e-11 (9 and 26); with the
+    # mean(W) shift they took 5 / 24 and 6 / 26 to the same residuals. Any
+    # change to CG's rounding can tip either into NonConvergence
+    # (reductions through einsum ended the default-guess solve at
+    # 1.11e-10), so it is a sentinel for that arithmetic: a failure here
+    # means CG's rounding moved, not that the test is too strict
     n = 512
     div = Divisor(((128 / n + 2e-8 / n, 0.75),), (-0.5,))
     split = singular_part(div, n)
@@ -860,12 +911,12 @@ def test_coarse_start_nests_an_atom_the_coarse_on_node_test_refuses(monkeypatch)
     ops = _newton_loops(monkeypatch)
     spec = CurvatureSpec(-1.0)
     plain = newton_solve(spec, split, v0=_default_start(spec, split))
-    assert (plain.newton_iters, plain.cg_iters) == (5, 24)
-    assert plain.residual_norm == pytest.approx(9.24e-11, rel=1e-3)
+    assert (plain.newton_iters, plain.cg_iters) == (7, 24)
+    assert plain.residual_norm == pytest.approx(9.244e-11, rel=1e-3)
     sol = newton_solve(spec, split)
     assert [op.n for op in ops] == [512, 8, 32, 128, 512]
-    assert (sol.newton_iters, sol.cg_iters) == (6, 26)
-    assert sol.residual_norm == pytest.approx(8.22e-11, rel=1e-3)
+    assert (sol.newton_iters, sol.cg_iters) == (9, 26)
+    assert sol.residual_norm == pytest.approx(8.218e-11, rel=1e-3)
     assert float(np.abs(sol.v.values - plain.v.values).max()) <= 1e-12
     assert sol.area == pytest.approx(plain.area, rel=1e-14)
 
