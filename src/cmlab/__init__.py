@@ -24,8 +24,7 @@ _EXPORTS = {
                 "list_fixtures", "load_fixture", "neck_area_profile", "neck_curvature_limit",
                 "three_circle_check", "validate_family"),
     "continuation": ("ContinuationResult", "ContinuationSchedule", "ScanReport",
-                     "ScheduleStep", "StageReport", "cusp_schedule", "no_bubble_scan",
-                     "run_continuation"),
+                     "StageReport", "cusp_schedule", "no_bubble_scan", "run_continuation"),
     "errors": ("CmlabError", "ConfigError", "CurvatureSignError", "InfeasibleTopology",
                "NonConvergence", "NonStabilizingFlux", "ResidualOverflow", "StageFailure"),
     "green": ("SingularSplit", "TorusGreen", "green_kernel", "green_torus", "singular_part"),

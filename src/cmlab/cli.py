@@ -109,10 +109,9 @@ def _problem(cfg: RunConfig, cusp: bool = False):
     return Divisor(atoms, betas), CurvatureSpec(curvature), curvature
 
 
-def _solved(cfg: RunConfig):
-    """Solve the configured problem: the Solution and the report fields
+def _solved(cfg: RunConfig, div: Divisor, spec: CurvatureSpec, curvature: float):
+    """Solve the problem `_problem` read: the Solution and the report fields
     that name the problem."""
-    div, spec, curvature = _problem(cfg)
     sol = newton_solve(spec, singular_part(div, cfg.n), tol=cfg.tol)
     return sol, {"command": cfg.command, "grid": cfg.n, "tol": cfg.tol,
                  "atoms": [list(p) for p in div.points], "betas": list(div.betas),
@@ -120,7 +119,7 @@ def _solved(cfg: RunConfig):
 
 
 def _cmd_solve(cfg: RunConfig):
-    sol, report = _solved(cfg)
+    sol, report = _solved(cfg, *_problem(cfg))
     report.update(_report_fields(sol, "split", "spec", "v", "grid_area"),
                   chi=euler_characteristic(sol.split.divisor))
     fields = {"u.cmlgrid": Field(sol.u_values), "v.cmlgrid": sol.v}
@@ -149,8 +148,9 @@ def _cmd_scan(cfg: RunConfig):
     radius = ini_value(cfg.options, "radius", float, 1.0 / 16.0)
     threshold = ini_value(cfg.options, "threshold", float, 1.0)
     radii = (radius, radius / 2.0)
-    check_scan(radii, threshold)
-    sol, report = _solved(cfg)
+    div, spec, curvature = _problem(cfg)
+    check_scan(div.points, cfg.n, radii, threshold)
+    sol, report = _solved(cfg, div, spec, curvature)
     scan = no_bubble_scan(sol, radii, threshold=threshold)
     report.update(_report_fields(scan, "max_mass", "max_area", "flags"),
                   threshold=threshold, maxLocalMass=scan.max_mass,

@@ -20,6 +20,12 @@ MIN_N = 8  # the smallest grid: a Field's n is a power of two >= MIN_N
 _BLOCK = 2 ** 15  # elements per sweep block: 256 KiB of float64, about one L2
 
 
+def _check_grid(n: int) -> None:
+    """Raise ValueError unless n is a power of two >= MIN_N."""
+    if n < MIN_N or n & (n - 1):
+        raise ValueError(f"grid resolution must be a power of two >= {MIN_N}, got {n}")
+
+
 def _blocks(n: int) -> list:
     """Equal row slices of _BLOCK elements (one when n^2 <= _BLOCK); 2^k of them."""
     rows = min(n, max(1, _BLOCK // n))
@@ -77,9 +83,7 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("Field values must be a square 2-D array")
-        n = v.shape[0]
-        if n < MIN_N or n & (n - 1):
-            raise ValueError(f"grid resolution must be a power of two >= {MIN_N}, got {n}")
+        _check_grid(v.shape[0])
         if not np.all(np.isfinite(v)):
             raise ValueError("Field values must be finite")
         self.values = v

@@ -12,9 +12,10 @@ assignment whose name has no leading underscore, or a `def` with no
 leading underscore directly in the body of such a class. `__init__.py`
 only re-exports names, so its public names are not counted.
 
-A last line counts the CLI's settable values: over `cli._COMMANDS`, each
-command's config-section keys plus its `[run]` keys. A flag is the same
-value as its `[run]` key, so it counts once.
+Two last lines count the CLI's settable values: over `cli._COMMANDS`,
+each command's config-section keys plus its `[run]` keys (a flag is the
+same value as its `[run]` key, so it counts once); and the names the
+package exports, `len(cmlab.__all__)`.
 
 pytest does not collect this file. Run it from anywhere:
 
@@ -73,7 +74,6 @@ def public_names(text: str) -> int:
 
 
 def settable_values() -> int:
-    sys.path.insert(0, str(SRC.parent))
     from cmlab.cli import _COMMANDS
     return sum(len(own) + len(run) for _, _, own, run in _COMMANDS.values())
 
@@ -89,7 +89,10 @@ def main() -> None:
     for name, lines, code, public in rows:
         print(f"| `{name}` | {lines} | {code} | {public} |")
     print("| total | " + " | ".join(str(sum(r[i] for r in rows)) for i in (1, 2, 3)) + " |")
+    sys.path.insert(0, str(SRC.parent))
+    import cmlab
     print(f"\nsettable values: {settable_values()}")
+    print(f"exported names: {len(cmlab.__all__)}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 tests/test_acceptance.py.
 
 Each mutant is a one-line edit of the package, applied by exact string
-replacement to a copy of src/ in a temporary directory; tests/ and
-pyproject.toml are copied beside it, so pytest imports the mutated copy.
+replacement to a copy of src/ in a temporary directory; tests/,
+pyproject.toml and perfbench/ (whose workloads tier-1 runs; not its out/)
+are copied beside it, so pytest imports the mutated copy.
 The script runs tier-1 once on an unmutated copy and once per mutant, and
 prints a Markdown table of the acceptance criteria that failed and the
 number of tier-1 tests that failed. An
@@ -69,6 +70,8 @@ def _copy_tree(dest: Path) -> None:
     shutil.copytree(ROOT / "src", dest / "src", ignore=_SKIP)
     shutil.copytree(ROOT / "tests", dest / "tests", ignore=_SKIP)
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    shutil.copytree(ROOT / "perfbench", dest / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__", "out"))
 
 
 def _mutate(tree: Path, module: str, old: str, new: str) -> None:

@@ -353,6 +353,12 @@ def test_inputs_describing_no_problem_exit_1(tmp_path, capsys, command, section)
     ("scan", "radius = -0.1", "scan radius -0.1 is outside (0, 1/2)"),
     ("scan", "radius = 0.7", "scan radius 0.7 is outside (0, 1/2)"),
     ("continue-cusp", "scan_radius = 0.7", "scan radius 0.7 is outside (0, 1/2)"),
+    # at n = 64 atoms at (0.3, 0.7) and (0.7, 0.3) leave no center beyond
+    # 0.4 + 8/n; the first stage's solve, or scan's, used to finish first
+    ("continue-cusp", "atoms = 0.3,0.7 0.7,0.3\nscan_radius = 0.4\n[run]\ngrid = 64",
+     "atoms exclude every scan center at radius 0.4"),
+    ("scan", "atoms = 0.3,0.7 0.7,0.3\nbetas = -0.5 -0.5\nradius = 0.4\n[run]\ngrid = 64",
+     "atoms exclude every scan center at radius 0.4"),
     # a non-finite threshold used to fail only on writing the report, and a
     # negative one flagged every center
     ("scan", "threshold = nan", "threshold must satisfy 0 < threshold < inf, got nan"),

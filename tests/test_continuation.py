@@ -10,7 +10,6 @@ import cmlab.continuation
 import cmlab.grids
 from cmlab.continuation import (
     ContinuationSchedule,
-    ScheduleStep,
     _extrapolated_start,
     cusp_schedule,
     no_bubble_scan,
@@ -30,13 +29,13 @@ def test_cusp_schedule_weights():
     sched = cusp_schedule(target, k_max=5)
     assert len(sched.steps) == 5
     for k, step in enumerate(sched.steps, start=1):
-        assert step.betas == (pytest.approx(-1.0 + 2.0 ** -k),)
+        assert step == Divisor(target.points, (-1.0 + 2.0 ** -k,))
     mixed = Divisor(((0.3, 0.7), (0.1, 0.2)), (-1.0, -0.5))
     sm = cusp_schedule(mixed, k_max=3)
     for step in sm.steps:
         assert step.betas[1] == -0.5  # conical atoms keep their weight
     conical = Divisor(((0.3, 0.7),), (-0.5,))
-    assert len(cusp_schedule(conical).steps) == 1
+    assert cusp_schedule(conical).steps == (conical,)
     assert len(cusp_schedule(conical, k_max=0).steps) == 1  # no cusp: k_max unused
     # -1 + 2^-53 is the last double strictly above -1
     assert cusp_schedule(target, k_max=53).steps[-1].betas[0] > -1.0
@@ -51,26 +50,38 @@ def test_cusp_schedule_weights():
 
 def test_schedule_validation():
     target = Divisor(((0.3, 0.7),), (-0.5,))
-    with pytest.raises(ValueError):
-        ContinuationSchedule(target, ())
-    with pytest.raises(ValueError):
-        ContinuationSchedule(target, (ScheduleStep((-0.5, -0.5), -1.0),))
-    with pytest.raises(ValueError):
-        ContinuationSchedule(target, (ScheduleStep((-1.0,), -1.0),))
-    with pytest.raises(ValueError):
-        ContinuationSchedule(target, (ScheduleStep((-0.75,), -1.0),))  # undershoot
-    with pytest.raises(ValueError):
-        ContinuationSchedule(target, (ScheduleStep((-0.75 + 0.5,), -1.0),
-                                      ScheduleStep((-0.1,), -1.0)))  # increasing
+
+    def stages(*betas):
+        return tuple(Divisor(target.points, (b,)) for b in betas)
+
+    assert ContinuationSchedule(target, stages(-0.25, -0.5), -1.0).steps == stages(-0.25, -0.5)
+    with pytest.raises(ValueError, match="at least one step"):
+        ContinuationSchedule(target, (), -1.0)
+    with pytest.raises(ValueError, match="stage points must be the target's"):
+        ContinuationSchedule(target, (Divisor(((0.3, 0.7), (0.1, 0.2)), (-0.5, -0.5)),),
+                             -1.0)
+    with pytest.raises(ValueError, match="stage points must be the target's"):
+        ContinuationSchedule(target, (Divisor(((0.7, 0.3),), (-0.5,)),), -1.0)
+    with pytest.raises(ValueError, match="strictly above -1"):
+        ContinuationSchedule(target, stages(-1.0), -1.0)
+    with pytest.raises(ValueError, match="undershoot"):
+        ContinuationSchedule(target, stages(-0.75), -1.0)
+    # increasing, standing still, and lowering chi while raising a weight
+    two = Divisor(((0.3, 0.7), (0.7, 0.3)), (-1.0, -1.0))
+    for goal, steps in ((target, stages(-0.25, -0.1)), (target, stages(-0.5, -0.5)),
+                        (two, (Divisor(two.points, (-0.25, -0.25)),
+                               Divisor(two.points, (-0.875, 0.125))))):
+        with pytest.raises(ValueError, match="each stage must lower chi and raise no weight"):
+            ContinuationSchedule(goal, steps, -1.0)
 
 
 def test_schedules_without_lam_still_check_the_sign():
-    # a Field stage is held to sup K < 0 when it is built
+    # a Field curvature is held to sup K < 0 when the schedule is built
     target = Divisor(((0.3, 0.7),), (-1.0,))
     k = sample(lambda x, y: -0.5 + np.cos(TAU * x), 32)
     for field in (k, constant(0.0, 32)):
         with pytest.raises(ValueError, match="curvature must be finite and negative"):
-            ContinuationSchedule(target, (ScheduleStep((-0.5,), field),))
+            ContinuationSchedule(target, (Divisor(target.points, (-0.5,)),), field)
 
 
 def test_single_stage_matches_direct_solve():
@@ -99,8 +110,7 @@ def test_continuation_stage_ladder():
 
 def _cold_solves(sched, n):
     """Each stage solved alone by newton_solve, given no start."""
-    return [newton_solve(CurvatureSpec(step.curvature),
-                         singular_part(Divisor(sched.target.points, step.betas), n))
+    return [newton_solve(CurvatureSpec(sched.curvature), singular_part(step, n))
             for step in sched.steps]
 
 
@@ -112,19 +122,6 @@ def test_warm_and_cold_starts_agree():
     assert float(np.abs(warm.final.v.values - cold[-1].v.values).max()) < 1e-8
     # stages 1 and 2 start cold, stage 3 from the secant through them,
     # stage 4 from the quadratic and stage 5 from the cubic
-    np.testing.assert_allclose(warm.areas, [s.area for s in cold], rtol=1e-8)
-
-
-def test_secant_start_when_weights_stand_still():
-    # stage 2 repeats stage 1's chi, so it starts from stage 1; stage 3
-    # follows two stages at one chi, so its predictor has no slope in chi
-    # and it starts from stage 2 alone
-    target = Divisor(((0.3, 0.7),), (-0.75,))
-    steps = (ScheduleStep((-0.5,), -1.0), ScheduleStep((-0.5,), -1.5),
-             ScheduleStep((-0.75,), -1.5))
-    sched = ContinuationSchedule(target, steps)
-    warm = run_continuation(sched, n=32)
-    cold = _cold_solves(sched, 32)
     np.testing.assert_allclose(warm.areas, [s.area for s in cold], rtol=1e-8)
 
 
@@ -141,16 +138,9 @@ def test_extrapolated_start():
     solved = [(c, Field(v(c))) for c in chis[:4]]
     np.testing.assert_allclose(_extrapolated_start(solved, chis[4]).values, v(chis[4]),
                                rtol=0, atol=1e-13)
-    # one earlier stage: a cold start, unless the weights stand still
-    one = solved[-1:]
+    # fewer than two earlier stages: a cold start
     assert _extrapolated_start([], chis[4]) is None
-    assert _extrapolated_start(one, chis[4]) is None
-    assert _extrapolated_start(one, chis[3]) is one[0][1]
-    assert _extrapolated_start(solved, chis[3]) is solved[-1][1]
-    # stages at one chi count once, with the latest v
-    still = [(chis[0], solved[0][1]), (chis[0], solved[1][1])]
-    np.testing.assert_array_equal(_extrapolated_start(still, chis[1]).values,
-                                  solved[1][1].values)
+    assert _extrapolated_start(solved[-1:], chis[4]) is None
 
 
 def test_ladder_cg_budget():
@@ -194,6 +184,16 @@ def test_continuation_infeasible_target():
     target = Divisor(((0.3, 0.7),), (0.5,))
     with pytest.raises(InfeasibleTopology):
         run_continuation(cusp_schedule(target), n=64)
+
+
+@pytest.mark.parametrize("n", [0, -8, 4, 12])
+def test_a_grid_that_is_no_power_of_two_is_refused_first(n):
+    # the scan centers are read off the grid, so the grid is checked before
+    # them; 4 and 12 used to fail inside stage 1, 0 and -8 on a node test
+    # and an array size
+    target = Divisor(((0.3, 0.7),), (-1.0,))
+    with pytest.raises(ValueError, match=f"grid resolution must be a power of two >= 8, got {n}"):
+        run_continuation(cusp_schedule(target, k_max=2), n=n)
 
 
 def test_stage_failure_carries_stage_index():

@@ -69,7 +69,7 @@ def test_a_kernel_build_imports_no_quadrature():
 
 
 def test_public_names_and_submodules():
-    assert len(cmlab.__all__) == len(set(cmlab.__all__)) == 70
+    assert len(cmlab.__all__) == len(set(cmlab.__all__)) == 69
     assert set(cmlab.__all__) <= set(dir(cmlab))
     assert cmlab.singular_part is sys.modules["cmlab.green"].singular_part
     assert "singular_part" not in vars(cmlab)  # resolved, not cached
@@ -82,8 +82,8 @@ def test_public_names_and_submodules():
     # nor the random-start uniqueness probe; criterion 3 solves from far starts
     for gone in ("UniquenessReport", "random_smooth_field", "uniqueness_probe"):
         assert not hasattr(cmlab, gone)
-    # nor the chart object, which had one value, nor names only their own
-    # tests called
+    # nor the chart object, which had one value, names only their own tests
+    # called, or a schedule step: a stage is a Divisor at one curvature
     for gone in ("TorusChart", "parse_descriptor", "mollify_curvature", "BlowupSeq",
-                 "classify_pair", "plane_area"):
+                 "classify_pair", "plane_area", "ScheduleStep"):
         assert not hasattr(cmlab, gone)
